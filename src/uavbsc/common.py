@@ -4,23 +4,34 @@ Both solvers consume a :class:`~uavbsc.encoding.LinkProblem`, draw every
 random number from a single seeded generator in a fixed order before
 evaluations are dispatched, and report their progress through the same
 per-generation record type, so the harness can treat them uniformly.
+
+Every solver loop has one shape: a generator that yields each genome
+block it needs evaluated, receives the block's
+:class:`~uavbsc.encoding.BatchEvaluation` back, and returns its
+:class:`SolverReport`.  :func:`drive` runs one such generator;
+:func:`drive_lockstep` steps several together with one stacked
+evaluation per step.  Evaluation is row-wise, so both give the same
+results bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Generator, List, Optional, Sequence
 
 import numpy as np
 
-from .encoding import EvaluatedSolution, LinkProblem
+from .encoding import BatchEvaluation, EvaluatedSolution, LinkProblem
 
 __all__ = [
     "STALL_TOL",
     "GenerationRecord",
     "SolverReport",
     "ProgressCallback",
+    "SolverSteps",
+    "drive",
+    "drive_lockstep",
     "sample_initial_genes",
     "masked_gaussian_offsets",
     "resolve_init_mean",
@@ -95,6 +106,45 @@ class SolverReport:
             },
             "trace": [rec.to_dict() for rec in self.trace],
         }
+
+
+# A solver loop: yields genome blocks, is sent their evaluations, and
+# returns its report.
+SolverSteps = Generator[np.ndarray, BatchEvaluation, SolverReport]
+
+
+def drive(steps: SolverSteps, problem: LinkProblem) -> SolverReport:
+    """Run one solver loop to completion."""
+    return drive_lockstep([steps], problem)[0]
+
+
+def drive_lockstep(steps: Sequence[SolverSteps],
+                   problem: LinkProblem) -> List[SolverReport]:
+    """Run solver loops side by side, one ``evaluate_batch`` call per step.
+
+    Each step stacks the blocks of every loop still running, evaluates
+    the stack once and hands each loop its own rows.  Loops drop out as
+    they finish; the reports come back in the order of ``steps``.
+    """
+    reports: List[Optional[SolverReport]] = [None] * len(steps)
+    pending = []
+
+    def advance(i: int, evaluation: Optional[BatchEvaluation]) -> None:
+        try:
+            pending.append((i, steps[i].send(evaluation)))
+        except StopIteration as stop:
+            reports[i] = stop.value
+
+    for i in range(len(steps)):
+        advance(i, None)
+    while pending:
+        stepped, pending = pending, []
+        blocks = [block for _, block in stepped]
+        stacked = problem.evaluate_batch(np.vstack(blocks))
+        for (i, _), part in zip(stepped,
+                                stacked.split([len(b) for b in blocks])):
+            advance(i, part)
+    return reports  # type: ignore[return-value]
 
 
 def sample_initial_genes(

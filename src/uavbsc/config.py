@@ -140,17 +140,27 @@ def _check_section(problems, data, section, required, optional=None):
     for key in block:
         if key not in required and key not in optional:
             problems.append(f"unknown key {section}.{key}")
-    for key, typ in required.items():
-        if key not in block:
+    for key, typ in {**required, **optional}.items():
+        if key in block:
+            _check_value(problems, f"{section}.{key}", block[key], typ)
+        elif key in required:
             problems.append(f"missing key {section}.{key}")
-        elif not isinstance(block[key], typ) or isinstance(block[key], bool):
-            problems.append(f"{section}.{key} must be a {_type_name(typ)}")
-    for key, typ in optional.items():
-        if key in block and (
-            not isinstance(block[key], typ) or isinstance(block[key], bool)
-        ):
-            problems.append(f"{section}.{key} must be a {_type_name(typ)}")
     return block
+
+
+def _check_value(problems, label, value, typ=_NUMBER) -> bool:
+    """Record why ``value`` is not a finite ``typ``; True when it is.
+
+    JSON parsing accepts ``NaN`` and ``Infinity``, so finiteness is checked
+    here rather than trusted to the parser.
+    """
+    if not isinstance(value, typ) or isinstance(value, bool):
+        problems.append(f"{label} must be a {_type_name(typ)}")
+        return False
+    if isinstance(value, float) and not math.isfinite(value):
+        problems.append(f"{label} must be finite (got {value})")
+        return False
+    return True
 
 
 def _type_name(typ) -> str:
@@ -169,6 +179,8 @@ def _check_pair(problems, block, section, key, ordered=False):
         isinstance(v, _NUMBER) and not isinstance(v, bool) for v in value
     ):
         problems.append(f"{section}.{key} must be a list of two numbers")
+        return None
+    if not all(_check_value(problems, f"{section}.{key}", v) for v in value):
         return None
     if ordered and not value[0] < value[1]:
         problems.append(f"{section}.{key} must satisfy lo < hi (got {value})")
@@ -265,7 +277,10 @@ class ScenarioConfig:
                 missing = [k for k in _ROTOR_KEYS if k not in rotor_block]
                 for key in missing:
                     problems.append(f"missing key propulsion.rotor.{key}")
-                if not missing:
+                valid = [_check_value(problems, f"propulsion.rotor.{k}",
+                                      rotor_block[k])
+                         for k in _ROTOR_KEYS if k in rotor_block]
+                if not missing and all(valid):
                     rotor = {k: float(rotor_block[k]) for k in _ROTOR_KEYS}
         else:
             for key in propulsion_block:
@@ -275,7 +290,10 @@ class ScenarioConfig:
                        if k not in propulsion_block]
             for key in missing:
                 problems.append(f"missing key propulsion.{key}")
-            if not missing:
+            valid = [_check_value(problems, f"propulsion.{k}",
+                                  propulsion_block[k])
+                     for k in _PROPULSION_DERIVED_KEYS if k in propulsion_block]
+            if not missing and all(valid):
                 derived = {
                     k: float(propulsion_block[k])
                     for k in _PROPULSION_DERIVED_KEYS

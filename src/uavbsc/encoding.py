@@ -20,8 +20,8 @@ energy self-sufficiency, per-slot speed, bounds/pinning) and maps the pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -136,6 +136,16 @@ class BatchEvaluation:
     fitness: np.ndarray        # (B,) scalar fitness, lower is better
     feasible: np.ndarray       # (B,) bool
     worst_violation: np.ndarray  # (B,) normalized worst constraint violation
+
+    def split(self, sizes: Sequence[int]) -> List["BatchEvaluation"]:
+        """Consecutive row blocks of ``sizes`` rows each, as views.
+
+        Undoes the stacking of several genome blocks into one call: block
+        ``k`` of the result is what evaluating block ``k`` alone gives.
+        """
+        cuts = np.cumsum(sizes)[:-1]
+        columns = [np.split(getattr(self, f.name), cuts) for f in fields(self)]
+        return [BatchEvaluation(*parts) for parts in zip(*columns)]
 
 
 def fitness_value(objective: float, report: FeasibilityReport,
@@ -358,9 +368,7 @@ class LinkProblem:
 
     def objective(self, traj: Trajectory, time_split) -> float:
         """Mission objective: sum of per-slot user rates (bit/s)."""
-        split = as_time_split(time_split, self.n_slots)
-        t = self._tables(traj.waypoints[None, :, :], split[None, :])
-        return float(np.sum(t["weighted_down"][0]))
+        return self._assess(traj, time_split)[1]
 
     def _margin_arrays(self, waypoints: np.ndarray, split: np.ndarray,
                        tables: dict) -> dict:
@@ -420,18 +428,22 @@ class LinkProblem:
             "worst": worst,
         }
 
-    def check_constraints(self, traj: Trajectory, time_split) -> FeasibilityReport:
-        """Evaluate every mission constraint for one candidate."""
+    def _assess(self, traj: Trajectory, time_split):
+        """Feasibility report and objective of one mission, in one pass."""
         split = as_time_split(time_split, self.n_slots)
         wp = traj.waypoints[None, :, :]
         sp = split[None, :]
         m = self._margin_arrays(wp, sp, self._tables(wp, sp))
-        margins = {name: float(m[name][0]) for name in _CONSTRAINT_NAMES}
-        return FeasibilityReport(
-            margins=margins,
+        report = FeasibilityReport(
+            margins={name: float(m[name][0]) for name in _CONSTRAINT_NAMES},
             feasible=bool(m["feasible"][0]),
             worst_violation=float(m["worst"][0]),
         )
+        return report, float(m["objective"][0])
+
+    def check_constraints(self, traj: Trajectory, time_split) -> FeasibilityReport:
+        """Evaluate every mission constraint for one candidate."""
+        return self._assess(traj, time_split)[0]
 
     def fitness(self, solution_objective: float,
                 report: FeasibilityReport) -> float:
@@ -445,8 +457,7 @@ class LinkProblem:
     def evaluate(self, genome, eval_index: Optional[int] = None) -> EvaluatedSolution:
         """Decode and fully evaluate one genome."""
         traj, split = self.decode(genome)
-        report = self.check_constraints(traj, split)
-        obj = self.objective(traj, split)
+        report, obj = self._assess(traj, split)
         return EvaluatedSolution(
             genome=np.asarray(genome, dtype=np.float64).copy(),
             trajectory=traj,

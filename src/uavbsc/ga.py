@@ -20,7 +20,9 @@ from .common import (
     GenerationRecord,
     ProgressCallback,
     SolverReport,
+    SolverSteps,
     config_snapshot,
+    drive,
     masked_gaussian_offsets,
     resolve_init_mean,
     sample_initial_genes,
@@ -36,6 +38,7 @@ __all__ = [
     "select",
     "crossover",
     "mutate",
+    "steps",
     "run",
 ]
 
@@ -148,18 +151,21 @@ def select(genomes: np.ndarray, fitness: np.ndarray, cfg: GaConfig,
 
 def crossover(parent_a, parent_b, cfg: GaConfig,
               rng: np.random.Generator):
-    """Per-gene arithmetic blend of two parents.
+    """Per-gene arithmetic blend of two parents, or of stacks of pairs.
 
     Each gene crosses with probability ``crossover_rate`` using a fresh
     uniform blend factor; both children share the factor, so crossed gene
-    pairs conserve their sum exactly.  Uncrossed genes are copied.
+    pairs conserve their sum exactly.  Uncrossed genes are copied.  Each
+    pair draws its mask then its blend factors, pair after pair, so a
+    (pairs, dim) stack consumes the stream exactly as a loop over pairs.
     """
     a = np.asarray(parent_a, dtype=np.float64)
     b = np.asarray(parent_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("parents must have identical shape")
-    mask = rng.uniform(size=a.shape) < cfg.crossover_rate
-    blend = rng.uniform(size=a.shape)
+    draws = rng.uniform(size=a.shape[:-1] + (2, a.shape[-1]))
+    mask = draws[..., 0, :] < cfg.crossover_rate
+    blend = draws[..., 1, :]
     child_a = np.where(mask, blend * a + (1.0 - blend) * b, a)
     child_b = np.where(mask, blend * b + (1.0 - blend) * a, b)
     return child_a, child_b
@@ -175,7 +181,13 @@ def mutate(genes, cfg: GaConfig, rng: np.random.Generator) -> np.ndarray:
 
 def run(cfg: GaConfig, problem: LinkProblem,
         callback: Optional[ProgressCallback] = None) -> SolverReport:
-    """Run the genetic algorithm and report the best mission found.
+    """Run the genetic algorithm and report the best mission found."""
+    return drive(steps(cfg, problem, callback), problem)
+
+
+def steps(cfg: GaConfig, problem: LinkProblem,
+          callback: Optional[ProgressCallback] = None) -> SolverSteps:
+    """The genetic algorithm as a solver loop (see :mod:`uavbsc.common`).
 
     Stops at the generation limit, after ``stall_limit`` generations
     without a best-fitness improvement beyond 1e-12, or when the next
@@ -189,7 +201,7 @@ def run(cfg: GaConfig, problem: LinkProblem,
     rng = np.random.default_rng(cfg.seed)
 
     pop = init_population(cfg, problem, rng)
-    ev = problem.evaluate_batch(pop)
+    ev = yield pop
     evaluations = size
     order = np.argsort(ev.fitness, kind="stable")
     pop = pop[order]
@@ -214,15 +226,14 @@ def run(cfg: GaConfig, problem: LinkProblem,
         elite_fit = fit[:n_elite].copy()
         elite_worst = worst[:n_elite].copy()
 
-        children = np.empty_like(pop)
-        for j in range(0, size - 1, 2):
-            children[j], children[j + 1] = crossover(
-                pool[j], pool[j + 1], cfg, rng)
-        if size % 2:
-            children[-1] = pool[-1]
+        # Pairs (0, 1), (2, 3), ... cross; an odd last parent is copied.
+        children = pool.copy()
+        paired = size - size % 2
+        children[0:paired:2], children[1:paired:2] = crossover(
+            pool[0:paired:2], pool[1:paired:2], cfg, rng)
         children = problem.adjust(mutate(children, cfg, rng))
 
-        cev = problem.evaluate_batch(children)
+        cev = yield children
         evaluations += size
 
         cand = np.vstack([children, elites])

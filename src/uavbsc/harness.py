@@ -1,10 +1,12 @@
 """Benchmark harness: seeded runs, campaigns, sweeps, baselines, export.
 
 Everything here is deterministic given (scenario, solver, seed, budget):
-each run owns a single seeded generator, campaign results are keyed by
-task index rather than completion order, and worker processes only ever
-parallelize across whole runs.  Artifacts therefore compare equal bit
-for bit at any worker count once wall-clock fields are stripped.
+each run owns a single seeded generator, and a campaign steps its runs
+in lockstep groups whose stacked evaluations are row-wise, so a run's
+results do not depend on which runs share its group.  Worker processes
+only ever take whole groups, and results are collected in task order.
+Artifacts therefore compare equal bit for bit at any worker count once
+wall-clock fields are stripped.
 """
 
 from __future__ import annotations
@@ -21,9 +23,15 @@ import numpy as np
 
 from . import ga as ga_mod
 from . import pso as pso_mod
-from .common import GenerationRecord, SolverReport, config_snapshot
+from .common import (
+    GenerationRecord,
+    SolverReport,
+    SolverSteps,
+    drive,
+    drive_lockstep,
+)
 from .config import ConfigError, ScenarioConfig
-from .encoding import EvaluatedSolution, LinkProblem
+from .encoding import LinkProblem
 
 __all__ = [
     "SOLVER_NAMES",
@@ -35,6 +43,7 @@ __all__ = [
     "run_campaign",
     "campaign_to_dict",
     "random_search",
+    "random_steps",
     "SweepSpec",
     "SweepPoint",
     "run_sweep",
@@ -117,36 +126,55 @@ def make_solver_config(scenario: ScenarioConfig, solver: str, seed: int,
     raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
 
 
+def _solver_steps(scenario: ScenarioConfig, problem: LinkProblem,
+                  solver: str, seed: int, budget: Optional[int],
+                  callback=None) -> SolverSteps:
+    cfg = make_solver_config(scenario, solver, seed, budget)
+    if solver == "ga":
+        return ga_mod.steps(cfg, problem, callback=callback)
+    if solver in ("ipso", "pso"):
+        return pso_mod.steps(cfg, problem, callback=callback)
+    return random_steps(
+        problem, budget=RANDOM_DEFAULT_BUDGET if budget is None else budget,
+        seed=seed, callback=callback)
+
+
+def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
+               budget: Optional[int] = None,
+               callback=None) -> List[RunArtifact]:
+    """Runs of one solver over ``seeds``, stepped in lockstep.
+
+    Each artifact's ``wall_clock_s`` is the group's wall time divided by
+    the group's size, so the sum over artifacts is still the busy time.
+    """
+    problem = scenario.build_problem()
+    started = time.perf_counter()
+    reports = drive_lockstep(
+        [_solver_steps(scenario, problem, solver, seed, budget, callback)
+         for seed in seeds], problem)
+    wall = (time.perf_counter() - started) / len(seeds)
+    return [
+        RunArtifact(
+            scenario_name=scenario.name,
+            scenario_hash=scenario.scenario_hash(),
+            solver=solver,
+            seed=int(seed),
+            budget=None if budget is None else int(budget),
+            report=report,
+            wall_clock_s=wall,
+        )
+        for seed, report in zip(seeds, reports)
+    ]
+
+
+def _group_task(args) -> List[RunArtifact]:
+    return _run_group(*args)
+
+
 def run_single(scenario: ScenarioConfig, solver: str, seed: int,
                budget: Optional[int] = None, callback=None) -> RunArtifact:
     """Run one solver once on a scenario and package the result."""
-    problem = scenario.build_problem()
-    cfg = make_solver_config(scenario, solver, seed, budget)
-    started = time.perf_counter()
-    if solver == "ga":
-        report = ga_mod.run(cfg, problem, callback=callback)
-    elif solver in ("ipso", "pso"):
-        report = pso_mod.run(cfg, problem, callback=callback)
-    else:
-        report = random_search(
-            problem, budget=RANDOM_DEFAULT_BUDGET if budget is None else budget,
-            seed=seed, callback=callback)
-    wall = time.perf_counter() - started
-    return RunArtifact(
-        scenario_name=scenario.name,
-        scenario_hash=scenario.scenario_hash(),
-        solver=solver,
-        seed=int(seed),
-        budget=None if budget is None else int(budget),
-        report=report,
-        wall_clock_s=wall,
-    )
-
-
-def _campaign_task(args) -> "tuple[int, RunArtifact]":
-    index, doc, name, solver, seed, budget = args
-    scenario = ScenarioConfig.from_dict(doc, default_name=name)
-    return index, run_single(scenario, solver, seed, budget=budget)
+    return _run_group(scenario, solver, [seed], budget, callback)[0]
 
 
 def _as_solver_list(solvers) -> List[str]:
@@ -166,27 +194,33 @@ def run_campaign(scenario: ScenarioConfig, solvers, seeds: Sequence[int],
     """One run per (solver, seed), in solver-major then seed order.
 
     ``solvers`` is a name or a list of names; every run gets the same
-    evaluation budget, so campaigns compare solvers fairly.  ``workers``
-    only controls how many runs execute concurrently — every run is
-    seeded independently, so the artifacts are identical whatever the
-    worker count.
+    evaluation budget, so campaigns compare solvers fairly.  Each
+    solver's seeds are dealt into ``min(workers, len(seeds))``
+    contiguous groups, and each group's runs step in lockstep with one
+    stacked evaluation per step.  With one worker the groups run in this
+    process, otherwise as tasks of a process pool.  Every run is seeded
+    independently and evaluation is row-wise, so the artifacts are
+    identical whatever the worker count.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     names = _as_solver_list(solvers)
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    n_groups = min(workers, len(seeds))
+    cuts = [len(seeds) * g // n_groups for g in range(n_groups + 1)]
     tasks = [
-        (len(seeds) * si + i, scenario.raw, scenario.name,
-         solver, int(seed), budget)
-        for si, solver in enumerate(names)
-        for i, seed in enumerate(seeds)
+        (scenario, solver, seeds[lo:hi], budget)
+        for solver in names
+        for lo, hi in zip(cuts, cuts[1:])
     ]
     if workers == 1 or len(tasks) <= 1:
-        return [_campaign_task(t)[1] for t in tasks]
-    slots: List[Optional[RunArtifact]] = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for index, artifact in pool.map(_campaign_task, tasks):
-            slots[index] = artifact
-    return list(slots)  # type: ignore[arg-type]
+        groups = list(map(_group_task, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            groups = list(pool.map(_group_task, tasks))
+    return [artifact for group in groups for artifact in group]
 
 
 def campaign_to_dict(artifacts: Sequence[RunArtifact],
@@ -201,7 +235,15 @@ def campaign_to_dict(artifacts: Sequence[RunArtifact],
 def random_search(problem: LinkProblem, budget: int, seed: int = 0,
                   chunk_size: int = _RANDOM_CHUNK,
                   callback=None) -> SolverReport:
-    """Uniform random sampling of the unit box, best-so-far kept.
+    """Uniform random sampling of the unit box, best-so-far kept."""
+    return drive(random_steps(problem, budget, seed, chunk_size, callback),
+                 problem)
+
+
+def random_steps(problem: LinkProblem, budget: int, seed: int = 0,
+                 chunk_size: int = _RANDOM_CHUNK,
+                 callback=None) -> SolverSteps:
+    """Random search as a solver loop (see :mod:`uavbsc.common`).
 
     Candidates are drawn in row-major blocks from one seeded stream, so a
     longer budget evaluates a strict superset of a shorter one.  The trace
@@ -224,7 +266,7 @@ def random_search(problem: LinkProblem, budget: int, seed: int = 0,
     while evaluations < budget:
         n = min(chunk_size, budget - evaluations)
         genomes = problem.adjust(rng.random((n, dim)))
-        ev = problem.evaluate_batch(genomes)
+        ev = yield genomes
         evaluations += n
         block += 1
         idx = int(np.lexsort((ev.worst_violation, ev.fitness))[0])

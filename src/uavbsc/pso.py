@@ -21,7 +21,9 @@ from .common import (
     GenerationRecord,
     ProgressCallback,
     SolverReport,
+    SolverSteps,
     config_snapshot,
+    drive,
     masked_gaussian_offsets,
     resolve_init_mean,
     sample_initial_genes,
@@ -36,6 +38,7 @@ __all__ = [
     "update_velocity",
     "update_position",
     "ipso_mutate",
+    "steps",
     "run",
 ]
 
@@ -172,7 +175,13 @@ def ipso_mutate(position, cfg: PsoConfig, rng: np.random.Generator) -> np.ndarra
 
 def run(cfg: PsoConfig, problem: LinkProblem,
         callback: Optional[ProgressCallback] = None) -> SolverReport:
-    """Run the swarm and report the best mission found.
+    """Run the swarm and report the best mission found."""
+    return drive(steps(cfg, problem, callback), problem)
+
+
+def steps(cfg: PsoConfig, problem: LinkProblem,
+          callback: Optional[ProgressCallback] = None) -> SolverSteps:
+    """The swarm as a solver loop (see :mod:`uavbsc.common`).
 
     Per iteration: velocities and positions update against the previous
     iteration's global best, particles are re-evaluated, personal bests
@@ -190,7 +199,7 @@ def run(cfg: PsoConfig, problem: LinkProblem,
 
     positions = init_positions(cfg, problem, rng)
     velocities = np.zeros_like(positions)
-    ev = problem.evaluate_batch(positions)
+    ev = yield positions
     evaluations = size
 
     personal_x = positions.copy()
@@ -215,7 +224,7 @@ def run(cfg: PsoConfig, problem: LinkProblem,
         velocities = update_velocity(
             positions, velocities, personal_x, global_x, inertia, cfg, rng)
         positions = problem.adjust(update_position(positions, velocities))
-        ev = problem.evaluate_batch(positions)
+        ev = yield positions
         evaluations += size
 
         improved = ev.fitness < personal_fit
@@ -252,7 +261,7 @@ def run(cfg: PsoConfig, problem: LinkProblem,
             moved = np.any(offsets != 0.0, axis=1)
             if np.any(moved):
                 positions = problem.adjust(positions + offsets)
-                mev = problem.evaluate_batch(positions[moved])
+                mev = yield positions[moved]
                 evaluations += int(np.count_nonzero(moved))
                 rows = np.flatnonzero(moved)
                 better = mev.fitness < personal_fit[rows]

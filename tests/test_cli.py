@@ -252,6 +252,43 @@ def test_export_rejects_missing_and_malformed_solutions(capsys, tmp_path):
     assert "no genome" in error_payload(err)["message"]
 
 
+def test_export_rejects_an_artifact_from_another_scenario(capsys, tmp_path):
+    art = tmp_path / "artifact.json"
+    assert run_cli(capsys, "baseline", "--config", TINY, "--seed", "0",
+                   "--budget", "64", "--out", str(art))[0] == 0
+    code, _, err = run_cli(capsys, "export", "--config", str(REFERENCE_CONFIG),
+                           "--solution", str(art), "--out", str(tmp_path / "a"))
+    assert code == 3
+    payload = error_payload(err)
+    assert payload["category"] == "config"
+    assert "scenario hash" in payload["message"]
+    assert not (tmp_path / "a").exists()
+
+    # An exported solution keeps its scenario hash in its meta block.
+    assert run_cli(capsys, "export", "--config", TINY, "--solution", str(art),
+                   "--out", str(tmp_path / "b"))[0] == 0
+    code, _, err = run_cli(capsys, "export", "--config", str(REFERENCE_CONFIG),
+                           "--solution", str(tmp_path / "b" / "solution.json"),
+                           "--out", str(tmp_path / "c"))
+    assert code == 3
+    assert "scenario hash" in error_payload(err)["message"]
+
+
+@pytest.mark.parametrize("key", ["demanded_rate_bps", "noise_estimation_dbm",
+                                 "tag_tx_power_dbm", "wpt_power_db"])
+def test_non_finite_scenario_value_is_a_config_error(capsys, tmp_path, key):
+    doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
+    doc["system"][key] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")   # writes a bare NaN
+    code, _, err = run_cli(capsys, "run", "--config", str(bad),
+                           "--solver", "random", "--budget", "32")
+    assert code == 3
+    payload = error_payload(err)
+    assert payload["category"] == "config"
+    assert f"system.{key} must be finite" in payload["message"]
+
+
 # ----------------------------------------------------------------------
 # Installed entry point
 # ----------------------------------------------------------------------

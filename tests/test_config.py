@@ -247,6 +247,30 @@ def test_collects_every_problem_in_one_sorted_message(doc):
     assert listed == sorted(listed)
 
 
+@pytest.mark.parametrize("key", ["demanded_rate_bps", "noise_estimation_dbm",
+                                 "tag_tx_power_dbm", "wpt_power_db"])
+def test_rejects_non_finite_system_values(doc, key):
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        doc["system"][key] = json.loads(bad)
+        with pytest.raises(ConfigError,
+                           match=f"^invalid scenario: system.{key} must be finite"):
+            load_doc(doc)
+
+
+def test_non_finite_values_are_collected_with_other_problems(doc):
+    doc["geometry"]["arena_x_m"] = [float("-inf"), 70.0]
+    doc["propulsion"]["profile_power_w"] = float("inf")
+    doc["system"]["bandwidth_hz"] = float("nan")
+    with pytest.raises(ConfigError) as err:
+        load_doc(doc)
+    listed = str(err.value)[len("invalid scenario: "):].split("; ")
+    assert listed == [
+        "geometry.arena_x_m must be finite (got -inf)",
+        "propulsion.profile_power_w must be finite (got inf)",
+        "system.bandwidth_hz must be finite (got nan)",
+    ]
+
+
 def test_parameter_errors_surface_as_config_errors(doc):
     doc["system"]["slot_count"] = 0
     with pytest.raises(ConfigError, match="slot_count"):

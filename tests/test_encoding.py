@@ -308,6 +308,45 @@ def test_evaluate_batch_agrees_with_scalar_evaluate(reference_problem):
         assert batch.worst_violation[i] == single.report.worst_violation
 
 
+BATCH_FIELDS = ("genomes", "objectives", "fitness", "feasible",
+                "worst_violation")
+
+
+@pytest.mark.parametrize("problem_name", ["tiny_problem", "reference_problem"])
+@pytest.mark.parametrize("near_heuristic", [False, True])
+def test_stacked_evaluate_batch_equals_separate_calls_bitwise(
+        request, problem_name, near_heuristic):
+    # Lockstep campaigns evaluate several runs' blocks in one call; this
+    # is only sound if every row's result is independent of its stack.
+    problem = request.getfixturevalue(problem_name)
+    rng = np.random.default_rng(41)
+    for trial in range(5):
+        sizes = [int(n) for n in rng.integers(1, 121, size=4)] + [1]
+        if near_heuristic:
+            blocks = [problem.adjust(problem.heuristic_mean()
+                                     + rng.normal(0.0, 0.05, size=(n, problem.genome_size)))
+                      for n in sizes]
+        else:
+            blocks = [problem.random_genomes(rng, n) for n in sizes]
+        stacked = problem.evaluate_batch(np.vstack(blocks)).split(sizes)
+        assert len(stacked) == len(blocks)
+        for block, part in zip(blocks, stacked):
+            alone = problem.evaluate_batch(block)
+            for name in BATCH_FIELDS:
+                got, want = getattr(part, name), getattr(alone, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (trial, name)
+
+
+def test_batch_split_returns_row_views(tiny_problem):
+    genomes = tiny_problem.random_genomes(np.random.default_rng(3), 7)
+    ev = tiny_problem.evaluate_batch(genomes)
+    parts = ev.split([2, 0, 5])
+    assert [len(p.fitness) for p in parts] == [2, 0, 5]
+    assert np.shares_memory(parts[2].fitness, ev.fitness)
+    assert np.array_equal(parts[2].genomes, genomes[2:])
+
+
 def test_evaluate_returns_full_solution(reference_problem):
     genome = reference_problem.heuristic_mean()
     sol = reference_problem.evaluate(genome, eval_index=17)

@@ -167,18 +167,53 @@ def test_crossover_rejects_shape_mismatch():
 
 
 def test_crossover_draw_order_is_mask_then_blend():
+    # One pair of genomes, then (pairs, dim) stacks, which must draw each
+    # pair's mask then its blend in turn.
     cfg = small_cfg(crossover_rate=0.6)
-    a = np.linspace(0.0, 1.0, 9)
-    b = np.linspace(1.0, 0.0, 9)
-    solver_rng = np.random.default_rng(21)
-    replay = np.random.default_rng(21)
-    ca, cb = ga.crossover(a, b, cfg, solver_rng)
-    mask = replay.uniform(size=a.shape) < cfg.crossover_rate
-    blend = replay.uniform(size=a.shape)
-    assert np.array_equal(ca, np.where(mask, blend * a + (1 - blend) * b, a))
-    assert np.array_equal(cb, np.where(mask, blend * b + (1 - blend) * a, b))
-    # Both generators are now at the same point in the stream.
-    assert solver_rng.uniform() == replay.uniform()
+    line = np.linspace(0.0, 1.0, 9)
+    for pairs in (None, 1, 4):
+        a, b = line, line[::-1]
+        if pairs is not None:
+            a = a + np.arange(pairs)[:, None] * 0.01
+            b = b * np.linspace(0.5, 1.0, pairs)[:, None]
+        solver_rng = np.random.default_rng(21)
+        replay = np.random.default_rng(21)
+        ca, cb = ga.crossover(a, b, cfg, solver_rng)
+        assert ca.shape == cb.shape == a.shape
+        for row in np.ndindex(a.shape[:-1]):
+            mask = replay.uniform(size=a.shape[-1]) < cfg.crossover_rate
+            blend = replay.uniform(size=a.shape[-1])
+            ra, rb = a[row], b[row]
+            assert np.array_equal(
+                ca[row], np.where(mask, blend * ra + (1 - blend) * rb, ra))
+            assert np.array_equal(
+                cb[row], np.where(mask, blend * rb + (1 - blend) * ra, rb))
+        # Both generators are now at the same point in the stream.
+        assert solver_rng.uniform() == replay.uniform()
+
+
+def crossover_pair_loop(parents_a, parents_b, cfg, rng):
+    """Reference: cross each pair in turn with the one-pair operator."""
+    out_a = np.empty_like(parents_a)
+    out_b = np.empty_like(parents_b)
+    for j in range(parents_a.shape[0]):
+        out_a[j], out_b[j] = ga.crossover(parents_a[j], parents_b[j], cfg, rng)
+    return out_a, out_b
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.8, 1.0])
+@pytest.mark.parametrize("pairs,dim", [(1, 5), (25, 29), (7, 1)])
+def test_stacked_crossover_equals_pair_loop_bitwise(rate, pairs, dim):
+    cfg = small_cfg(crossover_rate=rate)
+    rng = np.random.default_rng(dim * 100 + pairs)
+    a, b = rng.uniform(size=(2, pairs, dim))
+    stack_rng = np.random.default_rng(77)
+    loop_rng = np.random.default_rng(77)
+    got = ga.crossover(a, b, cfg, stack_rng)
+    want = crossover_pair_loop(a, b, cfg, loop_rng)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert stack_rng.uniform() == loop_rng.uniform()
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Golden gate: pinned run artifacts and campaign/run_single agreement.
+"""Golden gate: pinned run artifacts and lockstep/one-run agreement.
 
 Each hash is the SHA-256 of one ``run_single`` artifact as
 ``to_dict(include_timing=False)`` gives it, serialized with sorted keys.
 They pin every solver's output bit for bit, so any change to a draw, an
 operator or the evaluation pipeline that alters results shows up here.
+The hashes were computed with numpy 2.4 on x86-64; a numpy build whose
+math routines round differently changes them without any code change.
 """
 
 from __future__ import annotations
@@ -13,8 +15,15 @@ import json
 
 import pytest
 
+from uavbsc import ga, pso
+from uavbsc.common import drive, drive_lockstep
 from uavbsc.config import ScenarioConfig
-from uavbsc.harness import run_campaign, run_single
+from uavbsc.harness import (
+    make_solver_config,
+    random_steps,
+    run_campaign,
+    run_single,
+)
 
 from helpers import REFERENCE_CONFIG, TINY_CONFIG
 
@@ -101,3 +110,21 @@ def test_campaign_equals_per_seed_run_single(tiny_scenario, workers,
         [(e.solver, e.seed) for e in expected]
     assert [a.to_dict(include_timing=False) for a in arts] == \
         [e.to_dict(include_timing=False) for e in expected]
+
+
+def test_lockstep_of_mixed_solvers_equals_driving_each_alone(tiny_scenario,
+                                                             tiny_problem):
+    # Different solvers yield blocks of different sizes and finish at
+    # different steps, so every stack here is ragged.
+    def loops():
+        yield ga.steps(make_solver_config(tiny_scenario, "ga", 1, 900),
+                       tiny_problem)
+        yield pso.steps(make_solver_config(tiny_scenario, "ipso", 2, 700),
+                        tiny_problem)
+        yield pso.steps(make_solver_config(tiny_scenario, "pso", 3, 500),
+                        tiny_problem)
+        yield random_steps(tiny_problem, budget=1000, seed=4, chunk_size=97)
+
+    together = drive_lockstep(list(loops()), tiny_problem)
+    alone = [drive(loop, tiny_problem) for loop in loops()]
+    assert [r.to_dict() for r in together] == [r.to_dict() for r in alone]

@@ -141,6 +141,8 @@ def test_run_campaign_rejects_bad_arguments(tiny_scenario):
         run_campaign(tiny_scenario, [], seeds=[0])
     with pytest.raises(ValueError, match="unknown solver"):
         run_campaign(tiny_scenario, ["simplex"], seeds=[0])
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_campaign(tiny_scenario, ["random"], seeds=[])
 
 
 # ----------------------------------------------------------------------
