@@ -20,7 +20,6 @@ from .encoding import (
     FeasibilityReport,
     LinkProblem,
     SlotTable,
-    fitness_value,
 )
 from .ga import GaConfig
 from .ga import run as run_ga
@@ -69,7 +68,7 @@ __all__ = [
     "ChannelSample", "sample_channel",
     # encoding
     "PENALTY_SCALE", "LinkProblem", "FeasibilityReport",
-    "EvaluatedSolution", "SlotTable", "BatchEvaluation", "fitness_value",
+    "EvaluatedSolution", "SlotTable", "BatchEvaluation",
     # solvers
     "STALL_TOL", "GenerationRecord", "SolverReport",
     "GaConfig", "run_ga", "PsoConfig", "run_pso", "IPSO_MUTATION_VARIANCE",

@@ -4,6 +4,9 @@ Both solvers consume a :class:`~uavbsc.encoding.LinkProblem`, draw every
 random number from a single seeded generator in a fixed order before
 evaluations are dispatched, and report their progress through the same
 per-generation record type, so the harness can treat them uniformly.
+Every solver, and the grid oracle, keeps its best-so-far mission, trace
+and last improvement in an :class:`Incumbent`, which holds the one
+ordering rule of the package.
 
 Every solver loop has one shape: a generator that yields each genome
 block it needs evaluated, receives the block's
@@ -29,6 +32,7 @@ __all__ = [
     "GenerationRecord",
     "SolverReport",
     "ProgressCallback",
+    "Incumbent",
     "SolverSteps",
     "drive",
     "drive_lockstep",
@@ -106,6 +110,68 @@ class SolverReport:
             },
             "trace": [rec.to_dict() for rec in self.trace],
         }
+
+
+class Incumbent:
+    """Best-so-far mission of one search, with its convergence trace.
+
+    One rule orders candidates everywhere: lower fitness wins, then lower
+    worst violation, and among equals the earliest offered row wins.
+    ``index`` is the block row of the last replacement.
+    """
+
+    def __init__(self, callback: Optional[ProgressCallback] = None) -> None:
+        self.callback = callback
+        self.genome: Optional[np.ndarray] = None
+        self.fitness = np.inf
+        self.worst = np.inf
+        self.index = -1
+        self.last_improvement = 0
+        self.trace: List[GenerationRecord] = []
+
+    def offer(self, genomes: np.ndarray, fitness: np.ndarray,
+              worst: np.ndarray, generation: Optional[int] = None) -> bool:
+        """Take the block's best row if it beats the incumbent.
+
+        Returns True when the best fitness drops by more than
+        ``STALL_TOL`` (always on the first offer); ``generation``, when
+        given, then becomes ``last_improvement``.
+        """
+        k = int(np.lexsort((worst, fitness))[0])
+        fit, wv = float(fitness[k]), float(worst[k])
+        first = self.genome is None
+        improved = first or fit < self.fitness - STALL_TOL
+        if first or fit < self.fitness or (
+                fit == self.fitness and wv < self.worst):
+            self.genome = genomes[k].copy()
+            self.fitness, self.worst, self.index = fit, wv, k
+        if improved and generation is not None:
+            self.last_improvement = generation
+        return improved
+
+    def record(self, generation: int, mean_fitness: float,
+               evaluations: int) -> None:
+        """Append one trace line at the current best and pass it on."""
+        rec = GenerationRecord(generation, self.fitness, float(mean_fitness),
+                               evaluations)
+        self.trace.append(rec)
+        if self.callback is not None:
+            self.callback(rec)
+
+    def report(self, problem: LinkProblem, solver: str, seed: int,
+               evaluations: int, budget: Optional[int],
+               config: Optional[dict]) -> SolverReport:
+        """The run's report, built from one evaluation of the incumbent."""
+        return SolverReport(
+            solver=solver,
+            seed=seed,
+            best=problem.evaluate(self.genome),
+            trace=self.trace,
+            evaluations=evaluations,
+            last_improvement_generation=self.last_improvement,
+            budget=budget,
+            config=config,
+        )
 
 
 # A solver loop: yields genome blocks, is sent their evaluations, and

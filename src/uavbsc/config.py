@@ -116,15 +116,20 @@ _MODE_DEFAULTS = {
 _SOLVER_SECTIONS = ("ga", "ipso", "pso")
 
 # Solver-override keys accepted per section (seed/budget come from the
-# harness call, not the scenario file).
+# harness call, not the scenario file) and their value types;
+# ``velocity_clamp`` may also be null.
 _GA_OVERRIDE_KEYS = {
-    "population_size", "generations", "crossover_rate", "mutation_rate",
-    "mutation_spread", "elite_fraction", "stall_limit", "init_std",
+    "population_size": int, "generations": int, "stall_limit": int,
+    "crossover_rate": _NUMBER, "mutation_rate": _NUMBER,
+    "mutation_spread": _NUMBER, "elite_fraction": _NUMBER,
+    "init_std": _NUMBER,
 }
 _PSO_OVERRIDE_KEYS = {
-    "swarm_size", "iterations", "cognitive_coeff", "social_coeff",
-    "inertia_max", "inertia_min", "inertia_exponent", "inertia_const",
-    "mutation_prob", "velocity_clamp", "init_std",
+    "swarm_size": int, "iterations": int,
+    "cognitive_coeff": _NUMBER, "social_coeff": _NUMBER,
+    "inertia_max": _NUMBER, "inertia_min": _NUMBER,
+    "inertia_exponent": _NUMBER, "inertia_const": _NUMBER,
+    "mutation_prob": _NUMBER, "velocity_clamp": _NUMBER, "init_std": _NUMBER,
 }
 
 
@@ -342,9 +347,12 @@ class ScenarioConfig:
                 continue
             allowed = (_GA_OVERRIDE_KEYS if section == "ga"
                        else _PSO_OVERRIDE_KEYS)
-            for key in block:
+            for key, value in block.items():
                 if key not in allowed:
                     problems.append(f"unknown key solvers.{section}.{key}")
+                elif not (key == "velocity_clamp" and value is None):
+                    _check_value(problems, f"solvers.{section}.{key}", value,
+                                 allowed[key])
             overrides[section] = dict(block)
 
         if problems:

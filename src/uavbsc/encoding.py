@@ -15,7 +15,11 @@ altitude by :meth:`LinkProblem.adjust`.
 Evaluation decodes a genome, sums the per-slot user rates into the
 objective, checks the mission constraints (cache balance, demanded rate,
 energy self-sufficiency, per-slot speed, bounds/pinning) and maps the pair
-(objective, feasibility) to a scalar fitness that the solvers minimize.
+(objective, feasibility) to a scalar fitness that the solvers minimize:
+feasible candidates score the negative rate sum; infeasible ones score a
+large positive penalty that grows with the worst violation ("safe" mode)
+or the legacy constant -1 ("paper" mode, which cannot separate infeasible
+candidates from feasible ones with high rates).
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ __all__ = [
     "PENALTY_SCALE",
     "normalize",
     "denormalize",
-    "fitness_value",
     "FeasibilityReport",
     "EvaluatedSolution",
     "SlotTable",
@@ -146,24 +149,6 @@ class BatchEvaluation:
         cuts = np.cumsum(sizes)[:-1]
         columns = [np.split(getattr(self, f.name), cuts) for f in fields(self)]
         return [BatchEvaluation(*parts) for parts in zip(*columns)]
-
-
-def fitness_value(objective: float, report: FeasibilityReport,
-                  penalty_mode: str = "safe") -> float:
-    """Scalar fitness of an evaluated candidate (minimized by the solvers).
-
-    Feasible candidates score the negative rate sum.  Infeasible ones score
-    a large positive penalty that grows with the worst violation ("safe"
-    mode) or the legacy constant -1 ("paper" mode, which cannot separate
-    infeasible candidates from feasible ones with high rates).
-    """
-    if report.feasible:
-        return -float(objective)
-    if penalty_mode == "paper":
-        return -1.0
-    if penalty_mode == "safe":
-        return PENALTY_SCALE * (1.0 + float(report.worst_violation))
-    raise ValueError(f"unknown penalty mode: {penalty_mode!r}")
 
 
 class LinkProblem:
@@ -372,7 +357,7 @@ class LinkProblem:
 
     def _margin_arrays(self, waypoints: np.ndarray, split: np.ndarray,
                        tables: dict) -> dict:
-        """Constraint margins for stacked missions; every value is (B,)."""
+        """Margins, objective and fitness of stacked missions; each is (B,)."""
         p = self.params
         sum_up = np.sum(tables["weighted_up"], axis=1)
         sum_dn = np.sum(tables["weighted_down"], axis=1)
@@ -417,6 +402,10 @@ class LinkProblem:
             -m_bounds,
             np.zeros_like(m_cache),
         ])
+        if self.penalty_mode == "paper":
+            penalty = -1.0
+        else:
+            penalty = PENALTY_SCALE * (1.0 + worst)
         return {
             "cache_balance": m_cache,
             "rate_demand": m_demand,
@@ -426,10 +415,11 @@ class LinkProblem:
             "objective": sum_dn,
             "feasible": feasible,
             "worst": worst,
+            "fitness": np.where(feasible, -sum_dn, penalty),
         }
 
     def _assess(self, traj: Trajectory, time_split):
-        """Feasibility report and objective of one mission, in one pass."""
+        """Feasibility report, objective and fitness of one mission, one pass."""
         split = as_time_split(time_split, self.n_slots)
         wp = traj.waypoints[None, :, :]
         sp = split[None, :]
@@ -439,16 +429,11 @@ class LinkProblem:
             feasible=bool(m["feasible"][0]),
             worst_violation=float(m["worst"][0]),
         )
-        return report, float(m["objective"][0])
+        return report, float(m["objective"][0]), float(m["fitness"][0])
 
     def check_constraints(self, traj: Trajectory, time_split) -> FeasibilityReport:
         """Evaluate every mission constraint for one candidate."""
         return self._assess(traj, time_split)[0]
-
-    def fitness(self, solution_objective: float,
-                report: FeasibilityReport) -> float:
-        """Fitness of an evaluated candidate under this problem's penalty mode."""
-        return fitness_value(solution_objective, report, self.penalty_mode)
 
     # ------------------------------------------------------------------
     # Evaluation entry points
@@ -457,13 +442,13 @@ class LinkProblem:
     def evaluate(self, genome, eval_index: Optional[int] = None) -> EvaluatedSolution:
         """Decode and fully evaluate one genome."""
         traj, split = self.decode(genome)
-        report, obj = self._assess(traj, split)
+        report, obj, fitness = self._assess(traj, split)
         return EvaluatedSolution(
             genome=np.asarray(genome, dtype=np.float64).copy(),
             trajectory=traj,
             time_split=split,
             objective_bps=obj,
-            fitness=self.fitness(obj, report),
+            fitness=fitness,
             report=report,
             eval_index=eval_index,
         )
@@ -475,21 +460,14 @@ class LinkProblem:
             raise ValueError(
                 f"expected genome stack of shape (B, {self.genome_size}), "
                 f"got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("genome genes must be finite")
         waypoints, split = self._decode_stack(arr)
-        tables = self._tables(waypoints, split)
-        m = self._margin_arrays(waypoints, split, tables)
-        objectives = m["objective"]
-        feasible = m["feasible"]
-        worst = m["worst"]
-        if self.penalty_mode == "paper":
-            penalty = -1.0
-        else:
-            penalty = PENALTY_SCALE * (1.0 + worst)
-        fitness = np.where(feasible, -objectives, penalty)
+        m = self._margin_arrays(waypoints, split, self._tables(waypoints, split))
         return BatchEvaluation(
             genomes=arr,
-            objectives=objectives,
-            fitness=fitness,
-            feasible=feasible,
-            worst_violation=worst,
+            objectives=m["objective"],
+            fitness=m["fitness"],
+            feasible=m["feasible"],
+            worst_violation=m["worst"],
         )

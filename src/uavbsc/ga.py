@@ -16,8 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .common import (
-    STALL_TOL,
-    GenerationRecord,
+    Incumbent,
     ProgressCallback,
     SolverReport,
     SolverSteps,
@@ -190,8 +189,8 @@ def steps(cfg: GaConfig, problem: LinkProblem,
     """The genetic algorithm as a solver loop (see :mod:`uavbsc.common`).
 
     Stops at the generation limit, after ``stall_limit`` generations
-    without a best-fitness improvement beyond 1e-12, or when the next
-    generation would exceed ``max_evaluations``.
+    without a best-fitness improvement beyond ``STALL_TOL``, or when the
+    next generation would exceed ``max_evaluations``.
     """
     size = cfg.population_size
     budget = cfg.max_evaluations
@@ -208,13 +207,9 @@ def steps(cfg: GaConfig, problem: LinkProblem,
     fit = ev.fitness[order]
     worst = ev.worst_violation[order]
 
-    best_idx = int(np.lexsort((worst, fit))[0])
-    best_fit = float(fit[best_idx])
-    best_worst = float(worst[best_idx])
-    best_genome = pop[best_idx].copy()
-    last_improvement = 0
+    best = Incumbent(callback)
+    best.offer(pop, fit, worst, 0)
     stall = 0
-    trace = []
 
     for gen in range(1, cfg.generations + 1):
         if budget is not None and evaluations + size > budget:
@@ -244,39 +239,10 @@ def steps(cfg: GaConfig, problem: LinkProblem,
         fit = cand_fit[keep]
         worst = cand_worst[keep]
 
-        gen_idx = int(np.lexsort((worst, fit))[0])
-        gen_fit = float(fit[gen_idx])
-        gen_worst = float(worst[gen_idx])
-        if gen_fit < best_fit - STALL_TOL:
-            stall = 0
-            last_improvement = gen
-        else:
-            stall += 1
-        if gen_fit < best_fit or (gen_fit == best_fit and gen_worst < best_worst):
-            best_fit = gen_fit
-            best_worst = gen_worst
-            best_genome = pop[gen_idx].copy()
-
-        record = GenerationRecord(
-            generation=gen,
-            best_fitness=best_fit,
-            mean_fitness=float(np.mean(fit)),
-            evaluations=evaluations,
-        )
-        trace.append(record)
-        if callback is not None:
-            callback(record)
+        stall = 0 if best.offer(pop, fit, worst, gen) else stall + 1
+        best.record(gen, np.mean(fit), evaluations)
         if stall >= cfg.stall_limit:
             break
 
-    best = problem.evaluate(best_genome)
-    return SolverReport(
-        solver="ga",
-        seed=cfg.seed,
-        best=best,
-        trace=trace,
-        evaluations=evaluations,
-        last_improvement_generation=last_improvement,
-        budget=budget,
-        config=config_snapshot(cfg),
-    )
+    return best.report(problem, "ga", cfg.seed, evaluations, budget,
+                       config_snapshot(cfg))

@@ -24,7 +24,7 @@ import numpy as np
 from . import ga as ga_mod
 from . import pso as pso_mod
 from .common import (
-    GenerationRecord,
+    Incumbent,
     SolverReport,
     SolverSteps,
     drive,
@@ -256,12 +256,8 @@ def random_steps(problem: LinkProblem, budget: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     dim = problem.genome_size
 
-    best_genome = None
-    best_fit = np.inf
-    best_worst = np.inf
-    trace: List[GenerationRecord] = []
+    best = Incumbent(callback)
     evaluations = 0
-    last_improvement = 1
     block = 0
     while evaluations < budget:
         n = min(chunk_size, budget - evaluations)
@@ -269,38 +265,11 @@ def random_steps(problem: LinkProblem, budget: int, seed: int = 0,
         ev = yield genomes
         evaluations += n
         block += 1
-        idx = int(np.lexsort((ev.worst_violation, ev.fitness))[0])
-        fit = float(ev.fitness[idx])
-        worst = float(ev.worst_violation[idx])
-        if best_genome is None or fit < best_fit or (
-            fit == best_fit and worst < best_worst
-        ):
-            if best_genome is None or best_fit - fit > 0.0:
-                last_improvement = block
-            best_genome = genomes[idx].copy()
-            best_fit = fit
-            best_worst = worst
-        record = GenerationRecord(
-            generation=block,
-            best_fitness=best_fit,
-            mean_fitness=float(np.mean(ev.fitness)),
-            evaluations=evaluations,
-        )
-        trace.append(record)
-        if callback is not None:
-            callback(record)
+        best.offer(genomes, ev.fitness, ev.worst_violation, block)
+        best.record(block, np.mean(ev.fitness), evaluations)
 
-    best = problem.evaluate(best_genome)
-    return SolverReport(
-        solver="random",
-        seed=int(seed),
-        best=best,
-        trace=trace,
-        evaluations=evaluations,
-        last_improvement_generation=last_improvement,
-        budget=int(budget),
-        config={"chunk_size": int(chunk_size)},
-    )
+    return best.report(problem, "random", int(seed), evaluations, int(budget),
+                       {"chunk_size": int(chunk_size)})
 
 
 # ----------------------------------------------------------------------
@@ -496,9 +465,10 @@ def grid_oracle(problem: LinkProblem, resolution: int,
     """Enumerate every grid point of the free genes and keep the best.
 
     Only meant for small instances: refuses problems with more than
-    ``GRID_MAX_SLOTS`` slots and grids larger than ``max_points``.  Ties
-    on (fitness, worst violation) go to the earliest point in
-    lexicographic gene order, which makes the result order-independent.
+    ``GRID_MAX_SLOTS`` slots and grids larger than ``max_points``.  The
+    winner is kept by :class:`~uavbsc.common.Incumbent`, so ties on
+    (fitness, worst violation) go to the earliest point in lexicographic
+    gene order, which makes the result chunk-size independent.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -522,11 +492,7 @@ def grid_oracle(problem: LinkProblem, resolution: int,
     else:
         levels = np.linspace(0.0, 1.0, resolution)
 
-    best_genome = None
-    best_fit = np.inf
-    best_worst = np.inf
-    best_obj = 0.0
-    best_feasible = False
+    best = Incumbent()
     evaluated = 0
     radix = resolution
     weights = radix ** np.arange(n_free - 1, -1, -1, dtype=np.int64)
@@ -542,26 +508,16 @@ def grid_oracle(problem: LinkProblem, resolution: int,
         genomes = problem.adjust(genomes)
         ev = problem.evaluate_batch(genomes)
         evaluated += stop - start
-
-        k = int(np.lexsort((ev.worst_violation, ev.fitness))[0])
-        fit = float(ev.fitness[k])
-        worst = float(ev.worst_violation[k])
-        if best_genome is None or fit < best_fit or (
-            fit == best_fit and worst < best_worst
-        ):
-            best_genome = genomes[k].copy()
-            best_fit = fit
-            best_worst = worst
-            best_obj = float(ev.objectives[k])
-            best_feasible = bool(ev.feasible[k])
+        best.offer(genomes, ev.fitness, ev.worst_violation)
         start = stop
 
+    winner = problem.evaluate(best.genome)
     return GridResult(
-        genome=best_genome,
-        fitness=best_fit,
-        objective_bps=best_obj,
-        feasible=best_feasible,
-        worst_violation=best_worst,
+        genome=best.genome,
+        fitness=winner.fitness,
+        objective_bps=winner.objective_bps,
+        feasible=winner.report.feasible,
+        worst_violation=winner.report.worst_violation,
         points_evaluated=evaluated,
         resolution=resolution,
         free_gene_indices=free,
@@ -636,13 +592,17 @@ def export_solution(problem: LinkProblem, genome, out_dir,
 def read_solution(path) -> dict:
     """Load a solution or run artifact and return its genome plus metadata."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "genome" in data:
-        genome = data["genome"]
-    elif "report" in data and isinstance(data["report"], dict) \
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    holder = data
+    if "genome" not in data and isinstance(data.get("report"), dict) \
             and "best" in data["report"]:
-        genome = data["report"]["best"]["genome"]
-    else:
+        holder = data["report"]["best"]
+        if not isinstance(holder, dict):
+            raise ValueError(f"{path}: report.best is not an object")
+    if "genome" not in holder:
         raise ValueError(
             f"{path} holds neither a solution nor a run artifact "
             f"(no genome found)")
-    return {"genome": np.asarray(genome, dtype=np.float64), "data": data}
+    return {"genome": np.asarray(holder["genome"], dtype=np.float64),
+            "data": data}

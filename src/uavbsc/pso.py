@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .common import (
-    STALL_TOL,
-    GenerationRecord,
+    Incumbent,
     ProgressCallback,
     SolverReport,
     SolverSteps,
@@ -205,14 +204,8 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
     personal_x = positions.copy()
     personal_fit = ev.fitness.copy()
     personal_worst = ev.worst_violation.copy()
-
-    best_idx = int(np.lexsort((personal_worst, personal_fit))[0])
-    global_x = personal_x[best_idx].copy()
-    global_fit = float(personal_fit[best_idx])
-    global_worst = float(personal_worst[best_idx])
-
-    last_improvement = 0
-    trace = []
+    best = Incumbent(callback)
+    best.offer(personal_x, personal_fit, personal_worst, 0)
     mutation_std = math.sqrt(IPSO_MUTATION_VARIANCE)
 
     for it in range(1, cfg.iterations + 1):
@@ -222,7 +215,7 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
 
         inertia = inertia_at(it - 1, cfg.iterations, cfg)
         velocities = update_velocity(
-            positions, velocities, personal_x, global_x, inertia, cfg, rng)
+            positions, velocities, personal_x, best.genome, inertia, cfg, rng)
         positions = problem.adjust(update_position(positions, velocities))
         ev = yield positions
         evaluations += size
@@ -231,33 +224,13 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
         personal_x[improved] = positions[improved]
         personal_fit[improved] = ev.fitness[improved]
         personal_worst[improved] = ev.worst_violation[improved]
-
-        cand = int(np.lexsort((personal_worst, personal_fit))[0])
-        if personal_fit[cand] < global_fit or (
-            personal_fit[cand] == global_fit
-            and personal_worst[cand] < global_worst
-        ):
-            if personal_fit[cand] < global_fit - STALL_TOL:
-                last_improvement = it
-            global_fit = float(personal_fit[cand])
-            global_worst = float(personal_worst[cand])
-            global_x = personal_x[cand].copy()
-            best_idx = cand
-
-        record = GenerationRecord(
-            generation=it,
-            best_fitness=global_fit,
-            mean_fitness=float(np.mean(ev.fitness)),
-            evaluations=evaluations,
-        )
-        trace.append(record)
-        if callback is not None:
-            callback(record)
+        best.offer(personal_x, personal_fit, personal_worst, it)
+        best.record(it, np.mean(ev.fitness), evaluations)
 
         if cfg.mutation_active:
             offsets = masked_gaussian_offsets(
                 rng, positions.shape, cfg.mutation_prob, mutation_std)
-            offsets[best_idx] = 0.0
+            offsets[best.index] = 0.0
             moved = np.any(offsets != 0.0, axis=1)
             if np.any(moved):
                 positions = problem.adjust(positions + offsets)
@@ -271,22 +244,6 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
                 personal_worst[upd] = mev.worst_violation[better]
 
     # Fold in any personal-best improvement from a trailing mutation pass.
-    cand = int(np.lexsort((personal_worst, personal_fit))[0])
-    if personal_fit[cand] < global_fit or (
-        personal_fit[cand] == global_fit and personal_worst[cand] < global_worst
-    ):
-        global_fit = float(personal_fit[cand])
-        global_worst = float(personal_worst[cand])
-        global_x = personal_x[cand].copy()
-
-    best = problem.evaluate(global_x)
-    return SolverReport(
-        solver=cfg.variant,
-        seed=cfg.seed,
-        best=best,
-        trace=trace,
-        evaluations=evaluations,
-        last_improvement_generation=last_improvement,
-        budget=budget,
-        config=config_snapshot(cfg),
-    )
+    best.offer(personal_x, personal_fit, personal_worst)
+    return best.report(problem, cfg.variant, cfg.seed, evaluations, budget,
+                       config_snapshot(cfg))

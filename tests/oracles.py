@@ -273,3 +273,27 @@ def mission_audit(waypoints, splits, env: dict) -> dict:
             "consume": sum_consume,
         },
     }
+
+
+# ----------------------------------------------------------------------
+# Fitness map
+# ----------------------------------------------------------------------
+
+PENALTY_SCALE_REF = 1.0e12
+
+
+def fitness_reference(objective: float, feasible: bool, worst: float,
+                      penalty_mode: str = "safe") -> float:
+    """Scalar fitness the solvers minimize.
+
+    Feasible candidates score the negative rate sum.  Infeasible ones score
+    PENALTY_SCALE_REF * (1 + worst violation) in "safe" mode and the
+    constant -1 in "paper" mode.
+    """
+    if feasible:
+        return -float(objective)
+    if penalty_mode == "paper":
+        return -1.0
+    if penalty_mode == "safe":
+        return PENALTY_SCALE_REF * (1.0 + float(worst))
+    raise ValueError(f"unknown penalty mode: {penalty_mode!r}")

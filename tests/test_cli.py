@@ -251,6 +251,19 @@ def test_export_rejects_missing_and_malformed_solutions(capsys, tmp_path):
     assert code == 4
     assert "no genome" in error_payload(err)["message"]
 
+    # Any JSON value: a bare string, or a run artifact whose best is a list.
+    for doc, message in (("genome", "does not hold a JSON object"),
+                         ({"report": {"best": [0.5]}},
+                          "report.best is not an object")):
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run_cli(capsys, "export", "--config", TINY,
+                               "--solution", str(bad),
+                               "--out", str(tmp_path / "o3"))
+        assert code == 4
+        payload = error_payload(err)
+        assert payload["category"] == "execution"
+        assert message in payload["message"]
+
 
 def test_export_rejects_an_artifact_from_another_scenario(capsys, tmp_path):
     art = tmp_path / "artifact.json"

@@ -1,0 +1,104 @@
+"""The one best-so-far rule shared by every solver and the grid oracle."""
+
+import numpy as np
+
+from uavbsc.common import STALL_TOL, GenerationRecord, Incumbent
+
+
+def _block(*rows):
+    """Genomes tagged by row number, plus (fitness, worst) columns."""
+    fit = np.array([r[0] for r in rows], dtype=np.float64)
+    worst = np.array([r[1] for r in rows], dtype=np.float64)
+    genomes = np.arange(len(rows), dtype=np.float64)[:, None] * np.ones(3)
+    return genomes, fit, worst
+
+
+def test_equal_fitness_goes_to_the_lower_worst_violation():
+    best = Incumbent()
+    best.offer(*_block((5.0, 0.3), (5.0, 0.1), (5.0, 0.2)))
+    assert (best.fitness, best.worst, best.index) == (5.0, 0.1, 1)
+    # A later offer at equal fitness replaces only with a lower violation.
+    best.offer(*_block((5.0, 0.1), (5.0, 0.05)))
+    assert (best.worst, best.index) == (0.05, 1)
+    best.offer(*_block((5.0, 0.2)))
+    assert (best.worst, best.index) == (0.05, 1)
+
+
+def test_full_ties_go_to_the_earliest_row_and_the_earliest_offer():
+    best = Incumbent()
+    genomes, fit, worst = _block((2.0, 0.0), (1.0, 0.0), (1.0, 0.0))
+    best.offer(genomes, fit, worst)
+    assert best.index == 1
+    np.testing.assert_array_equal(best.genome, genomes[1])
+    later = np.full_like(genomes, 9.0)
+    best.offer(later, fit, worst)
+    assert best.index == 1
+    np.testing.assert_array_equal(best.genome, genomes[1])
+
+
+def test_offer_reports_improvement_only_past_the_stall_tolerance():
+    best = Incumbent()
+    assert best.offer(*_block((1.0, 0.0)))          # the first offer counts
+    assert not best.offer(*_block((1.0 - STALL_TOL / 2, 0.0)))
+    assert best.fitness == 1.0 - STALL_TOL / 2     # still replaced
+    assert not best.offer(*_block((best.fitness, 0.0)))
+    assert best.offer(*_block((best.fitness - 4 * STALL_TOL, 0.0)))
+    assert not best.offer(*_block((2.0, 0.0)))
+
+
+def test_offer_without_a_generation_keeps_last_improvement():
+    best = Incumbent()
+    best.offer(*_block((3.0, 0.0)), generation=4)
+    assert best.last_improvement == 4
+    assert best.offer(*_block((1.0, 0.0)))
+    assert best.last_improvement == 4
+    assert best.fitness == 1.0
+    best.offer(*_block((3.0, 0.0)), generation=6)   # no improvement
+    assert best.last_improvement == 4
+    best.offer(*_block((0.5, 0.0)), generation=7)
+    assert best.last_improvement == 7
+
+
+def test_index_names_the_row_of_the_last_replacement():
+    best = Incumbent()
+    best.offer(*_block((4.0, 0.0), (3.0, 0.0)))
+    assert best.index == 1
+    best.offer(*_block((3.5, 0.0), (9.0, 0.0), (9.0, 0.0)))
+    assert best.index == 1                          # no replacement
+    best.offer(*_block((9.0, 0.0), (9.0, 0.0), (2.0, 0.0)))
+    assert best.index == 2
+
+
+def test_stored_genome_is_a_copy_of_the_winning_row():
+    best = Incumbent()
+    genomes, fit, worst = _block((1.0, 0.0))
+    best.offer(genomes, fit, worst)
+    genomes[0] = -1.0
+    np.testing.assert_array_equal(best.genome, np.zeros(3))
+
+
+def test_record_traces_the_current_best_and_calls_back():
+    seen = []
+    best = Incumbent(callback=seen.append)
+    best.offer(*_block((2.0, 0.0)))
+    best.record(1, np.float64(7.5), 10)
+    best.offer(*_block((1.0, 0.0)))
+    best.record(2, 3.0, 20)
+    assert best.trace == seen
+    assert [r.to_dict() for r in best.trace] == [
+        GenerationRecord(1, 2.0, 7.5, 10).to_dict(),
+        GenerationRecord(2, 1.0, 3.0, 20).to_dict(),
+    ]
+
+
+def test_report_evaluates_the_incumbent_once(tiny_problem):
+    best = Incumbent()
+    genome = tiny_problem.heuristic_mean()
+    ev = tiny_problem.evaluate_batch(genome[None, :])
+    best.offer(ev.genomes, ev.fitness, ev.worst_violation, 0)
+    report = best.report(tiny_problem, "x", 3, 1, None, {"k": 1})
+    assert (report.solver, report.seed, report.evaluations) == ("x", 3, 1)
+    assert report.best.fitness == float(ev.fitness[0])
+    assert report.last_improvement_generation == 0
+    assert report.trace is best.trace
+    assert report.config == {"k": 1}

@@ -213,6 +213,27 @@ def test_rejects_unknown_solver_sections_and_keys(doc):
         load_doc(doc)
 
 
+@pytest.mark.parametrize("section, key, bad, problem, good", [
+    ("ga", "population_size", "x", "must be a integer", 40),
+    ("ga", "stall_limit", True, "must be a integer", 40),
+    ("ga", "generations", 300.0, "must be a integer", 300),
+    ("ga", "mutation_rate", None, "must be a number", 0.2),
+    ("ipso", "swarm_size", False, "must be a integer", 40),
+    ("ipso", "cognitive_coeff", float("nan"), "must be finite (got nan)", 1),
+    ("pso", "social_coeff", float("inf"), "must be finite (got inf)", 1.5),
+    ("pso", "velocity_clamp", "fast", "must be a number", None),
+])
+def test_rejects_bad_solver_override_values(doc, section, key, bad, problem,
+                                            good):
+    doc["solvers"].setdefault(section, {})[key] = bad
+    with pytest.raises(ConfigError) as err:
+        load_doc(doc)
+    assert str(err.value) == (
+        f"invalid scenario: solvers.{section}.{key} {problem}")
+    doc["solvers"][section][key] = good
+    assert load_doc(doc).solver_overrides[section][key] == good
+
+
 def test_rejects_incomplete_rotor_block(doc):
     rotor = dict(ROTOR_DOC)
     del rotor["rotor_radius_m"]

@@ -11,14 +11,8 @@ import numpy as np
 import pytest
 
 from helpers import audit_genome, small_problem, small_system_params
-from uavbsc.encoding import (
-    PENALTY_SCALE,
-    FeasibilityReport,
-    LinkProblem,
-    denormalize,
-    fitness_value,
-    normalize,
-)
+from oracles import PENALTY_SCALE_REF, fitness_reference
+from uavbsc.encoding import PENALTY_SCALE, LinkProblem, denormalize, normalize
 from uavbsc.model import Trajectory
 
 MARGIN_NAMES = ("cache_balance", "rate_demand", "energy", "speed", "bounds")
@@ -252,32 +246,27 @@ def test_speed_margin_reflects_longest_hop(reference_problem):
 # Fitness mapping
 # ----------------------------------------------------------------------
 
-def _report(feasible, worst=0.0):
-    return FeasibilityReport(margins={}, feasible=feasible,
-                             worst_violation=worst)
-
-
 def test_fitness_of_feasible_solution_is_negated_objective():
-    assert fitness_value(123.5, _report(True)) == -123.5
-    assert fitness_value(0.0, _report(True)) == 0.0
+    assert fitness_reference(123.5, True, 0.0) == -123.5
+    assert fitness_reference(0.0, True, 0.0) == 0.0
 
 
 def test_fitness_safe_mode_penalizes_by_violation():
-    assert fitness_value(500.0, _report(False, worst=0.25)) == \
-        PENALTY_SCALE * 1.25
+    assert PENALTY_SCALE_REF == PENALTY_SCALE
+    assert fitness_reference(500.0, False, 0.25) == PENALTY_SCALE * 1.25
     # Worse violations sort strictly worse.
-    assert fitness_value(0.0, _report(False, 0.3)) > \
-        fitness_value(0.0, _report(False, 0.2))
+    assert fitness_reference(0.0, False, 0.3) > \
+        fitness_reference(0.0, False, 0.2)
 
 
 def test_fitness_paper_mode_is_constant_for_infeasible():
-    assert fitness_value(500.0, _report(False, 0.25), "paper") == -1.0
-    assert fitness_value(0.0, _report(False, 99.0), "paper") == -1.0
+    assert fitness_reference(500.0, False, 0.25, "paper") == -1.0
+    assert fitness_reference(0.0, False, 99.0, "paper") == -1.0
 
 
 def test_fitness_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        fitness_value(1.0, _report(False), "bogus")
+        fitness_reference(1.0, False, 0.0, "bogus")
 
 
 def test_safe_penalty_always_loses_to_feasible(reference_problem):
@@ -289,10 +278,40 @@ def test_safe_penalty_always_loses_to_feasible(reference_problem):
     assert feasible.fitness < infeasible.fitness
     assert infeasible.fitness >= PENALTY_SCALE
 
+    # Scalar and batch fitness both follow the reference map, in each mode.
+    p = reference_problem
+    for mode in ("safe", "paper"):
+        problem = LinkProblem(p.params, p.propulsion, p.source, p.user,
+                              p.start, p.goal, penalty_mode=mode)
+        batch = problem.evaluate_batch(np.stack([genome, bad]))
+        for k, g in enumerate((genome, bad)):
+            ev = problem.evaluate(g)
+            assert ev.report.feasible == (k == 0)
+            want = fitness_reference(ev.objective_bps, ev.report.feasible,
+                                     ev.report.worst_violation, mode)
+            assert ev.fitness == want
+            assert batch.fitness[k] == want
+
 
 # ----------------------------------------------------------------------
 # Evaluation entry points
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_batch_rejects_non_finite_genes(tiny_problem, bad):
+    genome = tiny_problem.heuristic_mean()
+    stack = np.stack([genome, genome])
+    stack[1, tiny_problem.split_offset - 2] = bad
+    with pytest.raises(ValueError, match="genome genes must be finite"):
+        tiny_problem.evaluate_batch(stack)
+    stack[1] = genome
+    stack[0, -1] = bad
+    with pytest.raises(ValueError, match="genome genes must be finite"):
+        tiny_problem.evaluate_batch(stack)
+    # The scalar entry point rejects the same genome.
+    with pytest.raises(ValueError):
+        tiny_problem.evaluate(stack[0])
+
 
 def test_evaluate_batch_agrees_with_scalar_evaluate(reference_problem):
     rng = np.random.default_rng(5)
