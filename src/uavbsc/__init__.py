@@ -44,7 +44,6 @@ from .model import (
     SystemParams,
     Trajectory,
     bessel_j0,
-    consumption_energy_slot,
     doppler_factor,
     flying_power,
     harvested_energy_slot,
@@ -64,7 +63,7 @@ __all__ = [
     "EULER_GAMMA", "Trajectory", "slot_speed", "bessel_j0",
     "RotorConstants", "PropulsionParams", "SystemParams",
     "doppler_factor", "rate_uplink", "rate_downlink",
-    "harvested_energy_slot", "flying_power", "consumption_energy_slot",
+    "harvested_energy_slot", "flying_power",
     "ChannelSample", "sample_channel",
     # encoding
     "PENALTY_SCALE", "LinkProblem", "FeasibilityReport",

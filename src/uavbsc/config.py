@@ -21,7 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .encoding import LinkProblem
+from .ga import GaConfig
 from .model import PropulsionParams, RotorConstants, SystemParams
+from .pso import PsoConfig
 
 __all__ = [
     "ConfigError",
@@ -347,12 +349,24 @@ class ScenarioConfig:
                 continue
             allowed = (_GA_OVERRIDE_KEYS if section == "ga"
                        else _PSO_OVERRIDE_KEYS)
+            typed = len(problems)
             for key, value in block.items():
                 if key not in allowed:
                     problems.append(f"unknown key solvers.{section}.{key}")
                 elif not (key == "velocity_clamp" and value is None):
                     _check_value(problems, f"solvers.{section}.{key}", value,
                                  allowed[key])
+            if len(problems) == typed:
+                # The range rules live in the solver configs.  Each of their
+                # "invalid ... config: a; b" items starts with its key.
+                try:
+                    if section == "ga":
+                        GaConfig(**block)
+                    else:
+                        PsoConfig(variant=section, **block)
+                except ValueError as err:
+                    items = str(err).split(": ", 1)[1].split("; ")
+                    problems.extend(f"solvers.{section}.{item}" for item in items)
             overrides[section] = dict(block)
 
         if problems:

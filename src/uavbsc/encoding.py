@@ -66,6 +66,25 @@ _SPEED_TOL = 1.0e-12
 _CONSTRAINT_NAMES = ("cache_balance", "rate_demand", "energy", "speed", "bounds")
 
 
+def _norm3(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the leading x / y / z axis of ``d``.
+
+    The squares are summed left to right, in the order a norm over a
+    trailing length-3 axis adds them, so both give the same bits.
+    """
+    sq = np.square(d)
+    return np.sqrt((sq[0] + sq[1]) + sq[2])
+
+
+def _row_min(a: np.ndarray) -> np.ndarray:
+    """Row minima of a (B, N) array, folded column by column.
+
+    Reducing the outer axis of an (N, B) copy is an elementwise fold,
+    much cheaper than a reduction over a short inner axis of length N.
+    """
+    return np.minimum.reduce(a.T.copy())
+
+
 def normalize(value, lo: float, hi: float):
     """Map a physical value in [lo, hi] to a unit gene, clamping overshoot."""
     if not lo < hi:
@@ -146,9 +165,10 @@ class BatchEvaluation:
         Undoes the stacking of several genome blocks into one call: block
         ``k`` of the result is what evaluating block ``k`` alone gives.
         """
-        cuts = np.cumsum(sizes)[:-1]
-        columns = [np.split(getattr(self, f.name), cuts) for f in fields(self)]
-        return [BatchEvaluation(*parts) for parts in zip(*columns)]
+        columns = [getattr(self, f.name) for f in fields(self)]
+        bounds = [0, *(int(c) for c in np.cumsum(sizes)[:-1]), None]
+        return [BatchEvaluation(*(column[a:b] for column in columns))
+                for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 class LinkProblem:
@@ -256,8 +276,8 @@ class LinkProblem:
     def decode(self, genome):
         """Decode a genome into a :class:`Trajectory` and a time-split vector."""
         arr = self._check_genome(genome)
-        waypoints, split = self._decode_stack(arr[None, :])
-        return Trajectory(waypoints[0]), split[0].copy()
+        coords, split = self._decode_stack(arr[None, :])
+        return Trajectory(coords[:, 0].T.copy()), split[0].copy()
 
     def encode(self, traj: Trajectory, time_split) -> np.ndarray:
         """Inverse of :meth:`decode` for trajectories inside the arena."""
@@ -273,17 +293,21 @@ class LinkProblem:
         return genome
 
     def _decode_stack(self, genomes: np.ndarray):
-        """Vectorized decode of pre-validated genomes, shape (B, dim)."""
+        """Vectorized decode of pre-validated genomes, shape (B, dim).
+
+        Returns the waypoints coordinate-major, shape (3, B, N+1): x, y
+        and z each fill one (B, N+1) block.  Also returns the (B, N)
+        split block.
+        """
         b = genomes.shape[0]
         n = self.n_slots
-        waypoints = np.empty((b, n + 1, 3))
-        waypoints[:, 0] = self.start
-        waypoints[:, n] = self.goal
-        if self.n_interior:
-            interior = genomes[:, : self.split_offset].reshape(b, self.n_interior, 3)
-            waypoints[:, 1:n] = self._lo + interior * self._span
-        split = genomes[:, self.split_offset:]
-        return waypoints, split
+        coords = np.empty((3, b, n + 1))
+        coords[:, :, 0] = self.start[:, None]
+        coords[:, :, n] = self.goal[:, None]
+        for k in range(3):
+            coords[k, :, 1:n] = (self._lo[k]
+                                 + genomes[:, k:self.split_offset:3] * self._span[k])
+        return coords, genomes[:, self.split_offset:]
 
     # ------------------------------------------------------------------
     # Physics per slot
@@ -292,15 +316,16 @@ class LinkProblem:
     def _tables(self, waypoints: np.ndarray, split: np.ndarray) -> dict:
         """Per-slot physical quantities for stacked missions.
 
-        ``waypoints`` has shape (B, N+1, 3) and ``split`` (B, N); every
-        value in the result is a (B, N) array.  Rates and energies are
-        evaluated with the slot-start geometry.
+        ``waypoints`` is coordinate-major, shape (3, B, N+1), and
+        ``split`` has shape (B, N); every value in the result is a (B, N)
+        array.  Rates and energies are evaluated with the slot-start
+        geometry.
         """
         p = self.params
-        starts = waypoints[:, :-1]
-        d_su = np.linalg.norm(starts - self.source, axis=-1)
-        d_du = np.linalg.norm(starts - self.user, axis=-1)
-        hops = np.linalg.norm(waypoints[:, 1:] - starts, axis=-1)
+        starts = waypoints[:, :, :-1]
+        d_su = _norm3(starts - self.source[:, None, None])
+        d_du = _norm3(starts - self.user[:, None, None])
+        hops = _norm3(waypoints[:, :, 1:] - starts)
         speeds = hops / p.slot_duration_s
         corr = doppler_factor(speeds, p)
         r_up = rate_uplink(d_su, corr, p)
@@ -331,7 +356,7 @@ class LinkProblem:
     def slot_table(self, traj: Trajectory, time_split) -> SlotTable:
         """Per-slot breakdown of one mission (used by exports and demos)."""
         split = as_time_split(time_split, self.n_slots)
-        t = self._tables(traj.waypoints[None, :, :], split[None, :])
+        t = self._tables(traj.waypoints.T[:, None], split[None, :])
         return SlotTable(
             d_su_m=t["d_su"][0],
             d_du_m=t["d_du"][0],
@@ -371,13 +396,13 @@ class LinkProblem:
         m_energy = sum_harvest - sum_consume
 
         max_hop = p.max_speed_mps * p.slot_duration_s
-        m_speed = np.min(max_hop - tables["hops"], axis=1)
+        m_speed = _row_min(max_hop - tables["hops"])
 
-        start_dev = np.linalg.norm(waypoints[:, 0] - self.start, axis=-1)
-        goal_dev = np.linalg.norm(waypoints[:, -1] - self.goal, axis=-1)
+        start_dev = _norm3(waypoints[:, :, 0] - self.start[:, None])
+        goal_dev = _norm3(waypoints[:, :, -1] - self.goal[:, None])
         m_bounds = np.minimum.reduce([
-            np.min(split, axis=1),
-            np.min(1.0 - split, axis=1),
+            _row_min(split),
+            _row_min(1.0 - split),
             -start_dev,
             -goal_dev,
         ])
@@ -421,7 +446,7 @@ class LinkProblem:
     def _assess(self, traj: Trajectory, time_split):
         """Feasibility report, objective and fitness of one mission, one pass."""
         split = as_time_split(time_split, self.n_slots)
-        wp = traj.waypoints[None, :, :]
+        wp = traj.waypoints.T[:, None]
         sp = split[None, :]
         m = self._margin_arrays(wp, sp, self._tables(wp, sp))
         report = FeasibilityReport(

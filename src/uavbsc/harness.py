@@ -604,5 +604,10 @@ def read_solution(path) -> dict:
         raise ValueError(
             f"{path} holds neither a solution nor a run artifact "
             f"(no genome found)")
-    return {"genome": np.asarray(holder["genome"], dtype=np.float64),
-            "data": data}
+    try:
+        genome = np.asarray(holder["genome"], dtype=np.float64)
+    except (TypeError, ValueError):
+        genome = None
+    if genome is None or genome.ndim != 1:
+        raise ValueError(f"{path}: genome is not a flat list of numbers")
+    return {"genome": genome, "data": data}

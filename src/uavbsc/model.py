@@ -40,7 +40,6 @@ __all__ = [
     "rate_downlink",
     "harvested_energy_slot",
     "flying_power",
-    "consumption_energy_slot",
     "sample_channel",
 ]
 
@@ -215,6 +214,13 @@ def _p1evl(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return ans
 
 
+def _j0_rational(xx: np.ndarray) -> np.ndarray:
+    """J0 on [1e-5, 5] by the rational form anchored at its first two zeros."""
+    z = xx ** 2
+    p = (z - _J0_DR1) * (z - _J0_DR2)
+    return p * _polevl(z, _J0_RP) / _p1evl(z, _J0_RQ)
+
+
 def bessel_j0(x):
     """Zeroth-order Bessel function of the first kind, J0(x).
 
@@ -223,29 +229,31 @@ def bessel_j0(x):
     arr = np.abs(np.asarray(x, dtype=np.float64))
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
+    # Common case: every argument in the rational branch, so skip the masks.
+    if arr.size and arr.min() >= 1e-5 and arr.max() <= 5.0:
+        out = _j0_rational(arr)
+    else:
+        out = np.full_like(arr, np.nan)  # NaN matches no branch below
+        tiny = arr < 1e-5
+        small = (~tiny) & (arr <= 5.0)
+        large = arr > 5.0
 
-    tiny = arr < 1e-5
-    small = (~tiny) & (arr <= 5.0)
-    large = arr > 5.0
+        if np.any(tiny):
+            z = arr[tiny]
+            out[tiny] = 1.0 - z * z / 4.0
 
-    if np.any(tiny):
-        z = arr[tiny]
-        out[tiny] = 1.0 - z * z / 4.0
+        if np.any(small):
+            out[small] = _j0_rational(arr[small])
 
-    if np.any(small):
-        z = arr[small] ** 2
-        p = (z - _J0_DR1) * (z - _J0_DR2)
-        out[small] = p * _polevl(z, _J0_RP) / _p1evl(z, _J0_RQ)
-
-    if np.any(large):
-        xx = arr[large]
-        w = 5.0 / xx
-        q = 25.0 / (xx * xx)
-        p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
-        qq = _polevl(q, _J0_QP) / _p1evl(q, _J0_QQ)
-        xn = xx - _J0_PIO4
-        out[large] = _J0_SQ2OPI * (p * np.cos(xn) - w * qq * np.sin(xn)) / np.sqrt(xx)
+        if np.any(large):
+            xx = arr[large]
+            w = 5.0 / xx
+            q = 25.0 / (xx * xx)
+            p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+            qq = _polevl(q, _J0_QP) / _p1evl(q, _J0_QQ)
+            xn = xx - _J0_PIO4
+            out[large] = (_J0_SQ2OPI * (p * np.cos(xn) - w * qq * np.sin(xn))
+                          / np.sqrt(xx))
 
     return float(out[0]) if scalar else out
 
@@ -605,23 +613,6 @@ def flying_power(speed, propulsion: PropulsionParams):
         + propulsion.parasite_drag_factor * v2 * v
     )
     return _maybe_float(power)
-
-
-def consumption_energy_slot(
-    speed, split, params: SystemParams, propulsion: PropulsionParams
-):
-    """Total energy the aircraft and tag consume during one slot (J).
-
-    Propulsion runs for the whole slot; the backscatter circuitry and the
-    cached-data transmitter only during the active fraction ``split``.
-    """
-    split = np.asarray(split, dtype=np.float64)
-    sigma = params.slot_duration_s
-    return _maybe_float(
-        sigma * flying_power(speed, propulsion)
-        + split * sigma * params.backscatter_circuit_power_w
-        + split * sigma * params.ub_tx_power_w
-    )
 
 
 # ======================================================================

@@ -4,12 +4,27 @@ Everything here is written from scratch against the underlying math with
 plain Python scalars (``math`` + ``fractions``), deliberately avoiding any
 import from the package under test and avoiding its vectorized formula
 layout.  Tests compare the package against these second routes.
+
+The one exception is the per-point layout reference at the end: it is the
+package's earlier (B, N+1, 3) waypoint layout of the batch evaluation,
+kept to pin that the axis-by-axis layout gives the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+# Only the per-point layout reference uses the package's formula functions.
+from uavbsc.model import (
+    doppler_factor,
+    flying_power,
+    harvested_energy_slot,
+    rate_downlink,
+    rate_uplink,
+)
 
 # Euler-Mascheroni constant, full double precision.
 EULER_GAMMA_REF = 0.5772156649015329
@@ -297,3 +312,134 @@ def fitness_reference(objective: float, feasible: bool, worst: float,
     if penalty_mode == "safe":
         return PENALTY_SCALE_REF * (1.0 + float(worst))
     raise ValueError(f"unknown penalty mode: {penalty_mode!r}")
+
+
+# ----------------------------------------------------------------------
+# Per-point layout reference of the batch evaluation
+# ----------------------------------------------------------------------
+#
+# The package evaluates genome stacks with every waypoint coordinate in its
+# own (B, N+1) array.  What follows is the earlier layout, waypoints as one
+# (B, N+1, 3) array with distances from ``np.linalg.norm`` over the trailing
+# axis and minima from ``np.min`` over the slot axis, with every other float
+# expression as in the package.  Results must match it byte for byte.
+
+def per_point_decode(problem, genomes):
+    """Waypoints (B, N+1, 3) and splits (B, N) of a pre-validated stack."""
+    b = genomes.shape[0]
+    n = problem.n_slots
+    bounds = np.asarray(problem.params.bounds_m, dtype=np.float64)
+    lo = bounds[:, 0]
+    span = bounds[:, 1] - bounds[:, 0]
+    waypoints = np.empty((b, n + 1, 3))
+    waypoints[:, 0] = problem.start
+    waypoints[:, n] = problem.goal
+    if problem.n_interior:
+        interior = genomes[:, : problem.split_offset].reshape(
+            b, problem.n_interior, 3)
+        waypoints[:, 1:n] = lo + interior * span
+    return waypoints, genomes[:, problem.split_offset:]
+
+
+def per_point_tables(problem, waypoints, split) -> dict:
+    """Per-slot quantities, each (B, N), from (B, N+1, 3) waypoints."""
+    p = problem.params
+    starts = waypoints[:, :-1]
+    d_su = np.linalg.norm(starts - problem.source, axis=-1)
+    d_du = np.linalg.norm(starts - problem.user, axis=-1)
+    hops = np.linalg.norm(waypoints[:, 1:] - starts, axis=-1)
+    speeds = hops / p.slot_duration_s
+    corr = doppler_factor(speeds, p)
+    r_up = rate_uplink(d_su, corr, p)
+    r_dn = rate_downlink(d_su, d_du, corr, p)
+    if problem.rate_weighting == "delta":
+        w_up = r_up * split
+        w_dn = r_dn * split
+    else:
+        w_up = r_up
+        w_dn = r_dn
+    sigma = p.slot_duration_s
+    return {
+        "d_su": d_su,
+        "d_du": d_du,
+        "hops": hops,
+        "speeds": speeds,
+        "correlation": corr,
+        "rate_up": r_up,
+        "rate_down": r_dn,
+        "weighted_up": w_up,
+        "weighted_down": w_dn,
+        "harvest": harvested_energy_slot(d_su, split, p),
+        "fly": sigma * flying_power(speeds, problem.propulsion),
+        "backscatter": split * sigma * p.backscatter_circuit_power_w,
+        "cache": split * sigma * p.ub_tx_power_w,
+    }
+
+
+def per_point_margins(problem, waypoints, split, tables) -> dict:
+    """Margins, objective, feasibility, worst violation and fitness, (B,)."""
+    p = problem.params
+    sum_up = np.sum(tables["weighted_up"], axis=1)
+    sum_dn = np.sum(tables["weighted_down"], axis=1)
+    sum_harvest = np.sum(tables["harvest"], axis=1)
+    sum_consume = np.sum(
+        tables["fly"] + tables["backscatter"] + tables["cache"], axis=1)
+    cache_credit = p.cached_fraction * p.demanded_rate_bps
+
+    m_cache = cache_credit + sum_up - sum_dn
+    m_demand = sum_dn - p.demanded_rate_bps
+    m_energy = sum_harvest - sum_consume
+    max_hop = p.max_speed_mps * p.slot_duration_s
+    m_speed = np.min(max_hop - tables["hops"], axis=1)
+    start_dev = np.linalg.norm(waypoints[:, 0] - problem.start, axis=-1)
+    goal_dev = np.linalg.norm(waypoints[:, -1] - problem.goal, axis=-1)
+    m_bounds = np.minimum.reduce([
+        np.min(split, axis=1),
+        np.min(1.0 - split, axis=1),
+        -start_dev,
+        -goal_dev,
+    ])
+
+    scale_cache = np.maximum(1.0, cache_credit + sum_up + np.abs(sum_dn))
+    scale_demand = np.maximum(1.0, np.abs(sum_dn) + p.demanded_rate_bps)
+    scale_energy = np.maximum(1.0, sum_harvest + sum_consume)
+    scale_speed = max(1.0, max_hop)
+
+    feasible = (
+        (m_cache >= -1e-9 * scale_cache)
+        & (m_demand >= -1e-9 * scale_demand)
+        & (m_energy >= -1e-9 * scale_energy)
+        & (m_speed >= -1e-12)
+        & (m_bounds >= 0.0)
+    )
+    worst = np.maximum.reduce([
+        -m_cache / scale_cache,
+        -m_demand / scale_demand,
+        -m_energy / scale_energy,
+        -m_speed / scale_speed,
+        -m_bounds,
+        np.zeros_like(m_cache),
+    ])
+    if problem.penalty_mode == "paper":
+        penalty = -1.0
+    else:
+        penalty = PENALTY_SCALE_REF * (1.0 + worst)
+    return {
+        "cache_balance": m_cache,
+        "rate_demand": m_demand,
+        "energy": m_energy,
+        "speed": m_speed,
+        "bounds": m_bounds,
+        "objective": sum_dn,
+        "feasible": feasible,
+        "worst": worst,
+        "fitness": np.where(feasible, -sum_dn, penalty),
+    }
+
+
+def per_point_evaluate(problem, genomes) -> dict:
+    """Per-slot tables and margins of a genome stack, per-point layout."""
+    waypoints, split = per_point_decode(problem, genomes)
+    tables = per_point_tables(problem, waypoints, split)
+    margins = per_point_margins(problem, waypoints, split, tables)
+    return {"waypoints": waypoints, "tables": tables, **margins}

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 import oracles
 from uavbsc.model import bessel_j0
@@ -62,3 +63,37 @@ def test_tiny_argument_series_consistency():
     # with the exact series to full precision there.
     for x in (0.0, 1e-9, 5e-6, 9.9e-6):
         assert abs(bessel_j0(x) - oracles.j0_reference(x)) <= 1e-15
+
+
+# Arguments either side of the two branch switches (1e-5 and 5.0).
+BRANCH_EDGES = [1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0),
+                5.0, np.nextafter(5.0, 0.0), np.nextafter(5.0, 10.0)]
+
+
+def test_array_call_matches_scalar_calls_bitwise():
+    # An array wholly inside [1e-5, 5] skips the branch masks; any other
+    # array is split by branch.  Either way each element gets the bits a
+    # scalar call gives it, and NaN maps to NaN.
+    small = np.concatenate([np.linspace(1e-5, 5.0, 257), BRANCH_EDGES[:2],
+                            BRANCH_EDGES[3:5], [-2.5, -1e-5]])
+    mixed = np.concatenate([small, [0.0, 9.9e-6, -3e-7, 5.5, 17.0, -40.0],
+                            BRANCH_EDGES])
+    with_nan = np.concatenate([mixed, [np.nan, -np.nan]])
+    for arr in (small, mixed, with_nan, np.array([np.nan]),
+                small[:261].reshape(-1, 3)):
+        vec = bessel_j0(arr)
+        assert vec.shape == arr.shape
+        scalars = np.array([bessel_j0(float(x)) for x in arr.ravel()])
+        assert vec.ravel().tobytes() == scalars.tobytes()
+    # The same small arguments through the masked route.
+    masked = bessel_j0(np.append(small, 7.0))[:-1]
+    assert masked.tobytes() == bessel_j0(small).tobytes()
+    assert np.isnan(bessel_j0(with_nan)[-2:]).all()
+    assert math.isnan(bessel_j0(float("nan")))
+
+
+def test_matches_scipy_j0_on_zero_to_fifty():
+    special = pytest.importorskip("scipy.special")
+    xs = np.concatenate([np.linspace(0.0, 50.0, 20001), BRANCH_EDGES])
+    err = np.abs(bessel_j0(xs) - special.j0(xs))
+    assert err.max() <= 1e-10

@@ -251,10 +251,18 @@ def test_export_rejects_missing_and_malformed_solutions(capsys, tmp_path):
     assert code == 4
     assert "no genome" in error_payload(err)["message"]
 
-    # Any JSON value: a bare string, or a run artifact whose best is a list.
+    # Any JSON value: a bare string, a run artifact whose best is a list,
+    # or a genome that is not a flat list of numbers.
+    not_flat = "genome is not a flat list of numbers"
     for doc, message in (("genome", "does not hold a JSON object"),
                          ({"report": {"best": [0.5]}},
-                          "report.best is not an object")):
+                          "report.best is not an object"),
+                         ({"genome": {"a": 1}}, not_flat),
+                         ({"genome": ["x", 0.5]}, not_flat),
+                         ({"genome": [[0.5], [0.5, 0.5]]}, not_flat),
+                         ({"genome": [[0.5, 0.5]]}, not_flat),
+                         ({"genome": 0.5}, not_flat),
+                         ({"report": {"best": {"genome": None}}}, not_flat)):
         bad.write_text(json.dumps(doc), encoding="utf-8")
         code, _, err = run_cli(capsys, "export", "--config", TINY,
                                "--solution", str(bad),

@@ -222,6 +222,10 @@ def test_rejects_unknown_solver_sections_and_keys(doc):
     ("ipso", "cognitive_coeff", float("nan"), "must be finite (got nan)", 1),
     ("pso", "social_coeff", float("inf"), "must be finite (got inf)", 1.5),
     ("pso", "velocity_clamp", "fast", "must be a number", None),
+    # Well-typed but out of range: the solver configs' own rules.
+    ("ga", "population_size", 1, "must be at least 2", 40),
+    ("ipso", "mutation_prob", 1.5, "must lie in [0, 1]", 0.1),
+    ("pso", "velocity_clamp", 0.0, "must be positive when set", 2.0),
 ])
 def test_rejects_bad_solver_override_values(doc, section, key, bad, problem,
                                             good):

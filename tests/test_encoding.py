@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import audit_genome, small_problem, small_system_params
-from oracles import PENALTY_SCALE_REF, fitness_reference
+from oracles import PENALTY_SCALE_REF, fitness_reference, per_point_evaluate
 from uavbsc.encoding import PENALTY_SCALE, LinkProblem, denormalize, normalize
 from uavbsc.model import Trajectory
 
@@ -355,6 +355,74 @@ def test_stacked_evaluate_batch_equals_separate_calls_bitwise(
                 got, want = getattr(part, name), getattr(alone, name)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (trial, name)
+
+
+def _variant(problem, **modes):
+    """``problem`` with its penalty / weighting / altitude modes replaced."""
+    return LinkProblem(problem.params, problem.propulsion, problem.source,
+                       problem.user, problem.start, problem.goal, **modes)
+
+
+def _probe_stacks(problem, rng):
+    """Genome stacks of ragged size: uniform, 0/1-edge, near-heuristic
+    with genes clamped to exactly 0.0 and 1.0, and a repeated heuristic."""
+    dim = problem.genome_size
+    mean = problem.heuristic_mean()
+    for b in (1, 2, 3, 17, 128, 311, 1000):
+        yield problem.random_genomes(rng, b)
+        yield problem.adjust(rng.integers(0, 2, size=(b, dim)).astype(float))
+        yield problem.adjust(mean + rng.normal(0.0, 0.6, size=(b, dim)))
+        yield np.tile(mean, (b, 1))
+
+
+@pytest.mark.parametrize("problem_name", ["tiny_problem", "reference_problem"])
+@pytest.mark.parametrize("penalty_mode", ["safe", "paper"])
+@pytest.mark.parametrize("rate_weighting", ["literal", "delta"])
+@pytest.mark.parametrize("fixed_altitude", [True, False])
+def test_axis_layout_matches_per_point_reference_bitwise(
+        request, problem_name, penalty_mode, rate_weighting, fixed_altitude):
+    # Evaluation decodes waypoints axis by axis; it must give the bits of
+    # the (B, N+1, 3) layout it replaced, kept in oracles.py.
+    problem = _variant(request.getfixturevalue(problem_name),
+                       penalty_mode=penalty_mode,
+                       rate_weighting=rate_weighting,
+                       fixed_altitude=fixed_altitude)
+    rng = np.random.default_rng(2024)
+    for genomes in _probe_stacks(problem, rng):
+        got = problem.evaluate_batch(genomes)
+        want = per_point_evaluate(problem, genomes)
+        for name, key in (("objectives", "objective"), ("fitness", "fitness"),
+                          ("feasible", "feasible"),
+                          ("worst_violation", "worst")):
+            field = getattr(got, name)
+            assert field.dtype == want[key].dtype, name
+            assert field.tobytes() == want[key].tobytes(), (len(genomes), name)
+        # Scalar evaluate and slot_table share the same pass; spot-check
+        # the first and last rows.
+        for row in {0, len(genomes) - 1}:
+            sol = problem.evaluate(genomes[row])
+            assert sol.trajectory.waypoints.tobytes() == \
+                want["waypoints"][row].tobytes()
+            assert sol.fitness == want["fitness"][row]
+            assert sol.objective_bps == want["objective"][row]
+            assert sol.report.feasible == want["feasible"][row]
+            assert sol.report.worst_violation == want["worst"][row]
+            for name in MARGIN_NAMES:
+                assert np.float64(sol.report.margins[name]).tobytes() == \
+                    want[name][row].tobytes(), name
+            table = problem.slot_table(sol.trajectory, sol.time_split)
+            for attr, key in (("d_su_m", "d_su"), ("d_du_m", "d_du"),
+                              ("speed_mps", "speeds"),
+                              ("correlation", "correlation"),
+                              ("rate_up_bps", "rate_up"),
+                              ("rate_down_bps", "rate_down"),
+                              ("weighted_rate_up_bps", "weighted_up"),
+                              ("weighted_rate_down_bps", "weighted_down"),
+                              ("harvested_j", "harvest"), ("fly_j", "fly"),
+                              ("backscatter_j", "backscatter"),
+                              ("cache_j", "cache")):
+                assert getattr(table, attr).tobytes() == \
+                    want["tables"][key][row].tobytes(), attr
 
 
 def test_batch_split_returns_row_views(tiny_problem):

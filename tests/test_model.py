@@ -20,6 +20,7 @@ from helpers import (
     small_system_params,
     uplink_kwargs,
 )
+from uavbsc.encoding import LinkProblem
 from uavbsc.model import (
     EULER_GAMMA,
     PropulsionParams,
@@ -27,7 +28,6 @@ from uavbsc.model import (
     Trajectory,
     as_position,
     as_time_split,
-    consumption_energy_slot,
     distance,
     doppler_factor,
     flying_power,
@@ -279,21 +279,34 @@ def test_flying_power_vectorized_matches_scalar():
 
 
 def test_consumption_energy_matches_reference_formula():
+    # The energy an evaluation spends per slot (propulsion for the whole
+    # slot, tag circuitry and cached-data transmitter while active).
     rng = np.random.default_rng(16)
     for _ in range(50):
         p = random_system_params(rng)
         prop = random_propulsion(rng)
-        v = float(rng.uniform(0.0, 30.0))
-        split = float(rng.uniform(0.0, 1.0))
-        got = consumption_energy_slot(v, split, p, prop)
-        expected = oracles.consumption_reference(
-            v, split,
-            slot_duration_s=p.slot_duration_s,
-            backscatter_circuit_power_w=p.backscatter_circuit_power_w,
-            tag_tx_power_w=p.ub_tx_power_w,
-            fly=fly_kwargs(prop),
-        )
-        assert math.isclose(got, expected, rel_tol=1e-11)
+        n = p.slot_count
+        sd = p.slot_duration_s
+        alt = p.altitude_m
+        problem = LinkProblem(p, prop, source=(0.0, 0.0, 0.0),
+                              user=(50.0, 0.0, 0.0), start=(-50.0, 0.0, alt),
+                              goal=(50.0, 0.0, alt))
+        hops = rng.uniform(0.0, 30.0, size=n) * sd
+        waypoints = np.zeros((n + 1, 3))
+        waypoints[:, 0] = -50.0 + np.concatenate([[0.0], np.cumsum(hops)])
+        waypoints[:, 2] = alt
+        split = rng.uniform(0.0, 1.0, size=n)
+        table = problem.slot_table(Trajectory(waypoints), split)
+        got = table.fly_j + table.backscatter_j + table.cache_j
+        for i in range(n):
+            expected = oracles.consumption_reference(
+                float(table.speed_mps[i]), float(split[i]),
+                slot_duration_s=sd,
+                backscatter_circuit_power_w=p.backscatter_circuit_power_w,
+                tag_tx_power_w=p.ub_tx_power_w,
+                fly=fly_kwargs(prop),
+            )
+            assert math.isclose(got[i], expected, rel_tol=1e-11)
 
 
 # ----------------------------------------------------------------------
