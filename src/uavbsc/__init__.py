@@ -38,7 +38,6 @@ from .harness import (
 )
 from .model import (
     EULER_GAMMA,
-    ChannelSample,
     PropulsionParams,
     RotorConstants,
     SystemParams,
@@ -49,8 +48,6 @@ from .model import (
     harvested_energy_slot,
     rate_downlink,
     rate_uplink,
-    sample_channel,
-    slot_speed,
 )
 from .pso import IPSO_MUTATION_VARIANCE, PsoConfig
 from .pso import run as run_pso
@@ -60,11 +57,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "EULER_GAMMA", "Trajectory", "slot_speed", "bessel_j0",
+    "EULER_GAMMA", "Trajectory", "bessel_j0",
     "RotorConstants", "PropulsionParams", "SystemParams",
     "doppler_factor", "rate_uplink", "rate_downlink",
     "harvested_energy_slot", "flying_power",
-    "ChannelSample", "sample_channel",
     # encoding
     "PENALTY_SCALE", "LinkProblem", "FeasibilityReport",
     "EvaluatedSolution", "SlotTable", "BatchEvaluation",

@@ -36,9 +36,8 @@ __all__ = [
     "SolverSteps",
     "drive",
     "drive_lockstep",
-    "sample_initial_genes",
+    "initial_population",
     "masked_gaussian_offsets",
-    "resolve_init_mean",
     "config_snapshot",
 ]
 
@@ -213,17 +212,24 @@ def drive_lockstep(steps: Sequence[SolverSteps],
     return reports  # type: ignore[return-value]
 
 
-def sample_initial_genes(
-    rng: np.random.Generator, count: int, dim: int, mean, std: float
-) -> np.ndarray:
-    """Raw Gaussian initialization draws, before clamping to [0, 1].
+def initial_population(problem: LinkProblem, count: int, init_mean,
+                       init_std: float, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian genomes around the initialization mean, adjusted into the box.
 
-    Kept separate from the clamped initializers so the pre-clamp spread is
-    directly observable; callers pass the result through
-    ``LinkProblem.adjust``.
+    ``init_mean`` is a scalar, a genome-length vector, or None for the
+    problem's heuristic mean.
     """
-    mean = np.broadcast_to(np.asarray(mean, dtype=np.float64), (dim,))
-    return rng.normal(mean, std, size=(int(count), dim))
+    dim = problem.genome_size
+    if init_mean is None:
+        mean = problem.heuristic_mean()
+    else:
+        mean = np.asarray(init_mean, dtype=np.float64)
+        if mean.ndim == 0:
+            mean = np.full(dim, float(mean))
+        elif mean.shape != (dim,):
+            raise ValueError(
+                f"init mean must be scalar or shape ({dim},), got {mean.shape}")
+    return problem.adjust(rng.normal(mean, init_std, size=(int(count), dim)))
 
 
 def masked_gaussian_offsets(
@@ -238,20 +244,6 @@ def masked_gaussian_offsets(
     mask = rng.uniform(size=shape) < prob
     offsets = rng.normal(0.0, std, size=shape)
     return np.where(mask, offsets, 0.0)
-
-
-def resolve_init_mean(init_mean, problem: LinkProblem) -> np.ndarray:
-    """Initialization mean genome: configured value or the problem heuristic."""
-    if init_mean is None:
-        return problem.heuristic_mean()
-    arr = np.asarray(init_mean, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(problem.genome_size, float(arr))
-    if arr.shape != (problem.genome_size,):
-        raise ValueError(
-            f"init mean must be scalar or shape ({problem.genome_size},), "
-            f"got {arr.shape}")
-    return arr
 
 
 def config_snapshot(cfg) -> dict:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -117,22 +117,22 @@ _MODE_DEFAULTS = {
 
 _SOLVER_SECTIONS = ("ga", "ipso", "pso")
 
-# Solver-override keys accepted per section (seed/budget come from the
-# harness call, not the scenario file) and their value types;
-# ``velocity_clamp`` may also be null.
-_GA_OVERRIDE_KEYS = {
-    "population_size": int, "generations": int, "stall_limit": int,
-    "crossover_rate": _NUMBER, "mutation_rate": _NUMBER,
-    "mutation_spread": _NUMBER, "elite_fraction": _NUMBER,
-    "init_std": _NUMBER,
-}
-_PSO_OVERRIDE_KEYS = {
-    "swarm_size": int, "iterations": int,
-    "cognitive_coeff": _NUMBER, "social_coeff": _NUMBER,
-    "inertia_max": _NUMBER, "inertia_min": _NUMBER,
-    "inertia_exponent": _NUMBER, "inertia_const": _NUMBER,
-    "mutation_prob": _NUMBER, "velocity_clamp": _NUMBER, "init_std": _NUMBER,
-}
+# Solver config fields a scenario file cannot override: seed and budget
+# come from the harness call, the variant from the section name, and
+# runs always start around the problem's heuristic mean.
+_NOT_OVERRIDABLE = ("seed", "max_evaluations", "init_mean", "variant")
+
+
+def _override_keys(config_cls) -> dict:
+    """Overridable fields of a solver config: name -> (type, null allowed)."""
+    hints = get_type_hints(config_cls)
+    return {f.name: (int if hints[f.name] is int else _NUMBER,
+                     type(None) in get_args(hints[f.name]))
+            for f in fields(config_cls) if f.name not in _NOT_OVERRIDABLE}
+
+
+_GA_OVERRIDE_KEYS = _override_keys(GaConfig)
+_PSO_OVERRIDE_KEYS = _override_keys(PsoConfig)
 
 
 def _check_section(problems, data, section, required, optional=None):
@@ -353,9 +353,9 @@ class ScenarioConfig:
             for key, value in block.items():
                 if key not in allowed:
                     problems.append(f"unknown key solvers.{section}.{key}")
-                elif not (key == "velocity_clamp" and value is None):
+                elif not (allowed[key][1] and value is None):
                     _check_value(problems, f"solvers.{section}.{key}", value,
-                                 allowed[key])
+                                 allowed[key][0])
             if len(problems) == typed:
                 # The range rules live in the solver configs.  Each of their
                 # "invalid ... config: a; b" items starts with its key.

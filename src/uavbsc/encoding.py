@@ -25,7 +25,7 @@ candidates from feasible ones with high rates).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .model import (
 __all__ = [
     "PENALTY_SCALE",
     "normalize",
-    "denormalize",
     "FeasibilityReport",
     "EvaluatedSolution",
     "SlotTable",
@@ -94,14 +93,6 @@ def normalize(value, lo: float, hi: float):
     return float(u) if u.ndim == 0 else u
 
 
-def denormalize(gene, lo: float, hi: float):
-    """Map a unit gene back to the physical range [lo, hi]."""
-    if not lo < hi:
-        raise ValueError(f"denormalize requires lo < hi (got {lo}, {hi})")
-    v = lo + np.asarray(gene, dtype=np.float64) * (hi - lo)
-    return float(v) if v.ndim == 0 else v
-
-
 @dataclass
 class FeasibilityReport:
     """Signed margins of every mission constraint (>= 0 means satisfied)."""
@@ -128,7 +119,6 @@ class EvaluatedSolution:
     objective_bps: float
     fitness: float
     report: FeasibilityReport
-    eval_index: Optional[int] = None
 
 
 @dataclass(eq=False)
@@ -260,15 +250,13 @@ class LinkProblem:
                     point[axis], self._lo[axis], self._lo[axis] + self._span[axis])
         return self.adjust(genome)
 
-    def random_genomes(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Uniform-random genomes (already adjusted), shape (count, dim)."""
-        return self.adjust(rng.uniform(size=(int(count), self.genome_size)))
-
     def _check_genome(self, genome) -> np.ndarray:
         arr = np.asarray(genome, dtype=np.float64)
         if arr.shape != (self.genome_size,):
             raise ValueError(
                 f"genome must have shape ({self.genome_size},), got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("genome genes must be finite")
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError("genome genes must lie in [0, 1]")
         return arr
@@ -376,10 +364,6 @@ class LinkProblem:
     # Objective, constraints, fitness
     # ------------------------------------------------------------------
 
-    def objective(self, traj: Trajectory, time_split) -> float:
-        """Mission objective: sum of per-slot user rates (bit/s)."""
-        return self._assess(traj, time_split)[1]
-
     def _margin_arrays(self, waypoints: np.ndarray, split: np.ndarray,
                        tables: dict) -> dict:
         """Margins, objective and fitness of stacked missions; each is (B,)."""
@@ -464,7 +448,7 @@ class LinkProblem:
     # Evaluation entry points
     # ------------------------------------------------------------------
 
-    def evaluate(self, genome, eval_index: Optional[int] = None) -> EvaluatedSolution:
+    def evaluate(self, genome) -> EvaluatedSolution:
         """Decode and fully evaluate one genome."""
         traj, split = self.decode(genome)
         report, obj, fitness = self._assess(traj, split)
@@ -475,7 +459,6 @@ class LinkProblem:
             objective_bps=obj,
             fitness=fitness,
             report=report,
-            eval_index=eval_index,
         )
 
     def evaluate_batch(self, genomes) -> BatchEvaluation:

@@ -22,16 +22,14 @@ from .common import (
     SolverSteps,
     config_snapshot,
     drive,
+    initial_population,
     masked_gaussian_offsets,
-    resolve_init_mean,
-    sample_initial_genes,
 )
 from .encoding import LinkProblem
 
 __all__ = [
     "GaConfig",
     "elite_count",
-    "init_population",
     "selection_weights",
     "roulette",
     "select",
@@ -83,15 +81,6 @@ class GaConfig:
 def elite_count(cfg: GaConfig, population_size: int) -> int:
     """Number of elite individuals copied unchanged (at least one)."""
     return min(population_size, max(1, int(cfg.elite_fraction * population_size)))
-
-
-def init_population(cfg: GaConfig, problem: LinkProblem,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Gaussian-initialized population, adjusted into the feasible box."""
-    mean = resolve_init_mean(cfg.init_mean, problem)
-    raw = sample_initial_genes(
-        rng, cfg.population_size, problem.genome_size, mean, cfg.init_std)
-    return problem.adjust(raw)
 
 
 def selection_weights(fitness: np.ndarray) -> np.ndarray:
@@ -199,7 +188,7 @@ def steps(cfg: GaConfig, problem: LinkProblem,
             f"evaluation budget {budget} cannot fit one population of {size}")
     rng = np.random.default_rng(cfg.seed)
 
-    pop = init_population(cfg, problem, rng)
+    pop = initial_population(problem, size, cfg.init_mean, cfg.init_std, rng)
     ev = yield pop
     evaluations = size
     order = np.argsort(ev.fitness, kind="stable")

@@ -5,7 +5,7 @@ during each mission slot it splits time between reflecting fresh uplink
 symbols / forwarding cached ones (active fraction) and harvesting RF energy
 (the remaining fraction).  This module provides the building blocks:
 
-* mission geometry (waypoints, hop speeds),
+* mission geometry (validated positions, time splits and waypoints),
 * the time-selective channel quality factor derived from Doppler,
 * closed-form per-slot achievable rates of both hops,
 * per-slot harvested and consumed energy, including a rotary-wing
@@ -29,18 +29,14 @@ __all__ = [
     "RotorConstants",
     "PropulsionParams",
     "SystemParams",
-    "ChannelSample",
     "as_position",
     "as_time_split",
-    "distance",
-    "slot_speed",
     "bessel_j0",
     "doppler_factor",
     "rate_uplink",
     "rate_downlink",
     "harvested_energy_slot",
     "flying_power",
-    "sample_channel",
 ]
 
 # Euler-Mascheroni constant as used by the ergodic-rate closed forms.
@@ -95,37 +91,6 @@ class Trajectory:
     def n_slots(self) -> int:
         """Number of mission slots (one fewer than the waypoint count)."""
         return self.waypoints.shape[0] - 1
-
-    def hop_lengths(self) -> np.ndarray:
-        """Straight-line length of each slot's displacement, shape (N,) m."""
-        hops = self.waypoints[1:] - self.waypoints[:-1]
-        return np.linalg.norm(hops, axis=1)
-
-
-def distance(a, b):
-    """Euclidean distance between two 3-D points (m).
-
-    Accepts shape (3,) vectors or broadcastable (..., 3) stacks; returns a
-    float for single points.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    d = np.linalg.norm(a - b, axis=-1)
-    return float(d) if d.ndim == 0 else d
-
-
-def slot_speed(traj: Trajectory, i: int, slot_duration: float) -> float:
-    """Constant cruise speed during slot ``i`` (1-indexed), in m/s.
-
-    The aircraft covers the straight hop from waypoint ``i`` to waypoint
-    ``i + 1`` within one slot of ``slot_duration`` seconds.
-    """
-    if not 1 <= i <= traj.n_slots:
-        raise IndexError(f"slot index {i} out of range 1..{traj.n_slots}")
-    if slot_duration <= 0.0:
-        raise ValueError("slot duration must be positive")
-    hop = distance(traj.waypoints[i], traj.waypoints[i - 1])
-    return hop / slot_duration
 
 
 # ======================================================================
@@ -613,68 +578,3 @@ def flying_power(speed, propulsion: PropulsionParams):
         + propulsion.parasite_drag_factor * v2 * v
     )
     return _maybe_float(power)
-
-
-# ======================================================================
-# Channel sampling
-# ======================================================================
-
-@dataclass(eq=False)
-class ChannelSample:
-    """One Monte-Carlo draw of the station-to-tag channel coefficient."""
-
-    estimated: np.ndarray    # estimated coefficient (complex)
-    error: np.ndarray        # estimation error, unit-variance complex normal
-    realized: np.ndarray     # realized coefficient seen by the receiver
-    los: np.ndarray          # deterministic unit-modulus LoS component
-    nlos: np.ndarray         # scattered component, unit-variance complex normal
-    small_scale: np.ndarray  # unit-power small-scale factor (LoS/NLoS mix)
-
-
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly-symmetric complex normal draws with unit variance."""
-    return (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ) / math.sqrt(2.0)
-
-
-def sample_channel(
-    d,
-    correlation,
-    params: SystemParams,
-    rng: np.random.Generator,
-    size: Optional[int] = None,
-) -> ChannelSample:
-    """Draw the station-to-tag channel coefficient at distance ``d`` (m).
-
-    The small-scale factor mixes a deterministic line-of-sight phasor
-    (phase set by the propagation delay) with a scattered component
-    according to the Rician factor; the realized coefficient degrades the
-    estimate through the time-selectivity ``correlation``.
-    """
-    d_arr = _check_distance(d)
-    if d_arr.ndim != 0:
-        raise ValueError("sample_channel expects a scalar distance")
-    shape = () if size is None else (int(size),)
-    wavelength = params.light_speed_mps / params.carrier_freq_hz
-    los_phase = -2.0 * math.pi * float(d_arr) / wavelength
-    los = np.full(shape, np.exp(1j * los_phase))
-    nlos = _complex_normal(rng, shape)
-    k = params.rician_factor
-    small_scale = (
-        math.sqrt(k / (1.0 + k)) * los + math.sqrt(1.0 / (1.0 + k)) * nlos
-    )
-    estimated = math.sqrt(
-        params.ref_gain * float(d_arr) ** (-params.path_loss_exp)
-    ) * small_scale
-    error = _complex_normal(rng, shape)
-    corr = float(np.asarray(correlation, dtype=np.float64))
-    realized = corr * estimated + math.sqrt(max(0.0, 1.0 - corr**2)) * error
-    return ChannelSample(
-        estimated=estimated,
-        error=error,
-        realized=realized,
-        los=los,
-        nlos=nlos,
-        small_scale=small_scale,
-    )

@@ -23,9 +23,8 @@ from .common import (
     SolverSteps,
     config_snapshot,
     drive,
+    initial_population,
     masked_gaussian_offsets,
-    resolve_init_mean,
-    sample_initial_genes,
 )
 from .encoding import LinkProblem
 
@@ -33,10 +32,8 @@ __all__ = [
     "IPSO_MUTATION_VARIANCE",
     "PsoConfig",
     "inertia_at",
-    "init_positions",
     "update_velocity",
     "update_position",
-    "ipso_mutate",
     "steps",
     "run",
 ]
@@ -120,15 +117,6 @@ def inertia_at(step: int, total: int, cfg: PsoConfig) -> float:
     return cfg.inertia_max - (cfg.inertia_max - cfg.inertia_min) * frac
 
 
-def init_positions(cfg: PsoConfig, problem: LinkProblem,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Gaussian-initialized particle positions, adjusted into the box."""
-    mean = resolve_init_mean(cfg.init_mean, problem)
-    raw = sample_initial_genes(
-        rng, cfg.swarm_size, problem.genome_size, mean, cfg.init_std)
-    return problem.adjust(raw)
-
-
 def update_velocity(position, velocity, personal_best, global_best,
                     inertia: float, cfg: PsoConfig,
                     rng: np.random.Generator) -> np.ndarray:
@@ -158,20 +146,6 @@ def update_position(position, velocity) -> np.ndarray:
     return np.clip(x + v, 0.0, 1.0)
 
 
-def ipso_mutate(position, cfg: PsoConfig, rng: np.random.Generator) -> np.ndarray:
-    """Per-gene Gaussian mutation of the improved variant.
-
-    A no-op (consuming no randomness) for the plain variant or when the
-    mutation probability is zero.
-    """
-    x = np.asarray(position, dtype=np.float64)
-    if not cfg.mutation_active:
-        return x.copy()
-    offsets = masked_gaussian_offsets(
-        rng, x.shape, cfg.mutation_prob, math.sqrt(IPSO_MUTATION_VARIANCE))
-    return np.clip(x + offsets, 0.0, 1.0)
-
-
 def run(cfg: PsoConfig, problem: LinkProblem,
         callback: Optional[ProgressCallback] = None) -> SolverReport:
     """Run the swarm and report the best mission found."""
@@ -196,7 +170,8 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
             f"evaluation budget {budget} cannot fit one swarm of {size}")
     rng = np.random.default_rng(cfg.seed)
 
-    positions = init_positions(cfg, problem, rng)
+    positions = initial_population(
+        problem, size, cfg.init_mean, cfg.init_std, rng)
     velocities = np.zeros_like(positions)
     ev = yield positions
     evaluations = size

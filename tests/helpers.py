@@ -112,6 +112,12 @@ def small_problem(params: SystemParams = None,
     )
 
 
+def random_genomes(problem: LinkProblem, rng: np.random.Generator,
+                   count: int) -> np.ndarray:
+    """Uniform-random genomes (already adjusted), shape (count, dim)."""
+    return problem.adjust(rng.uniform(size=(int(count), problem.genome_size)))
+
+
 # ----------------------------------------------------------------------
 # Adapters: package parameter objects -> keyword dicts for the oracles
 # ----------------------------------------------------------------------

@@ -8,12 +8,19 @@ layout.  Tests compare the package against these second routes.
 The one exception is the per-point layout reference at the end: it is the
 package's earlier (B, N+1, 3) waypoint layout of the batch evaluation,
 kept to pin that the axis-by-axis layout gives the same bits.
+
+The geometry helpers and the Monte-Carlo channel sampler are numpy-based
+but import nothing from the package: they give the tests a norm-based
+route to hop lengths and speeds, and channel draws to average the
+closed-form rates against.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -312,6 +319,105 @@ def fitness_reference(objective: float, feasible: bool, worst: float,
     if penalty_mode == "safe":
         return PENALTY_SCALE_REF * (1.0 + float(worst))
     raise ValueError(f"unknown penalty mode: {penalty_mode!r}")
+
+
+# ----------------------------------------------------------------------
+# Mission geometry through np.linalg.norm
+# ----------------------------------------------------------------------
+#
+# The package computes distances and hop lengths coordinate by coordinate
+# inside its batch pass; these take a trajectory (anything with an
+# (N+1, 3) ``waypoints`` array) or plain points instead.
+
+def distance(a, b):
+    """Euclidean distance between 3-D points, or (..., 3) stacks (m)."""
+    d = np.linalg.norm(np.asarray(a, dtype=np.float64)
+                       - np.asarray(b, dtype=np.float64), axis=-1)
+    return float(d) if d.ndim == 0 else d
+
+
+def hop_lengths(traj) -> np.ndarray:
+    """Straight-line length of each slot's displacement, shape (N,) m."""
+    return np.linalg.norm(np.diff(traj.waypoints, axis=0), axis=1)
+
+
+def slot_speed(traj, i: int, slot_duration: float) -> float:
+    """Cruise speed (m/s) over the hop from waypoint ``i - 1`` to ``i``.
+
+    ``i`` counts slots from 1, as the paper does.
+    """
+    n_slots = traj.waypoints.shape[0] - 1
+    if not 1 <= i <= n_slots:
+        raise IndexError(f"slot index {i} out of range 1..{n_slots}")
+    if slot_duration <= 0.0:
+        raise ValueError("slot duration must be positive")
+    return distance(traj.waypoints[i], traj.waypoints[i - 1]) / slot_duration
+
+
+# ----------------------------------------------------------------------
+# Monte-Carlo channel sampler
+# ----------------------------------------------------------------------
+#
+# Draws of the station-to-tag channel whose ergodic rate the package's
+# closed forms stand in for; the Monte-Carlo tests average over them.
+
+@dataclass(eq=False)
+class ChannelSample:
+    """One Monte-Carlo draw of the station-to-tag channel coefficient."""
+
+    estimated: np.ndarray    # estimated coefficient (complex)
+    error: np.ndarray        # estimation error, unit-variance complex normal
+    realized: np.ndarray     # realized coefficient seen by the receiver
+    los: np.ndarray          # deterministic unit-modulus LoS component
+    nlos: np.ndarray         # scattered component, unit-variance complex normal
+    small_scale: np.ndarray  # unit-power small-scale factor (LoS/NLoS mix)
+
+
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Circularly-symmetric complex normal draws with unit variance."""
+    return (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ) / math.sqrt(2.0)
+
+
+def sample_channel(d, correlation, params, rng: np.random.Generator,
+                   size: Optional[int] = None) -> ChannelSample:
+    """Draw the station-to-tag channel coefficient at distance ``d`` (m).
+
+    The small-scale factor mixes a deterministic line-of-sight phasor
+    (phase set by the propagation delay) with a scattered component
+    according to the Rician factor; the realized coefficient degrades the
+    estimate through the time-selectivity ``correlation``.  ``params`` is
+    a :class:`uavbsc.model.SystemParams`.
+    """
+    d_arr = np.asarray(d, dtype=np.float64)
+    if d_arr.ndim != 0:
+        raise ValueError("sample_channel expects a scalar distance")
+    if not d_arr > 0.0:
+        raise ValueError("distances must be strictly positive")
+    shape = () if size is None else (int(size),)
+    wavelength = params.light_speed_mps / params.carrier_freq_hz
+    los_phase = -2.0 * math.pi * float(d_arr) / wavelength
+    los = np.full(shape, np.exp(1j * los_phase))
+    nlos = _complex_normal(rng, shape)
+    k = params.rician_factor
+    small_scale = (
+        math.sqrt(k / (1.0 + k)) * los + math.sqrt(1.0 / (1.0 + k)) * nlos
+    )
+    estimated = math.sqrt(
+        params.ref_gain * float(d_arr) ** (-params.path_loss_exp)
+    ) * small_scale
+    error = _complex_normal(rng, shape)
+    corr = float(np.asarray(correlation, dtype=np.float64))
+    realized = corr * estimated + math.sqrt(max(0.0, 1.0 - corr**2)) * error
+    return ChannelSample(
+        estimated=estimated,
+        error=error,
+        realized=realized,
+        los=los,
+        nlos=nlos,
+        small_scale=small_scale,
+    )
 
 
 # ----------------------------------------------------------------------

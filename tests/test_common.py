@@ -1,8 +1,15 @@
-"""The one best-so-far rule shared by every solver and the grid oracle."""
+"""The one best-so-far rule shared by every solver and the grid oracle,
+and the one initializer of both population-based solvers."""
 
 import numpy as np
 
-from uavbsc.common import STALL_TOL, GenerationRecord, Incumbent
+from uavbsc import ga, pso
+from uavbsc.common import (
+    STALL_TOL,
+    GenerationRecord,
+    Incumbent,
+    initial_population,
+)
 
 
 def _block(*rows):
@@ -102,3 +109,26 @@ def test_report_evaluates_the_incumbent_once(tiny_problem):
     assert report.last_improvement_generation == 0
     assert report.trace is best.trace
     assert report.config == {"k": 1}
+
+
+def test_initial_population_is_one_normal_draw_then_adjust(tiny_problem):
+    dim = tiny_problem.genome_size
+    for mean in (None, 0.3, np.linspace(0.0, 1.0, dim)):
+        got = initial_population(tiny_problem, 5, mean, 0.2,
+                                 np.random.default_rng(8))
+        centre = (tiny_problem.heuristic_mean() if mean is None
+                  else np.broadcast_to(mean, (dim,)))
+        want = tiny_problem.adjust(
+            np.random.default_rng(8).normal(centre, 0.2, size=(5, dim)))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_both_solvers_start_from_the_shared_initializer(tiny_problem):
+    want = initial_population(tiny_problem, 6, None, 0.2,
+                              np.random.default_rng(4))
+    first_ga = next(ga.steps(ga.GaConfig(population_size=6, seed=4),
+                             tiny_problem))
+    first_pso = next(pso.steps(pso.PsoConfig(swarm_size=6, seed=4),
+                               tiny_problem))
+    assert first_ga.tobytes() == want.tobytes()
+    assert first_pso.tobytes() == want.tobytes()

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import small_problem, small_system_params
 from uavbsc import ga
-from uavbsc.common import masked_gaussian_offsets
+from uavbsc.common import initial_population, masked_gaussian_offsets
 from uavbsc.ga import GaConfig
 
 
@@ -262,16 +262,15 @@ def test_mutate_output_is_clamped():
 
 def test_init_population_with_zero_std_repeats_the_mean():
     problem = small_problem()
-    cfg = small_cfg(population_size=6, init_std=0.0)
-    pop = ga.init_population(cfg, problem, np.random.default_rng(0))
+    pop = initial_population(problem, 6, None, 0.0, np.random.default_rng(0))
     assert np.array_equal(pop, np.tile(problem.heuristic_mean(), (6, 1)))
 
 
 def test_init_population_rejects_bad_mean_shape():
     problem = small_problem()
-    cfg = small_cfg(init_mean=np.zeros(problem.genome_size + 1))
     with pytest.raises(ValueError):
-        ga.init_population(cfg, problem, np.random.default_rng(0))
+        initial_population(problem, 6, np.zeros(problem.genome_size + 1),
+                           0.2, np.random.default_rng(0))
 
 
 def test_run_is_deterministic_per_seed():

@@ -1,9 +1,12 @@
-"""Physics layer: geometry, rates, energy, propulsion, channel sampling.
+"""Physics layer: geometry, rates, energy, propulsion.
 
 Expected values come from the scalar second-route implementations in
-``oracles.py`` or from hand-derived closed forms.
+``oracles.py`` or from hand-derived closed forms.  The norm-based
+geometry helpers and the Monte-Carlo channel sampler of ``oracles.py``
+are checked here too, and the sampler backs the closed-form rate.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +23,7 @@ from helpers import (
     small_system_params,
     uplink_kwargs,
 )
+from oracles import distance, hop_lengths, sample_channel, slot_speed
 from uavbsc.encoding import LinkProblem
 from uavbsc.model import (
     EULER_GAMMA,
@@ -28,14 +32,11 @@ from uavbsc.model import (
     Trajectory,
     as_position,
     as_time_split,
-    distance,
     doppler_factor,
     flying_power,
     harvested_energy_slot,
     rate_downlink,
     rate_uplink,
-    sample_channel,
-    slot_speed,
 )
 
 
@@ -81,7 +82,7 @@ def test_as_time_split_validates_range_shape_and_length():
 def test_trajectory_validation_and_hop_lengths():
     traj = Trajectory([[0, 0, 5], [3, 4, 5], [3, 4, 10]])
     assert traj.n_slots == 2
-    assert traj.hop_lengths().tolist() == [5.0, 5.0]
+    assert hop_lengths(traj).tolist() == [5.0, 5.0]
     with pytest.raises(ValueError):
         Trajectory([[0, 0, 5]])
     with pytest.raises(ValueError):
@@ -471,3 +472,37 @@ def test_sample_channel_scalar_size_returns_scalar_arrays():
     sample = sample_channel(10.0, 0.5, p, np.random.default_rng(3))
     assert np.ndim(sample.realized) == 0
     assert np.ndim(sample.small_scale) == 0
+
+
+# ----------------------------------------------------------------------
+# Closed-form rate against Monte-Carlo channel draws
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [5.0, 20.0, 60.0])
+def test_closed_form_uplink_rate_lower_bounds_monte_carlo_rate(
+        reference_problem, d):
+    # Jensen: E[log2(1 + c|h|^2)] >= log2(1 + c exp(E[ln|h|^2])), and for
+    # Rician |h|^2 of unit power E[ln|h|^2] >= -gamma, so the e^-gamma
+    # closed form sits below the ergodic rate of a perfectly known channel.
+    p = reference_problem.params
+    sample = sample_channel(d, 1.0, p, np.random.default_rng(11),
+                            size=400_000)
+    snr = (p.ref_gain * p.source_power_w * np.abs(sample.small_scale) ** 2
+           / (d ** p.path_loss_exp * p.noise_var_uplink_w))
+    rates = p.bandwidth_hz * np.log2(1.0 + snr)
+    se = float(np.std(rates)) / math.sqrt(rates.size)
+    assert rate_uplink(d, 1.0, p) < float(np.mean(rates)) - 5.0 * se
+
+
+def test_rayleigh_channel_log_power_mean_is_minus_euler_gamma(
+        reference_problem):
+    # With no LoS component |h|^2 is Exp(1), whose log has mean -gamma:
+    # the constant the closed-form rates are built on.
+    p = dataclasses.replace(reference_problem.params, rician_factor=0.0)
+    rng = np.random.default_rng(12)
+    log_power = np.concatenate([
+        np.log(np.abs(sample_channel(10.0, 1.0, p, rng,
+                                     size=250_000).small_scale) ** 2)
+        for _ in range(4)])
+    se = float(np.std(log_power)) / math.sqrt(log_power.size)
+    assert abs(float(np.mean(log_power)) + EULER_GAMMA) < 5.0 * se

@@ -1,5 +1,6 @@
 """Particle swarm operators, the inertia schedule, and end-to-end runs."""
 
+import copy
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from helpers import small_problem, small_system_params
 from uavbsc import pso
+from uavbsc.common import Incumbent
 from uavbsc.pso import IPSO_MUTATION_VARIANCE, PsoConfig
 
 
@@ -159,28 +161,75 @@ def test_update_position_moves_and_clamps():
 # Mutation pass
 # ----------------------------------------------------------------------
 
+def _solver_rng(loop):
+    """The generator a suspended ``pso.steps`` loop draws from."""
+    return loop.gi_frame.f_locals["rng"]
+
+
+def _first_iteration(cfg, problem):
+    """Step ``pso.steps`` by hand up to its iteration-1 position block.
+
+    Returns the loop, that block, its evaluation, and the row of the
+    incumbent after the personal-best refresh, recomputed outside.
+    """
+    loop = pso.steps(cfg, problem)
+    start = next(loop)
+    ev0 = problem.evaluate_batch(start)
+    positions = loop.send(ev0)
+    ev1 = problem.evaluate_batch(positions)
+    better = ev1.fitness < ev0.fitness
+    best = Incumbent()
+    best.offer(start, ev0.fitness, ev0.worst_violation)
+    best.offer(np.where(better[:, None], positions, start),
+               np.where(better, ev1.fitness, ev0.fitness),
+               np.where(better, ev1.worst_violation, ev0.worst_violation))
+    return loop, positions, ev1, best.index
+
+
 def test_ipso_mutate_replays_masked_offsets():
-    cfg = small_cfg(mutation_prob=0.4)
-    x = np.random.default_rng(60).uniform(size=(7, 5))
-    solver_rng = np.random.default_rng(61)
-    replay = np.random.default_rng(61)
-    out = pso.ipso_mutate(x, cfg, solver_rng)
-    mask = replay.uniform(size=x.shape) < cfg.mutation_prob
+    # The mutation block is adjust(positions + offsets) with the best
+    # row's offsets zeroed, restricted to the rows an offset moved.
+    problem = roomy_problem()
+    cfg = small_cfg(mutation_prob=0.4, swarm_size=7)
+    loop, positions, ev, best_row = _first_iteration(cfg, problem)
+    replay = copy.deepcopy(_solver_rng(loop))
+    mutants = loop.send(ev)
+    mask = replay.uniform(size=positions.shape) < cfg.mutation_prob
     offsets = replay.normal(0.0, math.sqrt(IPSO_MUTATION_VARIANCE),
-                            size=x.shape)
-    expected = np.clip(x + np.where(mask, offsets, 0.0), 0.0, 1.0)
-    assert np.array_equal(out, expected)
-    assert solver_rng.uniform() == replay.uniform()
+                            size=positions.shape)
+    offsets = np.where(mask, offsets, 0.0)
+    offsets[best_row] = 0.0
+    moved = np.any(offsets != 0.0, axis=1)
+    assert 0 < np.count_nonzero(moved) < cfg.swarm_size
+    expected = problem.adjust(positions + offsets)[moved]
+    assert mutants.tobytes() == expected.tobytes()
+    assert _solver_rng(loop).bit_generator.state == replay.bit_generator.state
 
 
 def test_ipso_mutate_is_inert_for_plain_variant():
-    x = np.random.default_rng(62).uniform(size=(3, 4))
-    for cfg in (small_cfg(variant="pso"), small_cfg(mutation_prob=0.0)):
-        r0, r1 = np.random.default_rng(63), np.random.default_rng(63)
-        out = pso.ipso_mutate(x, cfg, r0)
-        assert np.array_equal(out, x)
-        assert out is not x  # defensive copy, never an alias
-        assert r0.uniform() == r1.uniform()  # no randomness consumed
+    # Without the mutation pass every iteration yields one swarm block
+    # and draws nothing beyond its two velocity pulls.
+    problem = roomy_problem()
+    for cfg in (small_cfg(variant="pso", iterations=5),
+                small_cfg(mutation_prob=0.0, iterations=5)):
+        loop = pso.steps(cfg, problem)
+        block = next(loop)
+        blocks = 1
+        while True:
+            replay = copy.deepcopy(_solver_rng(loop))
+            try:
+                block = loop.send(problem.evaluate_batch(block))
+            except StopIteration as stop:
+                report = stop.value
+                break
+            blocks += 1
+            assert block.shape == (cfg.swarm_size, problem.genome_size)
+            replay.uniform(size=block.shape)
+            replay.uniform(size=block.shape)
+            assert (_solver_rng(loop).bit_generator.state
+                    == replay.bit_generator.state)
+        assert blocks == cfg.iterations + 1
+        assert report.evaluations == blocks * cfg.swarm_size
 
 
 # ----------------------------------------------------------------------
