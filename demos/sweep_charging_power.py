@@ -5,7 +5,7 @@ two seeds each, improved swarm only.  More charging power loosens the
 energy constraint, so the median achieved rate must not drop as the
 sweep ascends.
 
-Run from the repository root (takes ~10 seconds):
+Run from the repository root (takes about a second):
 
     python3 demos/sweep_charging_power.py
 """
@@ -22,8 +22,8 @@ spec = SweepSpec(
     budget=4000,
 )
 
-print(f"sweeping {spec.parameter} over {list(spec.values)} "
-      f"({len(list(spec.seeds))} seeds each, budget {spec.budget})\n")
+print(f"sweeping {spec.parameter} over {spec.values} "
+      f"({len(spec.seeds)} seeds each, budget {spec.budget})\n")
 points = run_sweep(scenario, spec, workers=2)
 
 print("value   solver  feasible  median rate   best rate")

@@ -1,17 +1,18 @@
 """Benchmark harness: seeded runs, campaigns, sweeps, baselines, export.
 
 Everything here is deterministic given (scenario, solver, seed, budget):
-each run owns a single seeded generator, and a campaign steps its runs
-in lockstep groups whose stacked evaluations are row-wise, so a run's
-results do not depend on which runs share its group.  Worker processes
-only ever take whole groups, and results are collected in task order.
-Artifacts therefore compare equal bit for bit at any worker count once
-wall-clock fields are stripped.
+each run owns a single seeded generator, and campaigns and sweeps step
+their runs in lockstep groups whose stacked evaluations are row-wise, so
+a run's results do not depend on which runs share its group.  Worker
+processes take contiguous slices of the run list, and results are
+collected in run order.  Artifacts therefore compare equal bit for bit
+at any worker count once wall-clock fields are stripped.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -167,10 +168,6 @@ def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
     ]
 
 
-def _group_task(args) -> List[RunArtifact]:
-    return _run_group(*args)
-
-
 def run_single(scenario: ScenarioConfig, solver: str, seed: int,
                budget: Optional[int] = None, callback=None) -> RunArtifact:
     """Run one solver once on a scenario and package the result."""
@@ -188,39 +185,72 @@ def _as_solver_list(solvers) -> List[str]:
     return names
 
 
+def _run_slice(runs: Sequence[tuple], budget: Optional[int]) -> list:
+    """One result per ``(scenario, solver, seed)`` run, in run order.
+
+    Each maximal stretch of runs on the same scenario object and solver
+    is one lockstep group.  A group that raises ``ConfigError`` or
+    ``ValueError`` gives each of its runs that exception, not an artifact,
+    and so do the later groups on that scenario, which are not run: one
+    failed run fails its whole campaign or swept value.
+    """
+    results, failed = [], {}
+    for (scenario, solver), stretch in itertools.groupby(
+            runs, key=lambda run: run[:2]):
+        seeds = [seed for _, _, seed in stretch]
+        if scenario not in failed:
+            try:
+                results += _run_group(scenario, solver, seeds, budget)
+                continue
+            except (ConfigError, ValueError) as exc:
+                failed[scenario] = exc
+        results += [failed[scenario]] * len(seeds)
+    return results
+
+
+def _execute(runs: Sequence[tuple], budget: Optional[int],
+             workers: int) -> list:
+    """Run every ``(scenario, solver, seed)``; see :func:`_run_slice`.
+
+    ``min(workers, len(runs))`` contiguous slices of near-equal size run
+    in this process (one slice) or as the tasks of one process pool.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    n_slices = min(workers, len(runs))
+    if n_slices <= 1:
+        return _run_slice(runs, budget)
+    cuts = [len(runs) * k // n_slices for k in range(n_slices + 1)]
+    parts = [runs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(max_workers=n_slices) as pool:
+        done = pool.map(_run_slice, parts, itertools.repeat(budget))
+        return [result for part in done for result in part]
+
+
 def run_campaign(scenario: ScenarioConfig, solvers, seeds: Sequence[int],
                  budget: Optional[int] = None,
                  workers: int = 1) -> List[RunArtifact]:
     """One run per (solver, seed), in solver-major then seed order.
 
     ``solvers`` is a name or a list of names; every run gets the same
-    evaluation budget, so campaigns compare solvers fairly.  Each
-    solver's seeds are dealt into ``min(workers, len(seeds))``
-    contiguous groups, and each group's runs step in lockstep with one
-    stacked evaluation per step.  With one worker the groups run in this
-    process, otherwise as tasks of a process pool.  Every run is seeded
-    independently and evaluation is row-wise, so the artifacts are
-    identical whatever the worker count.
+    evaluation budget, so campaigns compare solvers fairly.  Runs are
+    dealt to workers in contiguous slices, and a slice's runs of one
+    solver step in lockstep with one stacked evaluation per step (see
+    :func:`_execute`).  Every run is seeded independently and evaluation
+    is row-wise, so the artifacts are identical whatever the worker
+    count.  The first failed run's exception is raised.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     names = _as_solver_list(solvers)
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise ValueError("at least one seed is required")
-    n_groups = min(workers, len(seeds))
-    cuts = [len(seeds) * g // n_groups for g in range(n_groups + 1)]
-    tasks = [
-        (scenario, solver, seeds[lo:hi], budget)
-        for solver in names
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
-    if workers == 1 or len(tasks) <= 1:
-        groups = list(map(_group_task, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_group_task, tasks))
-    return [artifact for group in groups for artifact in group]
+    results = _execute([(scenario, solver, seed)
+                        for solver in names for seed in seeds],
+                       budget, workers)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def campaign_to_dict(artifacts: Sequence[RunArtifact],
@@ -289,9 +319,11 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.parameter:
             raise ValueError("sweep needs a parameter name")
-        if len(list(self.values)) == 0:
+        self.values = list(self.values)
+        if not self.values:
             raise ValueError("sweep needs at least one value")
-        if len(list(self.seeds)) == 0:
+        self.seeds = [int(seed) for seed in self.seeds]
+        if not self.seeds:
             raise ValueError("sweep needs at least one seed")
         self.solvers = _as_solver_list(self.solvers)
 
@@ -319,27 +351,38 @@ class SweepPoint:
         return float(np.median(self.rates_bps(solver)))
 
     def solvers(self) -> List[str]:
-        seen = []
-        for a in self.artifacts:
-            if a.solver not in seen:
-                seen.append(a.solver)
-        return seen
+        return list(dict.fromkeys(a.solver for a in self.artifacts))
 
 
 def run_sweep(scenario: ScenarioConfig, spec: SweepSpec,
               workers: int = 1) -> List[SweepPoint]:
-    """Campaign per swept value; one bad value never kills the sweep."""
+    """Every (value, solver, seed) run, dealt like a campaign's.
+
+    One pool serves the whole sweep.  One bad value never kills it: a
+    value that fails to load, or whose runs fail, keeps the first error
+    and no artifacts.
+    """
     points: List[SweepPoint] = []
+    runs = []
     for value in spec.values:
         point = SweepPoint(parameter=spec.parameter, value=value)
         try:
             varied = scenario.with_value(spec.parameter, value)
-            point.artifacts = run_campaign(
-                varied, spec.solvers, spec.seeds,
-                budget=spec.budget, workers=workers)
         except (ConfigError, ValueError) as exc:
             point.error = str(exc)
+        else:
+            runs += [(varied, solver, seed)
+                     for solver in spec.solvers for seed in spec.seeds]
         points.append(point)
+    results = iter(_execute(runs, spec.budget, workers))
+    per_point = len(spec.solvers) * len(spec.seeds)
+    for point in points:
+        if point.error is not None:
+            continue
+        point.artifacts = list(itertools.islice(results, per_point))
+        failed = [r for r in point.artifacts if isinstance(r, Exception)]
+        if failed:
+            point.error, point.artifacts = str(failed[0]), []
     return points
 
 
@@ -353,19 +396,15 @@ def sweep_rows(points: Sequence[SweepPoint],
     rows = []
     for point in points:
         if point.error is not None:
-            row = {
+            rows.append({
                 "parameter": point.parameter, "value": point.value,
                 "seed": "", "solver": "", "feasible": "",
                 "rate_bps": "", "fitness": "",
                 "evaluations": "", "last_improvement_generation": "",
                 "wall_clock_s": "", "error": point.error,
-            }
-            if not include_timing:
-                del row["wall_clock_s"]
-            rows.append(row)
-            continue
+            })
         for art in point.artifacts:
-            row = {
+            rows.append({
                 "parameter": point.parameter, "value": point.value,
                 "seed": art.seed, "solver": art.solver,
                 "feasible": art.report.feasible,
@@ -376,10 +415,10 @@ def sweep_rows(points: Sequence[SweepPoint],
                     art.report.last_improvement_generation,
                 "wall_clock_s": art.wall_clock_s,
                 "error": "",
-            }
-            if not include_timing:
-                del row["wall_clock_s"]
-            rows.append(row)
+            })
+    if not include_timing:
+        for row in rows:
+            del row["wall_clock_s"]
     return rows
 
 
@@ -399,7 +438,6 @@ def sweep_summary(points: Sequence[SweepPoint]) -> List[dict]:
                 "median_rate_bps": "", "best_rate_bps": "",
                 "error": point.error,
             })
-            continue
         for solver in point.solvers():
             arts = [a for a in point.artifacts if a.solver == solver]
             rates = point.rates_bps(solver)

@@ -2,9 +2,7 @@
 
 import copy
 import json
-import math
 
-import numpy as np
 import pytest
 
 from helpers import REFERENCE_CONFIG, TINY_CONFIG

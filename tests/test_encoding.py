@@ -240,6 +240,32 @@ def test_always_active_split_breaks_energy_balance(reference_problem):
     assert report.worst_violation > 0.0
 
 
+@pytest.mark.parametrize("name", ["tiny_problem", "reference_problem"])
+def test_literal_mode_makes_a_zero_split_optimal(request, name):
+    # Under literal weighting the split reads only into the energy
+    # balance, where it costs harvest and adds consumption, so zeroing
+    # every split gene keeps the rate and never loses feasibility.
+    problem = request.getfixturevalue(name)
+    assert problem.rate_weighting == "literal"
+    rng = np.random.default_rng(20261018)
+    near = problem.heuristic_mean() + rng.normal(
+        0.0, 0.03, size=(40, problem.genome_size))
+    near[:, problem.split_offset:] = rng.uniform(size=(40, problem.n_slots))
+    genomes = np.vstack([problem.adjust(near),
+                         random_genomes(problem, rng, 40)])
+    feasible = 0
+    for genome in genomes:
+        zeroed = genome.copy()
+        zeroed[problem.split_offset:] = 0.0
+        before, after = problem.evaluate(genome), problem.evaluate(zeroed)
+        assert after.objective_bps == before.objective_bps
+        assert after.report.margins["energy"] >= \
+            before.report.margins["energy"]
+        assert after.report.feasible or not before.report.feasible
+        feasible += before.report.feasible
+    assert feasible >= 10
+
+
 def test_check_constraints_flags_moved_endpoints(reference_problem):
     genome = reference_problem.heuristic_mean()
     traj, split = reference_problem.decode(genome)

@@ -10,10 +10,8 @@ import pytest
 from helpers import small_problem, small_system_params
 from uavbsc import harness
 from uavbsc.common import SolverReport
-from uavbsc.config import ConfigError
 from uavbsc.ga import GaConfig
 from uavbsc.harness import (
-    GridResult,
     SweepSpec,
     convergence_speed,
     export_solution,
@@ -215,6 +213,16 @@ def test_sweep_spec_validation():
     assert spec.solvers == ["random"]
 
 
+def test_sweep_spec_keeps_one_shot_iterables(tiny_scenario):
+    spec = SweepSpec("system.wpt_power_db", iter([30, 33]), ["random"],
+                     iter([0, 1]), 64)
+    assert spec.values == [30, 33]
+    assert spec.seeds == [0, 1]
+    points = run_sweep(tiny_scenario, spec)
+    assert [p.error for p in points] == [None, None]
+    assert [[a.seed for a in p.artifacts] for p in points] == [[0, 1], [0, 1]]
+
+
 def test_run_sweep_isolates_bad_values(tiny_scenario):
     spec = SweepSpec(parameter="system.slot_count", values=[2, 0],
                      solvers=["random"], seeds=[0], budget=64)
@@ -226,6 +234,74 @@ def test_run_sweep_isolates_bad_values(tiny_scenario):
     assert bad.error is not None
     assert "slot_count" in bad.error
     assert bad.artifacts == []
+
+
+GA_SIZES = [{"population_size": 10},
+            {"population_size": 500},   # cannot fit the budget: fails at run time
+            {"population_size": 0}]     # out of range: fails at load
+
+
+def untimed(points):
+    return [(p.value, p.error, [a.to_dict(include_timing=False)
+                                for a in p.artifacts]) for p in points]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_sweep_equals_one_campaign_per_value(tiny_scenario, workers):
+    solvers, seeds = ["ga", "random"], [0, 1, 2]
+    expected = []
+    for value in GA_SIZES:
+        try:
+            varied = tiny_scenario.with_value("solvers.ga", value)
+            arts = run_campaign(varied, solvers, seeds, budget=200, workers=1)
+            expected.append((value, None, [a.to_dict(include_timing=False)
+                                           for a in arts]))
+        except ValueError as exc:
+            expected.append((value, str(exc), []))
+    assert [error is None for _, error, _ in expected] == [True, False, False]
+    spec = SweepSpec("solvers.ga", GA_SIZES, solvers, seeds, budget=200)
+    assert untimed(run_sweep(tiny_scenario, spec, workers=workers)) == expected
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Count the process pools the harness creates."""
+    created = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    return created
+
+
+@pytest.mark.parametrize("workers, most", [(1, 0), (2, 1), (3, 1)])
+def test_a_call_creates_at_most_one_pool(tiny_scenario, pools, workers, most):
+    spec = SweepSpec("system.wpt_power_db", [30, 33, 36], ["random", "ipso"],
+                     [0, 1], budget=100)
+    run_sweep(tiny_scenario, spec, workers=workers)
+    assert len(pools) == most
+    run_campaign(tiny_scenario, ["random", "ipso"], [0, 1, 2], budget=100,
+                 workers=workers)
+    assert len(pools) == 2 * most
+
+
+def test_a_failed_campaign_run_raises_its_error(tiny_scenario, monkeypatch):
+    varied = tiny_scenario.with_value("solvers.ga", {"population_size": 500})
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="cannot fit one population"):
+            run_campaign(varied, ["random", "ga"], [0, 1], budget=200,
+                         workers=workers)
+    # In process, the groups after the failed one are never run.
+    solvers_run = []
+    run_group = harness._run_group
+    monkeypatch.setattr(harness, "_run_group", lambda *args: (
+        solvers_run.append(args[1]), run_group(*args))[1])
+    with pytest.raises(ValueError, match="cannot fit one population"):
+        run_campaign(varied, ["random", "ga", "ipso"], [0, 1], budget=200)
+    assert solvers_run == ["random", "ga"]
 
 
 def test_sweep_point_medians_count_infeasible_as_zero(tiny_scenario):
