@@ -34,6 +34,7 @@ from .harness import (
     sweep_rows,
     sweep_summary,
     write_csv,
+    write_json,
 )
 
 __all__ = ["main"]
@@ -149,10 +150,7 @@ def _cmd_run(args) -> int:
     scenario = ScenarioConfig.load(args.config)
     artifact = run_single(scenario, args.solver, args.seed, budget=args.budget)
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(artifact.to_dict(include_timing=not args.no_timing),
-                       indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        write_json(args.out, artifact.to_dict(include_timing=not args.no_timing))
     rep = artifact.report
     print(
         f"run scenario={scenario.name} solver={artifact.solver} "
@@ -165,6 +163,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = ScenarioConfig.load(args.config)
     solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
+    if not solvers:
+        raise _CliError(EXIT_USAGE, "usage", "--solver must list at least one solver")
     for name in solvers:
         if name not in SOLVER_NAMES:
             raise _CliError(
@@ -207,8 +207,7 @@ def _cmd_sweep(args) -> int:
             for point in points
         ],
     }
-    (out_dir / "sweep.json").write_text(
-        json.dumps(dump, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out_dir / "sweep.json", dump)
 
     for row in sweep_summary(points):
         if row["error"]:
@@ -231,9 +230,7 @@ def _cmd_oracle(args) -> int:
             "scenario_hash": scenario.scenario_hash(),
             **result.to_dict(),
         }
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        write_json(args.out, payload)
     print(
         f"oracle scenario={scenario.name} resolution={result.resolution} "
         f"points={result.points_evaluated} feasible={result.feasible} "
@@ -245,10 +242,7 @@ def _cmd_baseline(args) -> int:
     scenario = ScenarioConfig.load(args.config)
     artifact = run_single(scenario, "random", args.seed, budget=args.budget)
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(artifact.to_dict(include_timing=not args.no_timing),
-                       indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        write_json(args.out, artifact.to_dict(include_timing=not args.no_timing))
     rep = artifact.report
     print(
         f"baseline scenario={scenario.name} seed={artifact.seed} "

@@ -15,12 +15,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .encoding import LinkProblem
+from .encoding import PENALTY_MODES, RATE_WEIGHTINGS, LinkProblem
 from .ga import GaConfig
 from .model import PropulsionParams, RotorConstants, SystemParams
 from .pso import PsoConfig
@@ -47,31 +48,35 @@ def dbm_to_watt(value_dbm: float) -> float:
     return 1.0e-3 * 10.0 ** (value_dbm / 10.0)
 
 
-# Schema: required keys per section and their value checkers.
+# Schema: the keys of each section and the type each value takes.
 _NUMBER = (int, float)
+_NUMBER_OR_NULL = (int, float, type(None))
 
-_SYSTEM_KEYS = {
-    "bandwidth_hz": _NUMBER,
-    "reference_gain_db": _NUMBER,
-    "path_loss_exponent": _NUMBER,
-    "harvest_efficiency": _NUMBER,
-    "source_power_dbm": _NUMBER,
-    "wpt_power_db": _NUMBER,
-    "tag_tx_power_dbm": _NUMBER,
-    "tag_circuit_power_dbm": _NUMBER,
-    "backscatter_coefficient": _NUMBER,
-    "cached_fraction": _NUMBER,
-    "demanded_rate_bps": _NUMBER,
-    "noise_uplink_dbm": _NUMBER,
-    "noise_downlink_dbm": _NUMBER,
-    "noise_estimation_dbm": _NUMBER,
-    "rician_factor_db": _NUMBER,
-    "carrier_frequency_hz": _NUMBER,
-    "sampling_time_s": _NUMBER,
-    "mission_time_s": _NUMBER,
-    "slot_count": int,
-    "max_speed_mps": _NUMBER,
+# Each system key -> (SystemParams field, conversion from the file's unit).
+_SYSTEM_FIELDS = {
+    "bandwidth_hz": ("bandwidth_hz", float),
+    "reference_gain_db": ("ref_gain", db_to_linear),
+    "path_loss_exponent": ("path_loss_exp", float),
+    "harvest_efficiency": ("harvest_eff", float),
+    "source_power_dbm": ("source_power_w", dbm_to_watt),
+    "wpt_power_db": ("wpt_power_w", db_to_linear),
+    "tag_tx_power_dbm": ("ub_tx_power_w", dbm_to_watt),
+    "tag_circuit_power_dbm": ("backscatter_circuit_power_w", dbm_to_watt),
+    "backscatter_coefficient": ("backscatter_coeff", float),
+    "cached_fraction": ("cached_fraction", float),
+    "demanded_rate_bps": ("demanded_rate_bps", float),
+    "noise_uplink_dbm": ("noise_var_uplink_w", dbm_to_watt),
+    "noise_downlink_dbm": ("noise_var_downlink_w", dbm_to_watt),
+    "noise_estimation_dbm": ("noise_var_estimation_w", dbm_to_watt),
+    "rician_factor_db": ("rician_factor", db_to_linear),
+    "carrier_frequency_hz": ("carrier_freq_hz", float),
+    "sampling_time_s": ("sampling_time_s", float),
+    "mission_time_s": ("mission_time_s", float),
+    "slot_count": ("slot_count", int),
+    "max_speed_mps": ("max_speed_mps", float),
 }
+_SYSTEM_KEYS = {key: int if convert is int else _NUMBER
+                for key, (_, convert) in _SYSTEM_FIELDS.items()}
 _SYSTEM_OPTIONAL = {
     "light_speed_mps": _NUMBER,
 }
@@ -87,27 +92,6 @@ _GEOMETRY_KEYS = {
     "arena_z_m": list,
 }
 
-_PROPULSION_DERIVED_KEYS = {
-    "profile_power_w": _NUMBER,
-    "induced_power_w": _NUMBER,
-    "profile_speed_factor": _NUMBER,
-    "induced_speed_factor": _NUMBER,
-    "parasite_drag_factor": _NUMBER,
-}
-
-_ROTOR_KEYS = {
-    "profile_drag_coeff": _NUMBER,
-    "air_density_kgm3": _NUMBER,
-    "rotor_solidity": _NUMBER,
-    "disc_area_m2": _NUMBER,
-    "blade_angular_velocity_rad_s": _NUMBER,
-    "rotor_radius_m": _NUMBER,
-    "induced_power_factor": _NUMBER,
-    "aircraft_weight_n": _NUMBER,
-    "fuselage_drag_coeff": _NUMBER,
-    "mean_induced_velocity_ms": _NUMBER,
-}
-
 _MODE_DEFAULTS = {
     "penalty_mode": "safe",
     "rate_weighting": "literal",
@@ -115,7 +99,13 @@ _MODE_DEFAULTS = {
     "fixed_altitude": True,
 }
 
-_SOLVER_SECTIONS = ("ga", "ipso", "pso")
+# The config each solver section builds; the variant of a swarm comes
+# from its section name.
+SOLVER_CONFIGS = {
+    "ga": GaConfig,
+    "ipso": partial(PsoConfig, variant="ipso"),
+    "pso": partial(PsoConfig, variant="pso"),
+}
 
 # Solver config fields a scenario file cannot override: seed and budget
 # come from the harness call, the variant from the section name, and
@@ -123,35 +113,53 @@ _SOLVER_SECTIONS = ("ga", "ipso", "pso")
 _NOT_OVERRIDABLE = ("seed", "max_evaluations", "init_mean", "variant")
 
 
-def _override_keys(config_cls) -> dict:
-    """Overridable fields of a solver config: name -> (type, null allowed)."""
-    hints = get_type_hints(config_cls)
-    return {f.name: (int if hints[f.name] is int else _NUMBER,
-                     type(None) in get_args(hints[f.name]))
-            for f in fields(config_cls) if f.name not in _NOT_OVERRIDABLE}
+def _field_types(cls, skip=()) -> dict:
+    """Scenario keys of a dataclass's fields -> the type their values take.
+
+    An ``int`` field takes an integer, an ``Optional`` one a number or
+    null, and every other field a number.
+    """
+    hints = get_type_hints(cls)
+    return {f.name: int if hints[f.name] is int
+            else _NUMBER_OR_NULL if type(None) in get_args(hints[f.name])
+            else _NUMBER
+            for f in fields(cls) if f.name not in skip}
 
 
-_GA_OVERRIDE_KEYS = _override_keys(GaConfig)
-_PSO_OVERRIDE_KEYS = _override_keys(PsoConfig)
+_PROPULSION_KEYS = _field_types(PropulsionParams, skip=("rotor",))
+_ROTOR_KEYS = _field_types(RotorConstants)
+_OVERRIDE_KEYS = {name: _field_types(getattr(make, "func", make), _NOT_OVERRIDABLE)
+                  for name, make in SOLVER_CONFIGS.items()}
 
 
-def _check_section(problems, data, section, required, optional=None):
-    block = data.get(section)
-    if block is None:
-        problems.append(f"missing section {section!r}")
-        return {}
+def _check_section(problems, data, label, required, optional=None):
+    """Check the object ``data`` holds under the last part of ``label``.
+
+    Records every unknown key, missing key and bad value under the dotted
+    ``label``; a key whose type is a dict names a nested object, checked
+    the same way.  Returns the block, or {} when it is not an object.
+    """
+    block = data.get(label.rpartition(".")[2])
     if not isinstance(block, dict):
-        problems.append(f"section {section!r} must be an object")
+        if "." in label:
+            problems.append(f"{label} must be an object")
+        elif block is None:
+            problems.append(f"missing section {label!r}")
+        else:
+            problems.append(f"section {label!r} must be an object")
         return {}
     optional = optional or {}
     for key in block:
         if key not in required and key not in optional:
-            problems.append(f"unknown key {section}.{key}")
+            problems.append(f"unknown key {label}.{key}")
     for key, typ in {**required, **optional}.items():
-        if key in block:
-            _check_value(problems, f"{section}.{key}", block[key], typ)
-        elif key in required:
-            problems.append(f"missing key {section}.{key}")
+        if key not in block:
+            if key in required:
+                problems.append(f"missing key {label}.{key}")
+        elif isinstance(typ, dict):
+            _check_section(problems, block, f"{label}.{key}", typ)
+        else:
+            _check_value(problems, f"{label}.{key}", block[key], typ)
     return block
 
 
@@ -171,13 +179,7 @@ def _check_value(problems, label, value, typ=_NUMBER) -> bool:
 
 
 def _type_name(typ) -> str:
-    if typ is _NUMBER:
-        return "number"
-    if typ is int:
-        return "integer"
-    if typ is list:
-        return "list"
-    return getattr(typ, "__name__", str(typ))
+    return {int: "integer", list: "list"}.get(typ, "number")
 
 
 def _check_pair(problems, block, section, key, ordered=False):
@@ -265,46 +267,9 @@ class ScenarioConfig:
 
         # Propulsion: either the derived coefficients or raw rotor constants.
         propulsion_block = data.get("propulsion")
-        rotor = None
-        derived = None
-        if not isinstance(propulsion_block, dict):
-            problems.append("missing section 'propulsion'")
-            propulsion_block = {}
-        elif "rotor" in propulsion_block:
-            for key in propulsion_block:
-                if key != "rotor":
-                    problems.append(f"unknown key propulsion.{key}")
-            rotor_block = propulsion_block["rotor"]
-            if not isinstance(rotor_block, dict):
-                problems.append("propulsion.rotor must be an object")
-            else:
-                for key in rotor_block:
-                    if key not in _ROTOR_KEYS:
-                        problems.append(f"unknown key propulsion.rotor.{key}")
-                missing = [k for k in _ROTOR_KEYS if k not in rotor_block]
-                for key in missing:
-                    problems.append(f"missing key propulsion.rotor.{key}")
-                valid = [_check_value(problems, f"propulsion.rotor.{k}",
-                                      rotor_block[k])
-                         for k in _ROTOR_KEYS if k in rotor_block]
-                if not missing and all(valid):
-                    rotor = {k: float(rotor_block[k]) for k in _ROTOR_KEYS}
-        else:
-            for key in propulsion_block:
-                if key not in _PROPULSION_DERIVED_KEYS:
-                    problems.append(f"unknown key propulsion.{key}")
-            missing = [k for k in _PROPULSION_DERIVED_KEYS
-                       if k not in propulsion_block]
-            for key in missing:
-                problems.append(f"missing key propulsion.{key}")
-            valid = [_check_value(problems, f"propulsion.{k}",
-                                  propulsion_block[k])
-                     for k in _PROPULSION_DERIVED_KEYS if k in propulsion_block]
-            if not missing and all(valid):
-                derived = {
-                    k: float(propulsion_block[k])
-                    for k in _PROPULSION_DERIVED_KEYS
-                }
+        rotor_form = isinstance(propulsion_block, dict) and "rotor" in propulsion_block
+        _check_section(problems, data, "propulsion",
+                       {"rotor": _ROTOR_KEYS} if rotor_form else _PROPULSION_KEYS)
 
         # Modes.
         modes_block = data.get("modes", {})
@@ -317,20 +282,16 @@ class ScenarioConfig:
                 problems.append(f"unknown key modes.{key}")
             else:
                 modes[key] = value
-        if modes["penalty_mode"] not in ("safe", "paper"):
-            problems.append(
-                f"modes.penalty_mode must be 'safe' or 'paper' "
-                f"(got {modes['penalty_mode']!r})")
-        if modes["rate_weighting"] not in ("literal", "delta"):
-            problems.append(
-                f"modes.rate_weighting must be 'literal' or 'delta' "
-                f"(got {modes['rate_weighting']!r})")
+        for key, choices in (("penalty_mode", PENALTY_MODES),
+                             ("rate_weighting", RATE_WEIGHTINGS)):
+            if modes[key] not in choices:
+                allowed = " or ".join(map(repr, choices))
+                problems.append(f"modes.{key} must be {allowed} (got {modes[key]!r})")
         for key in ("lambda1_literal", "fixed_altitude"):
             if not isinstance(modes[key], bool):
                 problems.append(f"modes.{key} must be a boolean")
-        if modes["lambda1_literal"] and rotor is None and isinstance(
-            data.get("propulsion"), dict
-        ) and "rotor" not in data["propulsion"]:
+        if modes["lambda1_literal"] and isinstance(propulsion_block, dict) \
+                and not rotor_form:
             problems.append(
                 "modes.lambda1_literal requires propulsion given as rotor constants")
 
@@ -341,82 +302,46 @@ class ScenarioConfig:
             solvers_block = {}
         overrides = {}
         for section, block in solvers_block.items():
-            if section not in _SOLVER_SECTIONS:
+            if section not in SOLVER_CONFIGS:
                 problems.append(f"unknown key solvers.{section}")
                 continue
-            if not isinstance(block, dict):
-                problems.append(f"solvers.{section} must be an object")
-                continue
-            allowed = (_GA_OVERRIDE_KEYS if section == "ga"
-                       else _PSO_OVERRIDE_KEYS)
             typed = len(problems)
-            for key, value in block.items():
-                if key not in allowed:
-                    problems.append(f"unknown key solvers.{section}.{key}")
-                elif not (allowed[key][1] and value is None):
-                    _check_value(problems, f"solvers.{section}.{key}", value,
-                                 allowed[key][0])
+            _check_section(problems, solvers_block, f"solvers.{section}", {},
+                           _OVERRIDE_KEYS[section])
             if len(problems) == typed:
                 # The range rules live in the solver configs.  Each of their
                 # "invalid ... config: a; b" items starts with its key.
                 try:
-                    if section == "ga":
-                        GaConfig(**block)
-                    else:
-                        PsoConfig(variant=section, **block)
+                    SOLVER_CONFIGS[section](**block)
                 except ValueError as err:
                     items = str(err).split(": ", 1)[1].split("; ")
                     problems.extend(f"solvers.{section}.{item}" for item in items)
-            overrides[section] = dict(block)
+                overrides[section] = dict(block)
 
         if problems:
             raise ConfigError(
                 "invalid scenario: " + "; ".join(sorted(problems)))
 
         # Unit conversions and typed parameter construction.
-        sys_kwargs = dict(
-            bandwidth_hz=float(system_block["bandwidth_hz"]),
-            ref_gain=db_to_linear(float(system_block["reference_gain_db"])),
-            path_loss_exp=float(system_block["path_loss_exponent"]),
-            harvest_eff=float(system_block["harvest_efficiency"]),
-            source_power_w=dbm_to_watt(float(system_block["source_power_dbm"])),
-            wpt_power_w=db_to_linear(float(system_block["wpt_power_db"])),
-            ub_tx_power_w=dbm_to_watt(float(system_block["tag_tx_power_dbm"])),
-            backscatter_circuit_power_w=dbm_to_watt(
-                float(system_block["tag_circuit_power_dbm"])),
-            backscatter_coeff=float(system_block["backscatter_coefficient"]),
-            cached_fraction=float(system_block["cached_fraction"]),
-            demanded_rate_bps=float(system_block["demanded_rate_bps"]),
-            noise_var_uplink_w=dbm_to_watt(float(system_block["noise_uplink_dbm"])),
-            noise_var_downlink_w=dbm_to_watt(
-                float(system_block["noise_downlink_dbm"])),
-            noise_var_estimation_w=dbm_to_watt(
-                float(system_block["noise_estimation_dbm"])),
-            rician_factor=db_to_linear(float(system_block["rician_factor_db"])),
-            carrier_freq_hz=float(system_block["carrier_frequency_hz"]),
-            sampling_time_s=float(system_block["sampling_time_s"]),
-            mission_time_s=float(system_block["mission_time_s"]),
-            slot_count=int(system_block["slot_count"]),
-            altitude_m=float(geometry_block["altitude_m"]),
-            max_speed_mps=float(system_block["max_speed_mps"]),
-            bounds_m=(pairs["arena_x_m"], pairs["arena_y_m"], pairs["arena_z_m"]),
-        )
+        sys_kwargs = {name: convert(system_block[key])
+                      for key, (name, convert) in _SYSTEM_FIELDS.items()}
         if "light_speed_mps" in system_block:
             sys_kwargs["light_speed_mps"] = float(system_block["light_speed_mps"])
         try:
-            system = SystemParams(**sys_kwargs)
+            system = SystemParams(
+                **sys_kwargs, altitude_m=float(geometry_block["altitude_m"]),
+                bounds_m=(pairs["arena_x_m"], pairs["arena_y_m"], pairs["arena_z_m"]))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
+        coefficients = {key: float(value) for key, value in (
+            propulsion_block["rotor"] if rotor_form else propulsion_block).items()}
         try:
-            if rotor is not None:
-                propulsion = PropulsionParams.from_rotor(
-                    RotorConstants(**rotor),
-                    slot_duration=system.slot_duration_s,
-                    literal_profile_scaling=bool(modes["lambda1_literal"]),
-                )
-            else:
-                propulsion = PropulsionParams(**derived)
+            propulsion = PropulsionParams.from_rotor(
+                RotorConstants(**coefficients),
+                slot_duration=system.slot_duration_s,
+                literal_profile_scaling=bool(modes["lambda1_literal"]),
+            ) if rotor_form else PropulsionParams(**coefficients)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -429,14 +354,10 @@ class ScenarioConfig:
         canonical = {
             "schema_version": 1,
             "name": name,
-            "system": {
-                **{k: system_block[k] for k in _SYSTEM_KEYS},
-                "light_speed_mps": sys_kwargs.get(
-                    "light_speed_mps", SystemParams.light_speed_mps),
-            },
+            "system": {**{k: system_block[k] for k in _SYSTEM_KEYS},
+                       "light_speed_mps": system.light_speed_mps},
             "geometry": {k: geometry_block[k] for k in _GEOMETRY_KEYS},
-            "propulsion": (
-                {"rotor": rotor} if rotor is not None else dict(derived)),
+            "propulsion": {"rotor": coefficients} if rotor_form else coefficients,
             "modes": modes,
             "solvers": overrides,
         }

@@ -44,6 +44,8 @@ from .model import (
 
 __all__ = [
     "PENALTY_SCALE",
+    "PENALTY_MODES",
+    "RATE_WEIGHTINGS",
     "normalize",
     "FeasibilityReport",
     "EvaluatedSolution",
@@ -55,6 +57,10 @@ __all__ = [
 # Base fitness assigned to infeasible solutions in "safe" penalty mode;
 # large enough that any feasible solution (fitness = -rate sum <= 0) wins.
 PENALTY_SCALE = 1.0e12
+
+# The choices of LinkProblem's penalty_mode and rate_weighting.
+PENALTY_MODES = ("safe", "paper")
+RATE_WEIGHTINGS = ("literal", "delta")
 
 # Relative slack allowed on the three sum constraints (cache balance,
 # demanded rate, energy); the speed constraint is checked to 1e-12 m and
@@ -123,10 +129,11 @@ class EvaluatedSolution:
 
 @dataclass(eq=False)
 class SlotTable:
-    """Per-slot breakdown of one mission (arrays of length N)."""
+    """Per-slot breakdown: length-N arrays for one mission, (B, N) for B."""
 
     d_su_m: np.ndarray        # station-to-tag distance at slot start
     d_du_m: np.ndarray        # tag-to-user distance at slot start
+    hop_m: np.ndarray         # distance flown during the slot
     speed_mps: np.ndarray     # cruise speed during the slot
     correlation: np.ndarray   # channel time-selectivity factor
     rate_up_bps: np.ndarray   # station-to-tag rate (literal formula)
@@ -182,9 +189,9 @@ class LinkProblem:
         rate_weighting: str = "literal",
         fixed_altitude: bool = True,
     ) -> None:
-        if penalty_mode not in ("safe", "paper"):
+        if penalty_mode not in PENALTY_MODES:
             raise ValueError(f"unknown penalty mode: {penalty_mode!r}")
-        if rate_weighting not in ("literal", "delta"):
+        if rate_weighting not in RATE_WEIGHTINGS:
             raise ValueError(f"unknown rate weighting: {rate_weighting!r}")
         self.params = params
         self.propulsion = propulsion
@@ -301,11 +308,11 @@ class LinkProblem:
     # Physics per slot
     # ------------------------------------------------------------------
 
-    def _tables(self, waypoints: np.ndarray, split: np.ndarray) -> dict:
+    def _tables(self, waypoints: np.ndarray, split: np.ndarray) -> SlotTable:
         """Per-slot physical quantities for stacked missions.
 
         ``waypoints`` is coordinate-major, shape (3, B, N+1), and
-        ``split`` has shape (B, N); every value in the result is a (B, N)
+        ``split`` has shape (B, N); every field of the result is a (B, N)
         array.  Rates and energies are evaluated with the slot-start
         geometry.
         """
@@ -318,61 +325,38 @@ class LinkProblem:
         corr = doppler_factor(speeds, p)
         r_up = rate_uplink(d_su, corr, p)
         r_dn = rate_downlink(d_su, d_du, corr, p)
-        if self.rate_weighting == "delta":
-            w_up = r_up * split
-            w_dn = r_dn * split
-        else:
-            w_up = r_up
-            w_dn = r_dn
+        weight = split if self.rate_weighting == "delta" else 1.0
         sigma = p.slot_duration_s
-        return {
-            "d_su": d_su,
-            "d_du": d_du,
-            "hops": hops,
-            "speeds": speeds,
-            "correlation": corr,
-            "rate_up": r_up,
-            "rate_down": r_dn,
-            "weighted_up": w_up,
-            "weighted_down": w_dn,
-            "harvest": harvested_energy_slot(d_su, split, p),
-            "fly": sigma * flying_power(speeds, self.propulsion),
-            "backscatter": split * sigma * p.backscatter_circuit_power_w,
-            "cache": split * sigma * p.ub_tx_power_w,
-        }
+        return SlotTable(
+            d_su_m=d_su, d_du_m=d_du, hop_m=hops, speed_mps=speeds,
+            correlation=corr, rate_up_bps=r_up, rate_down_bps=r_dn,
+            weighted_rate_up_bps=r_up * weight,
+            weighted_rate_down_bps=r_dn * weight,
+            harvested_j=harvested_energy_slot(d_su, split, p),
+            fly_j=sigma * flying_power(speeds, self.propulsion),
+            backscatter_j=split * sigma * p.backscatter_circuit_power_w,
+            cache_j=split * sigma * p.ub_tx_power_w,
+        )
 
     def slot_table(self, traj: Trajectory, time_split) -> SlotTable:
         """Per-slot breakdown of one mission (used by exports and demos)."""
         split = as_time_split(time_split, self.n_slots)
         t = self._tables(traj.waypoints.T[:, None], split[None, :])
-        return SlotTable(
-            d_su_m=t["d_su"][0],
-            d_du_m=t["d_du"][0],
-            speed_mps=t["speeds"][0],
-            correlation=t["correlation"][0],
-            rate_up_bps=t["rate_up"][0],
-            rate_down_bps=t["rate_down"][0],
-            weighted_rate_up_bps=t["weighted_up"][0],
-            weighted_rate_down_bps=t["weighted_down"][0],
-            harvested_j=t["harvest"][0],
-            fly_j=t["fly"][0],
-            backscatter_j=t["backscatter"][0],
-            cache_j=t["cache"][0],
-        )
+        return SlotTable(*(getattr(t, f.name)[0] for f in fields(t)))
 
     # ------------------------------------------------------------------
     # Objective, constraints, fitness
     # ------------------------------------------------------------------
 
     def _margin_arrays(self, waypoints: np.ndarray, split: np.ndarray,
-                       tables: dict) -> dict:
+                       tables: SlotTable) -> dict:
         """Margins, objective and fitness of stacked missions; each is (B,)."""
         p = self.params
-        sum_up = np.sum(tables["weighted_up"], axis=1)
-        sum_dn = np.sum(tables["weighted_down"], axis=1)
-        sum_harvest = np.sum(tables["harvest"], axis=1)
+        sum_up = np.sum(tables.weighted_rate_up_bps, axis=1)
+        sum_dn = np.sum(tables.weighted_rate_down_bps, axis=1)
+        sum_harvest = np.sum(tables.harvested_j, axis=1)
         sum_consume = np.sum(
-            tables["fly"] + tables["backscatter"] + tables["cache"], axis=1)
+            tables.fly_j + tables.backscatter_j + tables.cache_j, axis=1)
         cache_credit = p.cached_fraction * p.demanded_rate_bps
 
         m_cache = cache_credit + sum_up - sum_dn
@@ -380,7 +364,7 @@ class LinkProblem:
         m_energy = sum_harvest - sum_consume
 
         max_hop = p.max_speed_mps * p.slot_duration_s
-        m_speed = _row_min(max_hop - tables["hops"])
+        m_speed = _row_min(max_hop - tables.hop_m)
 
         start_dev = _norm3(waypoints[:, :, 0] - self.start[:, None])
         goal_dev = _norm3(waypoints[:, :, -1] - self.goal[:, None])

@@ -31,7 +31,7 @@ from .common import (
     drive,
     drive_lockstep,
 )
-from .config import ConfigError, ScenarioConfig
+from .config import SOLVER_CONFIGS, ConfigError, ScenarioConfig
 from .encoding import LinkProblem
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "sweep_rows",
     "sweep_summary",
     "write_csv",
+    "write_json",
     "GridResult",
     "grid_oracle",
     "export_solution",
@@ -116,28 +117,24 @@ class RunArtifact:
 def make_solver_config(scenario: ScenarioConfig, solver: str, seed: int,
                        budget: Optional[int] = None):
     """Solver config for a scenario: defaults, file overrides, then seed/budget."""
-    overrides = dict(scenario.solver_overrides.get(solver, {}))
-    if solver == "ga":
-        return ga_mod.GaConfig(**overrides, seed=seed, max_evaluations=budget)
-    if solver in ("ipso", "pso"):
-        return pso_mod.PsoConfig(
-            variant=solver, **overrides, seed=seed, max_evaluations=budget)
     if solver == "random":
         return None
-    raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
+    if solver not in SOLVER_CONFIGS:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
+    return SOLVER_CONFIGS[solver](**scenario.solver_overrides.get(solver, {}),
+                                  seed=seed, max_evaluations=budget)
 
 
 def _solver_steps(scenario: ScenarioConfig, problem: LinkProblem,
                   solver: str, seed: int, budget: Optional[int],
                   callback=None) -> SolverSteps:
     cfg = make_solver_config(scenario, solver, seed, budget)
-    if solver == "ga":
-        return ga_mod.steps(cfg, problem, callback=callback)
-    if solver in ("ipso", "pso"):
-        return pso_mod.steps(cfg, problem, callback=callback)
-    return random_steps(
-        problem, budget=RANDOM_DEFAULT_BUDGET if budget is None else budget,
-        seed=seed, callback=callback)
+    if cfg is None:
+        return random_steps(
+            problem, budget=RANDOM_DEFAULT_BUDGET if budget is None else budget,
+            seed=seed, callback=callback)
+    steps = ga_mod.steps if isinstance(cfg, ga_mod.GaConfig) else pso_mod.steps
+    return steps(cfg, problem, callback=callback)
 
 
 def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
@@ -346,9 +343,11 @@ class SweepPoint:
         ])
 
     def median_rate_bps(self, solver: Optional[str] = None) -> float:
-        if self.error is not None or not self.artifacts:
+        """Median of :meth:`rates_bps`; NaN for a failed point or no runs."""
+        rates = self.rates_bps(solver)
+        if self.error is not None or rates.size == 0:
             return float("nan")
-        return float(np.median(self.rates_bps(solver)))
+        return float(np.median(rates))
 
     def solvers(self) -> List[str]:
         return list(dict.fromkeys(a.solver for a in self.artifacts))
@@ -452,6 +451,12 @@ def sweep_summary(points: Sequence[SweepPoint]) -> List[dict]:
                 "error": "",
             })
     return rows
+
+
+def write_json(path, payload) -> None:
+    """Write an artifact as JSON: sorted keys, two-space indent, final newline."""
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_csv(path, rows: Sequence[dict]) -> None:
@@ -591,8 +596,7 @@ def export_solution(problem: LinkProblem, genome, out_dir,
         "meta": meta or {},
     }
     solution_path = out_dir / "solution.json"
-    solution_path.write_text(
-        json.dumps(solution, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(solution_path, solution)
 
     csv_path = out_dir / "trajectory.csv"
     rows = []

@@ -67,6 +67,15 @@ def test_empty_value_list_is_a_usage_error(capsys, tmp_path):
     assert "--values" in error_payload(err)["message"]
 
 
+def test_empty_solver_list_is_a_usage_error(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "sweep", "--config", TINY, "--param", "system.wpt_power_db",
+        "--values", "30", "--solver", ",", "--out", str(tmp_path))
+    assert code == 2
+    assert error_payload(err)["category"] == "usage"
+    assert "--solver" in error_payload(err)["message"]
+
+
 # ----------------------------------------------------------------------
 # Config and execution errors
 # ----------------------------------------------------------------------

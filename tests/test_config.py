@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -135,6 +136,42 @@ def test_rejects_missing_section(doc):
     del doc["system"]
     with pytest.raises(ConfigError, match="missing section 'system'"):
         load_doc(doc)
+
+
+@pytest.mark.parametrize("section", ["system", "geometry", "propulsion"])
+def test_every_required_section_reads_alike_when_absent_or_not_an_object(
+        doc, section):
+    del doc[section]
+    with pytest.raises(ConfigError) as err:
+        load_doc(doc)
+    assert str(err.value) == f"invalid scenario: missing section {section!r}"
+    doc[section] = 5
+    with pytest.raises(ConfigError) as err:
+        load_doc(doc)
+    assert str(err.value) == (
+        f"invalid scenario: section {section!r} must be an object")
+
+
+@pytest.mark.parametrize("rotor", [5, None, [1.0], "rotor"])
+def test_rejects_non_object_rotor_block(doc, rotor):
+    doc["propulsion"] = {"rotor": rotor}
+    with pytest.raises(ConfigError) as err:
+        load_doc(doc)
+    assert str(err.value) == "invalid scenario: propulsion.rotor must be an object"
+
+
+def test_propulsion_and_rotor_keys_are_the_dataclass_fields(doc):
+    derived = {f.name for f in fields(PropulsionParams)} - {"rotor"}
+    assert set(doc["propulsion"]) == derived
+    for block, label, names in (
+            ({}, "propulsion", derived),
+            ({"rotor": {}}, "propulsion.rotor",
+             {f.name for f in fields(RotorConstants)})):
+        doc["propulsion"] = block
+        with pytest.raises(ConfigError) as err:
+            load_doc(doc)
+        assert str(err.value) == "invalid scenario: " + "; ".join(
+            sorted(f"missing key {label}.{name}" for name in names))
 
 
 def test_rejects_unknown_and_missing_section_keys(doc):

@@ -457,7 +457,7 @@ def test_axis_layout_matches_per_point_reference_bitwise(
                     want[name][row].tobytes(), name
             table = problem.slot_table(sol.trajectory, sol.time_split)
             for attr, key in (("d_su_m", "d_su"), ("d_du_m", "d_du"),
-                              ("speed_mps", "speeds"),
+                              ("hop_m", "hops"), ("speed_mps", "speeds"),
                               ("correlation", "correlation"),
                               ("rate_up_bps", "rate_up"),
                               ("rate_down_bps", "rate_down"),

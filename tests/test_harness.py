@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from uavbsc import harness
 from uavbsc.common import SolverReport
 from uavbsc.ga import GaConfig
 from uavbsc.harness import (
+    SweepPoint,
     SweepSpec,
     convergence_speed,
     export_solution,
@@ -25,6 +27,7 @@ from uavbsc.harness import (
     sweep_rows,
     sweep_summary,
     write_csv,
+    write_json,
 )
 from uavbsc.pso import PsoConfig
 
@@ -321,6 +324,18 @@ def test_sweep_point_medians_count_infeasible_as_zero(tiny_scenario):
     assert rows[1]["median_rate_bps"] == 0.0
 
 
+def test_sweep_point_median_of_no_runs_is_nan_without_warning(tiny_scenario):
+    spec = SweepSpec(parameter="system.wpt_power_db", values=[33.0],
+                     solvers=["random"], seeds=[0], budget=64)
+    point = run_sweep(tiny_scenario, spec)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(point.median_rate_bps("ga"))
+        assert not math.isnan(point.median_rate_bps("random"))
+        assert math.isnan(SweepPoint("system.wpt_power_db", 33.0)
+                          .median_rate_bps())
+
+
 def test_sweep_rows_shape_and_timing_column(tiny_scenario):
     spec = SweepSpec(parameter="system.slot_count", values=[2, 0],
                      solvers=["random"], seeds=[0, 1], budget=64)
@@ -357,6 +372,14 @@ def test_write_csv_round_trip(tmp_path):
     empty = tmp_path / "empty.csv"
     write_csv(empty, [])
     assert empty.read_text(encoding="utf-8") == ""
+
+
+def test_write_json_is_sorted_indented_and_newline_terminated(tmp_path):
+    path = tmp_path / "artifact.json"
+    write_json(path, {"b": [1, 2.5], "a": {"d": None, "c": "x"}})
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "a": {\n    "c": "x",\n    "d": null\n  },\n'
+        '  "b": [\n    1,\n    2.5\n  ]\n}\n')
 
 
 # ----------------------------------------------------------------------
