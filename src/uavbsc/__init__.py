@@ -38,6 +38,7 @@ from .harness import (
 )
 from .model import (
     EULER_GAMMA,
+    ParameterError,
     PropulsionParams,
     RotorConstants,
     SystemParams,
@@ -57,7 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "EULER_GAMMA", "Trajectory", "bessel_j0",
+    "EULER_GAMMA", "ParameterError", "Trajectory", "bessel_j0",
     "RotorConstants", "PropulsionParams", "SystemParams",
     "doppler_factor", "rate_uplink", "rate_downlink",
     "harvested_energy_slot", "flying_power",

@@ -96,17 +96,7 @@ class SolverReport:
             "last_improvement_generation": int(self.last_improvement_generation),
             "budget": None if self.budget is None else int(self.budget),
             "config": self.config,
-            "best": {
-                "genome": [float(g) for g in self.best.genome],
-                "waypoints_m": [
-                    [float(c) for c in row]
-                    for row in self.best.trajectory.waypoints
-                ],
-                "time_split": [float(d) for d in self.best.time_split],
-                "objective_bps": float(self.best.objective_bps),
-                "fitness": float(self.best.fitness),
-                "report": self.best.report.to_dict(),
-            },
+            "best": self.best.to_dict(),
             "trace": [rec.to_dict() for rec in self.trace],
         }
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .encoding import PENALTY_MODES, RATE_WEIGHTINGS, LinkProblem
 from .ga import GaConfig
-from .model import PropulsionParams, RotorConstants, SystemParams
+from .model import ParameterError, PropulsionParams, RotorConstants, SystemParams
 from .pso import PsoConfig
 
 __all__ = [
@@ -194,7 +194,15 @@ def _check_pair(problems, block, section, key, ordered=False):
     if ordered and not value[0] < value[1]:
         problems.append(f"{section}.{key} must satisfy lo < hi (got {value})")
         return None
-    return float(value[0]), float(value[1])
+    return tuple(_convert(problems, f"{section}.{key}", v) for v in value)
+
+
+def _convert(problems, label, value, convert=float):
+    """``convert(value)``, or None and a problem when a float overflows."""
+    try:
+        return convert(value)
+    except OverflowError:
+        problems.append(f"{label} is out of range (got {value})")
 
 
 @dataclass(eq=False)
@@ -309,79 +317,71 @@ class ScenarioConfig:
             _check_section(problems, solvers_block, f"solvers.{section}", {},
                            _OVERRIDE_KEYS[section])
             if len(problems) == typed:
-                # The range rules live in the solver configs.  Each of their
-                # "invalid ... config: a; b" items starts with its key.
-                try:
+                try:  # the range rules live on the solver configs' fields
                     SOLVER_CONFIGS[section](**block)
-                except ValueError as err:
-                    items = str(err).split(": ", 1)[1].split("; ")
-                    problems.extend(f"solvers.{section}.{item}" for item in items)
+                except ParameterError as err:
+                    problems.extend(f"solvers.{section}.{p}" for p in err.problems)
                 overrides[section] = dict(block)
 
+        # Unit conversions; a result no float can hold is one more problem.
+        if not problems:
+            sys_kwargs = {
+                name: _convert(problems, f"system.{key}", system_block[key], to)
+                for key, (name, to) in _SYSTEM_FIELDS.items()}
+            if "light_speed_mps" in system_block:
+                sys_kwargs["light_speed_mps"] = _convert(
+                    problems, "system.light_speed_mps", system_block["light_speed_mps"])
+            sys_kwargs["altitude_m"] = _convert(
+                problems, "geometry.altitude_m", geometry_block["altitude_m"])
+            label = "propulsion.rotor" if rotor_form else "propulsion"
+            coeff_block = propulsion_block["rotor"] if rotor_form else propulsion_block
+            coefficients = {key: _convert(problems, f"{label}.{key}", value)
+                            for key, value in coeff_block.items()}
         if problems:
             raise ConfigError(
                 "invalid scenario: " + "; ".join(sorted(problems)))
 
-        # Unit conversions and typed parameter construction.
-        sys_kwargs = {name: convert(system_block[key])
-                      for key, (name, convert) in _SYSTEM_FIELDS.items()}
-        if "light_speed_mps" in system_block:
-            sys_kwargs["light_speed_mps"] = float(system_block["light_speed_mps"])
+        # Range rules, and geometry problems (start or goal outside the
+        # arena), surface at load time rather than on first use.
         try:
-            system = SystemParams(
-                **sys_kwargs, altitude_m=float(geometry_block["altitude_m"]),
-                bounds_m=(pairs["arena_x_m"], pairs["arena_y_m"], pairs["arena_z_m"]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-        coefficients = {key: float(value) for key, value in (
-            propulsion_block["rotor"] if rotor_form else propulsion_block).items()}
-        try:
+            system = SystemParams(**sys_kwargs, bounds_m=(
+                pairs["arena_x_m"], pairs["arena_y_m"], pairs["arena_z_m"]))
             propulsion = PropulsionParams.from_rotor(
                 RotorConstants(**coefficients),
                 slot_duration=system.slot_duration_s,
                 literal_profile_scaling=bool(modes["lambda1_literal"]),
             ) if rotor_form else PropulsionParams(**coefficients)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-        altitude = system.altitude_m
-        source = np.array([*pairs["source_xy_m"], 0.0])
-        user = np.array([*pairs["user_xy_m"], 0.0])
-        start = np.array([*pairs["start_xy_m"], altitude])
-        goal = np.array([*pairs["final_xy_m"], altitude])
-
-        canonical = {
-            "schema_version": 1,
-            "name": name,
-            "system": {**{k: system_block[k] for k in _SYSTEM_KEYS},
-                       "light_speed_mps": system.light_speed_mps},
-            "geometry": {k: geometry_block[k] for k in _GEOMETRY_KEYS},
-            "propulsion": {"rotor": coefficients} if rotor_form else coefficients,
-            "modes": modes,
-            "solvers": overrides,
-        }
-
-        cfg = cls(
-            name=name,
-            raw=canonical,
-            system=system,
-            propulsion=propulsion,
-            source=source,
-            user=user,
-            start=start,
-            goal=goal,
-            penalty_mode=modes["penalty_mode"],
-            rate_weighting=modes["rate_weighting"],
-            fixed_altitude=bool(modes["fixed_altitude"]),
-            solver_overrides=overrides,
-        )
-        # Surface geometry problems (start/goal outside the arena) at load
-        # time rather than on first use.
-        try:
+            altitude = system.altitude_m
+            cfg = cls(
+                name=name,
+                raw={
+                    "schema_version": 1,
+                    "name": name,
+                    "system": {**{k: system_block[k] for k in _SYSTEM_KEYS},
+                               "light_speed_mps": system.light_speed_mps},
+                    "geometry": {k: geometry_block[k] for k in _GEOMETRY_KEYS},
+                    "propulsion": ({"rotor": coefficients} if rotor_form
+                                   else coefficients),
+                    "modes": modes,
+                    "solvers": overrides,
+                },
+                system=system,
+                propulsion=propulsion,
+                source=np.array([*pairs["source_xy_m"], 0.0]),
+                user=np.array([*pairs["user_xy_m"], 0.0]),
+                start=np.array([*pairs["start_xy_m"], altitude]),
+                goal=np.array([*pairs["final_xy_m"], altitude]),
+                penalty_mode=modes["penalty_mode"],
+                rate_weighting=modes["rate_weighting"],
+                fixed_altitude=bool(modes["fixed_altitude"]),
+                solver_overrides=overrides,
+            )
             cfg.build_problem()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except OverflowError as exc:  # float division or powers on huge values
+            raise ConfigError("invalid scenario: deriving the slot duration or "
+                              "the rotor power curve overflows a float") from exc
         return cfg
 
     # ------------------------------------------------------------------

@@ -126,6 +126,16 @@ class EvaluatedSolution:
     fitness: float
     report: FeasibilityReport
 
+    def to_dict(self) -> dict:
+        return {
+            "genome": [float(g) for g in self.genome],
+            "waypoints_m": self.trajectory.waypoints.tolist(),
+            "time_split": [float(d) for d in self.time_split],
+            "objective_bps": float(self.objective_bps),
+            "fitness": float(self.fitness),
+            "report": self.report.to_dict(),
+        }
+
 
 @dataclass(eq=False)
 class SlotTable:
@@ -395,6 +405,7 @@ class LinkProblem:
             -m_bounds,
             np.zeros_like(m_cache),
         ])
+        worst[np.isnan(worst)] = np.inf  # overflowed margins rank last
         if self.penalty_mode == "paper":
             penalty = -1.0
         else:

@@ -26,6 +26,14 @@ from .common import (
     masked_gaussian_offsets,
 )
 from .encoding import LinkProblem
+from .model import (
+    NONNEGATIVE,
+    POSITIVE,
+    POSITIVE_OR_NONE,
+    UNIT_INTERVAL,
+    at_least,
+    check_fields,
+)
 
 __all__ = [
     "GaConfig",
@@ -44,38 +52,20 @@ __all__ = [
 class GaConfig:
     """Hyperparameters of the genetic algorithm."""
 
-    population_size: int = 100
-    generations: int = 6000
-    crossover_rate: float = 0.8     # per-gene blend probability
-    mutation_rate: float = 0.1      # per-gene perturbation probability
-    mutation_spread: float = 10.0   # perturbations are Normal(0, 1/spread^2)
-    elite_fraction: float = 0.05    # share of the population copied unchanged
-    stall_limit: int = 200          # generations without improvement before stopping
-    init_std: float = 0.2           # initialization spread around the mean genome
+    population_size: int = at_least(2, 100)
+    generations: int = at_least(1, 6000)
+    crossover_rate: float = UNIT_INTERVAL(0.8)  # per-gene blend probability
+    mutation_rate: float = UNIT_INTERVAL(0.1)  # per-gene perturbation probability
+    mutation_spread: float = POSITIVE(10.0)  # perturbations are Normal(0, 1/spread^2)
+    elite_fraction: float = UNIT_INTERVAL(0.05)  # share of the population kept as is
+    stall_limit: int = at_least(1, 200)  # generations without improvement to stop
+    init_std: float = NONNEGATIVE(0.2)  # initialization spread around the mean genome
     init_mean: Optional[object] = None  # scalar, genome-length vector, or None
     seed: int = 0
-    max_evaluations: Optional[int] = None
+    max_evaluations: Optional[int] = POSITIVE_OR_NONE(None)
 
     def __post_init__(self) -> None:
-        problems = []
-        if self.population_size < 2:
-            problems.append("population_size must be at least 2")
-        if self.generations < 1:
-            problems.append("generations must be at least 1")
-        for name in ("crossover_rate", "mutation_rate", "elite_fraction"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                problems.append(f"{name} must lie in [0, 1] (got {val})")
-        if not self.mutation_spread > 0.0:
-            problems.append("mutation_spread must be positive")
-        if self.stall_limit < 1:
-            problems.append("stall_limit must be at least 1")
-        if self.init_std < 0.0:
-            problems.append("init_std must be nonnegative")
-        if self.max_evaluations is not None and self.max_evaluations < 1:
-            problems.append("max_evaluations must be positive when set")
-        if problems:
-            raise ValueError("invalid GA config: " + "; ".join(problems))
+        check_fields(self, "GA config")
 
 
 def elite_count(cfg: GaConfig, population_size: int) -> int:

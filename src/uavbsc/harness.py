@@ -586,17 +586,8 @@ def export_solution(problem: LinkProblem, genome, out_dir,
     waypoints = evaluated.trajectory.waypoints
     n_slots = evaluated.trajectory.n_slots
 
-    solution = {
-        "genome": [float(g) for g in evaluated.genome],
-        "waypoints_m": [[float(c) for c in row] for row in waypoints],
-        "time_split": [float(d) for d in evaluated.time_split],
-        "objective_bps": float(evaluated.objective_bps),
-        "fitness": float(evaluated.fitness),
-        "report": evaluated.report.to_dict(),
-        "meta": meta or {},
-    }
     solution_path = out_dir / "solution.json"
-    write_json(solution_path, solution)
+    write_json(solution_path, {**evaluated.to_dict(), "meta": meta or {}})
 
     csv_path = out_dir / "trajectory.csv"
     rows = []

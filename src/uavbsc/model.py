@@ -18,13 +18,14 @@ All functions are pure, accept scalars or numpy arrays, and use SI units
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
+    "ParameterError",
     "Trajectory",
     "RotorConstants",
     "PropulsionParams",
@@ -64,9 +65,7 @@ def as_time_split(values, n_slots: Optional[int] = None) -> np.ndarray:
         raise ValueError(f"time split must be a 1-D vector, got shape {arr.shape}")
     if n_slots is not None and arr.size != n_slots:
         raise ValueError(f"time split has {arr.size} entries, expected {n_slots}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("time split entries must be finite")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # false for NaN and +-inf too
         raise ValueError("time split entries must lie in [0, 1]")
     return arr
 
@@ -226,41 +225,74 @@ def bessel_j0(x):
 # ======================================================================
 # Parameter bundles
 # ======================================================================
+#
+# A numeric field declares its range once, in its dataclass field metadata:
+# ``x: float = POSITIVE()`` is a required positive field, ``POSITIVE(2.0)``
+# one defaulting to 2.0.  Each rule is written as the values it accepts, all
+# finite, so NaN and +-inf break every rule; :func:`check_fields` checks them.
+
+def _rule(text: str, accepts):
+    """A range rule; calling it declares a dataclass field that carries it."""
+    def declare(default=MISSING):
+        return field(default=default, metadata={"rule": (text, accepts)})
+    return declare
+
+
+POSITIVE = _rule("must be positive", lambda v: 0 < v < math.inf)
+NONNEGATIVE = _rule("must be nonnegative", lambda v: 0 <= v < math.inf)
+UNIT_INTERVAL = _rule("must lie in [0, 1]", lambda v: 0 <= v <= 1)
+POSITIVE_FRACTION = _rule("must lie in (0, 1]", lambda v: 0 < v <= 1)
+FINITE = _rule("must be finite", lambda v: -math.inf < v < math.inf)
+POSITIVE_OR_NONE = _rule("must be positive when set",
+                         lambda v: v is None or 0 < v < math.inf)
+
+
+def at_least(k, default=MISSING):
+    """A dataclass field of finite values of at least ``k``."""
+    return _rule(f"must be at least {k}", lambda v: k <= v < math.inf)(default)
+
+
+class ParameterError(ValueError):
+    """Parameters that break their rules; ``problems`` lists each one."""
+
+    def __init__(self, label: str, problems: list) -> None:
+        super().__init__(f"invalid {label}: " + "; ".join(problems))
+        self.problems = problems
+
+
+def check_fields(obj, label: str, problems=()) -> None:
+    """Raise :class:`ParameterError` unless every rule of ``obj`` holds.
+
+    Lists each field outside its declared rule, then the caller's
+    cross-field ``problems``, all as "<field> <rule> (got <value>)".
+    """
+    found = []
+    for f in fields(obj):
+        text, accepts = f.metadata.get("rule", (None, None))
+        if accepts is not None and not accepts(getattr(obj, f.name)):
+            found.append(f"{f.name} {text} (got {getattr(obj, f.name)})")
+    found += problems
+    if found:
+        raise ParameterError(label, found)
+
 
 @dataclass(frozen=True)
 class RotorConstants:
     """Raw rotary-wing constants from which the power curve is derived."""
 
-    profile_drag_coeff: float        # blade profile drag coefficient (-)
-    air_density_kgm3: float          # air density (kg/m^3)
-    rotor_solidity: float            # rotor solidity (-)
-    disc_area_m2: float              # rotor disc area (m^2)
-    blade_angular_velocity_rad_s: float  # blade angular velocity (rad/s)
-    rotor_radius_m: float            # rotor radius (m)
-    induced_power_factor: float      # incremental induced-power factor (-)
-    aircraft_weight_n: float         # aircraft weight (N)
-    fuselage_drag_coeff: float       # fuselage drag coefficient (-)
-    mean_induced_velocity_ms: float  # mean rotor induced velocity in hover (m/s)
+    profile_drag_coeff: float = POSITIVE()  # blade profile drag coefficient (-)
+    air_density_kgm3: float = POSITIVE()  # air density (kg/m^3)
+    rotor_solidity: float = POSITIVE()  # rotor solidity (-)
+    disc_area_m2: float = POSITIVE()  # rotor disc area (m^2)
+    blade_angular_velocity_rad_s: float = POSITIVE()  # blade angular velocity (rad/s)
+    rotor_radius_m: float = POSITIVE()  # rotor radius (m)
+    induced_power_factor: float = NONNEGATIVE()  # incremental induced-power factor (-)
+    aircraft_weight_n: float = POSITIVE()  # aircraft weight (N)
+    fuselage_drag_coeff: float = NONNEGATIVE()  # fuselage drag coefficient (-)
+    mean_induced_velocity_ms: float = POSITIVE()  # hover mean induced velocity (m/s)
 
     def __post_init__(self) -> None:
-        bad = [
-            name for name, val in (
-                ("profile_drag_coeff", self.profile_drag_coeff),
-                ("air_density_kgm3", self.air_density_kgm3),
-                ("rotor_solidity", self.rotor_solidity),
-                ("disc_area_m2", self.disc_area_m2),
-                ("blade_angular_velocity_rad_s", self.blade_angular_velocity_rad_s),
-                ("rotor_radius_m", self.rotor_radius_m),
-                ("aircraft_weight_n", self.aircraft_weight_n),
-                ("mean_induced_velocity_ms", self.mean_induced_velocity_ms),
-            ) if val <= 0.0
-        ]
-        if self.induced_power_factor < 0.0:
-            bad.append("induced_power_factor")
-        if self.fuselage_drag_coeff < 0.0:
-            bad.append("fuselage_drag_coeff")
-        if bad:
-            raise ValueError("nonpositive rotor constants: " + ", ".join(bad))
+        check_fields(self, "rotor constants")
 
 
 @dataclass(frozen=True)
@@ -278,25 +310,15 @@ class PropulsionParams:
     from :class:`RotorConstants` via :meth:`from_rotor`.
     """
 
-    profile_power_w: float        # blade profile power in hover (W)
-    induced_power_w: float        # induced power in hover (W)
-    profile_speed_factor: float   # profile power speed coefficient (s^2/m^2)
-    induced_speed_factor: float   # induced power speed coefficient (s^2/m^2)
-    parasite_drag_factor: float   # fuselage parasite drag coefficient (kg/m)
+    profile_power_w: float = NONNEGATIVE()  # blade profile power in hover (W)
+    induced_power_w: float = NONNEGATIVE()  # induced power in hover (W)
+    profile_speed_factor: float = NONNEGATIVE()  # profile power speed coeff (s^2/m^2)
+    induced_speed_factor: float = NONNEGATIVE()  # induced power speed coeff (s^2/m^2)
+    parasite_drag_factor: float = NONNEGATIVE()  # fuselage parasite drag coeff (kg/m)
     rotor: Optional[RotorConstants] = None
 
     def __post_init__(self) -> None:
-        bad = [
-            name for name, val in (
-                ("profile_power_w", self.profile_power_w),
-                ("induced_power_w", self.induced_power_w),
-                ("profile_speed_factor", self.profile_speed_factor),
-                ("induced_speed_factor", self.induced_speed_factor),
-                ("parasite_drag_factor", self.parasite_drag_factor),
-            ) if val < 0.0
-        ]
-        if bad:
-            raise ValueError("negative propulsion coefficients: " + ", ".join(bad))
+        check_fields(self, "propulsion parameters")
 
     @classmethod
     def from_rotor(
@@ -353,95 +375,55 @@ class PropulsionParams:
 class SystemParams:
     """Link, power and mission parameters, all in linear SI units."""
 
-    bandwidth_hz: float            # system bandwidth (Hz)
-    ref_gain: float                # channel power gain at 1 m (-)
-    path_loss_exp: float           # path-loss exponent (-)
-    harvest_eff: float             # RF energy-harvesting efficiency (-)
-    source_power_w: float          # ground-station transmit power (W)
-    wpt_power_w: float             # ground-station wireless charging power (W)
-    ub_tx_power_w: float           # tag transmit power for cached data (W)
-    backscatter_circuit_power_w: float  # tag circuit power while active (W)
-    backscatter_coeff: float       # backscatter reflection coefficient (-)
-    cached_fraction: float         # fraction of demanded data held in cache (-)
-    demanded_rate_bps: float       # user demand on the mission rate sum (bit/s)
-    noise_var_uplink_w: float      # noise variance at the tag receiver (W)
-    noise_var_downlink_w: float    # noise variance at the user receiver (W)
-    noise_var_estimation_w: float  # channel-estimation noise variance (W)
-    rician_factor: float           # small-scale LoS/NLoS power ratio (-)
-    carrier_freq_hz: float         # carrier frequency (Hz)
-    sampling_time_s: float         # symbol sampling interval (s)
-    mission_time_s: float          # total mission duration (s)
-    slot_count: int                # number of mission slots
-    altitude_m: float              # fixed flight altitude (m)
-    max_speed_mps: float           # maximum cruise speed (m/s)
-    bounds_m: tuple                # ((x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi)) m
-    light_speed_mps: float = 299792458.0
-    euler_gamma: float = EULER_GAMMA
+    bandwidth_hz: float = POSITIVE()  # system bandwidth (Hz)
+    ref_gain: float = POSITIVE()  # channel power gain at 1 m (-)
+    path_loss_exp: float = POSITIVE()  # path-loss exponent (-)
+    harvest_eff: float = POSITIVE_FRACTION()  # RF energy-harvesting efficiency (-)
+    source_power_w: float = NONNEGATIVE()  # ground-station transmit power (W)
+    wpt_power_w: float = NONNEGATIVE()  # ground-station wireless charging power (W)
+    ub_tx_power_w: float = NONNEGATIVE()  # tag transmit power for cached data (W)
+    backscatter_circuit_power_w: float = NONNEGATIVE()  # tag circuit power in use (W)
+    backscatter_coeff: float = POSITIVE_FRACTION()  # backscatter reflection coeff (-)
+    cached_fraction: float = UNIT_INTERVAL()  # share of demanded data in the cache (-)
+    demanded_rate_bps: float = NONNEGATIVE()  # user demand on the mission rate sum
+    noise_var_uplink_w: float = POSITIVE()  # noise variance at the tag receiver (W)
+    noise_var_downlink_w: float = POSITIVE()  # noise variance at the user receiver (W)
+    noise_var_estimation_w: float = NONNEGATIVE()  # channel-estimation noise variance
+    rician_factor: float = NONNEGATIVE()  # small-scale LoS/NLoS power ratio (-)
+    carrier_freq_hz: float = POSITIVE()  # carrier frequency (Hz)
+    sampling_time_s: float = POSITIVE()  # symbol sampling interval (s)
+    mission_time_s: float = POSITIVE()  # total mission duration (s)
+    slot_count: int  # number of mission slots
+    altitude_m: float = at_least(1)  # fixed flight altitude (m)
+    max_speed_mps: float = POSITIVE()  # maximum cruise speed (m/s)
+    bounds_m: tuple  # ((x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi)) m
+    light_speed_mps: float = POSITIVE(299792458.0)
+    euler_gamma: float = FINITE(EULER_GAMMA)
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "bounds_m",
             tuple((float(lo), float(hi)) for lo, hi in self.bounds_m))
         problems = []
-        positive = (
-            ("bandwidth_hz", self.bandwidth_hz),
-            ("ref_gain", self.ref_gain),
-            ("path_loss_exp", self.path_loss_exp),
-            ("noise_var_uplink_w", self.noise_var_uplink_w),
-            ("noise_var_downlink_w", self.noise_var_downlink_w),
-            ("carrier_freq_hz", self.carrier_freq_hz),
-            ("sampling_time_s", self.sampling_time_s),
-            ("mission_time_s", self.mission_time_s),
-            ("max_speed_mps", self.max_speed_mps),
-            ("light_speed_mps", self.light_speed_mps),
-        )
-        for name, val in positive:
-            if not val > 0.0:
-                problems.append(f"{name} must be positive (got {val})")
-        nonneg = (
-            ("source_power_w", self.source_power_w),
-            ("wpt_power_w", self.wpt_power_w),
-            ("ub_tx_power_w", self.ub_tx_power_w),
-            ("backscatter_circuit_power_w", self.backscatter_circuit_power_w),
-            ("demanded_rate_bps", self.demanded_rate_bps),
-            ("noise_var_estimation_w", self.noise_var_estimation_w),
-            ("rician_factor", self.rician_factor),
-        )
-        for name, val in nonneg:
-            if val < 0.0:
-                problems.append(f"{name} must be nonnegative (got {val})")
-        if not 0.0 < self.harvest_eff <= 1.0:
-            problems.append(
-                f"harvest_eff must lie in (0, 1] (got {self.harvest_eff})")
-        if not 0.0 < self.backscatter_coeff <= 1.0:
-            problems.append(
-                f"backscatter_coeff must lie in (0, 1] (got {self.backscatter_coeff})")
-        if not 0.0 <= self.cached_fraction <= 1.0:
-            problems.append(
-                f"cached_fraction must lie in [0, 1] (got {self.cached_fraction})")
-        if int(self.slot_count) != self.slot_count or self.slot_count < 1:
+        if not (self.slot_count >= 1 and self.slot_count % 1 == 0):
             problems.append(
                 f"slot_count must be a positive integer (got {self.slot_count})")
-        if self.altitude_m < 1.0:
-            problems.append(
-                f"altitude_m must be at least 1 m (got {self.altitude_m})")
         if len(self.bounds_m) != 3:
-            problems.append("bounds_m must give (lo, hi) for three axes")
+            problems.append("bounds_m must give (lo, hi) for three axes "
+                            f"(got {self.bounds_m})")
         else:
             for axis, (lo, hi) in zip("xyz", self.bounds_m):
-                if not lo < hi:
-                    problems.append(
-                        f"bounds_m {axis}-axis must satisfy lo < hi (got {lo}, {hi})")
+                if not -math.inf < lo < hi < math.inf:
+                    problems.append(f"bounds_m {axis}-axis must satisfy "
+                                    f"lo < hi, both finite (got {lo}, {hi})")
             z_lo, z_hi = self.bounds_m[2]
-            if z_lo < 1.0:
+            if not z_lo >= 1.0:
                 problems.append(
                     f"bounds_m z-axis floor must be at least 1 m (got {z_lo})")
             if not z_lo <= self.altitude_m <= z_hi:
-                problems.append(
-                    f"altitude_m {self.altitude_m} must lie within the z bounds "
-                    f"({z_lo}, {z_hi})")
-        if problems:
-            raise ValueError("invalid system parameters: " + "; ".join(problems))
+                problems.append(f"altitude_m must lie within the z bounds "
+                                f"({z_lo}, {z_hi}) (got {self.altitude_m})")
+        check_fields(self, "system parameters", problems)
         object.__setattr__(self, "slot_count", int(self.slot_count))
 
     @property

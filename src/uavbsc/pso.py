@@ -27,6 +27,15 @@ from .common import (
     masked_gaussian_offsets,
 )
 from .encoding import LinkProblem
+from .model import (
+    FINITE,
+    NONNEGATIVE,
+    POSITIVE,
+    POSITIVE_OR_NONE,
+    UNIT_INTERVAL,
+    at_least,
+    check_fields,
+)
 
 __all__ = [
     "IPSO_MUTATION_VARIANCE",
@@ -47,48 +56,32 @@ class PsoConfig:
     """Hyperparameters of the particle swarm solver."""
 
     variant: str = "ipso"           # "ipso" (decaying inertia + mutation) or "pso"
-    swarm_size: int = 100
-    iterations: int = 500
-    cognitive_coeff: float = 1.5    # pull toward the particle's own best
-    social_coeff: float = 1.5       # pull toward the global best
-    inertia_max: float = 0.9        # schedule start (improved variant)
-    inertia_min: float = 0.1        # schedule end (improved variant)
-    inertia_exponent: float = 0.5   # schedule curvature
-    inertia_const: float = 0.9      # constant weight (plain variant): the
+    swarm_size: int = at_least(2, 100)
+    iterations: int = at_least(1, 500)
+    cognitive_coeff: float = NONNEGATIVE(1.5)  # pull toward the particle's own best
+    social_coeff: float = NONNEGATIVE(1.5)  # pull toward the global best
+    inertia_max: float = FINITE(0.9)  # schedule start (improved variant)
+    inertia_min: float = FINITE(0.1)  # schedule end (improved variant)
+    inertia_exponent: float = POSITIVE(0.5)  # schedule curvature
+    inertia_const: float = FINITE(0.9)  # constant weight (plain variant): the
     # schedule's starting value held fixed, so the improved variant differs
     # from the baseline only by the decay and the mutation pass
-    mutation_prob: float = 0.1      # per-gene mutation probability (improved)
-    velocity_clamp: Optional[float] = None  # per-gene |velocity| cap, off when None
-    init_std: float = 0.2
+    mutation_prob: float = UNIT_INTERVAL(0.1)  # per-gene mutation probability
+    # per-gene |velocity| cap, off when None
+    velocity_clamp: Optional[float] = POSITIVE_OR_NONE(None)
+    init_std: float = NONNEGATIVE(0.2)
     init_mean: Optional[object] = None
     seed: int = 0
-    max_evaluations: Optional[int] = None
+    max_evaluations: Optional[int] = POSITIVE_OR_NONE(None)
 
     def __post_init__(self) -> None:
         problems = []
         if self.variant not in ("ipso", "pso"):
             problems.append(f"variant must be 'ipso' or 'pso' (got {self.variant!r})")
-        if self.swarm_size < 2:
-            problems.append("swarm_size must be at least 2")
-        if self.iterations < 1:
-            problems.append("iterations must be at least 1")
-        for name in ("cognitive_coeff", "social_coeff"):
-            if getattr(self, name) < 0.0:
-                problems.append(f"{name} must be nonnegative")
-        if self.inertia_max < self.inertia_min:
-            problems.append("inertia_max must be at least inertia_min")
-        if self.inertia_exponent <= 0.0:
-            problems.append("inertia_exponent must be positive")
-        if not 0.0 <= self.mutation_prob <= 1.0:
-            problems.append("mutation_prob must lie in [0, 1]")
-        if self.velocity_clamp is not None and self.velocity_clamp <= 0.0:
-            problems.append("velocity_clamp must be positive when set")
-        if self.init_std < 0.0:
-            problems.append("init_std must be nonnegative")
-        if self.max_evaluations is not None and self.max_evaluations < 1:
-            problems.append("max_evaluations must be positive when set")
-        if problems:
-            raise ValueError("invalid PSO config: " + "; ".join(problems))
+        if not self.inertia_max >= self.inertia_min:
+            problems.append("inertia_max must be at least inertia_min "
+                            f"(got {self.inertia_max})")
+        check_fields(self, "PSO config", problems)
 
     @property
     def mutation_active(self) -> bool:

@@ -98,6 +98,19 @@ def test_invalid_scenario_content_is_a_config_error(capsys, tmp_path):
     assert "missing section" in error_payload(err)["message"]
 
 
+def test_huge_db_value_is_a_config_error(capsys, tmp_path):
+    doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
+    doc["system"]["wpt_power_db"] = 1e30
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", "--config", str(huge),
+                           "--solver", "random", "--budget", "64")
+    assert code == 3
+    payload = error_payload(err)
+    assert payload["category"] == "config"
+    assert "system.wpt_power_db" in payload["message"]
+
+
 def test_impossible_budget_is_an_execution_error(capsys):
     code, _, err = run_cli(capsys, "run", "--config", TINY,
                            "--solver", "random", "--budget", "0")
@@ -214,6 +227,23 @@ def test_sweep_survives_a_bad_parameter_value(capsys, tmp_path):
     dump = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
     assert dump["points"][0]["error"] is None
     assert "slot_count" in dump["points"][1]["error"]
+
+
+def test_sweep_survives_a_huge_db_value(capsys, tmp_path):
+    out = tmp_path / "sweep"
+    code, stdout, _ = run_cli(
+        capsys, "sweep", "--config", TINY, "--param", "system.wpt_power_db",
+        "--values", "30,1e30", "--solver", "random", "--seeds", "0,1",
+        "--budget", "64", "--out", str(out), "--no-timing")
+    assert code == 0
+    assert "wpt_power_db=1e+30 error=" in stdout
+    dump = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
+    kept, failed = dump["points"]
+    assert kept["error"] is None and len(kept["runs"]) == 2
+    assert "system.wpt_power_db" in failed["error"] and failed["runs"] == []
+    rows = (out / "sweep_rows.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 1 + 2 + 1
+    assert "system.wpt_power_db" in rows[-1]
 
 
 def test_sweep_rejects_unknown_solver_name(capsys, tmp_path):

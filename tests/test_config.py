@@ -257,10 +257,15 @@ def test_rejects_unknown_solver_sections_and_keys(doc):
     ("ipso", "cognitive_coeff", float("nan"), "must be finite (got nan)", 1),
     ("pso", "social_coeff", float("inf"), "must be finite (got inf)", 1.5),
     ("pso", "velocity_clamp", "fast", "must be a number", None),
-    # Well-typed but out of range: the solver configs' own rules.
-    ("ga", "population_size", 1, "must be at least 2", 40),
-    ("ipso", "mutation_prob", 1.5, "must lie in [0, 1]", 0.1),
-    ("pso", "velocity_clamp", 0.0, "must be positive when set", 2.0),
+    # Well-typed but out of range: the rules on the solver configs' fields.
+    # The ids leave out the "(got ...)" suffix of the expected message.
+    pytest.param("ga", "population_size", 1, "must be at least 2 (got 1)", 40,
+                 id="ga-population_size-1-must be at least 2-40"),
+    pytest.param("ipso", "mutation_prob", 1.5, "must lie in [0, 1] (got 1.5)", 0.1,
+                 id="ipso-mutation_prob-1.5-must lie in [0, 1]-0.1"),
+    pytest.param("pso", "velocity_clamp", 0.0,
+                 "must be positive when set (got 0.0)", 2.0,
+                 id="pso-velocity_clamp-0.0-must be positive when set-2.0"),
 ])
 def test_rejects_bad_solver_override_values(doc, section, key, bad, problem,
                                             good):

@@ -5,12 +5,14 @@ The heavy checks replay whole missions through the pure-Python audit in
 and require agreement at 1e-12 of each margin's normalization scale.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from helpers import (
+    TINY_CONFIG,
     audit_genome,
     random_genomes,
     small_problem,
@@ -22,7 +24,9 @@ from oracles import (
     hop_lengths,
     per_point_evaluate,
 )
+from uavbsc.config import ScenarioConfig
 from uavbsc.encoding import PENALTY_SCALE, LinkProblem, normalize
+from uavbsc.harness import run_single
 from uavbsc.model import Trajectory
 
 MARGIN_NAMES = ("cache_balance", "rate_demand", "energy", "speed", "bounds")
@@ -496,3 +500,23 @@ def test_feasibility_report_to_dict_round_trip(reference_problem):
     assert d["feasible"] is True
     assert set(d["margins"]) == set(MARGIN_NAMES)
     assert isinstance(d["worst_violation"], float)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("key, value", [("reference_gain_db", 3000),
+                                        ("path_loss_exponent", 300),
+                                        ("bandwidth_hz", 1e308)])
+def test_overflowing_rates_never_give_nan_fitness(key, value):
+    # Each scenario loads, but its rates overflow and the margins become
+    # inf - inf; such a mission must rank last, not carry NaN.
+    doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
+    doc["system"][key] = value
+    scenario = ScenarioConfig.from_dict(doc)
+    problem = scenario.build_problem()
+    ev = problem.evaluate_batch(
+        random_genomes(problem, np.random.default_rng(0), 64))
+    assert not np.isnan(ev.fitness).any()
+    assert not np.isnan(ev.worst_violation).any()
+    assert not ev.feasible.any()
+    report = run_single(scenario, "random", 0, budget=64).report
+    assert report.feasible is False and not math.isnan(report.best.fitness)

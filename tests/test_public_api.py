@@ -1,8 +1,9 @@
 """The package's public surface: every exported name resolves, and the
 test-only helpers that moved to ``tests/oracles.py`` and ``tests/helpers.py``
-are gone from it."""
+are gone from it.  The source also stays within its size limits."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +60,29 @@ def test_moved_and_deleted_names_are_not_importable(module, path):
     assert not _resolves(uavbsc, path)
     assert path not in owner.__all__
     assert path not in uavbsc.__all__
+
+
+# Size limits of ``src/uavbsc/*.py``: the longest line allowed, and the
+# most lines in total (the count at the start of the current roadmap).
+# Together they stop the line count shrinking by packing code into wider
+# lines.
+MAX_LINE_LENGTH = 88
+MAX_SOURCE_LINES = 3348
+SOURCES = sorted(Path(uavbsc.__file__).parent.glob("*.py"))
+
+
+def test_no_source_line_is_longer_than_the_limit():
+    long_lines = [
+        f"{path.name}:{number} ({len(line)} characters)"
+        for path in SOURCES
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1)
+        if len(line) > MAX_LINE_LENGTH
+    ]
+    assert long_lines == []
+
+
+def test_source_stays_under_the_line_cap():
+    total = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in SOURCES)
+    assert 0 < total <= MAX_SOURCE_LINES
