@@ -8,20 +8,19 @@ Every solver, and the grid oracle, keeps its best-so-far mission, trace
 and last improvement in an :class:`Incumbent`, which holds the one
 ordering rule of the package.
 
-Every solver loop has one shape: a generator that yields each genome
-block it needs evaluated, receives the block's
-:class:`~uavbsc.encoding.BatchEvaluation` back, and returns its
-:class:`SolverReport`.  :func:`drive` runs one such generator;
-:func:`drive_lockstep` steps several together with one stacked
-evaluation per step.  Evaluation is row-wise, so both give the same
-results bit for bit.
+Every solver loop has one shape: a generator that steps several seeds as
+one stack, yields the genome block of all its running seeds, seed after
+seed, receives the block's :class:`~uavbsc.encoding.BatchEvaluation`
+back, and returns one :class:`SolverReport` per seed; :func:`drive` runs
+it.  Each seed draws from its own generator (see :func:`draw`) and
+evaluation is row-wise, so a seed's report does not depend on the stack.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Callable, Generator, List, Optional
 
 import numpy as np
 
@@ -35,7 +34,7 @@ __all__ = [
     "Incumbent",
     "SolverSteps",
     "drive",
-    "drive_lockstep",
+    "draw",
     "initial_population",
     "masked_gaussian_offsets",
     "config_snapshot",
@@ -164,50 +163,40 @@ class Incumbent:
 
 
 # A solver loop: yields genome blocks, is sent their evaluations, and
-# returns its report.
-SolverSteps = Generator[np.ndarray, BatchEvaluation, SolverReport]
+# returns one report per seed.
+SolverSteps = Generator[np.ndarray, BatchEvaluation, List[SolverReport]]
 
 
-def drive(steps: SolverSteps, problem: LinkProblem) -> SolverReport:
-    """Run one solver loop to completion."""
-    return drive_lockstep([steps], problem)[0]
+def drive(steps: SolverSteps, problem: LinkProblem) -> List[SolverReport]:
+    """Run one solver loop to completion, one ``evaluate_batch`` per block."""
+    try:
+        block = next(steps)
+        while True:
+            block = steps.send(problem.evaluate_batch(block))
+    except StopIteration as stop:
+        return stop.value
 
 
-def drive_lockstep(steps: Sequence[SolverSteps],
-                   problem: LinkProblem) -> List[SolverReport]:
-    """Run solver loops side by side, one ``evaluate_batch`` call per step.
+def draw(rng, method: str, shape, *args) -> np.ndarray:
+    """``rng.<method>(*args, size=shape)``, or the same for a seed stack.
 
-    Each step stacks the blocks of every loop still running, evaluates
-    the stack once and hands each loop its own rows.  Loops drop out as
-    they finish; the reports come back in the order of ``steps``.
+    Given a sequence of generators, one per seed, ``shape`` leads with
+    the seed axis and layer ``k`` is drawn from ``rng[k]``, so each seed
+    consumes its own stream exactly as it would alone.  (``random`` gives
+    the values of ``uniform()`` bit for bit, with less overhead per call.)
     """
-    reports: List[Optional[SolverReport]] = [None] * len(steps)
-    pending = []
-
-    def advance(i: int, evaluation: Optional[BatchEvaluation]) -> None:
-        try:
-            pending.append((i, steps[i].send(evaluation)))
-        except StopIteration as stop:
-            reports[i] = stop.value
-
-    for i in range(len(steps)):
-        advance(i, None)
-    while pending:
-        stepped, pending = pending, []
-        blocks = [block for _, block in stepped]
-        stacked = problem.evaluate_batch(np.vstack(blocks))
-        for (i, _), part in zip(stepped,
-                                stacked.split([len(b) for b in blocks])):
-            advance(i, part)
-    return reports  # type: ignore[return-value]
+    if isinstance(rng, np.random.Generator):
+        return getattr(rng, method)(*args, size=shape)
+    return np.stack([getattr(g, method)(*args, size=shape[1:]) for g in rng])
 
 
 def initial_population(problem: LinkProblem, count: int, init_mean,
-                       init_std: float, rng: np.random.Generator) -> np.ndarray:
+                       init_std: float, rng) -> np.ndarray:
     """Gaussian genomes around the initialization mean, adjusted into the box.
 
     ``init_mean`` is a scalar, a genome-length vector, or None for the
-    problem's heuristic mean.
+    problem's heuristic mean.  ``rng`` is one generator, or a sequence of
+    them for a (seeds, count, dim) stack (see :func:`draw`).
     """
     dim = problem.genome_size
     if init_mean is None:
@@ -219,20 +208,21 @@ def initial_population(problem: LinkProblem, count: int, init_mean,
         elif mean.shape != (dim,):
             raise ValueError(
                 f"init mean must be scalar or shape ({dim},), got {mean.shape}")
-    return problem.adjust(rng.normal(mean, init_std, size=(int(count), dim)))
+    seed_axis = () if isinstance(rng, np.random.Generator) else (len(rng),)
+    return problem.adjust(
+        draw(rng, "normal", (*seed_axis, int(count), dim), mean, init_std))
 
 
-def masked_gaussian_offsets(
-    rng: np.random.Generator, shape, prob: float, std: float
-) -> np.ndarray:
+def masked_gaussian_offsets(rng, shape, prob: float, std: float) -> np.ndarray:
     """Per-gene Bernoulli(prob) Gaussian perturbations, zero elsewhere.
 
     The Bernoulli mask and the full offset matrix are always drawn in the
     same order and quantity regardless of the mask outcome, which keeps
-    the consumed random stream independent of the data.
+    the consumed random stream independent of the data.  A sequence of
+    generators draws a seed stack (see :func:`draw`).
     """
-    mask = rng.uniform(size=shape) < prob
-    offsets = rng.normal(0.0, std, size=shape)
+    mask = draw(rng, "random", shape) < prob
+    offsets = draw(rng, "normal", shape, 0.0, std)
     return np.where(mask, offsets, 0.0)
 
 

@@ -166,8 +166,8 @@ def _check_section(problems, data, label, required, optional=None):
 def _check_value(problems, label, value, typ=_NUMBER) -> bool:
     """Record why ``value`` is not a finite ``typ``; True when it is.
 
-    JSON parsing accepts ``NaN`` and ``Infinity``, so finiteness is checked
-    here rather than trusted to the parser.
+    JSON parsing accepts ``NaN``, ``Infinity`` and integers too large for a
+    float, so they are caught here rather than trusted to the parser.
     """
     if not isinstance(value, typ) or isinstance(value, bool):
         problems.append(f"{label} must be a {_type_name(typ)}")
@@ -175,7 +175,7 @@ def _check_value(problems, label, value, typ=_NUMBER) -> bool:
     if isinstance(value, float) and not math.isfinite(value):
         problems.append(f"{label} must be finite (got {value})")
         return False
-    return True
+    return not isinstance(value, int) or _convert(problems, label, value) is not None
 
 
 def _type_name(typ) -> str:

@@ -25,7 +25,6 @@ candidates from feasible ones with high rates).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List, Sequence
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .model import (
     doppler_factor,
     flying_power,
     harvested_energy_slot,
+    link_terms,
     rate_downlink,
     rate_uplink,
 )
@@ -165,17 +165,6 @@ class BatchEvaluation:
     fitness: np.ndarray        # (B,) scalar fitness, lower is better
     feasible: np.ndarray       # (B,) bool
     worst_violation: np.ndarray  # (B,) normalized worst constraint violation
-
-    def split(self, sizes: Sequence[int]) -> List["BatchEvaluation"]:
-        """Consecutive row blocks of ``sizes`` rows each, as views.
-
-        Undoes the stacking of several genome blocks into one call: block
-        ``k`` of the result is what evaluating block ``k`` alone gives.
-        """
-        columns = [getattr(self, f.name) for f in fields(self)]
-        bounds = [0, *(int(c) for c in np.cumsum(sizes)[:-1]), None]
-        return [BatchEvaluation(*(column[a:b] for column in columns))
-                for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 class LinkProblem:
@@ -331,21 +320,24 @@ class LinkProblem:
         d_su = _norm3(starts - self.source[:, None, None])
         d_du = _norm3(starts - self.user[:, None, None])
         hops = _norm3(waypoints[:, :, 1:] - starts)
-        speeds = hops / p.slot_duration_s
-        corr = doppler_factor(speeds, p)
-        r_up = rate_uplink(d_su, corr, p)
-        r_dn = rate_downlink(d_su, d_du, corr, p)
-        weight = split if self.rate_weighting == "delta" else 1.0
         sigma = p.slot_duration_s
+        speeds = hops / sigma
+        corr = doppler_factor(speeds, p)
+        terms = link_terms(d_su, corr, p)
+        r_up = rate_uplink(d_su, corr, p, terms)
+        r_dn = rate_downlink(d_su, d_du, corr, p, terms)
+        weighted_up, weighted_dn = ((r_up * split, r_dn * split)
+                                    if self.rate_weighting == "delta" else (r_up, r_dn))
+        active_s = split * sigma
         return SlotTable(
             d_su_m=d_su, d_du_m=d_du, hop_m=hops, speed_mps=speeds,
             correlation=corr, rate_up_bps=r_up, rate_down_bps=r_dn,
-            weighted_rate_up_bps=r_up * weight,
-            weighted_rate_down_bps=r_dn * weight,
-            harvested_j=harvested_energy_slot(d_su, split, p),
+            weighted_rate_up_bps=weighted_up,
+            weighted_rate_down_bps=weighted_dn,
+            harvested_j=harvested_energy_slot(d_su, split, p, terms),
             fly_j=sigma * flying_power(speeds, self.propulsion),
-            backscatter_j=split * sigma * p.backscatter_circuit_power_w,
-            cache_j=split * sigma * p.ub_tx_power_w,
+            backscatter_j=active_s * p.backscatter_circuit_power_w,
+            cache_j=active_s * p.ub_tx_power_w,
         )
 
     def slot_table(self, traj: Trajectory, time_split) -> SlotTable:

@@ -11,7 +11,7 @@ executed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .common import (
     SolverReport,
     SolverSteps,
     config_snapshot,
+    draw,
     drive,
     initial_population,
     masked_gaussian_offsets,
@@ -78,11 +79,11 @@ def selection_weights(fitness: np.ndarray) -> np.ndarray:
 
     The worst individual anchors the scale: weight_k = (f_worst - f_k)
     plus a small positive floor so the worst individual keeps a nonzero
-    pick probability.
+    pick probability.  A (seeds, size) stack is weighted row by row.
     """
     fitness = np.asarray(fitness, dtype=np.float64)
-    worst = float(np.max(fitness))
-    return (worst - fitness) + 1.0e-9 * abs(worst)
+    worst = np.max(fitness, axis=-1, keepdims=True)
+    return (worst - fitness) + 1.0e-9 * np.abs(worst)
 
 
 def roulette(weights, n_picks: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,30 +106,32 @@ def roulette(weights, n_picks: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def select(genomes: np.ndarray, fitness: np.ndarray, cfg: GaConfig,
-           rng: np.random.Generator) -> np.ndarray:
+           rng) -> np.ndarray:
     """Build the parent pool: elites first, roulette picks after.
 
     Returns a (population_size, dim) array.  With elite_fraction = 1 the
-    pool is simply the population sorted by fitness.
+    pool is simply the population sorted by fitness.  A stack of
+    populations takes one generator per seed (see :func:`~uavbsc.common.draw`).
     """
     genomes = np.asarray(genomes, dtype=np.float64)
     fitness = np.asarray(fitness, dtype=np.float64)
-    if genomes.shape[0] != fitness.shape[0]:
+    if genomes.shape[:-1] != fitness.shape:
         raise ValueError("genomes and fitness must have matching length")
-    size = genomes.shape[0]
-    order = np.argsort(fitness, kind="stable")
+    stacked = not isinstance(rng, np.random.Generator)
+    if not stacked:
+        genomes, fitness, rng = genomes[None], fitness[None], [rng]
+    size = fitness.shape[1]
+    picks = np.argsort(fitness, axis=1, kind="stable")
     n_elite = elite_count(cfg, size)
-    pool = np.empty_like(genomes)
-    pool[:n_elite] = genomes[order[:n_elite]]
-    n_roulette = size - n_elite
-    if n_roulette > 0:
-        picks = roulette(selection_weights(fitness), n_roulette, rng)
-        pool[n_elite:] = genomes[picks]
-    return pool
+    if n_elite < size:
+        weights = selection_weights(fitness)
+        for k, g in enumerate(rng):
+            picks[k, n_elite:] = roulette(weights[k], size - n_elite, g)
+    pool = genomes[np.arange(len(picks))[:, None], picks]
+    return pool if stacked else pool[0]
 
 
-def crossover(parent_a, parent_b, cfg: GaConfig,
-              rng: np.random.Generator):
+def crossover(parent_a, parent_b, cfg: GaConfig, rng):
     """Per-gene arithmetic blend of two parents, or of stacks of pairs.
 
     Each gene crosses with probability ``crossover_rate`` using a fresh
@@ -136,12 +139,13 @@ def crossover(parent_a, parent_b, cfg: GaConfig,
     pairs conserve their sum exactly.  Uncrossed genes are copied.  Each
     pair draws its mask then its blend factors, pair after pair, so a
     (pairs, dim) stack consumes the stream exactly as a loop over pairs.
+    A (seeds, pairs, dim) stack takes one generator per seed.
     """
     a = np.asarray(parent_a, dtype=np.float64)
     b = np.asarray(parent_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("parents must have identical shape")
-    draws = rng.uniform(size=a.shape[:-1] + (2, a.shape[-1]))
+    draws = draw(rng, "random", a.shape[:-1] + (2, a.shape[-1]))
     mask = draws[..., 0, :] < cfg.crossover_rate
     blend = draws[..., 1, :]
     child_a = np.where(mask, blend * a + (1.0 - blend) * b, a)
@@ -149,7 +153,7 @@ def crossover(parent_a, parent_b, cfg: GaConfig,
     return child_a, child_b
 
 
-def mutate(genes, cfg: GaConfig, rng: np.random.Generator) -> np.ndarray:
+def mutate(genes, cfg: GaConfig, rng) -> np.ndarray:
     """Clamped Gaussian mutation; works on one genome or a stack."""
     arr = np.asarray(genes, dtype=np.float64)
     offsets = masked_gaussian_offsets(
@@ -160,14 +164,16 @@ def mutate(genes, cfg: GaConfig, rng: np.random.Generator) -> np.ndarray:
 def run(cfg: GaConfig, problem: LinkProblem,
         callback: Optional[ProgressCallback] = None) -> SolverReport:
     """Run the genetic algorithm and report the best mission found."""
-    return drive(steps(cfg, problem, callback), problem)
+    return drive(steps(cfg, problem, callback=callback), problem)[0]
 
 
 def steps(cfg: GaConfig, problem: LinkProblem,
+          seeds: Optional[Sequence[int]] = None,
           callback: Optional[ProgressCallback] = None) -> SolverSteps:
-    """The genetic algorithm as a solver loop (see :mod:`uavbsc.common`).
+    """The GA over a (seeds, size, dim) stack (see :mod:`uavbsc.common`).
 
-    Stops at the generation limit, after ``stall_limit`` generations
+    Each seed (default: ``cfg.seed``) has its own generator, and leaves
+    the stack at the generation limit, after ``stall_limit`` generations
     without a best-fitness improvement beyond ``STALL_TOL``, or when the
     next generation would exceed ``max_evaluations``.
     """
@@ -176,52 +182,54 @@ def steps(cfg: GaConfig, problem: LinkProblem,
     if budget is not None and budget < size:
         raise ValueError(
             f"evaluation budget {budget} cannot fit one population of {size}")
-    rng = np.random.default_rng(cfg.seed)
+    seeds = [cfg.seed] if seeds is None else [int(seed) for seed in seeds]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    best = [Incumbent(callback) for _ in seeds]
+    stall = np.zeros(len(seeds), dtype=int)
+    spent = np.full(len(seeds), size)  # evaluations of each seed
+    live = np.arange(len(seeds))  # the seed of each stacked row
+    n_elite = elite_count(cfg, size)
+    paired = size - size % 2  # pairs (0, 1), (2, 3), ... cross; an odd last is copied
 
-    pop = initial_population(problem, size, cfg.init_mean, cfg.init_std, rng)
-    ev = yield pop
-    evaluations = size
-    order = np.argsort(ev.fitness, kind="stable")
-    pop = pop[order]
-    fit = ev.fitness[order]
-    worst = ev.worst_violation[order]
+    pop = initial_population(problem, size, cfg.init_mean, cfg.init_std, rngs)
+    ev = yield pop.reshape(-1, problem.genome_size)
+    fit = ev.fitness.reshape(-1, size)
+    worst = ev.worst_violation.reshape(-1, size)
 
-    best = Incumbent(callback)
-    best.offer(pop, fit, worst, 0)
-    stall = 0
-
-    for gen in range(1, cfg.generations + 1):
-        if budget is not None and evaluations + size > budget:
+    # Generation 0 ranks the initial populations; generation g > 0 ranks
+    # the children of generation g together with the elites they keep.
+    for gen in range(cfg.generations + 1):
+        rows = np.arange(live.size)[:, None]
+        order = np.argsort(fit, axis=1, kind="stable")[:, :size]
+        pop, fit, worst = pop[rows, order], fit[rows, order], worst[rows, order]
+        means = np.mean(fit, axis=1)
+        for row, k in enumerate(live):
+            improved = best[k].offer(pop[row], fit[row], worst[row], gen)
+            if gen > 0:
+                stall[k] = 0 if improved else stall[k] + 1
+                best[k].record(gen, means[row], int(spent[k]))
+        keep = stall[live] < cfg.stall_limit
+        if not keep.all():
+            pop, fit, worst, live = pop[keep], fit[keep], worst[keep], live[keep]
+        if not live.size or gen == cfg.generations or (
+                budget is not None and spent[live[0]] + size > budget):
             break
 
-        pool = select(pop, fit, cfg, rng)
-        n_elite = elite_count(cfg, size)
-        elites = pool[:n_elite].copy()
-        elite_fit = fit[:n_elite].copy()
-        elite_worst = worst[:n_elite].copy()
-
-        # Pairs (0, 1), (2, 3), ... cross; an odd last parent is copied.
+        stack = [rngs[k] for k in live]
+        pool = select(pop, fit, cfg, stack)
         children = pool.copy()
-        paired = size - size % 2
-        children[0:paired:2], children[1:paired:2] = crossover(
-            pool[0:paired:2], pool[1:paired:2], cfg, rng)
-        children = problem.adjust(mutate(children, cfg, rng))
+        children[:, 0:paired:2], children[:, 1:paired:2] = crossover(
+            pool[:, 0:paired:2], pool[:, 1:paired:2], cfg, stack)
+        children = problem.adjust(mutate(children, cfg, stack))
 
-        cev = yield children
-        evaluations += size
+        cev = yield children.reshape(-1, problem.genome_size)
+        spent[live] += size
+        pop = np.concatenate([children, pool[:, :n_elite]], axis=1)
+        fit = np.concatenate(
+            [cev.fitness.reshape(-1, size), fit[:, :n_elite]], axis=1)
+        worst = np.concatenate(
+            [cev.worst_violation.reshape(-1, size), worst[:, :n_elite]], axis=1)
 
-        cand = np.vstack([children, elites])
-        cand_fit = np.concatenate([cev.fitness, elite_fit])
-        cand_worst = np.concatenate([cev.worst_violation, elite_worst])
-        keep = np.argsort(cand_fit, kind="stable")[:size]
-        pop = cand[keep]
-        fit = cand_fit[keep]
-        worst = cand_worst[keep]
-
-        stall = 0 if best.offer(pop, fit, worst, gen) else stall + 1
-        best.record(gen, np.mean(fit), evaluations)
-        if stall >= cfg.stall_limit:
-            break
-
-    return best.report(problem, "ga", cfg.seed, evaluations, budget,
-                       config_snapshot(cfg))
+    return [best[k].report(problem, "ga", seed, int(spent[k]), budget,
+                           {**config_snapshot(cfg), "seed": seed})
+            for k, seed in enumerate(seeds)]

@@ -2,11 +2,11 @@
 
 Everything here is deterministic given (scenario, solver, seed, budget):
 each run owns a single seeded generator, and campaigns and sweeps step
-their runs in lockstep groups whose stacked evaluations are row-wise, so
-a run's results do not depend on which runs share its group.  Worker
-processes take contiguous slices of the run list, and results are
-collected in run order.  Artifacts therefore compare equal bit for bit
-at any worker count once wall-clock fields are stripped.
+the seeds of one solver as one stacked solver loop whose evaluations are
+row-wise, so a run's results do not depend on which runs share its
+group.  Worker processes take contiguous slices of the run list, and
+results are collected in run order.  Artifacts therefore compare equal
+bit for bit at any worker count once wall-clock fields are stripped.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ import numpy as np
 
 from . import ga as ga_mod
 from . import pso as pso_mod
-from .common import (
-    Incumbent,
-    SolverReport,
-    SolverSteps,
-    drive,
-    drive_lockstep,
-)
+from .common import Incumbent, SolverReport, SolverSteps, draw, drive
 from .config import SOLVER_CONFIGS, ConfigError, ScenarioConfig
 from .encoding import LinkProblem
 
@@ -125,31 +119,25 @@ def make_solver_config(scenario: ScenarioConfig, solver: str, seed: int,
                                   seed=seed, max_evaluations=budget)
 
 
-def _solver_steps(scenario: ScenarioConfig, problem: LinkProblem,
-                  solver: str, seed: int, budget: Optional[int],
-                  callback=None) -> SolverSteps:
-    cfg = make_solver_config(scenario, solver, seed, budget)
-    if cfg is None:
-        return random_steps(
-            problem, budget=RANDOM_DEFAULT_BUDGET if budget is None else budget,
-            seed=seed, callback=callback)
-    steps = ga_mod.steps if isinstance(cfg, ga_mod.GaConfig) else pso_mod.steps
-    return steps(cfg, problem, callback=callback)
-
-
 def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
                budget: Optional[int] = None,
                callback=None) -> List[RunArtifact]:
-    """Runs of one solver over ``seeds``, stepped in lockstep.
+    """Runs of one solver over ``seeds``, stepped as one stacked loop.
 
     Each artifact's ``wall_clock_s`` is the group's wall time divided by
     the group's size, so the sum over artifacts is still the busy time.
     """
     problem = scenario.build_problem()
     started = time.perf_counter()
-    reports = drive_lockstep(
-        [_solver_steps(scenario, problem, solver, seed, budget, callback)
-         for seed in seeds], problem)
+    cfg = make_solver_config(scenario, solver, seeds[0], budget)
+    if cfg is None:
+        loop = random_steps(
+            problem, RANDOM_DEFAULT_BUDGET if budget is None else budget,
+            seeds, callback=callback)
+    else:
+        steps = ga_mod.steps if isinstance(cfg, ga_mod.GaConfig) else pso_mod.steps
+        loop = steps(cfg, problem, seeds, callback=callback)
+    reports = drive(loop, problem)
     wall = (time.perf_counter() - started) / len(seeds)
     return [
         RunArtifact(
@@ -186,10 +174,11 @@ def _run_slice(runs: Sequence[tuple], budget: Optional[int]) -> list:
     """One result per ``(scenario, solver, seed)`` run, in run order.
 
     Each maximal stretch of runs on the same scenario object and solver
-    is one lockstep group.  A group that raises ``ConfigError`` or
-    ``ValueError`` gives each of its runs that exception, not an artifact,
-    and so do the later groups on that scenario, which are not run: one
-    failed run fails its whole campaign or swept value.
+    is one group, stepped as one stacked solver loop.  A group that
+    raises ``ConfigError`` or ``ValueError`` gives each of its runs that
+    exception, not an artifact, and so do the later groups on that
+    scenario, which are not run: one failed run fails its whole campaign
+    or swept value.
     """
     results, failed = [], {}
     for (scenario, solver), stretch in itertools.groupby(
@@ -232,7 +221,7 @@ def run_campaign(scenario: ScenarioConfig, solvers, seeds: Sequence[int],
     ``solvers`` is a name or a list of names; every run gets the same
     evaluation budget, so campaigns compare solvers fairly.  Runs are
     dealt to workers in contiguous slices, and a slice's runs of one
-    solver step in lockstep with one stacked evaluation per step (see
+    solver step as one stack with one evaluation per step (see
     :func:`_execute`).  Every run is seeded independently and evaluation
     is row-wise, so the artifacts are identical whatever the worker
     count.  The first failed run's exception is raised.
@@ -263,40 +252,46 @@ def random_search(problem: LinkProblem, budget: int, seed: int = 0,
                   chunk_size: int = _RANDOM_CHUNK,
                   callback=None) -> SolverReport:
     """Uniform random sampling of the unit box, best-so-far kept."""
-    return drive(random_steps(problem, budget, seed, chunk_size, callback),
-                 problem)
+    return drive(random_steps(problem, budget, [seed], chunk_size, callback),
+                 problem)[0]
 
 
-def random_steps(problem: LinkProblem, budget: int, seed: int = 0,
-                 chunk_size: int = _RANDOM_CHUNK,
+def random_steps(problem: LinkProblem, budget: int,
+                 seeds: Sequence[int] = (0,), chunk_size: int = _RANDOM_CHUNK,
                  callback=None) -> SolverSteps:
-    """Random search as a solver loop (see :mod:`uavbsc.common`).
+    """Random search over a stack of seeds (see :mod:`uavbsc.common`).
 
-    Candidates are drawn in row-major blocks from one seeded stream, so a
-    longer budget evaluates a strict superset of a shorter one.  The trace
-    holds one record per block.
+    Each seed draws its candidates in row-major blocks from its own
+    stream, so a longer budget evaluates a strict superset of a shorter
+    one.  The trace holds one record per block.
     """
     if budget < 1:
         raise ValueError("random search needs a budget of at least 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    rng = np.random.default_rng(seed)
+    seeds = [int(seed) for seed in seeds]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     dim = problem.genome_size
 
-    best = Incumbent(callback)
+    best = [Incumbent(callback) for _ in seeds]
     evaluations = 0
     block = 0
     while evaluations < budget:
         n = min(chunk_size, budget - evaluations)
-        genomes = problem.adjust(rng.random((n, dim)))
-        ev = yield genomes
+        genomes = problem.adjust(draw(rngs, "random", (len(seeds), n, dim)))
+        ev = yield genomes.reshape(-1, dim)
         evaluations += n
         block += 1
-        best.offer(genomes, ev.fitness, ev.worst_violation, block)
-        best.record(block, np.mean(ev.fitness), evaluations)
+        fitness = ev.fitness.reshape(-1, n)
+        violation = ev.worst_violation.reshape(-1, n)
+        means = np.mean(fitness, axis=1)
+        for row, b in enumerate(best):
+            b.offer(genomes[row], fitness[row], violation[row], block)
+            b.record(block, means[row], evaluations)
 
-    return best.report(problem, "random", int(seed), evaluations, int(budget),
-                       {"chunk_size": int(chunk_size)})
+    return [b.report(problem, "random", seed, evaluations, int(budget),
+                     {"chunk_size": int(chunk_size)})
+            for b, seed in zip(best, seeds)]
 
 
 # ----------------------------------------------------------------------
@@ -385,6 +380,11 @@ def run_sweep(scenario: ScenarioConfig, spec: SweepSpec,
     return points
 
 
+# The run columns of a sweep row; a failed value leaves them empty.
+_RUN_COLUMNS = ("seed", "solver", "feasible", "rate_bps", "fitness", "evaluations",
+                "last_improvement_generation", "wall_clock_s")
+
+
 def sweep_rows(points: Sequence[SweepPoint],
                include_timing: bool = True) -> List[dict]:
     """One CSV row per (value, solver, seed); failed values yield one error row.
@@ -397,11 +397,7 @@ def sweep_rows(points: Sequence[SweepPoint],
         if point.error is not None:
             rows.append({
                 "parameter": point.parameter, "value": point.value,
-                "seed": "", "solver": "", "feasible": "",
-                "rate_bps": "", "fitness": "",
-                "evaluations": "", "last_improvement_generation": "",
-                "wall_clock_s": "", "error": point.error,
-            })
+                **dict.fromkeys(_RUN_COLUMNS, ""), "error": point.error})
         for art in point.artifacts:
             rows.append({
                 "parameter": point.parameter, "value": point.value,
@@ -590,34 +586,21 @@ def export_solution(problem: LinkProblem, genome, out_dir,
     write_json(solution_path, {**evaluated.to_dict(), "meta": meta or {}})
 
     csv_path = out_dir / "trajectory.csv"
-    rows = []
-    consumed = table.fly_j + table.backscatter_j + table.cache_j
-    for i in range(n_slots + 1):
-        row = {
-            "waypoint": i,
-            "x_m": float(waypoints[i, 0]),
-            "y_m": float(waypoints[i, 1]),
-            "z_m": float(waypoints[i, 2]),
-        }
-        if i < n_slots:
-            row.update({
-                "time_split": float(evaluated.time_split[i]),
-                "speed_mps": float(table.speed_mps[i]),
-                "station_tag_distance_m": float(table.d_su_m[i]),
-                "tag_user_distance_m": float(table.d_du_m[i]),
-                "uplink_rate_bps": float(table.rate_up_bps[i]),
-                "downlink_rate_bps": float(table.rate_down_bps[i]),
-                "harvested_j": float(table.harvested_j[i]),
-                "consumed_j": float(consumed[i]),
-            })
-        else:
-            row.update({
-                "time_split": "", "speed_mps": "",
-                "station_tag_distance_m": "", "tag_user_distance_m": "",
-                "uplink_rate_bps": "", "downlink_rate_bps": "",
-                "harvested_j": "", "consumed_j": "",
-            })
-        rows.append(row)
+    slot_columns = {
+        "time_split": evaluated.time_split,
+        "speed_mps": table.speed_mps,
+        "station_tag_distance_m": table.d_su_m,
+        "tag_user_distance_m": table.d_du_m,
+        "uplink_rate_bps": table.rate_up_bps,
+        "downlink_rate_bps": table.rate_down_bps,
+        "harvested_j": table.harvested_j,
+        "consumed_j": table.fly_j + table.backscatter_j + table.cache_j,
+    }
+    rows = [{"waypoint": i, "x_m": float(waypoints[i, 0]),
+             "y_m": float(waypoints[i, 1]), "z_m": float(waypoints[i, 2]),
+             **{name: float(column[i]) if i < n_slots else ""
+                for name, column in slot_columns.items()}}
+            for i in range(n_slots + 1)]
     write_csv(csv_path, rows)
     return solution_path, csv_path
 

@@ -18,6 +18,7 @@ All functions are pure, accept scalars or numpy arrays, and use SI units
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
@@ -33,6 +34,7 @@ __all__ = [
     "as_position",
     "as_time_split",
     "bessel_j0",
+    "link_terms",
     "doppler_factor",
     "rate_uplink",
     "rate_downlink",
@@ -333,27 +335,35 @@ class PropulsionParams:
         additionally multiplied by the slot duration (an alternative,
         dimensionally odd convention kept available behind this flag).
         """
-        omega_r = rotor.blade_angular_velocity_rad_s * rotor.rotor_radius_m
-        profile_speed = 3.0 / omega_r**2
+        def power(*names, exponent):  # of the product of the named constants
+            value = math.prod(getattr(rotor, name) for name in names)
+            try:
+                return value**exponent
+            except OverflowError:
+                raise ParameterError("rotor constants", [
+                    f"{' * '.join(names)} is too large: its power "
+                    f"{exponent} overflows a float (got {value})"]) from None
+
+        if literal_profile_scaling and slot_duration is None:
+            raise ValueError("literal_profile_scaling requires the slot duration")
+        profile_speed = 3.0 / power("blade_angular_velocity_rad_s",
+                                    "rotor_radius_m", exponent=2)
         if literal_profile_scaling:
-            if slot_duration is None:
-                raise ValueError(
-                    "literal_profile_scaling requires the slot duration")
             profile_speed *= slot_duration
         profile_power = (
             rotor.profile_drag_coeff / 8.0
             * rotor.air_density_kgm3
             * rotor.rotor_solidity
             * rotor.disc_area_m2
-            * rotor.blade_angular_velocity_rad_s**3
-            * rotor.rotor_radius_m**3
+            * power("blade_angular_velocity_rad_s", exponent=3)
+            * power("rotor_radius_m", exponent=3)
         )
         induced_power = (
             (1.0 + rotor.induced_power_factor)
-            * rotor.aircraft_weight_n**1.5
+            * power("aircraft_weight_n", exponent=1.5)
             / math.sqrt(2.0 * rotor.air_density_kgm3 * rotor.disc_area_m2)
         )
-        induced_speed = 1.0 / (2.0 * rotor.mean_induced_velocity_ms**2)
+        induced_speed = 1.0 / (2.0 * power("mean_induced_velocity_ms", exponent=2))
         parasite = (
             0.5
             * rotor.fuselage_drag_coeff
@@ -405,9 +415,11 @@ class SystemParams:
             self, "bounds_m",
             tuple((float(lo), float(hi)) for lo, hi in self.bounds_m))
         problems = []
-        if not (self.slot_count >= 1 and self.slot_count % 1 == 0):
-            problems.append(
-                f"slot_count must be a positive integer (got {self.slot_count})")
+        # A count beyond the float range would overflow the slot duration.
+        if not (1 <= self.slot_count <= sys.float_info.max
+                and self.slot_count % 1 == 0):
+            problems.append("slot_count must be a positive integer that fits "
+                            f"a float (got {self.slot_count})")
         if len(self.bounds_m) != 3:
             problems.append("bounds_m must give (lo, hi) for three axes "
                             f"(got {self.bounds_m})")
@@ -465,56 +477,72 @@ def doppler_factor(speed, params: SystemParams):
     return _maybe_float(np.clip(np.square(j0), 0.0, 1.0))
 
 
-def rate_uplink(d_su, correlation, params: SystemParams):
+def _path_loss(d_su, params: SystemParams):
+    return np.power(_check_distance(d_su), params.path_loss_exp)
+
+
+def link_terms(d_su, correlation, params: SystemParams) -> tuple:
+    """Terms the rate and harvest formulas share, to compute once for all.
+
+    Returns ``(path_loss, corr_sq, stale, stale_noise)``: ``d_su`` to the
+    path-loss exponent, the squared correlation, ``1 - corr_sq``, and
+    ``stale`` times the estimation noise; pass it on as ``terms``.
+    """
+    corr_sq = np.square(np.asarray(correlation, dtype=np.float64))
+    stale = 1.0 - corr_sq
+    return (_path_loss(d_su, params), corr_sq, stale,
+            stale * params.noise_var_estimation_w)
+
+
+def rate_uplink(d_su, correlation, params: SystemParams, terms=None):
     """Ergodic achievable rate of the station-to-tag hop in one slot (bit/s).
 
     ``correlation`` is the time-selectivity factor from
     :func:`doppler_factor`; stale estimates both scale down the useful
     signal and add estimation-induced noise.
     """
-    d_su = _check_distance(d_su)
-    corr = np.asarray(correlation, dtype=np.float64)
-    stale = 1.0 - np.square(corr)
-    eff_noise = params.noise_var_uplink_w + stale * params.noise_var_estimation_w
+    path_loss, corr_sq, _, stale_noise = terms or link_terms(
+        d_su, correlation, params)
+    eff_noise = params.noise_var_uplink_w + stale_noise
     snr = (
         math.exp(-params.euler_gamma)
         * params.ref_gain
-        * np.square(corr)
+        * corr_sq
         * params.source_power_w
-        / (np.power(d_su, params.path_loss_exp) * eff_noise)
+        / (path_loss * eff_noise)
     )
     return _maybe_float(params.bandwidth_hz * np.log2(1.0 + snr))
 
 
-def rate_downlink(d_su, d_du, correlation, params: SystemParams):
+def rate_downlink(d_su, d_du, correlation, params: SystemParams, terms=None):
     """Ergodic achievable rate of the tag-to-user hop in one slot (bit/s).
 
     Two signal components reach the user: source symbols reflected off the
     tag (attenuated by both hops) and cached symbols transmitted by the tag
     itself (present only when the cache holds data).
     """
-    d_su = _check_distance(d_su)
+    path_loss, corr_sq, stale, stale_noise = terms or link_terms(
+        d_su, correlation, params)
     d_du = _check_distance(d_du)
-    corr = np.asarray(correlation, dtype=np.float64)
-    stale = 1.0 - np.square(corr)
     eff_noise = (
         params.noise_var_downlink_w
-        + stale * params.noise_var_estimation_w
+        + stale_noise
         + np.square(stale) * params.noise_var_estimation_w**2
     )
     cache_power = params.cache_indicator * params.ub_tx_power_w
     reflected = (
-        np.square(np.square(corr))
+        np.square(corr_sq)
         * params.backscatter_coeff
         * params.ref_gain
         * params.source_power_w
     )
-    cached = np.square(corr) * cache_power * np.power(d_su, params.path_loss_exp)
+    cached = corr_sq * cache_power * path_loss
     snr = (
         math.exp(-params.euler_gamma)
         * params.ref_gain
         * (reflected + cached)
-        / (np.power(d_su * d_du, params.path_loss_exp) * eff_noise)
+        / (np.power(np.asarray(d_su, dtype=np.float64) * d_du,
+                    params.path_loss_exp) * eff_noise)
     )
     return _maybe_float(params.bandwidth_hz * np.log2(1.0 + snr))
 
@@ -523,13 +551,13 @@ def rate_downlink(d_su, d_du, correlation, params: SystemParams):
 # Energy bookkeeping
 # ======================================================================
 
-def harvested_energy_slot(d_su, split, params: SystemParams):
+def harvested_energy_slot(d_su, split, params: SystemParams, terms=None):
     """RF energy harvested by the tag during one slot (J).
 
     Harvesting runs only in the inactive fraction ``1 - split`` of the slot
     and decays with the station distance by the path-loss law.
     """
-    d_su = _check_distance(d_su)
+    path_loss = terms[0] if terms else _path_loss(d_su, params)
     split = np.asarray(split, dtype=np.float64)
     return _maybe_float(
         params.ref_gain
@@ -537,7 +565,7 @@ def harvested_energy_slot(d_su, split, params: SystemParams):
         * (1.0 - split)
         * params.slot_duration_s
         * params.wpt_power_w
-        / np.power(d_su, params.path_loss_exp)
+        / path_loss
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .common import (
     SolverReport,
     SolverSteps,
     config_snapshot,
+    draw,
     drive,
     initial_population,
     masked_gaussian_offsets,
@@ -111,17 +112,17 @@ def inertia_at(step: int, total: int, cfg: PsoConfig) -> float:
 
 
 def update_velocity(position, velocity, personal_best, global_best,
-                    inertia: float, cfg: PsoConfig,
-                    rng: np.random.Generator) -> np.ndarray:
+                    inertia: float, cfg: PsoConfig, rng) -> np.ndarray:
     """Velocity update with fresh per-gene uniform draws.
 
-    Works on a single particle (dim,) or the whole swarm (S, dim); the
+    Works on a single particle (dim,), the whole swarm (S, dim), or a
+    (seeds, S, dim) stack of swarms with one generator per seed; the
     global best broadcasts.  The optional velocity clamp is applied last.
     """
     x = np.asarray(position, dtype=np.float64)
     v = np.asarray(velocity, dtype=np.float64)
-    pull_own = rng.uniform(size=x.shape)
-    pull_global = rng.uniform(size=x.shape)
+    pull_own = draw(rng, "random", x.shape)
+    pull_global = draw(rng, "random", x.shape)
     new_v = (
         inertia * v
         + cfg.cognitive_coeff * pull_own * (np.asarray(personal_best) - x)
@@ -142,76 +143,100 @@ def update_position(position, velocity) -> np.ndarray:
 def run(cfg: PsoConfig, problem: LinkProblem,
         callback: Optional[ProgressCallback] = None) -> SolverReport:
     """Run the swarm and report the best mission found."""
-    return drive(steps(cfg, problem, callback), problem)
+    return drive(steps(cfg, problem, callback=callback), problem)[0]
 
 
 def steps(cfg: PsoConfig, problem: LinkProblem,
+          seeds: Optional[Sequence[int]] = None,
           callback: Optional[ProgressCallback] = None) -> SolverSteps:
-    """The swarm as a solver loop (see :mod:`uavbsc.common`).
+    """The swarm over a (seeds, size, dim) stack (see :mod:`uavbsc.common`).
 
-    Per iteration: velocities and positions update against the previous
+    Each seed (default: ``cfg.seed``) has its own generator.  Per
+    iteration: velocities and positions update against the previous
     iteration's global best, particles are re-evaluated, personal bests
     then the global best are refreshed, and (improved variant) the
     mutation pass perturbs and re-evaluates everyone except the global
     best holder, whose result is folded into the bests at the next
-    iteration's refresh.
+    iteration's refresh.  A seed leaves the stack after the last
+    iteration, or when its next one might exceed its budget.
     """
     size = cfg.swarm_size
     budget = cfg.max_evaluations
     if budget is not None and budget < size:
         raise ValueError(
             f"evaluation budget {budget} cannot fit one swarm of {size}")
-    rng = np.random.default_rng(cfg.seed)
+    seeds = [cfg.seed] if seeds is None else [int(seed) for seed in seeds]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    best = [Incumbent(callback) for _ in seeds]
+    spent = np.full(len(seeds), size)  # evaluations of each seed
+    live = np.arange(len(seeds))  # the seed of each stacked row
+    mutation_std = math.sqrt(IPSO_MUTATION_VARIANCE)
+    needed = size + (size - 1 if cfg.mutation_active else 0)
 
     positions = initial_population(
-        problem, size, cfg.init_mean, cfg.init_std, rng)
+        problem, size, cfg.init_mean, cfg.init_std, rngs)
     velocities = np.zeros_like(positions)
-    ev = yield positions
-    evaluations = size
+    ev = yield positions.reshape(-1, problem.genome_size)
 
     personal_x = positions.copy()
-    personal_fit = ev.fitness.copy()
-    personal_worst = ev.worst_violation.copy()
-    best = Incumbent(callback)
-    best.offer(personal_x, personal_fit, personal_worst, 0)
-    mutation_std = math.sqrt(IPSO_MUTATION_VARIANCE)
+    personal_fit = ev.fitness.reshape(-1, size).copy()
+    personal_worst = ev.worst_violation.reshape(-1, size).copy()
+    for row, k in enumerate(live):
+        best[k].offer(personal_x[row], personal_fit[row], personal_worst[row], 0)
 
-    for it in range(1, cfg.iterations + 1):
-        needed = size + (size - 1 if cfg.mutation_active else 0)
-        if budget is not None and evaluations + needed > budget:
-            break
+    for it in range(1, cfg.iterations + 2):
+        keep = np.full(live.size, it <= cfg.iterations)
+        if budget is not None:
+            keep &= spent[live] + needed <= budget
+        if not keep.all():
+            for row in np.flatnonzero(~keep):  # fold in a last mutation pass
+                best[live[row]].offer(personal_x[row], personal_fit[row],
+                                      personal_worst[row])
+            live, positions, velocities = live[keep], positions[keep], velocities[keep]
+            personal_x, personal_fit, personal_worst = (
+                personal_x[keep], personal_fit[keep], personal_worst[keep])
+            if not live.size:
+                break
+        stack = [rngs[k] for k in live]
+        holders = [best[k] for k in live]
 
         inertia = inertia_at(it - 1, cfg.iterations, cfg)
-        velocities = update_velocity(
-            positions, velocities, personal_x, best.genome, inertia, cfg, rng)
+        leaders = np.stack([b.genome for b in holders])[:, None, :]
+        velocities = update_velocity(positions, velocities, personal_x,
+                                     leaders, inertia, cfg, stack)
         positions = problem.adjust(update_position(positions, velocities))
-        ev = yield positions
-        evaluations += size
+        ev = yield positions.reshape(-1, problem.genome_size)
+        spent[live] += size
 
-        improved = ev.fitness < personal_fit
+        fitness = ev.fitness.reshape(-1, size)
+        violation = ev.worst_violation.reshape(-1, size)
+        improved = fitness < personal_fit
         personal_x[improved] = positions[improved]
-        personal_fit[improved] = ev.fitness[improved]
-        personal_worst[improved] = ev.worst_violation[improved]
-        best.offer(personal_x, personal_fit, personal_worst, it)
-        best.record(it, np.mean(ev.fitness), evaluations)
+        personal_fit[improved] = fitness[improved]
+        personal_worst[improved] = violation[improved]
+        means = np.mean(fitness, axis=1)
+        for row, b in enumerate(holders):
+            b.offer(personal_x[row], personal_fit[row], personal_worst[row], it)
+            b.record(it, means[row], int(spent[live[row]]))
 
         if cfg.mutation_active:
             offsets = masked_gaussian_offsets(
-                rng, positions.shape, cfg.mutation_prob, mutation_std)
-            offsets[best.index] = 0.0
-            moved = np.any(offsets != 0.0, axis=1)
+                stack, positions.shape, cfg.mutation_prob, mutation_std)
+            offsets[np.arange(live.size), [b.index for b in holders]] = 0.0
+            moved = np.any(offsets != 0.0, axis=2)
             if np.any(moved):
+                # Exact for a seed that moves no row: its positions are
+                # already adjusted, and its offsets are all +0.0.
                 positions = problem.adjust(positions + offsets)
                 mev = yield positions[moved]
-                evaluations += int(np.count_nonzero(moved))
-                rows = np.flatnonzero(moved)
-                better = mev.fitness < personal_fit[rows]
-                upd = rows[better]
+                spent[live] += np.count_nonzero(moved, axis=1)
+                better = mev.fitness < personal_fit[moved]
+                upd = moved.copy()
+                upd[moved] = better
                 personal_x[upd] = positions[upd]
                 personal_fit[upd] = mev.fitness[better]
                 personal_worst[upd] = mev.worst_violation[better]
 
-    # Fold in any personal-best improvement from a trailing mutation pass.
-    best.offer(personal_x, personal_fit, personal_worst)
-    return best.report(problem, cfg.variant, cfg.seed, evaluations, budget,
-                       config_snapshot(cfg))
+    return [best[k].report(problem, cfg.variant, seed, int(spent[k]), budget,
+                           {**config_snapshot(cfg), "seed": seed})
+            for k, seed in enumerate(seeds)]

@@ -111,6 +111,20 @@ def test_huge_db_value_is_a_config_error(capsys, tmp_path):
     assert "system.wpt_power_db" in payload["message"]
 
 
+def test_solver_override_too_large_for_a_float_is_a_config_error(capsys,
+                                                                  tmp_path):
+    doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
+    doc["solvers"]["ipso"]["cognitive_coeff"] = 10**400
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", "--config", str(huge),
+                           "--solver", "ipso", "--budget", "200")
+    assert code == 3
+    payload = error_payload(err)
+    assert payload["category"] == "config"
+    assert "solvers.ipso.cognitive_coeff is out of range" in payload["message"]
+
+
 def test_impossible_budget_is_an_execution_error(capsys):
     code, _, err = run_cli(capsys, "run", "--config", TINY,
                            "--solver", "random", "--budget", "0")

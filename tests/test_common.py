@@ -1,5 +1,6 @@
 """The one best-so-far rule shared by every solver and the grid oracle,
-and the one initializer of both population-based solvers."""
+the one initializer of both population-based solvers, and the per-seed
+draws of a stacked solver loop."""
 
 import numpy as np
 
@@ -8,6 +9,7 @@ from uavbsc.common import (
     STALL_TOL,
     GenerationRecord,
     Incumbent,
+    draw,
     initial_population,
 )
 
@@ -132,3 +134,26 @@ def test_both_solvers_start_from_the_shared_initializer(tiny_problem):
                                tiny_problem))
     assert first_ga.tobytes() == want.tobytes()
     assert first_pso.tobytes() == want.tobytes()
+
+
+def test_draw_fills_each_layer_of_a_stack_from_its_own_generator():
+    seeds = (7, 8, 7)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    stacked = draw(rngs, "normal", (3, 4, 5), 0.0, 2.0)
+    for layer, rng, seed in zip(stacked, rngs, seeds):
+        alone = np.random.default_rng(seed)
+        assert layer.tobytes() == alone.normal(0.0, 2.0, size=(4, 5)).tobytes()
+        assert rng.bit_generator.state == alone.bit_generator.state
+    # The solvers draw their uniforms with ``random``: the same values and
+    # stream as ``uniform()``.
+    assert draw(np.random.default_rng(3), "random", (6, 5)).tobytes() == \
+        np.random.default_rng(3).uniform(size=(6, 5)).tobytes()
+
+
+def test_initial_population_of_a_stack_is_each_seed_alone(tiny_problem):
+    stacked = initial_population(tiny_problem, 5, None, 0.2,
+                                 [np.random.default_rng(s) for s in (2, 9)])
+    for layer, seed in zip(stacked, (2, 9)):
+        alone = initial_population(tiny_problem, 5, None, 0.2,
+                                   np.random.default_rng(seed))
+        assert layer.tobytes() == alone.tobytes()

@@ -266,6 +266,13 @@ def test_rejects_unknown_solver_sections_and_keys(doc):
     pytest.param("pso", "velocity_clamp", 0.0,
                  "must be positive when set (got 0.0)", 2.0,
                  id="pso-velocity_clamp-0.0-must be positive when set-2.0"),
+    # An integer too large for a float would overflow in the run.
+    pytest.param("ipso", "cognitive_coeff", 10**400,
+                 f"is out of range (got {10**400})", 2,
+                 id="ipso-cognitive_coeff-10**400-is out of range-2"),
+    pytest.param("ga", "population_size", 10**400,
+                 f"is out of range (got {10**400})", 40,
+                 id="ga-population_size-10**400-is out of range-40"),
 ])
 def test_rejects_bad_solver_override_values(doc, section, key, bad, problem,
                                             good):
@@ -344,6 +351,25 @@ def test_parameter_errors_surface_as_config_errors(doc):
     doc["geometry"]["start_xy_m"] = [-500.0, 0.0]
     with pytest.raises(ConfigError, match="outside the arena"):
         load_doc(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("blade_angular_velocity_rad_s", 1e300),
+    ("aircraft_weight_n", 1e300),
+    ("mean_induced_velocity_ms", 1e300),
+])
+def test_overflowing_rotor_power_names_the_constant(doc, key, value):
+    doc["propulsion"] = {"rotor": {**ROTOR_DOC, key: value}}
+    with pytest.raises(ConfigError, match=f"^invalid rotor constants: {key} "):
+        load_doc(doc)
+
+
+def test_slot_count_too_large_for_a_float_is_rejected_at_load(doc):
+    doc["system"]["slot_count"] = 10**400
+    with pytest.raises(ConfigError) as err:
+        load_doc(doc)
+    assert str(err.value).startswith(
+        "invalid scenario: system.slot_count is out of range (got ")
 
 
 def test_load_reports_malformed_json_with_position(tmp_path):

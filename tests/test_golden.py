@@ -1,4 +1,4 @@
-"""Golden gate: pinned run artifacts and lockstep/one-run agreement.
+"""Golden gate: pinned run artifacts and stacked/one-run agreement.
 
 Each hash is the SHA-256 of one ``run_single`` artifact as
 ``to_dict(include_timing=False)`` gives it, serialized with sorted keys.
@@ -16,14 +16,9 @@ import json
 import pytest
 
 from uavbsc import ga, pso
-from uavbsc.common import drive, drive_lockstep
-from uavbsc.config import ScenarioConfig
-from uavbsc.harness import (
-    make_solver_config,
-    random_steps,
-    run_campaign,
-    run_single,
-)
+from uavbsc.common import drive
+from uavbsc.config import SOLVER_CONFIGS, ScenarioConfig
+from uavbsc.harness import random_steps, run_campaign, run_single
 
 from helpers import REFERENCE_CONFIG, TINY_CONFIG
 
@@ -112,19 +107,57 @@ def test_campaign_equals_per_seed_run_single(tiny_scenario, workers,
         [e.to_dict(include_timing=False) for e in expected]
 
 
-def test_lockstep_of_mixed_solvers_equals_driving_each_alone(tiny_scenario,
-                                                             tiny_problem):
-    # Different solvers yield blocks of different sizes and finish at
-    # different steps, so every stack here is ragged.
-    def loops():
-        yield ga.steps(make_solver_config(tiny_scenario, "ga", 1, 900),
-                       tiny_problem)
-        yield pso.steps(make_solver_config(tiny_scenario, "ipso", 2, 700),
-                        tiny_problem)
-        yield pso.steps(make_solver_config(tiny_scenario, "pso", 3, 500),
-                        tiny_problem)
-        yield random_steps(tiny_problem, budget=1000, seed=4, chunk_size=97)
+def _stacked_and_alone(problem, solver, seeds, budget, overrides):
+    """Reports of ``seeds`` as one stacked loop, and of each seed alone."""
+    if solver == "random":
+        def loop(group):
+            return random_steps(problem, budget, group, chunk_size=97)
+    else:
+        make = ga.steps if solver == "ga" else pso.steps
+        cfg = SOLVER_CONFIGS[solver](**overrides, seed=seeds[0],
+                                     max_evaluations=budget)
 
-    together = drive_lockstep(list(loops()), tiny_problem)
-    alone = [drive(loop, tiny_problem) for loop in loops()]
-    assert [r.to_dict() for r in together] == [r.to_dict() for r in alone]
+        def loop(group):
+            return make(cfg, problem, group)
+    return (drive(loop(seeds), problem),
+            [drive(loop([seed]), problem)[0] for seed in seeds])
+
+
+def _mutants_per_iteration(report):
+    """Mutants each iteration's pass evaluated, from a swarm's trace."""
+    counts = [b.evaluations - a.evaluations
+              for a, b in zip(report.trace, report.trace[1:])]
+    return [n - report.trace[0].evaluations // 2 for n in counts]
+
+
+@pytest.mark.parametrize("budget", [3000, 777])
+@pytest.mark.parametrize("case, solver, seeds, overrides", [
+    pytest.param(*case, id=case[0]) for case in [
+        # GA seeds that stall at different generations.
+        ("ga_stall", "ga", [1, 2, 3, 5],
+         {"population_size": 20, "stall_limit": 3}),
+        # IPSO seeds whose mutation counts differ, so that their budgets
+        # run out at different iterations.
+        ("ipso_budget", "ipso", [0, 1, 2, 3],
+         {"swarm_size": 12, "mutation_prob": 0.3}),
+        # Mutation passes in which some seed moves no row.
+        ("ipso_unmoved", "ipso", [0, 1, 2, 3],
+         {"swarm_size": 4, "mutation_prob": 0.05}),
+        ("ga_duplicates", "ga", [4, 1, 4], {"population_size": 10}),
+        ("pso_duplicates", "pso", [4, 1, 4], {"swarm_size": 10}),
+        ("random_duplicates", "random", [4, 1, 4], {}),
+    ]])
+def test_stacked_loop_equals_each_seed_alone(tiny_problem, budget, case,
+                                             solver, seeds, overrides):
+    stacked, alone = _stacked_and_alone(tiny_problem, solver, seeds, budget,
+                                        overrides)
+    assert [r.to_dict() for r in stacked] == [r.to_dict() for r in alone]
+    assert [r.seed for r in stacked] == seeds
+    lengths = {len(r.trace) for r in alone}
+    if case in ("ga_stall", "ipso_budget"):
+        assert len(lengths) > 1, lengths  # the stack shrinks mid-run
+    if case == "ipso_unmoved":
+        # Two seeds mutate at one iteration: one moves no row, one some.
+        passes = [_mutants_per_iteration(r) for r in alone]
+        assert any(0 in column and max(column) > 0
+                   for column in zip(*passes))

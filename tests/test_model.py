@@ -27,6 +27,7 @@ from oracles import distance, hop_lengths, sample_channel, slot_speed
 from uavbsc.encoding import LinkProblem
 from uavbsc.model import (
     EULER_GAMMA,
+    ParameterError,
     PropulsionParams,
     RotorConstants,
     Trajectory,
@@ -410,6 +411,38 @@ def test_from_rotor_literal_profile_scaling_flag():
     assert scaled.profile_power_w == plain.profile_power_w
     with pytest.raises(ValueError):
         PropulsionParams.from_rotor(rotor, literal_profile_scaling=True)
+
+
+@pytest.mark.parametrize("name, value, named", [
+    ("blade_angular_velocity_rad_s", 1e300,
+     "blade_angular_velocity_rad_s * rotor_radius_m"),
+    ("rotor_radius_m", 1e300, "blade_angular_velocity_rad_s * rotor_radius_m"),
+    ("blade_angular_velocity_rad_s", 1e103, "blade_angular_velocity_rad_s"),
+    ("aircraft_weight_n", 1e300, "aircraft_weight_n"),
+    ("mean_induced_velocity_ms", 1e300, "mean_induced_velocity_ms"),
+])
+def test_from_rotor_names_the_constants_whose_power_overflows(name, value,
+                                                              named):
+    rotor = RotorConstants(
+        profile_drag_coeff=0.012, air_density_kgm3=1.225,
+        rotor_solidity=0.05, disc_area_m2=0.503,
+        blade_angular_velocity_rad_s=300.0, rotor_radius_m=0.4,
+        induced_power_factor=0.1, aircraft_weight_n=20.0,
+        fuselage_drag_coeff=0.6, mean_induced_velocity_ms=4.03)
+    with pytest.raises(ParameterError) as err:
+        PropulsionParams.from_rotor(dataclasses.replace(rotor, **{name: value}))
+    [problem] = err.value.problems
+    assert problem.startswith(f"{named} is too large: its power ")
+    assert str(err.value).startswith("invalid rotor constants: ")
+
+
+def test_system_params_reject_a_slot_count_whose_duration_overflows():
+    # mission_time_s / slot_count raises OverflowError for such a count.
+    with pytest.raises(ParameterError) as err:
+        small_system_params(slot_count=10**400)
+    [problem] = err.value.problems
+    assert problem.startswith("slot_count must be a positive integer that "
+                              "fits a float (got 1000")
 
 
 # ----------------------------------------------------------------------

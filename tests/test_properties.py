@@ -1,8 +1,11 @@
-"""Property tests: the genome repair map, the genome codec and the one
-best-so-far rule, each checked on inputs Hypothesis draws.
+"""Property tests: the genome repair map, the genome codec, the one
+best-so-far rule and the sign conventions of the constraint margins,
+each checked on inputs Hypothesis draws.
 
 Every test is derandomized, so a run of the suite draws the same cases.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from hypothesis.extra.numpy import arrays
 from helpers import REFERENCE_CONFIG, TINY_CONFIG, small_problem
 from uavbsc.common import Incumbent
 from uavbsc.config import ScenarioConfig
-from uavbsc.encoding import normalize
+from uavbsc.encoding import LinkProblem, normalize
+from uavbsc.model import Trajectory
 
 PROBLEMS = {
     "tiny": ScenarioConfig.load(TINY_CONFIG).build_problem(),
@@ -92,3 +96,117 @@ def test_incumbent_picks_the_first_of_a_sort_by_fitness_then_worst(blocks):
                  key=lambda i: (offered[i][0], offered[i][1], i))
     assert best.genome[0] == winner
     assert (best.fitness, best.worst) == offered[winner]
+
+
+def _constraints_hold(problem, traj, split) -> dict:
+    """Each mission constraint, stated as the inequality it imposes."""
+    p = problem.params
+    t = problem.slot_table(traj, split)
+    up, down = np.sum(t.weighted_rate_up_bps), np.sum(t.weighted_rate_down_bps)
+    return {
+        "cache_balance": p.cached_fraction * p.demanded_rate_bps + up >= down,
+        "rate_demand": down >= p.demanded_rate_bps,
+        "energy": np.sum(t.harvested_j)
+        >= np.sum(t.fly_j + t.backscatter_j + t.cache_j),
+        "speed": bool(np.all(t.hop_m <= p.max_speed_mps * p.slot_duration_s)),
+        "bounds": bool(np.all((split >= 0.0) & (split <= 1.0))
+                       and np.array_equal(traj.waypoints[0], problem.start)
+                       and np.array_equal(traj.waypoints[-1], problem.goal)),
+    }
+
+
+def _tolerances(problem, traj, split) -> dict:
+    """How far below zero each margin may fall in a feasible mission."""
+    p = problem.params
+    t = problem.slot_table(traj, split)
+    up, down = np.sum(t.weighted_rate_up_bps), np.sum(t.weighted_rate_down_bps)
+    consumed = np.sum(t.fly_j + t.backscatter_j + t.cache_j)
+    credit = p.cached_fraction * p.demanded_rate_bps
+    return {
+        "cache_balance": 1e-9 * max(1.0, credit + up + abs(down)),
+        "rate_demand": 1e-9 * max(1.0, abs(down) + p.demanded_rate_bps),
+        "energy": 1e-9 * max(1.0, np.sum(t.harvested_j) + consumed),
+        "speed": 1e-12,
+        "bounds": 0.0,
+    }
+
+
+# How far a genome strays from the heuristic mission (0: not at all),
+# and how far the end waypoints are moved off the start and goal.
+_PULL = st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0])
+_SHIFT = st.one_of(st.just(0.0), st.floats(1e-3, 30.0))
+# User demands, cached shares and tag powers (as multiples of the
+# scenario's), so that the rate constraints bind too.
+_LINK = st.tuples(st.sampled_from([0.0, 1e6, 2e7, 1e9]),
+                  st.sampled_from([0.0, 0.5, 1.0]),
+                  st.sampled_from([1.0, 1e5]))
+
+
+def _with_link(problem, demand, cached, tag_power):
+    params = dataclasses.replace(
+        problem.params, demanded_rate_bps=demand, cached_fraction=cached,
+        ub_tx_power_w=tag_power * problem.params.ub_tx_power_w)
+    return LinkProblem(params, problem.propulsion, problem.source,
+                       problem.user, problem.start, problem.goal,
+                       penalty_mode=problem.penalty_mode,
+                       rate_weighting=problem.rate_weighting,
+                       fixed_altitude=problem.fixed_altitude)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_margins_are_nonnegative_exactly_when_constraints_hold(name):
+    heuristic = PROBLEMS[name].heuristic_mean()
+    seen = set()
+
+    @checked
+    @given(raw_genes(PROBLEMS[name]), _PULL, _SHIFT, _SHIFT, _LINK)
+    def check(genes, pull, start_shift, goal_shift, link):
+        problem = _with_link(PROBLEMS[name], *link)
+        genome = problem.adjust(heuristic + pull * genes / 1e6)
+        traj, split = problem.decode(genome)
+        moved = traj.waypoints.copy()
+        moved[0, 0] += start_shift
+        moved[-1, 1] -= goal_shift
+        traj = Trajectory(moved)
+
+        report = problem.check_constraints(traj, split)
+        holds = _constraints_hold(problem, traj, split)
+        tolerance = _tolerances(problem, traj, split)
+        for key, margin in report.margins.items():
+            assert (margin >= 0.0) == holds[key], (key, margin)
+            seen.add((key, bool(holds[key])))
+        assert report.feasible == all(
+            margin >= -tolerance[key] for key, margin in report.margins.items())
+        seen.add(("feasible", report.feasible))
+
+    check()
+    # Every constraint was seen both holding and broken, and so was
+    # feasibility as a whole.
+    report_keys = ("cache_balance", "rate_demand", "energy", "speed", "bounds")
+    assert seen == {(key, ok) for key in (*report_keys, "feasible")
+                    for ok in (True, False)}, seen
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_scalar_and_batch_evaluation_agree_bit_for_bit(name):
+    problem = PROBLEMS[name]
+    heuristic = problem.heuristic_mean()
+
+    @checked
+    @given(st.lists(st.tuples(raw_genes(problem), _PULL), min_size=1,
+                    max_size=5))
+    def check(draws):
+        genomes = np.array([problem.adjust(heuristic + pull * genes / 1e6)
+                            for genes, pull in draws])
+        batch = problem.evaluate_batch(genomes)
+        for row, genome in enumerate(genomes):
+            one = problem.evaluate(genome)
+            assert np.float64(one.objective_bps).tobytes() == \
+                batch.objectives[row].tobytes()
+            assert np.float64(one.fitness).tobytes() == \
+                batch.fitness[row].tobytes()
+            assert one.report.feasible == bool(batch.feasible[row])
+            assert np.float64(one.report.worst_violation).tobytes() == \
+                batch.worst_violation[row].tobytes()
+
+    check()

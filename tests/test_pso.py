@@ -162,8 +162,8 @@ def test_update_position_moves_and_clamps():
 # ----------------------------------------------------------------------
 
 def _solver_rng(loop):
-    """The generator a suspended ``pso.steps`` loop draws from."""
-    return loop.gi_frame.f_locals["rng"]
+    """The generator a suspended one-seed ``pso.steps`` loop draws from."""
+    return loop.gi_frame.f_locals["rngs"][0]
 
 
 def _first_iteration(cfg, problem):
@@ -220,7 +220,7 @@ def test_ipso_mutate_is_inert_for_plain_variant():
             try:
                 block = loop.send(problem.evaluate_batch(block))
             except StopIteration as stop:
-                report = stop.value
+                [report] = stop.value
                 break
             blocks += 1
             assert block.shape == (cfg.swarm_size, problem.genome_size)

@@ -29,6 +29,8 @@ REMOVED = [
     ("encoding", "LinkProblem.random_genomes"),
     ("encoding", "LinkProblem.objective"),
     ("encoding", "EvaluatedSolution.eval_index"),
+    ("common", "drive_lockstep"),
+    ("encoding", "BatchEvaluation.split"),
 ]
 
 
