@@ -3,9 +3,9 @@
 Subcommands
 -----------
 run       one solver on one scenario (artifact JSON via --out)
+          (--solver random is the seeded uniform random baseline)
 sweep     a parameter sweep: CSV rows + median summary + artifact JSON
 oracle    exhaustive grid enumeration for tiny scenarios
-baseline  seeded uniform random search
 export    solution.json + trajectory.csv for a finished run
 
 Errors are reported as a one-line JSON object on stderr; exit codes are
@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig
 from .harness import (
-    RANDOM_DEFAULT_BUDGET,
     SOLVER_NAMES,
     SweepSpec,
     campaign_to_dict,
@@ -129,13 +128,6 @@ def build_parser() -> _Parser:
                           help="grid levels per free gene")
     p_oracle.add_argument("--out", default=None, help="result JSON path")
 
-    p_base = sub.add_parser("baseline", help="seeded uniform random search")
-    add_common(p_base)
-    p_base.add_argument("--seed", type=int, default=0)
-    p_base.add_argument("--budget", type=int, default=RANDOM_DEFAULT_BUDGET)
-    p_base.add_argument("--out", default=None, help="artifact JSON path")
-    p_base.add_argument("--no-timing", action="store_true")
-
     p_export = sub.add_parser(
         "export", help="write solution.json and trajectory.csv for a run")
     add_common(p_export)
@@ -238,19 +230,6 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_baseline(args) -> int:
-    scenario = ScenarioConfig.load(args.config)
-    artifact = run_single(scenario, "random", args.seed, budget=args.budget)
-    if args.out:
-        write_json(args.out, artifact.to_dict(include_timing=not args.no_timing))
-    rep = artifact.report
-    print(
-        f"baseline scenario={scenario.name} seed={artifact.seed} "
-        f"budget={artifact.budget} feasible={rep.feasible} "
-        f"rate_bps={rep.best_objective_bps:.6g}")
-    return 0
-
-
 def _cmd_export(args) -> int:
     scenario = ScenarioConfig.load(args.config)
     problem = scenario.build_problem()
@@ -282,7 +261,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "sweep": _cmd_sweep,
     "oracle": _cmd_oracle,
-    "baseline": _cmd_baseline,
     "export": _cmd_export,
 }
 
@@ -298,7 +276,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_error("config", str(exc))
         return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         _emit_error("execution", str(exc))
         return EXIT_EXECUTION
 

@@ -346,11 +346,16 @@ class ScenarioConfig:
         try:
             system = SystemParams(**sys_kwargs, bounds_m=(
                 pairs["arena_x_m"], pairs["arena_y_m"], pairs["arena_z_m"]))
-            propulsion = PropulsionParams.from_rotor(
-                RotorConstants(**coefficients),
-                slot_duration=system.slot_duration_s,
-                literal_profile_scaling=bool(modes["lambda1_literal"]),
-            ) if rotor_form else PropulsionParams(**coefficients)
+            try:  # the range rules live on the propulsion and rotor fields
+                propulsion = PropulsionParams.from_rotor(
+                    RotorConstants(**coefficients),
+                    slot_duration=system.slot_duration_s,
+                    literal_profile_scaling=bool(modes["lambda1_literal"]),
+                ) if rotor_form else PropulsionParams(**coefficients)
+            except ParameterError as err:  # each problem starts with its key
+                raise ConfigError("invalid scenario: " + "; ".join(sorted(
+                    f"propulsion.rotor.{item}" if item.split()[0] in _ROTOR_KEYS
+                    else f"propulsion.{item}" for item in err.problems))) from None
             altitude = system.altitude_m
             cfg = cls(
                 name=name,
@@ -377,6 +382,10 @@ class ScenarioConfig:
                 solver_overrides=overrides,
             )
             cfg.build_problem()
+        except MemoryError as exc:  # the problem sizes its arrays by the slot count
+            raise ConfigError(
+                "invalid scenario: system.slot_count is too large for the "
+                f"problem's arrays (got {system.slot_count})") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except OverflowError as exc:  # float division or powers on huge values

@@ -68,8 +68,6 @@ RATE_WEIGHTINGS = ("literal", "delta")
 _REL_TOL = 1.0e-9
 _SPEED_TOL = 1.0e-12
 
-_CONSTRAINT_NAMES = ("cache_balance", "rate_demand", "energy", "speed", "bounds")
-
 
 def _norm3(d: np.ndarray) -> np.ndarray:
     """Euclidean norm over the leading x / y / z axis of ``d``.
@@ -217,17 +215,16 @@ class LinkProblem:
                 raise ValueError(f"{name} waypoint {point} lies outside the arena")
 
         # Gene indices frozen in fixed-altitude mode (the z coordinate of
-        # every interior waypoint) and the value they are pinned to.
-        if self.fixed_altitude and self.n_interior > 0:
-            self._frozen_idx = np.arange(2, self.split_offset, 3)
-        else:
-            self._frozen_idx = np.empty(0, dtype=int)
+        # every interior waypoint) and the value they are pinned to.  numpy
+        # refuses a size past its index range with a ValueError; like any
+        # size that memory cannot hold, it is a MemoryError here.
+        try:
+            self._frozen_idx = (np.arange(2, self.split_offset, 3)
+                                if self.fixed_altitude else np.empty(0, dtype=int))
+        except ValueError as exc:
+            raise MemoryError(f"cannot index {n} slots of genes: {exc}") from exc
         self._frozen_value = float(
             normalize(params.altitude_m, bounds[2, 0], bounds[2, 1]))
-
-    # ------------------------------------------------------------------
-    # Genome handling
-    # ------------------------------------------------------------------
 
     def adjust(self, genes) -> np.ndarray:
         """Clamp genes to [0, 1] and re-pin frozen genes.
@@ -256,21 +253,31 @@ class LinkProblem:
                     point[axis], self._lo[axis], self._lo[axis] + self._span[axis])
         return self.adjust(genome)
 
-    def _check_genome(self, genome) -> np.ndarray:
+    def _check_genome(self, genome, stacked: bool = False) -> np.ndarray:
+        """``genome`` as float64 after the checks every entry point shares.
+
+        The shape must be (dim,), or (B, dim) when ``stacked``; then every
+        gene must lie in [0, 1], a test that NaN fails too.  Only when it
+        fails is finiteness tested, to pick the message.
+        """
         arr = np.asarray(genome, dtype=np.float64)
-        if arr.shape != (self.genome_size,):
+        if stacked:
+            if arr.ndim != 2 or arr.shape[1] != self.genome_size:
+                raise ValueError(
+                    f"expected genome stack of shape (B, {self.genome_size}), "
+                    f"got {arr.shape}")
+        elif arr.shape != (self.genome_size,):
             raise ValueError(
                 f"genome must have shape ({self.genome_size},), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("genome genes must be finite")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():
+            if not np.isfinite(arr).all():
+                raise ValueError("genome genes must be finite")
             raise ValueError("genome genes must lie in [0, 1]")
         return arr
 
     def decode(self, genome):
         """Decode a genome into a :class:`Trajectory` and a time-split vector."""
-        arr = self._check_genome(genome)
-        coords, split = self._decode_stack(arr[None, :])
+        coords, split = self._decode_stack(self._check_genome(genome)[None, :])
         return Trajectory(coords[:, 0].T.copy()), split[0].copy()
 
     def encode(self, traj: Trajectory, time_split) -> np.ndarray:
@@ -303,17 +310,15 @@ class LinkProblem:
                                  + genomes[:, k:self.split_offset:3] * self._span[k])
         return coords, genomes[:, self.split_offset:]
 
-    # ------------------------------------------------------------------
-    # Physics per slot
-    # ------------------------------------------------------------------
+    def _evaluate_stack(self, waypoints: np.ndarray, split: np.ndarray) -> dict:
+        """The one evaluation pass over stacked missions.
 
-    def _tables(self, waypoints: np.ndarray, split: np.ndarray) -> SlotTable:
-        """Per-slot physical quantities for stacked missions.
-
-        ``waypoints`` is coordinate-major, shape (3, B, N+1), and
-        ``split`` has shape (B, N); every field of the result is a (B, N)
-        array.  Rates and energies are evaluated with the slot-start
-        geometry.
+        ``waypoints`` is coordinate-major, shape (3, B, N+1), and ``split``
+        has shape (B, N).  Returns the :class:`SlotTable` of (B, N) arrays
+        under "table", the constraint margins by name under "margins", and
+        the (B,) arrays "objective", "feasible", "worst" (the normalized
+        worst violation) and "fitness".  Rates and energies are evaluated
+        with the slot-start geometry.
         """
         p = self.params
         starts = waypoints[:, :, :-1]
@@ -329,7 +334,7 @@ class LinkProblem:
         weighted_up, weighted_dn = ((r_up * split, r_dn * split)
                                     if self.rate_weighting == "delta" else (r_up, r_dn))
         active_s = split * sigma
-        return SlotTable(
+        table = SlotTable(
             d_su_m=d_su, d_du_m=d_du, hop_m=hops, speed_mps=speeds,
             correlation=corr, rate_up_bps=r_up, rate_down_bps=r_dn,
             weighted_rate_up_bps=weighted_up,
@@ -340,129 +345,91 @@ class LinkProblem:
             cache_j=active_s * p.ub_tx_power_w,
         )
 
-    def slot_table(self, traj: Trajectory, time_split) -> SlotTable:
-        """Per-slot breakdown of one mission (used by exports and demos)."""
-        split = as_time_split(time_split, self.n_slots)
-        t = self._tables(traj.waypoints.T[:, None], split[None, :])
-        return SlotTable(*(getattr(t, f.name)[0] for f in fields(t)))
-
-    # ------------------------------------------------------------------
-    # Objective, constraints, fitness
-    # ------------------------------------------------------------------
-
-    def _margin_arrays(self, waypoints: np.ndarray, split: np.ndarray,
-                       tables: SlotTable) -> dict:
-        """Margins, objective and fitness of stacked missions; each is (B,)."""
-        p = self.params
-        sum_up = np.sum(tables.weighted_rate_up_bps, axis=1)
-        sum_dn = np.sum(tables.weighted_rate_down_bps, axis=1)
-        sum_harvest = np.sum(tables.harvested_j, axis=1)
+        sum_up = np.sum(weighted_up, axis=1)
+        sum_dn = np.sum(weighted_dn, axis=1)
+        sum_harvest = np.sum(table.harvested_j, axis=1)
         sum_consume = np.sum(
-            tables.fly_j + tables.backscatter_j + tables.cache_j, axis=1)
+            table.fly_j + table.backscatter_j + table.cache_j, axis=1)
         cache_credit = p.cached_fraction * p.demanded_rate_bps
+        max_hop = p.max_speed_mps * sigma
 
-        m_cache = cache_credit + sum_up - sum_dn
-        m_demand = sum_dn - p.demanded_rate_bps
-        m_energy = sum_harvest - sum_consume
+        def sum_constraint(margin, magnitude):  # held to _REL_TOL of its scale
+            scale = np.maximum(1.0, magnitude)
+            return margin, scale, _REL_TOL * scale
 
-        max_hop = p.max_speed_mps * p.slot_duration_s
-        m_speed = _row_min(max_hop - tables.hop_m)
-
-        start_dev = _norm3(waypoints[:, :, 0] - self.start[:, None])
-        goal_dev = _norm3(waypoints[:, :, -1] - self.goal[:, None])
-        m_bounds = np.minimum.reduce([
-            _row_min(split),
-            _row_min(1.0 - split),
-            -start_dev,
-            -goal_dev,
-        ])
-
-        scale_cache = np.maximum(1.0, cache_credit + sum_up + np.abs(sum_dn))
-        scale_demand = np.maximum(1.0, np.abs(sum_dn) + p.demanded_rate_bps)
-        scale_energy = np.maximum(1.0, sum_harvest + sum_consume)
-        scale_speed = max(1.0, max_hop)
-
-        feasible = (
-            (m_cache >= -_REL_TOL * scale_cache)
-            & (m_demand >= -_REL_TOL * scale_demand)
-            & (m_energy >= -_REL_TOL * scale_energy)
-            & (m_speed >= -_SPEED_TOL)
-            & (m_bounds >= 0.0)
-        )
-        worst = np.maximum.reduce([
-            -m_cache / scale_cache,
-            -m_demand / scale_demand,
-            -m_energy / scale_energy,
-            -m_speed / scale_speed,
-            -m_bounds,
-            np.zeros_like(m_cache),
-        ])
+        # Each constraint is (margin, scale, slack): it holds when
+        # margin >= -slack, and it is violated by -margin / scale.
+        constraints = {
+            "cache_balance": sum_constraint(cache_credit + sum_up - sum_dn,
+                                            cache_credit + sum_up + np.abs(sum_dn)),
+            "rate_demand": sum_constraint(sum_dn - p.demanded_rate_bps,
+                                          np.abs(sum_dn) + p.demanded_rate_bps),
+            "energy": sum_constraint(sum_harvest - sum_consume,
+                                     sum_harvest + sum_consume),
+            "speed": (_row_min(max_hop - hops), max(1.0, max_hop), _SPEED_TOL),
+            "bounds": (np.minimum.reduce([
+                _row_min(split), _row_min(1.0 - split),
+                -_norm3(waypoints[:, :, 0] - self.start[:, None]),
+                -_norm3(waypoints[:, :, -1] - self.goal[:, None]),
+            ]), 1.0, 0.0),
+        }
+        feasible = np.logical_and.reduce(
+            [margin >= -slack for margin, _, slack in constraints.values()])
+        worst = np.maximum.reduce(
+            [-margin / scale for margin, scale, _ in constraints.values()]
+            + [np.zeros_like(sum_dn)])
         worst[np.isnan(worst)] = np.inf  # overflowed margins rank last
-        if self.penalty_mode == "paper":
-            penalty = -1.0
-        else:
-            penalty = PENALTY_SCALE * (1.0 + worst)
+        penalty = (-1.0 if self.penalty_mode == "paper"
+                   else PENALTY_SCALE * (1.0 + worst))
         return {
-            "cache_balance": m_cache,
-            "rate_demand": m_demand,
-            "energy": m_energy,
-            "speed": m_speed,
-            "bounds": m_bounds,
+            "table": table,
+            "margins": {name: c[0] for name, c in constraints.items()},
             "objective": sum_dn,
             "feasible": feasible,
             "worst": worst,
             "fitness": np.where(feasible, -sum_dn, penalty),
         }
 
-    def _assess(self, traj: Trajectory, time_split):
-        """Feasibility report, objective and fitness of one mission, one pass."""
+    def _evaluate_mission(self, traj: Trajectory, time_split):
+        """:meth:`_evaluate_stack` of one mission, and its feasibility report."""
         split = as_time_split(time_split, self.n_slots)
-        wp = traj.waypoints.T[:, None]
-        sp = split[None, :]
-        m = self._margin_arrays(wp, sp, self._tables(wp, sp))
-        report = FeasibilityReport(
-            margins={name: float(m[name][0]) for name in _CONSTRAINT_NAMES},
-            feasible=bool(m["feasible"][0]),
-            worst_violation=float(m["worst"][0]),
+        result = self._evaluate_stack(traj.waypoints.T[:, None], split[None, :])
+        return result, FeasibilityReport(
+            margins={name: float(m[0]) for name, m in result["margins"].items()},
+            feasible=bool(result["feasible"][0]),
+            worst_violation=float(result["worst"][0]),
         )
-        return report, float(m["objective"][0]), float(m["fitness"][0])
+
+    def slot_table(self, traj: Trajectory, time_split) -> SlotTable:
+        """Per-slot breakdown of one mission (used by exports and demos)."""
+        t = self._evaluate_mission(traj, time_split)[0]["table"]
+        return SlotTable(*(getattr(t, f.name)[0] for f in fields(t)))
 
     def check_constraints(self, traj: Trajectory, time_split) -> FeasibilityReport:
         """Evaluate every mission constraint for one candidate."""
-        return self._assess(traj, time_split)[0]
-
-    # ------------------------------------------------------------------
-    # Evaluation entry points
-    # ------------------------------------------------------------------
+        return self._evaluate_mission(traj, time_split)[1]
 
     def evaluate(self, genome) -> EvaluatedSolution:
         """Decode and fully evaluate one genome."""
         traj, split = self.decode(genome)
-        report, obj, fitness = self._assess(traj, split)
+        result, report = self._evaluate_mission(traj, split)
         return EvaluatedSolution(
             genome=np.asarray(genome, dtype=np.float64).copy(),
             trajectory=traj,
             time_split=split,
-            objective_bps=obj,
-            fitness=fitness,
+            objective_bps=float(result["objective"][0]),
+            fitness=float(result["fitness"][0]),
             report=report,
         )
 
     def evaluate_batch(self, genomes) -> BatchEvaluation:
         """Evaluate a stack of genomes, shape (B, dim), in one pass."""
-        arr = np.asarray(genomes, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != self.genome_size:
-            raise ValueError(
-                f"expected genome stack of shape (B, {self.genome_size}), "
-                f"got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("genome genes must be finite")
-        waypoints, split = self._decode_stack(arr)
-        m = self._margin_arrays(waypoints, split, self._tables(waypoints, split))
+        arr = self._check_genome(genomes, stacked=True)
+        result = self._evaluate_stack(*self._decode_stack(arr))
         return BatchEvaluation(
             genomes=arr,
-            objectives=m["objective"],
-            fitness=m["fitness"],
-            feasible=m["feasible"],
-            worst_violation=m["worst"],
+            objectives=result["objective"],
+            fitness=result["fitness"],
+            feasible=result["feasible"],
+            worst_violation=result["worst"],
         )

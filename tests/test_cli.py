@@ -125,6 +125,19 @@ def test_solver_override_too_large_for_a_float_is_a_config_error(capsys,
     assert "solvers.ipso.cognitive_coeff is out of range" in payload["message"]
 
 
+def test_slot_count_too_large_to_allocate_is_a_config_error(capsys, tmp_path):
+    doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
+    doc["system"]["slot_count"] = 10**15
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", "--config", str(huge),
+                           "--solver", "random", "--budget", "64")
+    assert code == 3
+    payload = error_payload(err)
+    assert payload["category"] == "config"
+    assert "system.slot_count is too large" in payload["message"]
+
+
 def test_impossible_budget_is_an_execution_error(capsys):
     code, _, err = run_cli(capsys, "run", "--config", TINY,
                            "--solver", "random", "--budget", "0")
@@ -140,7 +153,7 @@ def test_oracle_refuses_large_scenarios_as_execution_error(capsys):
 
 
 # ----------------------------------------------------------------------
-# run / baseline / oracle happy paths
+# run / random baseline / oracle happy paths
 # ----------------------------------------------------------------------
 
 def test_run_writes_artifact_without_timing(capsys, tmp_path):
@@ -168,10 +181,10 @@ def test_run_artifact_includes_timing_by_default(capsys, tmp_path):
 def test_baseline_runs_random_search(capsys, tmp_path):
     out = tmp_path / "base.json"
     code, stdout, _ = run_cli(
-        capsys, "baseline", "--config", TINY, "--seed", "1",
+        capsys, "run", "--config", TINY, "--solver", "random", "--seed", "1",
         "--budget", "128", "--out", str(out), "--no-timing")
     assert code == 0
-    assert stdout.startswith("baseline scenario=tiny seed=1 budget=128")
+    assert stdout.startswith("run scenario=tiny solver=random seed=1")
     artifact = json.loads(out.read_text(encoding="utf-8"))
     assert artifact["solver"] == "random"
     assert artifact["report"]["evaluations"] == 128
@@ -274,8 +287,8 @@ def test_sweep_rejects_unknown_solver_name(capsys, tmp_path):
 
 def test_export_from_run_artifact(capsys, tmp_path):
     art = tmp_path / "artifact.json"
-    assert run_cli(capsys, "baseline", "--config", TINY, "--seed", "0",
-                   "--budget", "64", "--out", str(art))[0] == 0
+    assert run_cli(capsys, "run", "--config", TINY, "--solver", "random",
+                   "--seed", "0", "--budget", "64", "--out", str(art))[0] == 0
     out = tmp_path / "export"
     code, stdout, _ = run_cli(capsys, "export", "--config", TINY,
                               "--solution", str(art), "--out", str(out))
@@ -328,8 +341,8 @@ def test_export_rejects_missing_and_malformed_solutions(capsys, tmp_path):
 
 def test_export_rejects_an_artifact_from_another_scenario(capsys, tmp_path):
     art = tmp_path / "artifact.json"
-    assert run_cli(capsys, "baseline", "--config", TINY, "--seed", "0",
-                   "--budget", "64", "--out", str(art))[0] == 0
+    assert run_cli(capsys, "run", "--config", TINY, "--solver", "random",
+                   "--seed", "0", "--budget", "64", "--out", str(art))[0] == 0
     code, _, err = run_cli(capsys, "export", "--config", str(REFERENCE_CONFIG),
                            "--solution", str(art), "--out", str(tmp_path / "a"))
     assert code == 3

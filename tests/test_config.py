@@ -360,7 +360,8 @@ def test_parameter_errors_surface_as_config_errors(doc):
 ])
 def test_overflowing_rotor_power_names_the_constant(doc, key, value):
     doc["propulsion"] = {"rotor": {**ROTOR_DOC, key: value}}
-    with pytest.raises(ConfigError, match=f"^invalid rotor constants: {key} "):
+    with pytest.raises(ConfigError,
+                       match=f"^invalid scenario: propulsion.rotor.{key} "):
         load_doc(doc)
 
 
@@ -370,6 +371,19 @@ def test_slot_count_too_large_for_a_float_is_rejected_at_load(doc):
         load_doc(doc)
     assert str(err.value).startswith(
         "invalid scenario: system.slot_count is out of range (got ")
+
+
+@pytest.mark.parametrize("count", [10**300, 10**15], ids=["1e300", "1e15"])
+def test_slot_count_too_large_for_the_problem_arrays_is_rejected_at_load(
+        doc, count):
+    # numpy refuses the first size outright and cannot allocate the second;
+    # neither allocates anything.
+    doc["system"]["slot_count"] = count
+    with pytest.raises(ConfigError) as err:
+        load_doc(doc)
+    assert str(err.value) == (
+        "invalid scenario: system.slot_count is too large for the problem's "
+        f"arrays (got {count})")
 
 
 def test_load_reports_malformed_json_with_position(tmp_path):

@@ -346,16 +346,19 @@ def test_safe_penalty_always_loses_to_feasible(reference_problem):
 # Evaluation entry points
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.2, -0.1])
 def test_evaluate_batch_rejects_non_finite_genes(tiny_problem, bad):
+    # Finite genes outside the box fail the same shared check.
+    message = ("genome genes must be finite" if not np.isfinite(bad)
+               else r"genome genes must lie in \[0, 1\]")
     genome = tiny_problem.heuristic_mean()
     stack = np.stack([genome, genome])
     stack[1, tiny_problem.split_offset - 2] = bad
-    with pytest.raises(ValueError, match="genome genes must be finite"):
+    with pytest.raises(ValueError, match=message):
         tiny_problem.evaluate_batch(stack)
     stack[1] = genome
     stack[0, -1] = bad
-    with pytest.raises(ValueError, match="genome genes must be finite"):
+    with pytest.raises(ValueError, match=message):
         tiny_problem.evaluate_batch(stack)
     # The scalar entry point rejects the same genome.
     with pytest.raises(ValueError):

@@ -527,6 +527,30 @@ def test_closed_form_uplink_rate_lower_bounds_monte_carlo_rate(
     assert rate_uplink(d, 1.0, p) < float(np.mean(rates)) - 5.0 * se
 
 
+@pytest.mark.parametrize("d_su, d_du, cached", [(20.0, 30.0, 0.0),
+                                                (20.0, 30.0, 0.5),
+                                                (5.0, 5.0, 0.0)])
+def test_closed_form_downlink_rate_sits_below_monte_carlo_rate(
+        reference_problem, d_su, d_du, cached):
+    # The reflected term fades with both hops, |h1|^2 |h2|^2, and the cached
+    # term with the tag-to-user hop only, |h2|^2.  A Jensen bound on the
+    # product of two hops would carry e^-2gamma, not the closed form's one
+    # e^-gamma, so this is no bound in general: it is asserted only at the
+    # reference scenario's Rician factor, for perfectly known channels.
+    p = dataclasses.replace(reference_problem.params, cached_fraction=cached)
+    rng = np.random.default_rng(13)
+    h1 = np.abs(sample_channel(d_su, 1.0, p, rng, size=400_000).small_scale) ** 2
+    h2 = np.abs(sample_channel(d_du, 1.0, p, rng, size=400_000).small_scale) ** 2
+    reflected = (p.backscatter_coeff * p.ref_gain * p.source_power_w
+                 / d_su ** p.path_loss_exp)
+    cached_power = p.cache_indicator * p.ub_tx_power_w
+    snr = (p.ref_gain * (reflected * h1 * h2 + cached_power * h2)
+           / (d_du ** p.path_loss_exp * p.noise_var_downlink_w))
+    rates = p.bandwidth_hz * np.log2(1.0 + snr)
+    se = float(np.std(rates)) / math.sqrt(rates.size)
+    assert rate_downlink(d_su, d_du, 1.0, p) < float(np.mean(rates)) - 5.0 * se
+
+
 def test_rayleigh_channel_log_power_mean_is_minus_euler_gamma(
         reference_problem):
     # With no LoS component |h|^2 is Exp(1), whose log has mean -gamma:
