@@ -34,12 +34,12 @@ reports = [
 
 print("solver  feasible  rate (Mbit/s)  evals  improved@  rate/generation")
 for rep in reports:
-    rate = rep.best_objective_bps / 1e6 if rep.feasible else 0.0
+    rate = rep.achieved_rate_bps / 1e6
     print(f"{rep.solver:6s}  {str(rep.feasible):8s}  {rate:13.3f}  "
           f"{rep.evaluations:5d}  {rep.last_improvement_generation:9d}  "
           f"{convergence_speed(rep) / 1e6:10.4f} M")
 
-best = max(reports, key=lambda r: r.best_objective_bps if r.feasible else 0.0)
+best = max(reports, key=lambda r: r.achieved_rate_bps)
 print(f"\nbest mission ({best.solver}):")
 trajectory = best.best.trajectory
 for k, point in enumerate(trajectory.waypoints):

@@ -63,13 +63,24 @@ def _emit_error(category: str, message: str) -> None:
         + "\n")
 
 
-def _parse_int_list(text: str, flag: str) -> list:
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: a non-negative integer."""
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise _CliError(
-            EXIT_USAGE, "usage",
-            f"{flag} expects comma-separated integers (got {text!r})") from exc
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer (got {text!r})")
+    return seed
+
+
+def _seeds(text: str) -> list:
+    """argparse type of ``--seeds``: comma-separated non-negative integers."""
+    seeds = [_seed(part) for part in text.split(",") if part.strip() != ""]
+    if not seeds:
+        raise argparse.ArgumentTypeError("must list at least one seed")
+    return seeds
 
 
 def _parse_value_list(text: str) -> list:
@@ -98,7 +109,7 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="run one solver on one scenario")
     add_common(p_run)
     p_run.add_argument("--solver", choices=SOLVER_NAMES, default="ipso")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_seed, default=0)
     p_run.add_argument("--budget", type=int, default=None,
                        help="cap on objective evaluations")
     p_run.add_argument("--out", default=None, help="artifact JSON path")
@@ -114,7 +125,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--solver", default="ipso",
                          help="solver name or comma-separated list "
                               f"(choices: {', '.join(SOLVER_NAMES)})")
-    p_sweep.add_argument("--seeds", default="0,1,2",
+    p_sweep.add_argument("--seeds", type=_seeds, default="0,1,2",
                          help="comma-separated seeds (default 0,1,2)")
     p_sweep.add_argument("--budget", type=int, default=None)
     p_sweep.add_argument("--workers", type=int, default=1)
@@ -162,16 +173,13 @@ def _cmd_sweep(args) -> int:
             raise _CliError(
                 EXIT_USAGE, "usage",
                 f"unknown solver {name!r}; choices: {', '.join(SOLVER_NAMES)}")
-    seeds = _parse_int_list(args.seeds, "--seeds")
-    if not seeds:
-        raise _CliError(EXIT_USAGE, "usage", "--seeds must list at least one seed")
     if args.workers < 1:
         raise _CliError(EXIT_USAGE, "usage", "--workers must be at least 1")
     spec = SweepSpec(
         parameter=args.param,
         values=_parse_value_list(args.values),
         solvers=solvers,
-        seeds=seeds,
+        seeds=args.seeds,
         budget=args.budget,
     )
     points = run_sweep(scenario, spec, workers=args.workers)

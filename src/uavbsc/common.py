@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional
+from typing import Generator, List, Optional
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "STALL_TOL",
     "GenerationRecord",
     "SolverReport",
-    "ProgressCallback",
     "Incumbent",
     "SolverSteps",
     "drive",
@@ -63,9 +62,6 @@ class GenerationRecord:
         }
 
 
-ProgressCallback = Callable[[GenerationRecord], None]
-
-
 @dataclass(eq=False)
 class SolverReport:
     """Outcome of one seeded solver run."""
@@ -86,6 +82,11 @@ class SolverReport:
     @property
     def best_objective_bps(self) -> float:
         return self.best.objective_bps
+
+    @property
+    def achieved_rate_bps(self) -> float:
+        """The best mission's rate; a run with no feasible mission counts 0."""
+        return self.best.objective_bps if self.feasible else 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -108,8 +109,7 @@ class Incumbent:
     ``index`` is the block row of the last replacement.
     """
 
-    def __init__(self, callback: Optional[ProgressCallback] = None) -> None:
-        self.callback = callback
+    def __init__(self) -> None:
         self.genome: Optional[np.ndarray] = None
         self.fitness = np.inf
         self.worst = np.inf
@@ -139,12 +139,9 @@ class Incumbent:
 
     def record(self, generation: int, mean_fitness: float,
                evaluations: int) -> None:
-        """Append one trace line at the current best and pass it on."""
-        rec = GenerationRecord(generation, self.fitness, float(mean_fitness),
-                               evaluations)
-        self.trace.append(rec)
-        if self.callback is not None:
-            self.callback(rec)
+        """Append one trace line at the current best."""
+        self.trace.append(GenerationRecord(
+            generation, self.fitness, float(mean_fitness), evaluations))
 
     def report(self, problem: LinkProblem, solver: str, seed: int,
                evaluations: int, budget: Optional[int],

@@ -4,9 +4,10 @@ Scenarios are JSON documents with explicit units in the key names (dBm
 for radio powers, dB for ratios, SI elsewhere).  Loading converts to
 linear watts, validates every invariant (reporting all violations at
 once, not just the first), rejects unknown keys, and yields a
-:class:`ScenarioConfig` that can build the optimization problem.  Saving
-emits a canonical form (sorted keys, two-space indent) so save/load
-round-trips are byte-stable.
+:class:`ScenarioConfig` that can build the optimization problem.  Its
+``raw`` document, defaults filled in, is what the scenario hash covers;
+written with :func:`uavbsc.harness.write_json` it loads back to the same
+hash.
 """
 
 from __future__ import annotations
@@ -392,16 +393,6 @@ class ScenarioConfig:
             raise ConfigError("invalid scenario: deriving the slot duration or "
                               "the rotor power curve overflows a float") from exc
         return cfg
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-
-    def canonical_text(self) -> str:
-        return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.canonical_text(), encoding="utf-8")
 
     def scenario_hash(self) -> str:
         compact = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

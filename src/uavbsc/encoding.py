@@ -215,16 +215,26 @@ class LinkProblem:
                 raise ValueError(f"{name} waypoint {point} lies outside the arena")
 
         # Gene indices frozen in fixed-altitude mode (the z coordinate of
-        # every interior waypoint) and the value they are pinned to.  numpy
-        # refuses a size past its index range with a ValueError; like any
-        # size that memory cannot hold, it is a MemoryError here.
+        # every interior waypoint), the value they are pinned to, and the
+        # initialization mean: the straight start-to-goal path, splits at
+        # 0.5.  numpy refuses a size past its index range with a
+        # ValueError; like any size that memory cannot hold, it is a
+        # MemoryError here, in either mode.
+        self._frozen_value = float(
+            normalize(params.altitude_m, bounds[2, 0], bounds[2, 1]))
         try:
             self._frozen_idx = (np.arange(2, self.split_offset, 3)
                                 if self.fixed_altitude else np.empty(0, dtype=int))
+            frac = np.arange(1, n) / n
+            points = self.start + frac[:, None] * (self.goal - self.start)
+            mean = np.full(self.genome_size, 0.5)
         except ValueError as exc:
             raise MemoryError(f"cannot index {n} slots of genes: {exc}") from exc
-        self._frozen_value = float(
-            normalize(params.altitude_m, bounds[2, 0], bounds[2, 1]))
+        # normalize's divisor hi - lo can differ from the span in the last bit
+        hi = self._lo + self._span
+        mean[: self.split_offset] = np.clip(
+            (points - self._lo) / (hi - self._lo), 0.0, 1.0).reshape(-1)
+        self._mean = self.adjust(mean)
 
     def adjust(self, genes) -> np.ndarray:
         """Clamp genes to [0, 1] and re-pin frozen genes.
@@ -243,15 +253,7 @@ class LinkProblem:
 
     def heuristic_mean(self) -> np.ndarray:
         """Initialization mean: straight start-to-goal path, splits at 0.5."""
-        genome = np.full(self.genome_size, 0.5)
-        n = self.n_slots
-        for k in range(self.n_interior):
-            frac = (k + 1) / n
-            point = self.start + frac * (self.goal - self.start)
-            for axis in range(3):
-                genome[3 * k + axis] = normalize(
-                    point[axis], self._lo[axis], self._lo[axis] + self._span[axis])
-        return self.adjust(genome)
+        return self._mean.copy()
 
     def _check_genome(self, genome, stacked: bool = False) -> np.ndarray:
         """``genome`` as float64 after the checks every entry point shares.

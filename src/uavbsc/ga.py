@@ -17,7 +17,6 @@ import numpy as np
 
 from .common import (
     Incumbent,
-    ProgressCallback,
     SolverReport,
     SolverSteps,
     config_snapshot,
@@ -161,15 +160,13 @@ def mutate(genes, cfg: GaConfig, rng) -> np.ndarray:
     return np.clip(arr + offsets, 0.0, 1.0)
 
 
-def run(cfg: GaConfig, problem: LinkProblem,
-        callback: Optional[ProgressCallback] = None) -> SolverReport:
+def run(cfg: GaConfig, problem: LinkProblem) -> SolverReport:
     """Run the genetic algorithm and report the best mission found."""
-    return drive(steps(cfg, problem, callback=callback), problem)[0]
+    return drive(steps(cfg, problem), problem)[0]
 
 
 def steps(cfg: GaConfig, problem: LinkProblem,
-          seeds: Optional[Sequence[int]] = None,
-          callback: Optional[ProgressCallback] = None) -> SolverSteps:
+          seeds: Optional[Sequence[int]] = None) -> SolverSteps:
     """The GA over a (seeds, size, dim) stack (see :mod:`uavbsc.common`).
 
     Each seed (default: ``cfg.seed``) has its own generator, and leaves
@@ -184,7 +181,7 @@ def steps(cfg: GaConfig, problem: LinkProblem,
             f"evaluation budget {budget} cannot fit one population of {size}")
     seeds = [cfg.seed] if seeds is None else [int(seed) for seed in seeds]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    best = [Incumbent(callback) for _ in seeds]
+    best = [Incumbent() for _ in seeds]
     stall = np.zeros(len(seeds), dtype=int)
     spent = np.full(len(seeds), size)  # evaluations of each seed
     live = np.arange(len(seeds))  # the seed of each stacked row

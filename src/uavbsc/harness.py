@@ -69,12 +69,12 @@ _GRID_CHUNK = 4096
 def convergence_speed(report: SolverReport) -> float:
     """Achieved rate per generation actually needed to reach it.
 
-    Infeasible runs contribute a rate of zero.  The divisor is clamped to
-    one so a run that never improves past its initial population still
-    yields a finite number.
+    The rate is :attr:`~uavbsc.common.SolverReport.achieved_rate_bps`.
+    The divisor is clamped to one so a run that never improves past its
+    initial population still yields a finite number.
     """
-    rate = report.best_objective_bps if report.feasible else 0.0
-    return float(max(rate, 0.0)) / float(max(1, report.last_improvement_generation))
+    return (float(max(report.achieved_rate_bps, 0.0))
+            / float(max(1, report.last_improvement_generation)))
 
 
 @dataclass(eq=False)
@@ -120,8 +120,7 @@ def make_solver_config(scenario: ScenarioConfig, solver: str, seed: int,
 
 
 def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
-               budget: Optional[int] = None,
-               callback=None) -> List[RunArtifact]:
+               budget: Optional[int] = None) -> List[RunArtifact]:
     """Runs of one solver over ``seeds``, stepped as one stacked loop.
 
     Each artifact's ``wall_clock_s`` is the group's wall time divided by
@@ -132,11 +131,10 @@ def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
     cfg = make_solver_config(scenario, solver, seeds[0], budget)
     if cfg is None:
         loop = random_steps(
-            problem, RANDOM_DEFAULT_BUDGET if budget is None else budget,
-            seeds, callback=callback)
+            problem, RANDOM_DEFAULT_BUDGET if budget is None else budget, seeds)
     else:
         steps = ga_mod.steps if isinstance(cfg, ga_mod.GaConfig) else pso_mod.steps
-        loop = steps(cfg, problem, seeds, callback=callback)
+        loop = steps(cfg, problem, seeds)
     reports = drive(loop, problem)
     wall = (time.perf_counter() - started) / len(seeds)
     return [
@@ -154,9 +152,9 @@ def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
 
 
 def run_single(scenario: ScenarioConfig, solver: str, seed: int,
-               budget: Optional[int] = None, callback=None) -> RunArtifact:
+               budget: Optional[int] = None) -> RunArtifact:
     """Run one solver once on a scenario and package the result."""
-    return _run_group(scenario, solver, [seed], budget, callback)[0]
+    return _run_group(scenario, solver, _as_seed_list([seed]), budget)[0]
 
 
 def _as_solver_list(solvers) -> List[str]:
@@ -168,6 +166,16 @@ def _as_solver_list(solvers) -> List[str]:
             raise ValueError(
                 f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
     return names
+
+
+def _as_seed_list(seeds) -> List[int]:
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"seeds must be non-negative (got seed {seed})")
+    return seeds
 
 
 def _run_slice(runs: Sequence[tuple], budget: Optional[int]) -> list:
@@ -227,9 +235,7 @@ def run_campaign(scenario: ScenarioConfig, solvers, seeds: Sequence[int],
     count.  The first failed run's exception is raised.
     """
     names = _as_solver_list(solvers)
-    seeds = [int(seed) for seed in seeds]
-    if not seeds:
-        raise ValueError("at least one seed is required")
+    seeds = _as_seed_list(seeds)
     results = _execute([(scenario, solver, seed)
                         for solver in names for seed in seeds],
                        budget, workers)
@@ -248,36 +254,32 @@ def campaign_to_dict(artifacts: Sequence[RunArtifact],
 # Random-search baseline
 # ----------------------------------------------------------------------
 
-def random_search(problem: LinkProblem, budget: int, seed: int = 0,
-                  chunk_size: int = _RANDOM_CHUNK,
-                  callback=None) -> SolverReport:
+def random_search(problem: LinkProblem, budget: int,
+                  seed: int = 0) -> SolverReport:
     """Uniform random sampling of the unit box, best-so-far kept."""
-    return drive(random_steps(problem, budget, [seed], chunk_size, callback),
-                 problem)[0]
+    return drive(random_steps(problem, budget, [seed]), problem)[0]
 
 
 def random_steps(problem: LinkProblem, budget: int,
-                 seeds: Sequence[int] = (0,), chunk_size: int = _RANDOM_CHUNK,
-                 callback=None) -> SolverSteps:
+                 seeds: Sequence[int] = (0,)) -> SolverSteps:
     """Random search over a stack of seeds (see :mod:`uavbsc.common`).
 
-    Each seed draws its candidates in row-major blocks from its own
-    stream, so a longer budget evaluates a strict superset of a shorter
-    one.  The trace holds one record per block.
+    Each seed draws its candidates in row-major blocks of
+    ``_RANDOM_CHUNK`` from its own stream, so a longer budget evaluates
+    a strict superset of a shorter one.  The trace holds one record per
+    block.
     """
     if budget < 1:
         raise ValueError("random search needs a budget of at least 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
     seeds = [int(seed) for seed in seeds]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     dim = problem.genome_size
 
-    best = [Incumbent(callback) for _ in seeds]
+    best = [Incumbent() for _ in seeds]
     evaluations = 0
     block = 0
     while evaluations < budget:
-        n = min(chunk_size, budget - evaluations)
+        n = min(_RANDOM_CHUNK, budget - evaluations)
         genomes = problem.adjust(draw(rngs, "random", (len(seeds), n, dim)))
         ev = yield genomes.reshape(-1, dim)
         evaluations += n
@@ -290,7 +292,7 @@ def random_steps(problem: LinkProblem, budget: int,
             b.record(block, means[row], evaluations)
 
     return [b.report(problem, "random", seed, evaluations, int(budget),
-                     {"chunk_size": int(chunk_size)})
+                     {"chunk_size": _RANDOM_CHUNK})
             for b, seed in zip(best, seeds)]
 
 
@@ -314,9 +316,7 @@ class SweepSpec:
         self.values = list(self.values)
         if not self.values:
             raise ValueError("sweep needs at least one value")
-        self.seeds = [int(seed) for seed in self.seeds]
-        if not self.seeds:
-            raise ValueError("sweep needs at least one seed")
+        self.seeds = _as_seed_list(self.seeds)
         self.solvers = _as_solver_list(self.solvers)
 
 
@@ -331,11 +331,8 @@ class SweepPoint:
 
     def rates_bps(self, solver: Optional[str] = None) -> np.ndarray:
         """Per-seed achieved rates; an infeasible run contributes zero."""
-        return np.array([
-            a.report.best_objective_bps if a.report.feasible else 0.0
-            for a in self.artifacts
-            if solver is None or a.solver == solver
-        ])
+        return np.array([a.report.achieved_rate_bps for a in self.artifacts
+                         if solver is None or a.solver == solver])
 
     def median_rate_bps(self, solver: Optional[str] = None) -> float:
         """Median of :meth:`rates_bps`; NaN for a failed point or no runs."""
@@ -498,16 +495,14 @@ class GridResult:
         }
 
 
-def grid_oracle(problem: LinkProblem, resolution: int,
-                max_points: int = GRID_MAX_POINTS,
-                chunk_size: int = _GRID_CHUNK) -> GridResult:
+def grid_oracle(problem: LinkProblem, resolution: int) -> GridResult:
     """Enumerate every grid point of the free genes and keep the best.
 
     Only meant for small instances: refuses problems with more than
-    ``GRID_MAX_SLOTS`` slots and grids larger than ``max_points``.  The
-    winner is kept by :class:`~uavbsc.common.Incumbent`, so ties on
-    (fitness, worst violation) go to the earliest point in lexicographic
-    gene order, which makes the result chunk-size independent.
+    ``GRID_MAX_SLOTS`` slots and grids larger than ``GRID_MAX_POINTS``.
+    Points are evaluated in blocks of ``_GRID_CHUNK``; the winner is kept
+    by :class:`~uavbsc.common.Incumbent`, so ties on (fitness, worst
+    violation) go to the earliest point in lexicographic gene order.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -521,10 +516,10 @@ def grid_oracle(problem: LinkProblem, resolution: int,
     free = [g for g in range(problem.genome_size) if g not in frozen]
     n_free = len(free)
     total = resolution ** n_free
-    if total > max_points:
+    if total > GRID_MAX_POINTS:
         raise ValueError(
             f"grid of {resolution}^{n_free} = {total} points exceeds the "
-            f"{max_points}-point guard")
+            f"{GRID_MAX_POINTS}-point guard")
 
     if resolution == 1:
         levels = np.array([0.5])
@@ -539,7 +534,7 @@ def grid_oracle(problem: LinkProblem, resolution: int,
     start = 0
     base = np.full(problem.genome_size, 0.5)
     while start < total:
-        stop = min(start + chunk_size, total)
+        stop = min(start + _GRID_CHUNK, total)
         idx = np.arange(start, stop, dtype=np.int64)
         digits = (idx[:, None] // weights[None, :]) % radix
         genomes = np.tile(base, (stop - start, 1))

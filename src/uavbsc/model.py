@@ -408,7 +408,6 @@ class SystemParams:
     max_speed_mps: float = POSITIVE()  # maximum cruise speed (m/s)
     bounds_m: tuple  # ((x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi)) m
     light_speed_mps: float = POSITIVE(299792458.0)
-    euler_gamma: float = FINITE(EULER_GAMMA)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -505,7 +504,7 @@ def rate_uplink(d_su, correlation, params: SystemParams, terms=None):
         d_su, correlation, params)
     eff_noise = params.noise_var_uplink_w + stale_noise
     snr = (
-        math.exp(-params.euler_gamma)
+        math.exp(-EULER_GAMMA)
         * params.ref_gain
         * corr_sq
         * params.source_power_w
@@ -538,7 +537,7 @@ def rate_downlink(d_su, d_du, correlation, params: SystemParams, terms=None):
     )
     cached = corr_sq * cache_power * path_loss
     snr = (
-        math.exp(-params.euler_gamma)
+        math.exp(-EULER_GAMMA)
         * params.ref_gain
         * (reflected + cached)
         / (np.power(np.asarray(d_su, dtype=np.float64) * d_du,

@@ -18,7 +18,6 @@ import numpy as np
 
 from .common import (
     Incumbent,
-    ProgressCallback,
     SolverReport,
     SolverSteps,
     config_snapshot,
@@ -140,15 +139,13 @@ def update_position(position, velocity) -> np.ndarray:
     return np.clip(x + v, 0.0, 1.0)
 
 
-def run(cfg: PsoConfig, problem: LinkProblem,
-        callback: Optional[ProgressCallback] = None) -> SolverReport:
+def run(cfg: PsoConfig, problem: LinkProblem) -> SolverReport:
     """Run the swarm and report the best mission found."""
-    return drive(steps(cfg, problem, callback=callback), problem)[0]
+    return drive(steps(cfg, problem), problem)[0]
 
 
 def steps(cfg: PsoConfig, problem: LinkProblem,
-          seeds: Optional[Sequence[int]] = None,
-          callback: Optional[ProgressCallback] = None) -> SolverSteps:
+          seeds: Optional[Sequence[int]] = None) -> SolverSteps:
     """The swarm over a (seeds, size, dim) stack (see :mod:`uavbsc.common`).
 
     Each seed (default: ``cfg.seed``) has its own generator.  Per
@@ -167,7 +164,7 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
             f"evaluation budget {budget} cannot fit one swarm of {size}")
     seeds = [cfg.seed] if seeds is None else [int(seed) for seed in seeds]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    best = [Incumbent(callback) for _ in seeds]
+    best = [Incumbent() for _ in seeds]
     spent = np.full(len(seeds), size)  # evaluations of each seed
     live = np.arange(len(seeds))  # the seed of each stacked row
     mutation_std = math.sqrt(IPSO_MUTATION_VARIANCE)

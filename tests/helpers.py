@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from uavbsc.encoding import LinkProblem
-from uavbsc.model import PropulsionParams, SystemParams
+from uavbsc.model import EULER_GAMMA, PropulsionParams, SystemParams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_CONFIG = REPO_ROOT / "configs" / "reference.json"
@@ -130,7 +130,7 @@ def uplink_kwargs(p: SystemParams) -> dict:
         source_power_w=p.source_power_w,
         noise_up_w=p.noise_var_uplink_w,
         noise_est_w=p.noise_var_estimation_w,
-        euler_gamma=p.euler_gamma,
+        euler_gamma=EULER_GAMMA,
     )
 
 
@@ -145,7 +145,7 @@ def downlink_kwargs(p: SystemParams) -> dict:
         cached_fraction=p.cached_fraction,
         noise_down_w=p.noise_var_downlink_w,
         noise_est_w=p.noise_var_estimation_w,
-        euler_gamma=p.euler_gamma,
+        euler_gamma=EULER_GAMMA,
     )
 
 
@@ -188,7 +188,7 @@ def audit_env(problem: LinkProblem) -> dict:
         "noise_est_w": p.noise_var_estimation_w,
         "harvest_eff": p.harvest_eff,
         "wpt_power_w": p.wpt_power_w,
-        "euler_gamma": p.euler_gamma,
+        "euler_gamma": EULER_GAMMA,
         "carrier_freq_hz": p.carrier_freq_hz,
         "light_speed_mps": p.light_speed_mps,
         "sampling_time_s": p.sampling_time_s,

@@ -51,6 +51,25 @@ def test_bad_seed_list_is_a_usage_error(capsys, tmp_path):
     assert "--seeds" in error_payload(err)["message"]
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["run", "--seed", "-1"], "--seed"),
+    (["sweep", "--param", "system.wpt_power_db", "--values", "30",
+      "--seeds=-1"], "--seeds"),
+    (["sweep", "--param", "system.wpt_power_db", "--values", "30",
+      "--seeds", "0,-1"], "--seeds"),
+], ids=["run", "sweep", "sweep-list"])
+def test_negative_seed_is_a_usage_error_naming_the_flag(
+        capsys, tmp_path, command, flag):
+    code, out, err = run_cli(capsys, *command, "--config", TINY,
+                             "--out", str(tmp_path / "out"))
+    assert code == 2
+    payload = error_payload(err)
+    assert payload["category"] == "usage"
+    assert payload["message"].startswith(f"argument {flag}: ")
+    assert "'-1'" in payload["message"]
+    assert out == "" and not (tmp_path / "out").exists()
+
+
 def test_zero_workers_is_a_usage_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "sweep", "--config", TINY, "--param", "system.wpt_power_db",
@@ -129,13 +148,15 @@ def test_slot_count_too_large_to_allocate_is_a_config_error(capsys, tmp_path):
     doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
     doc["system"]["slot_count"] = 10**15
     huge = tmp_path / "huge.json"
-    huge.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = run_cli(capsys, "run", "--config", str(huge),
-                           "--solver", "random", "--budget", "64")
-    assert code == 3
-    payload = error_payload(err)
-    assert payload["category"] == "config"
-    assert "system.slot_count is too large" in payload["message"]
+    for fixed_altitude in (True, False):
+        doc["modes"]["fixed_altitude"] = fixed_altitude
+        huge.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(huge),
+                               "--solver", "random", "--budget", "64")
+        assert code == 3
+        payload = error_payload(err)
+        assert payload["category"] == "config"
+        assert "system.slot_count is too large" in payload["message"]
 
 
 def test_impossible_budget_is_an_execution_error(capsys):

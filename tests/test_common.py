@@ -2,6 +2,8 @@
 the one initializer of both population-based solvers, and the per-seed
 draws of a stacked solver loop."""
 
+import dataclasses
+
 import numpy as np
 
 from uavbsc import ga, pso
@@ -9,6 +11,7 @@ from uavbsc.common import (
     STALL_TOL,
     GenerationRecord,
     Incumbent,
+    SolverReport,
     draw,
     initial_population,
 )
@@ -86,14 +89,12 @@ def test_stored_genome_is_a_copy_of_the_winning_row():
     np.testing.assert_array_equal(best.genome, np.zeros(3))
 
 
-def test_record_traces_the_current_best_and_calls_back():
-    seen = []
-    best = Incumbent(callback=seen.append)
+def test_record_traces_the_current_best():
+    best = Incumbent()
     best.offer(*_block((2.0, 0.0)))
     best.record(1, np.float64(7.5), 10)
     best.offer(*_block((1.0, 0.0)))
     best.record(2, 3.0, 20)
-    assert best.trace == seen
     assert [r.to_dict() for r in best.trace] == [
         GenerationRecord(1, 2.0, 7.5, 10).to_dict(),
         GenerationRecord(2, 1.0, 3.0, 20).to_dict(),
@@ -111,6 +112,18 @@ def test_report_evaluates_the_incumbent_once(tiny_problem):
     assert report.last_improvement_generation == 0
     assert report.trace is best.trace
     assert report.config == {"k": 1}
+
+
+def test_achieved_rate_counts_an_infeasible_run_as_zero(tiny_problem):
+    sol = tiny_problem.evaluate(tiny_problem.heuristic_mean())
+
+    def report(feasible):
+        flagged = dataclasses.replace(sol.report, feasible=feasible)
+        return SolverReport("x", 0, dataclasses.replace(sol, report=flagged),
+                            [], 1, 0)
+
+    assert report(True).achieved_rate_bps == sol.objective_bps > 0.0
+    assert report(False).achieved_rate_bps == 0.0
 
 
 def test_initial_population_is_one_normal_draw_then_adjust(tiny_problem):

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import REFERENCE_CONFIG, TINY_CONFIG
 from uavbsc.config import ConfigError, ScenarioConfig, db_to_linear, dbm_to_watt
+from uavbsc.harness import write_json
 from uavbsc.model import PropulsionParams, RotorConstants
 
 ROTOR_DOC = {
@@ -377,13 +378,15 @@ def test_slot_count_too_large_for_a_float_is_rejected_at_load(doc):
 def test_slot_count_too_large_for_the_problem_arrays_is_rejected_at_load(
         doc, count):
     # numpy refuses the first size outright and cannot allocate the second;
-    # neither allocates anything.
+    # neither allocates anything, in either altitude mode.
     doc["system"]["slot_count"] = count
-    with pytest.raises(ConfigError) as err:
-        load_doc(doc)
-    assert str(err.value) == (
-        "invalid scenario: system.slot_count is too large for the problem's "
-        f"arrays (got {count})")
+    for fixed_altitude in (True, False):
+        doc["modes"]["fixed_altitude"] = fixed_altitude
+        with pytest.raises(ConfigError) as err:
+            load_doc(doc)
+        assert str(err.value) == (
+            "invalid scenario: system.slot_count is too large for the "
+            f"problem's arrays (got {count})")
 
 
 def test_load_reports_malformed_json_with_position(tmp_path):
@@ -437,12 +440,13 @@ def test_rotor_document_with_literal_profile_scaling(doc):
 
 def test_save_load_round_trip_is_byte_stable(tmp_path):
     cfg = ScenarioConfig.load(TINY_CONFIG)
-    out = tmp_path / "copy.json"
-    cfg.save(out)
+    out, again_out = tmp_path / "copy.json", tmp_path / "again.json"
+    write_json(out, cfg.raw)
     again = ScenarioConfig.load(out)
-    assert again.canonical_text() == cfg.canonical_text()
+    write_json(again_out, again.raw)
+    assert again.raw == cfg.raw
     assert again.scenario_hash() == cfg.scenario_hash()
-    assert out.read_text(encoding="utf-8") == cfg.canonical_text()
+    assert again_out.read_bytes() == out.read_bytes()
 
 
 def test_scenario_hash_tracks_content(doc):
@@ -488,9 +492,10 @@ def test_with_value_revalidates_the_new_document(doc):
         cfg.with_value("system.slot_count", 0)
 
 
-def test_canonical_text_is_sorted_and_newline_terminated(doc):
+def test_canonical_text_is_sorted_and_newline_terminated(doc, tmp_path):
     cfg = load_doc(doc)
-    text = cfg.canonical_text()
+    write_json(tmp_path / "scenario.json", cfg.raw)
+    text = (tmp_path / "scenario.json").read_text(encoding="utf-8")
     assert text.endswith("\n")
     parsed = json.loads(text)
     assert parsed == cfg.raw

@@ -111,7 +111,7 @@ def _stacked_and_alone(problem, solver, seeds, budget, overrides):
     """Reports of ``seeds`` as one stacked loop, and of each seed alone."""
     if solver == "random":
         def loop(group):
-            return random_steps(problem, budget, group, chunk_size=97)
+            return random_steps(problem, budget, group)
     else:
         make = ga.steps if solver == "ga" else pso.steps
         cfg = SOLVER_CONFIGS[solver](**overrides, seed=seeds[0],

@@ -98,12 +98,11 @@ def test_run_single_is_replayable(tiny_scenario):
     assert "wall_clock_s" not in a.to_dict(include_timing=False)
 
 
-def test_run_single_with_callback_sees_every_record(tiny_scenario):
-    seen = []
-    art = run_single(tiny_scenario, "random", seed=0, budget=300,
-                     callback=seen.append)
-    assert [r.to_dict() for r in seen] == \
-        [r.to_dict() for r in art.report.trace]
+def test_run_single_trace_is_the_direct_search_trace(tiny_scenario):
+    art = run_single(tiny_scenario, "random", seed=0, budget=300)
+    rep = random_search(tiny_scenario.build_problem(), budget=300, seed=0)
+    assert [r.to_dict() for r in art.report.trace] == \
+        [r.to_dict() for r in rep.trace]
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +143,19 @@ def test_run_campaign_rejects_bad_arguments(tiny_scenario):
         run_campaign(tiny_scenario, ["simplex"], seeds=[0])
     with pytest.raises(ValueError, match="at least one seed"):
         run_campaign(tiny_scenario, ["random"], seeds=[])
+
+
+def test_negative_seed_is_rejected_before_any_run(tiny_scenario, monkeypatch):
+    started = []
+    monkeypatch.setattr(harness, "_run_group",
+                        lambda *args: started.append(args) or [])
+    with pytest.raises(ValueError, match=r"non-negative \(got seed -1\)"):
+        run_campaign(tiny_scenario, ["random", "ga"], seeds=[0, -1])
+    with pytest.raises(ValueError, match=r"non-negative \(got seed -2\)"):
+        run_single(tiny_scenario, "random", seed=-2)
+    with pytest.raises(ValueError, match=r"non-negative \(got seed -1\)"):
+        SweepSpec(parameter="system.wpt_power_db", values=[30], seeds=[-1])
+    assert started == []
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +207,6 @@ def test_random_search_rejects_bad_arguments():
     problem = small_problem()
     with pytest.raises(ValueError, match="budget"):
         random_search(problem, budget=0)
-    with pytest.raises(ValueError, match="chunk_size"):
-        random_search(problem, budget=10, chunk_size=0)
 
 
 # ----------------------------------------------------------------------
@@ -410,8 +420,8 @@ def test_grid_enumerates_single_free_gene():
 
 
 def test_grid_matches_exhaustive_product_enumeration(tiny_problem):
-    resolution = 3
-    result = grid_oracle(tiny_problem, resolution=resolution, chunk_size=17)
+    resolution = 9  # 9^4 = 6,561 points: more than one block of 4,096
+    result = grid_oracle(tiny_problem, resolution=resolution)
     frozen = set(tiny_problem.frozen_gene_indices())
     free = [g for g in range(tiny_problem.genome_size) if g not in frozen]
     levels = np.linspace(0.0, 1.0, resolution)
@@ -438,13 +448,6 @@ def test_grid_matches_exhaustive_product_enumeration(tiny_problem):
     d = result.to_dict()
     assert d["points_evaluated"] == count
     assert d["free_gene_indices"] == free
-
-
-def test_grid_result_is_chunk_size_invariant(tiny_problem):
-    a = grid_oracle(tiny_problem, resolution=3, chunk_size=7)
-    b = grid_oracle(tiny_problem, resolution=3, chunk_size=4096)
-    assert np.array_equal(a.genome, b.genome)
-    assert a.fitness == b.fitness
 
 
 def test_grid_guards(reference_problem, tiny_problem):

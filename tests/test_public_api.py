@@ -3,6 +3,8 @@ test-only helpers that moved to ``tests/oracles.py`` and ``tests/helpers.py``
 are gone from it.  The source also stays within its size limits."""
 
 import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,23 @@ REMOVED = [
     ("encoding", "EvaluatedSolution.eval_index"),
     ("common", "drive_lockstep"),
     ("encoding", "BatchEvaluation.split"),
+    ("common", "ProgressCallback"),
+    ("config", "ScenarioConfig.save"),
+    ("config", "ScenarioConfig.canonical_text"),
+    ("model", "SystemParams.euler_gamma"),
+]
+
+# (module, callable, parameter) triples removed from the package.
+REMOVED_PARAMETERS = [
+    *[(module, name, "callback") for module, name in (
+        ("common", "Incumbent"), ("ga", "run"), ("ga", "steps"),
+        ("pso", "run"), ("pso", "steps"), ("harness", "_run_group"),
+        ("harness", "run_single"), ("harness", "random_search"),
+        ("harness", "random_steps"))],
+    ("harness", "random_search", "chunk_size"),
+    ("harness", "random_steps", "chunk_size"),
+    ("harness", "grid_oracle", "max_points"),
+    ("harness", "grid_oracle", "chunk_size"),
 ]
 
 
@@ -62,6 +81,24 @@ def test_moved_and_deleted_names_are_not_importable(module, path):
     assert not _resolves(uavbsc, path)
     assert path not in owner.__all__
     assert path not in uavbsc.__all__
+
+
+@pytest.mark.parametrize("module, name, parameter", REMOVED_PARAMETERS)
+def test_deleted_parameters_are_not_accepted(module, name, parameter):
+    owner = getattr(importlib.import_module(f"uavbsc.{module}"), name)
+    assert parameter not in inspect.signature(owner).parameters
+
+
+def test_every_traced_name_is_defined_on_its_owner():
+    # The benchmark's tracer replaces each (owner, attr) pair it lists by
+    # looking the attribute up in the owner's __dict__.
+    path = Path(__file__).parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [span for span, owner, attr, *_ in tracing.TARGETS
+               if attr not in owner.__dict__]
+    assert missing == []
 
 
 # Size limits of ``src/uavbsc/*.py``: the longest line allowed, and the
