@@ -63,16 +63,22 @@ def _emit_error(category: str, message: str) -> None:
         + "\n")
 
 
-def _seed(text: str) -> int:
-    """argparse type of ``--seed``: a non-negative integer."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer (got {text!r})")
-    return seed
+def _int_at_least(low: int, kind: str):
+    """An argparse type: integers of at least ``low``, a ``kind`` integer."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind} integer (got {text!r})")
+        return value
+    return parse
+
+
+_seed = _int_at_least(0, "non-negative")  # --seed
+_budget = _int_at_least(1, "positive")    # --budget
 
 
 def _seeds(text: str) -> list:
@@ -110,7 +116,7 @@ def build_parser() -> _Parser:
     add_common(p_run)
     p_run.add_argument("--solver", choices=SOLVER_NAMES, default="ipso")
     p_run.add_argument("--seed", type=_seed, default=0)
-    p_run.add_argument("--budget", type=int, default=None,
+    p_run.add_argument("--budget", type=_budget, default=None,
                        help="cap on objective evaluations")
     p_run.add_argument("--out", default=None, help="artifact JSON path")
     p_run.add_argument("--no-timing", action="store_true",
@@ -127,7 +133,7 @@ def build_parser() -> _Parser:
                               f"(choices: {', '.join(SOLVER_NAMES)})")
     p_sweep.add_argument("--seeds", type=_seeds, default="0,1,2",
                          help="comma-separated seeds (default 0,1,2)")
-    p_sweep.add_argument("--budget", type=int, default=None)
+    p_sweep.add_argument("--budget", type=_budget, default=None)
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--no-timing", action="store_true")

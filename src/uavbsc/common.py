@@ -11,16 +11,20 @@ ordering rule of the package.
 Every solver loop has one shape: a generator that steps several seeds as
 one stack, yields the genome block of all its running seeds, seed after
 seed, receives the block's :class:`~uavbsc.encoding.BatchEvaluation`
-back, and returns one :class:`SolverReport` per seed; :func:`drive` runs
-it.  Each seed draws from its own generator (see :func:`draw`) and
-evaluation is row-wise, so a seed's report does not depend on the stack.
+back, and returns one :class:`SolverReport` per seed.  :func:`drive`
+runs any number of loops on one problem together, with one
+``evaluate_batch`` per tick for all of them, and times each loop.  Each
+seed draws from its own generator (see :func:`draw`) and evaluation is
+row-wise, so a seed's report depends neither on its stack nor on the
+loops beside it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from time import perf_counter
+from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,16 +129,30 @@ class Incumbent:
         ``STALL_TOL`` (always on the first offer); ``generation``, when
         given, then becomes ``last_improvement``.
         """
-        k = int(np.lexsort((worst, fitness))[0])
-        fit, wv = float(fitness[k]), float(worst[k])
-        first = self.genome is None
-        improved = first or fit < self.fitness - STALL_TOL
-        if first or fit < self.fitness or (
-                fit == self.fitness and wv < self.worst):
-            self.genome = genomes[k].copy()
-            self.fitness, self.worst, self.index = fit, wv, k
-        if improved and generation is not None:
-            self.last_improvement = generation
+        return Incumbent.offer_rows([self], genomes[None], fitness[None],
+                                    worst[None], generation)[0]
+
+    @staticmethod
+    def offer_rows(holders: Sequence["Incumbent"], genomes: np.ndarray,
+                   fitness: np.ndarray, worst: np.ndarray,
+                   generation: Optional[int] = None) -> List[bool]:
+        """:meth:`offer` row ``r`` of a (rows, size) block to ``holders[r]``.
+
+        One lexsort ranks every row of the block.
+        """
+        rows = np.arange(len(holders))
+        picks = np.lexsort((worst, fitness))[:, 0]
+        improved = []
+        for b, r, k, fit, wv in zip(holders, rows.tolist(), picks.tolist(),
+                                    fitness[rows, picks].tolist(),
+                                    worst[rows, picks].tolist()):
+            first = b.genome is None
+            improved.append(first or fit < b.fitness - STALL_TOL)
+            if first or fit < b.fitness or (fit == b.fitness and wv < b.worst):
+                b.genome = genomes[r, k].copy()
+                b.fitness, b.worst, b.index = fit, wv, k
+            if improved[-1] and generation is not None:
+                b.last_improvement = generation
         return improved
 
     def record(self, generation: int, mean_fitness: float,
@@ -164,27 +182,120 @@ class Incumbent:
 SolverSteps = Generator[np.ndarray, BatchEvaluation, List[SolverReport]]
 
 
-def drive(steps: SolverSteps, problem: LinkProblem) -> List[SolverReport]:
-    """Run one solver loop to completion, one ``evaluate_batch`` per block."""
+def drive(loops: Iterable[SolverSteps],
+          problem: LinkProblem) -> List[Tuple[List[SolverReport], float]]:
+    """Run solver loops together, with one ``evaluate_batch`` per tick.
+
+    Each tick stacks the pending block of every running loop, in loop
+    order, evaluates the stack once and sends each loop its own rows.
+    Returns one ``(reports, busy_s)`` pair per loop: ``busy_s`` is the
+    loop's own time (inside ``next`` and ``send``) plus its row share of
+    each evaluation it joined.
+
+    A loop is taken from ``loops`` only after every earlier one has
+    yielded its first block.  A ``ValueError`` ends the loop that raised
+    it (a failed evaluation is charged to the block that fails alone) and
+    closes every later loop; the loops before it run on, and the earliest
+    loop to fail raises its error at the end.  That is the outcome of
+    running the loops one after another up to the first failure.
+    """
+    running: Dict[int, SolverSteps] = {}   # by loop index, in loop order
+    blocks: Dict[int, np.ndarray] = {}
+    reports: List[List[SolverReport]] = []
+    busy: List[float] = []
+    failed: List[Exception] = []           # the earliest failure so far
+
+    def fail(j: int, exc: Exception) -> None:
+        for k in [k for k in running if k >= j]:
+            running.pop(k).close()
+        failed[:] = [exc]
+
+    def advance(j: int, value) -> None:
+        started = perf_counter()
+        try:
+            blocks[j] = running[j].send(value)
+        except StopIteration as stop:
+            reports[j] = stop.value
+            del running[j]
+        except ValueError as exc:
+            fail(j, exc)
+        busy[j] += perf_counter() - started
+
+    source = iter(loops)
+    while not failed:
+        try:
+            running[len(reports)] = next(source)
+        except StopIteration:
+            break
+        except ValueError as exc:  # the loop could not be made
+            failed.append(exc)
+            break
+        reports.append([])
+        busy.append(0.0)
+        advance(len(reports) - 1, None)
+
+    while running:
+        started = perf_counter()
+        order = list(running)
+        shares = _evaluate(problem, [blocks[j] for j in order])
+        rows = np.array([len(blocks[j]) for j in order])
+        spent = ((perf_counter() - started) * rows / rows.sum()).tolist()
+        for j, share, seconds in zip(order, shares, spent):
+            busy[j] += seconds
+            if j in running and isinstance(share, ValueError):
+                fail(j, share)
+            elif j in running:
+                advance(j, share)
+    if failed:
+        raise failed[0]
+    return list(zip(reports, busy))
+
+
+def _evaluate(problem: LinkProblem, blocks: List[np.ndarray]) -> list:
+    """Each block's rows of one evaluation of all the blocks.
+
+    When that raises ``ValueError``, each block is evaluated alone, and a
+    block that fails gets its own error in place of its rows.
+    """
     try:
-        block = next(steps)
-        while True:
-            block = steps.send(problem.evaluate_batch(block))
-    except StopIteration as stop:
-        return stop.value
+        ev = problem.evaluate_batch(np.concatenate(blocks))
+    except ValueError:
+        shares = []
+        for block in blocks:
+            try:
+                shares.append(problem.evaluate_batch(block))
+            except ValueError as exc:
+                shares.append(exc)
+        return shares
+    cuts = np.cumsum([0] + [len(block) for block in blocks]).tolist()
+    return [BatchEvaluation(block, ev.objectives[lo:hi], ev.fitness[lo:hi],
+                            ev.feasible[lo:hi], ev.worst_violation[lo:hi])
+            for block, lo, hi in zip(blocks, cuts, cuts[1:])]
 
 
 def draw(rng, method: str, shape, *args) -> np.ndarray:
     """``rng.<method>(*args, size=shape)``, or the same for a seed stack.
 
+    ``method`` is ``"random"`` or ``"normal"`` (with ``loc, scale``).
     Given a sequence of generators, one per seed, ``shape`` leads with
     the seed axis and layer ``k`` is drawn from ``rng[k]``, so each seed
-    consumes its own stream exactly as it would alone.  (``random`` gives
-    the values of ``uniform()`` bit for bit, with less overhead per call.)
+    consumes its own stream exactly as it would alone.  The stack is
+    filled in place: a normal layer is drawn standard and then scaled and
+    shifted, which is how ``normal`` computes its values.  (``random``
+    gives the values of ``uniform()`` bit for bit, with less overhead per
+    call.)
     """
     if isinstance(rng, np.random.Generator):
         return getattr(rng, method)(*args, size=shape)
-    return np.stack([getattr(g, method)(*args, size=shape[1:]) for g in rng])
+    out = np.empty(shape)
+    fill = "random" if method == "random" else "standard_normal"
+    for g, layer in zip(rng, out):
+        getattr(g, fill)(out=layer)
+    if method == "normal":
+        loc, scale = args
+        out *= scale
+        out += loc
+    return out
 
 
 def initial_population(problem: LinkProblem, count: int, init_mean,

@@ -68,24 +68,48 @@ RATE_WEIGHTINGS = ("literal", "delta")
 _REL_TOL = 1.0e-9
 _SPEED_TOL = 1.0e-12
 
+# Most genomes one evaluation pass takes.  A larger stack is evaluated in
+# passes of this many rows, so that the pass's two dozen per-slot arrays
+# stay small (64 KB each at 8 slots) whatever the stack's size.
+_PASS_ROWS = 1024
+
 
 def _norm3(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the leading x / y / z axis of ``d``.
+    """Euclidean norm over the leading x / y / z axis of a scratch ``d``.
 
-    The squares are summed left to right, in the order a norm over a
-    trailing length-3 axis adds them, so both give the same bits.
+    ``d`` is overwritten.  The squares are summed left to right, in the
+    order a norm over a trailing length-3 axis adds them, so both give
+    the same bits.
     """
-    sq = np.square(d)
-    return np.sqrt((sq[0] + sq[1]) + sq[2])
+    np.square(d, out=d)
+    total = d[0] + d[1]
+    total += d[2]
+    return np.sqrt(total, out=total)
 
 
-def _row_min(a: np.ndarray) -> np.ndarray:
-    """Row minima of a (B, N) array, folded column by column.
+def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
+    """numpy's pairwise summation of a length-n axis, over whole rows."""
+    n = len(rows)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+    if n < 8:
+        return sum(rows, np.zeros(rows.shape[1:]))
+    acc = rows[:8]
+    for i in range(8, n - n % 8, 8):
+        acc = acc + rows[i:i + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+        (acc[4] + acc[5]) + (acc[6] + acc[7]))
+    return sum(rows[n - n % 8:], total)
 
-    Reducing the outer axis of an (N, B) copy is an elementwise fold,
-    much cheaper than a reduction over a short inner axis of length N.
+
+def _slot_sum(a: np.ndarray) -> np.ndarray:
+    """Per-mission sums of an (N, B) slot-major array.
+
+    Bit for bit ``np.sum`` over the slots of the (B, N) array: numpy adds
+    each mission's pairwise sum to an initial zero.
     """
-    return np.minimum.reduce(a.T.copy())
+    return 0.0 + _pairwise_sum(a)
 
 
 def normalize(value, lo: float, hi: float):
@@ -137,7 +161,7 @@ class EvaluatedSolution:
 
 @dataclass(eq=False)
 class SlotTable:
-    """Per-slot breakdown: length-N arrays for one mission, (B, N) for B."""
+    """Per-slot breakdown of one mission: length-N arrays."""
 
     d_su_m: np.ndarray        # station-to-tag distance at slot start
     d_du_m: np.ndarray        # tag-to-user distance at slot start
@@ -259,8 +283,9 @@ class LinkProblem:
         """``genome`` as float64 after the checks every entry point shares.
 
         The shape must be (dim,), or (B, dim) when ``stacked``; then every
-        gene must lie in [0, 1], a test that NaN fails too.  Only when it
-        fails is finiteness tested, to pick the message.
+        gene must lie in [0, 1], a test that NaN fails too (the minimum
+        and maximum of a row with NaN are NaN).  Only when it fails is
+        finiteness tested, to pick the message.
         """
         arr = np.asarray(genome, dtype=np.float64)
         if stacked:
@@ -271,7 +296,7 @@ class LinkProblem:
         elif arr.shape != (self.genome_size,):
             raise ValueError(
                 f"genome must have shape ({self.genome_size},), got {arr.shape}")
-        if not ((arr >= 0.0) & (arr <= 1.0)).all():
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
             if not np.isfinite(arr).all():
                 raise ValueError("genome genes must be finite")
             raise ValueError("genome genes must lie in [0, 1]")
@@ -280,7 +305,7 @@ class LinkProblem:
     def decode(self, genome):
         """Decode a genome into a :class:`Trajectory` and a time-split vector."""
         coords, split = self._decode_stack(self._check_genome(genome)[None, :])
-        return Trajectory(coords[:, 0].T.copy()), split[0].copy()
+        return Trajectory(coords[:, :, 0].T.copy()), split[:, 0].copy()
 
     def encode(self, traj: Trajectory, time_split) -> np.ndarray:
         """Inverse of :meth:`decode` for trajectories inside the arena."""
@@ -298,60 +323,59 @@ class LinkProblem:
     def _decode_stack(self, genomes: np.ndarray):
         """Vectorized decode of pre-validated genomes, shape (B, dim).
 
-        Returns the waypoints coordinate-major, shape (3, B, N+1): x, y
-        and z each fill one (B, N+1) block.  Also returns the (B, N)
-        split block.
+        Returns the waypoints coordinate- and slot-major, shape
+        (3, N+1, B): each coordinate of each waypoint is one length-B
+        row.  Also returns the (N, B) split block.
         """
-        b = genomes.shape[0]
+        genes = genomes.T
         n = self.n_slots
-        coords = np.empty((3, b, n + 1))
-        coords[:, :, 0] = self.start[:, None]
-        coords[:, :, n] = self.goal[:, None]
+        coords = np.empty((3, n + 1, genes.shape[1]))
+        coords[:, 0] = self.start[:, None]
+        coords[:, n] = self.goal[:, None]
         for k in range(3):
-            coords[k, :, 1:n] = (self._lo[k]
-                                 + genomes[:, k:self.split_offset:3] * self._span[k])
-        return coords, genomes[:, self.split_offset:]
+            axis = coords[k, 1:n]
+            np.multiply(genes[k:self.split_offset:3], self._span[k], out=axis)
+            axis += self._lo[k]
+        return coords, np.ascontiguousarray(genes[self.split_offset:])
 
-    def _evaluate_stack(self, waypoints: np.ndarray, split: np.ndarray) -> dict:
+    def _evaluate_stack(self, waypoints: np.ndarray, split: np.ndarray,
+                        with_table: bool = False) -> dict:
         """The one evaluation pass over stacked missions.
 
-        ``waypoints`` is coordinate-major, shape (3, B, N+1), and ``split``
-        has shape (B, N).  Returns the :class:`SlotTable` of (B, N) arrays
-        under "table", the constraint margins by name under "margins", and
-        the (B,) arrays "objective", "feasible", "worst" (the normalized
-        worst violation) and "fitness".  Rates and energies are evaluated
-        with the slot-start geometry.
+        ``waypoints`` is coordinate- and slot-major, shape (3, N+1, B), and
+        ``split`` has shape (N, B).  Returns the constraint margins by name
+        under "margins", and the (B,) arrays "objective", "feasible",
+        "worst" (the normalized worst violation) and "fitness"; with
+        ``with_table``, also the :class:`SlotTable` of (N, B) arrays under
+        "table".  Rates and energies are evaluated with the slot-start
+        geometry.
         """
         p = self.params
-        starts = waypoints[:, :, :-1]
+        starts = waypoints[:, :-1]
         d_su = _norm3(starts - self.source[:, None, None])
         d_du = _norm3(starts - self.user[:, None, None])
-        hops = _norm3(waypoints[:, :, 1:] - starts)
+        hops = _norm3(waypoints[:, 1:] - starts)
         sigma = p.slot_duration_s
         speeds = hops / sigma
         corr = doppler_factor(speeds, p)
         terms = link_terms(d_su, corr, p)
         r_up = rate_uplink(d_su, corr, p, terms)
         r_dn = rate_downlink(d_su, d_du, corr, p, terms)
+        harvested = harvested_energy_slot(d_su, split, p, terms)
+        del terms  # unused below: hold fewer per-slot arrays at once
         weighted_up, weighted_dn = ((r_up * split, r_dn * split)
                                     if self.rate_weighting == "delta" else (r_up, r_dn))
-        active_s = split * sigma
-        table = SlotTable(
-            d_su_m=d_su, d_du_m=d_du, hop_m=hops, speed_mps=speeds,
-            correlation=corr, rate_up_bps=r_up, rate_down_bps=r_dn,
-            weighted_rate_up_bps=weighted_up,
-            weighted_rate_down_bps=weighted_dn,
-            harvested_j=harvested_energy_slot(d_su, split, p, terms),
-            fly_j=sigma * flying_power(speeds, self.propulsion),
-            backscatter_j=active_s * p.backscatter_circuit_power_w,
-            cache_j=active_s * p.ub_tx_power_w,
-        )
+        fly_j = flying_power(speeds, self.propulsion)
+        fly_j *= sigma
+        backscatter_j = split * sigma * p.backscatter_circuit_power_w
+        cache_j = split * sigma * p.ub_tx_power_w
+        consumed = fly_j + backscatter_j
+        consumed += cache_j
 
-        sum_up = np.sum(weighted_up, axis=1)
-        sum_dn = np.sum(weighted_dn, axis=1)
-        sum_harvest = np.sum(table.harvested_j, axis=1)
-        sum_consume = np.sum(
-            table.fly_j + table.backscatter_j + table.cache_j, axis=1)
+        sum_up = _slot_sum(weighted_up)
+        sum_dn = _slot_sum(weighted_dn)
+        sum_harvest = _slot_sum(harvested)
+        sum_consume = _slot_sum(consumed)
         cache_credit = p.cached_fraction * p.demanded_rate_bps
         max_hop = p.max_speed_mps * sigma
 
@@ -359,6 +383,13 @@ class LinkProblem:
             scale = np.maximum(1.0, magnitude)
             return margin, scale, _REL_TOL * scale
 
+        # The bounds margin folds, in this order: the least split, the
+        # least 1 - split, and minus the start and goal deviations.
+        bounds = np.minimum.reduce(split)
+        np.minimum(bounds, np.minimum.reduce(np.subtract(1.0, split)), out=bounds)
+        for end, point in ((0, self.start), (-1, self.goal)):
+            np.minimum(bounds, -_norm3(waypoints[:, end] - point[:, None]),
+                       out=bounds)
         # Each constraint is (margin, scale, slack): it holds when
         # margin >= -slack, and it is violated by -margin / scale.
         constraints = {
@@ -368,34 +399,47 @@ class LinkProblem:
                                           np.abs(sum_dn) + p.demanded_rate_bps),
             "energy": sum_constraint(sum_harvest - sum_consume,
                                      sum_harvest + sum_consume),
-            "speed": (_row_min(max_hop - hops), max(1.0, max_hop), _SPEED_TOL),
-            "bounds": (np.minimum.reduce([
-                _row_min(split), _row_min(1.0 - split),
-                -_norm3(waypoints[:, :, 0] - self.start[:, None]),
-                -_norm3(waypoints[:, :, -1] - self.goal[:, None]),
-            ]), 1.0, 0.0),
+            "speed": (np.minimum.reduce(max_hop - hops), max(1.0, max_hop),
+                      _SPEED_TOL),
+            "bounds": (bounds, 1.0, 0.0),
         }
-        feasible = np.logical_and.reduce(
-            [margin >= -slack for margin, _, slack in constraints.values()])
-        worst = np.maximum.reduce(
-            [-margin / scale for margin, scale, _ in constraints.values()]
-            + [np.zeros_like(sum_dn)])
+        feasible = np.ones(sum_dn.shape, dtype=bool)
+        worst = None  # the largest violation, folded in table order, then 0
+        for margin, scale, slack in constraints.values():
+            feasible &= margin >= -slack
+            violation = -margin / scale
+            worst = violation if worst is None else np.maximum(
+                worst, violation, out=worst)
+        np.maximum(worst, np.zeros_like(worst), out=worst)
         worst[np.isnan(worst)] = np.inf  # overflowed margins rank last
-        penalty = (-1.0 if self.penalty_mode == "paper"
-                   else PENALTY_SCALE * (1.0 + worst))
-        return {
-            "table": table,
+        if self.penalty_mode == "paper":
+            fitness = np.full(worst.shape, -1.0)
+        else:
+            fitness = worst + 1.0
+            fitness *= PENALTY_SCALE
+        np.negative(sum_dn, out=fitness, where=feasible)
+        result = {
             "margins": {name: c[0] for name, c in constraints.items()},
             "objective": sum_dn,
             "feasible": feasible,
             "worst": worst,
-            "fitness": np.where(feasible, -sum_dn, penalty),
+            "fitness": fitness,
         }
+        if with_table:
+            result["table"] = SlotTable(
+                d_su_m=d_su, d_du_m=d_du, hop_m=hops, speed_mps=speeds,
+                correlation=corr, rate_up_bps=r_up, rate_down_bps=r_dn,
+                weighted_rate_up_bps=weighted_up,
+                weighted_rate_down_bps=weighted_dn,
+                harvested_j=harvested, fly_j=fly_j,
+                backscatter_j=backscatter_j, cache_j=cache_j)
+        return result
 
     def _evaluate_mission(self, traj: Trajectory, time_split):
         """:meth:`_evaluate_stack` of one mission, and its feasibility report."""
         split = as_time_split(time_split, self.n_slots)
-        result = self._evaluate_stack(traj.waypoints.T[:, None], split[None, :])
+        result = self._evaluate_stack(traj.waypoints.T[:, :, None],
+                                      split[:, None], with_table=True)
         return result, FeasibilityReport(
             margins={name: float(m[0]) for name, m in result["margins"].items()},
             feasible=bool(result["feasible"][0]),
@@ -405,7 +449,7 @@ class LinkProblem:
     def slot_table(self, traj: Trajectory, time_split) -> SlotTable:
         """Per-slot breakdown of one mission (used by exports and demos)."""
         t = self._evaluate_mission(traj, time_split)[0]["table"]
-        return SlotTable(*(getattr(t, f.name)[0] for f in fields(t)))
+        return SlotTable(*(getattr(t, f.name)[:, 0] for f in fields(t)))
 
     def check_constraints(self, traj: Trajectory, time_split) -> FeasibilityReport:
         """Evaluate every mission constraint for one candidate."""
@@ -425,13 +469,10 @@ class LinkProblem:
         )
 
     def evaluate_batch(self, genomes) -> BatchEvaluation:
-        """Evaluate a stack of genomes, shape (B, dim), in one pass."""
+        """Evaluate a stack of genomes, shape (B, dim), ``_PASS_ROWS`` at a time."""
         arr = self._check_genome(genomes, stacked=True)
-        result = self._evaluate_stack(*self._decode_stack(arr))
-        return BatchEvaluation(
-            genomes=arr,
-            objectives=result["objective"],
-            fitness=result["fitness"],
-            feasible=result["feasible"],
-            worst_violation=result["worst"],
-        )
+        passes = [self._evaluate_stack(*self._decode_stack(arr[lo:lo + _PASS_ROWS]))
+                  for lo in range(0, len(arr), _PASS_ROWS) or [0]]
+        return BatchEvaluation(arr, *(
+            np.concatenate([result[key] for result in passes])
+            for key in ("objective", "fitness", "feasible", "worst")))

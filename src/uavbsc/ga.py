@@ -85,23 +85,33 @@ def selection_weights(fitness: np.ndarray) -> np.ndarray:
     return (worst - fitness) + 1.0e-9 * np.abs(worst)
 
 
-def roulette(weights, n_picks: int, rng: np.random.Generator) -> np.ndarray:
+def roulette(weights, n_picks: int, rng) -> np.ndarray:
     """Fitness-proportional sampling with replacement; uniform fallback.
 
-    Degenerate weight vectors (all zero, or non-finite totals) fall back
-    to uniform probabilities.
+    ``weights`` is one vector with one generator, or a (seeds, size)
+    stack with one generator per seed (see :func:`~uavbsc.common.draw`).
+    Each row picks as ``rng.choice(size, n_picks, p=weights / total)``
+    would, from the same stream: its CDF, normalized by its last entry,
+    is searched for ``n_picks`` uniforms.  A row whose total is zero or
+    not finite falls back to uniform probabilities.
     """
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a nonempty 1-D vector")
+    single = isinstance(rng, np.random.Generator)
+    if single:
+        w, rng = w[None], [rng]
+    if w.ndim != 2 or w.shape[1] == 0:
+        raise ValueError("weights must be a nonempty vector per generator")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
-    total = float(np.sum(w))
-    if not np.isfinite(total) or total <= 0.0:
-        probs = np.full(w.size, 1.0 / w.size)
-    else:
-        probs = w / total
-    return rng.choice(w.size, size=int(n_picks), replace=True, p=probs)
+    total = np.sum(w, axis=1, keepdims=True)
+    usable = np.isfinite(total) & (total > 0.0)
+    cdf = np.where(usable, w / np.where(usable, total, 1.0), 1.0 / w.shape[1])
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:]
+    uniforms = draw(rng, "random", (len(w), int(n_picks)))
+    picks = np.array([np.searchsorted(c, u, side="right")
+                      for c, u in zip(cdf, uniforms)])
+    return picks[0] if single else picks
 
 
 def select(genomes: np.ndarray, fitness: np.ndarray, cfg: GaConfig,
@@ -123,9 +133,8 @@ def select(genomes: np.ndarray, fitness: np.ndarray, cfg: GaConfig,
     picks = np.argsort(fitness, axis=1, kind="stable")
     n_elite = elite_count(cfg, size)
     if n_elite < size:
-        weights = selection_weights(fitness)
-        for k, g in enumerate(rng):
-            picks[k, n_elite:] = roulette(weights[k], size - n_elite, g)
+        picks[:, n_elite:] = roulette(selection_weights(fitness),
+                                      size - n_elite, rng)
     pool = genomes[np.arange(len(picks))[:, None], picks]
     return pool if stacked else pool[0]
 
@@ -147,8 +156,9 @@ def crossover(parent_a, parent_b, cfg: GaConfig, rng):
     draws = draw(rng, "random", a.shape[:-1] + (2, a.shape[-1]))
     mask = draws[..., 0, :] < cfg.crossover_rate
     blend = draws[..., 1, :]
-    child_a = np.where(mask, blend * a + (1.0 - blend) * b, a)
-    child_b = np.where(mask, blend * b + (1.0 - blend) * a, b)
+    rest = 1.0 - blend
+    child_a = np.where(mask, blend * a + rest * b, a)
+    child_b = np.where(mask, blend * b + rest * a, b)
     return child_a, child_b
 
 
@@ -162,7 +172,8 @@ def mutate(genes, cfg: GaConfig, rng) -> np.ndarray:
 
 def run(cfg: GaConfig, problem: LinkProblem) -> SolverReport:
     """Run the genetic algorithm and report the best mission found."""
-    return drive(steps(cfg, problem), problem)[0]
+    (reports, _), = drive([steps(cfg, problem)], problem)
+    return reports[0]
 
 
 def steps(cfg: GaConfig, problem: LinkProblem,
@@ -199,12 +210,13 @@ def steps(cfg: GaConfig, problem: LinkProblem,
         rows = np.arange(live.size)[:, None]
         order = np.argsort(fit, axis=1, kind="stable")[:, :size]
         pop, fit, worst = pop[rows, order], fit[rows, order], worst[rows, order]
-        means = np.mean(fit, axis=1)
-        for row, k in enumerate(live):
-            improved = best[k].offer(pop[row], fit[row], worst[row], gen)
-            if gen > 0:
-                stall[k] = 0 if improved else stall[k] + 1
-                best[k].record(gen, means[row], int(spent[k]))
+        means = np.mean(fit, axis=1).tolist()
+        holders = [best[k] for k in live]
+        improved = Incumbent.offer_rows(holders, pop, fit, worst, gen)
+        if gen > 0:
+            stall[live] = np.where(improved, 0, stall[live] + 1)
+            for b, mean, k in zip(holders, means, live.tolist()):
+                b.record(gen, mean, int(spent[k]))
         keep = stall[live] < cfg.stall_limit
         if not keep.all():
             pop, fit, worst, live = pop[keep], fit[keep], worst[keep], live[keep]

@@ -2,11 +2,16 @@
 
 Everything here is deterministic given (scenario, solver, seed, budget):
 each run owns a single seeded generator, and campaigns and sweeps step
-the seeds of one solver as one stacked solver loop whose evaluations are
+the seeds of one solver as one stacked solver loop, and all the loops on
+one scenario together with one evaluation per tick.  Evaluation is
 row-wise, so a run's results do not depend on which runs share its
-group.  Worker processes take contiguous slices of the run list, and
-results are collected in run order.  Artifacts therefore compare equal
-bit for bit at any worker count once wall-clock fields are stripped.
+group or its ticks.  Worker processes take contiguous slices of the run
+list, and results are collected in run order.  Artifacts therefore
+compare equal bit for bit at any worker count once wall-clock fields are
+stripped.  A run's ``wall_clock_s`` is its loop's own operator time plus
+its row share of each evaluation it joined, split evenly over the loop's
+seeds (:func:`~uavbsc.common.drive`); :func:`run_single` reports its run's
+own wall time.
 """
 
 from __future__ import annotations
@@ -120,41 +125,28 @@ def make_solver_config(scenario: ScenarioConfig, solver: str, seed: int,
 
 
 def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
-               budget: Optional[int] = None) -> List[RunArtifact]:
-    """Runs of one solver over ``seeds``, stepped as one stacked loop.
-
-    Each artifact's ``wall_clock_s`` is the group's wall time divided by
-    the group's size, so the sum over artifacts is still the busy time.
-    """
-    problem = scenario.build_problem()
-    started = time.perf_counter()
+               budget: Optional[int], problem: LinkProblem) -> SolverSteps:
+    """The stacked loop of one solver over ``seeds`` on a built scenario."""
     cfg = make_solver_config(scenario, solver, seeds[0], budget)
     if cfg is None:
-        loop = random_steps(
+        return random_steps(
             problem, RANDOM_DEFAULT_BUDGET if budget is None else budget, seeds)
-    else:
-        steps = ga_mod.steps if isinstance(cfg, ga_mod.GaConfig) else pso_mod.steps
-        loop = steps(cfg, problem, seeds)
-    reports = drive(loop, problem)
-    wall = (time.perf_counter() - started) / len(seeds)
-    return [
-        RunArtifact(
-            scenario_name=scenario.name,
-            scenario_hash=scenario.scenario_hash(),
-            solver=solver,
-            seed=int(seed),
-            budget=None if budget is None else int(budget),
-            report=report,
-            wall_clock_s=wall,
-        )
-        for seed, report in zip(seeds, reports)
-    ]
+    steps = ga_mod.steps if isinstance(cfg, ga_mod.GaConfig) else pso_mod.steps
+    return steps(cfg, problem, seeds)
 
 
 def run_single(scenario: ScenarioConfig, solver: str, seed: int,
                budget: Optional[int] = None) -> RunArtifact:
-    """Run one solver once on a scenario and package the result."""
-    return _run_group(scenario, solver, _as_seed_list([seed]), budget)[0]
+    """Run one solver once on a scenario and package the result.
+
+    The artifact's ``wall_clock_s`` is the run's own wall time.
+    """
+    started = time.perf_counter()
+    (result,) = _run_slice([(scenario, solver, *_as_seed_list([seed]))], budget)
+    if isinstance(result, Exception):
+        raise result
+    result.wall_clock_s = time.perf_counter() - started
+    return result
 
 
 def _as_solver_list(solvers) -> List[str]:
@@ -181,24 +173,33 @@ def _as_seed_list(seeds) -> List[int]:
 def _run_slice(runs: Sequence[tuple], budget: Optional[int]) -> list:
     """One result per ``(scenario, solver, seed)`` run, in run order.
 
-    Each maximal stretch of runs on the same scenario object and solver
-    is one group, stepped as one stacked solver loop.  A group that
-    raises ``ConfigError`` or ``ValueError`` gives each of its runs that
-    exception, not an artifact, and so do the later groups on that
-    scenario, which are not run: one failed run fails its whole campaign
-    or swept value.
+    Each maximal stretch of runs on the same scenario object builds one
+    problem and is one :func:`~uavbsc.common.drive` call: every stretch
+    of same-solver runs in it is one stacked loop, and all the loops
+    share one ``evaluate_batch`` per tick.  An artifact's
+    ``wall_clock_s`` is its loop's busy time split evenly over its seeds.
+    When a loop raises ``ConfigError`` or ``ValueError``, the later loops
+    on that scenario do not run, and every run of the stretch gets the
+    error of the earliest loop to fail: one failed run fails its whole
+    campaign or swept value.
     """
-    results, failed = [], {}
-    for (scenario, solver), stretch in itertools.groupby(
-            runs, key=lambda run: run[:2]):
-        seeds = [seed for _, _, seed in stretch]
-        if scenario not in failed:
-            try:
-                results += _run_group(scenario, solver, seeds, budget)
-                continue
-            except (ConfigError, ValueError) as exc:
-                failed[scenario] = exc
-        results += [failed[scenario]] * len(seeds)
+    results = []
+    for scenario, stretch in itertools.groupby(runs, key=lambda run: run[0]):
+        groups = [(solver, [seed for *_, seed in group]) for solver, group
+                  in itertools.groupby(stretch, key=lambda run: run[1])]
+        try:
+            problem = scenario.build_problem()
+            driven = drive((_run_group(scenario, solver, seeds, budget, problem)
+                            for solver, seeds in groups), problem)
+        except (ConfigError, ValueError) as exc:
+            results += [exc] * sum(len(seeds) for _, seeds in groups)
+            continue
+        digest = scenario.scenario_hash()
+        for (solver, seeds), (reports, busy) in zip(groups, driven):
+            results += [RunArtifact(scenario.name, digest, solver, int(seed),
+                                    None if budget is None else int(budget),
+                                    report, busy / len(seeds))
+                        for seed, report in zip(seeds, reports)]
     return results
 
 
@@ -257,7 +258,8 @@ def campaign_to_dict(artifacts: Sequence[RunArtifact],
 def random_search(problem: LinkProblem, budget: int,
                   seed: int = 0) -> SolverReport:
     """Uniform random sampling of the unit box, best-so-far kept."""
-    return drive(random_steps(problem, budget, [seed]), problem)[0]
+    (reports, _), = drive([random_steps(problem, budget, [seed])], problem)
+    return reports[0]
 
 
 def random_steps(problem: LinkProblem, budget: int,
@@ -286,10 +288,9 @@ def random_steps(problem: LinkProblem, budget: int,
         block += 1
         fitness = ev.fitness.reshape(-1, n)
         violation = ev.worst_violation.reshape(-1, n)
-        means = np.mean(fitness, axis=1)
-        for row, b in enumerate(best):
-            b.offer(genomes[row], fitness[row], violation[row], block)
-            b.record(block, means[row], evaluations)
+        Incumbent.offer_rows(best, genomes, fitness, violation, block)
+        for b, mean in zip(best, np.mean(fitness, axis=1).tolist()):
+            b.record(block, mean, evaluations)
 
     return [b.report(problem, "random", seed, evaluations, int(budget),
                      {"chunk_size": _RANDOM_CHUNK})
@@ -318,6 +319,8 @@ class SweepSpec:
             raise ValueError("sweep needs at least one value")
         self.seeds = _as_seed_list(self.seeds)
         self.solvers = _as_solver_list(self.solvers)
+        if self.budget is not None and self.budget < 1:
+            raise ValueError(f"sweep budget must be at least 1 (got {self.budget})")
 
 
 @dataclass(eq=False)

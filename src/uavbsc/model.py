@@ -165,10 +165,15 @@ _J0_QQ = np.array([  # leading x^7 coefficient is 1 and is handled implicitly
 
 
 def _polevl(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Horner evaluation of a polynomial with explicit leading coefficient."""
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
+    """Horner evaluation of a polynomial with explicit leading coefficient.
+
+    Every step multiplies, then adds, in place.
+    """
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
     return ans
 
 
@@ -176,15 +181,19 @@ def _p1evl(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Horner evaluation of a monic polynomial (implicit leading 1)."""
     ans = x + coef[0]
     for c in coef[1:]:
-        ans = ans * x + c
+        ans *= x
+        ans += c
     return ans
 
 
 def _j0_rational(xx: np.ndarray) -> np.ndarray:
     """J0 on [1e-5, 5] by the rational form anchored at its first two zeros."""
     z = xx ** 2
-    p = (z - _J0_DR1) * (z - _J0_DR2)
-    return p * _polevl(z, _J0_RP) / _p1evl(z, _J0_RQ)
+    p = z - _J0_DR1
+    p *= z - _J0_DR2
+    p *= _polevl(z, _J0_RP)
+    p /= _p1evl(z, _J0_RQ)
+    return p
 
 
 def bessel_j0(x):
@@ -454,7 +463,7 @@ class SystemParams:
 
 def _check_distance(d) -> np.ndarray:
     arr = np.asarray(d, dtype=np.float64)
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise ValueError("distances must be strictly positive")
     return arr
 
@@ -470,10 +479,11 @@ def doppler_factor(speed, params: SystemParams):
     1 at standstill, decaying as the aircraft moves faster within a symbol
     sampling interval.
     """
-    speed = np.asarray(speed, dtype=np.float64)
-    doppler_hz = speed * params.carrier_freq_hz / params.light_speed_mps
-    j0 = bessel_j0(2.0 * math.pi * doppler_hz * params.sampling_time_s)
-    return _maybe_float(np.clip(np.square(j0), 0.0, 1.0))
+    arg = np.asarray(speed, dtype=np.float64) * params.carrier_freq_hz
+    arg /= params.light_speed_mps  # the Doppler spread (Hz)
+    arg *= 2.0 * math.pi
+    arg *= params.sampling_time_s
+    return _maybe_float(np.clip(np.square(bessel_j0(arg)), 0.0, 1.0))
 
 
 def _path_loss(d_su, params: SystemParams):
@@ -502,14 +512,11 @@ def rate_uplink(d_su, correlation, params: SystemParams, terms=None):
     """
     path_loss, corr_sq, _, stale_noise = terms or link_terms(
         d_su, correlation, params)
-    eff_noise = params.noise_var_uplink_w + stale_noise
-    snr = (
-        math.exp(-EULER_GAMMA)
-        * params.ref_gain
-        * corr_sq
-        * params.source_power_w
-        / (path_loss * eff_noise)
-    )
+    eff_noise = stale_noise + params.noise_var_uplink_w
+    eff_noise *= path_loss
+    snr = corr_sq * (math.exp(-EULER_GAMMA) * params.ref_gain)
+    snr *= params.source_power_w
+    snr /= eff_noise
     return _maybe_float(params.bandwidth_hz * np.log2(1.0 + snr))
 
 
@@ -523,26 +530,19 @@ def rate_downlink(d_su, d_du, correlation, params: SystemParams, terms=None):
     path_loss, corr_sq, stale, stale_noise = terms or link_terms(
         d_su, correlation, params)
     d_du = _check_distance(d_du)
-    eff_noise = (
-        params.noise_var_downlink_w
-        + stale_noise
-        + np.square(stale) * params.noise_var_estimation_w**2
-    )
+    eff_noise = stale_noise + params.noise_var_downlink_w
+    eff_noise += np.square(stale) * params.noise_var_estimation_w**2
     cache_power = params.cache_indicator * params.ub_tx_power_w
-    reflected = (
-        np.square(corr_sq)
-        * params.backscatter_coeff
-        * params.ref_gain
-        * params.source_power_w
-    )
-    cached = corr_sq * cache_power * path_loss
-    snr = (
-        math.exp(-EULER_GAMMA)
-        * params.ref_gain
-        * (reflected + cached)
-        / (np.power(np.asarray(d_su, dtype=np.float64) * d_du,
-                    params.path_loss_exp) * eff_noise)
-    )
+    snr = np.square(corr_sq)  # the reflected component, then the SNR
+    snr *= params.backscatter_coeff
+    snr *= params.ref_gain
+    snr *= params.source_power_w
+    snr += corr_sq * cache_power * path_loss  # the cached component
+    snr *= math.exp(-EULER_GAMMA) * params.ref_gain
+    two_hop = np.power(np.asarray(d_su, dtype=np.float64) * d_du,
+                       params.path_loss_exp)
+    two_hop *= eff_noise
+    snr /= two_hop
     return _maybe_float(params.bandwidth_hz * np.log2(1.0 + snr))
 
 
@@ -557,15 +557,12 @@ def harvested_energy_slot(d_su, split, params: SystemParams, terms=None):
     and decays with the station distance by the path-loss law.
     """
     path_loss = terms[0] if terms else _path_loss(d_su, params)
-    split = np.asarray(split, dtype=np.float64)
-    return _maybe_float(
-        params.ref_gain
-        * params.harvest_eff
-        * (1.0 - split)
-        * params.slot_duration_s
-        * params.wpt_power_w
-        / path_loss
-    )
+    energy = 1.0 - np.asarray(split, dtype=np.float64)
+    energy *= params.ref_gain * params.harvest_eff
+    energy *= params.slot_duration_s
+    energy *= params.wpt_power_w
+    energy /= path_loss
+    return _maybe_float(energy)
 
 
 def flying_power(speed, propulsion: PropulsionParams):
@@ -576,14 +573,15 @@ def flying_power(speed, propulsion: PropulsionParams):
     form 1 / sqrt(sqrt(1 + a^2) + a).
     """
     v = np.asarray(speed, dtype=np.float64)
-    if np.any(v < 0.0):
+    if (v < 0.0).any():
         raise ValueError("speed must be nonnegative")
     v2 = np.square(v)
-    a = propulsion.induced_speed_factor * v2
-    induced_factor = 1.0 / np.sqrt(np.sqrt(1.0 + np.square(a)) + a)
-    power = (
-        propulsion.profile_power_w * (1.0 + propulsion.profile_speed_factor * v2)
-        + propulsion.induced_power_w * induced_factor
-        + propulsion.parasite_drag_factor * v2 * v
-    )
+    a = v2 * propulsion.induced_speed_factor
+    induced = 1.0 / np.sqrt(np.sqrt(1.0 + np.square(a)) + a)
+    induced *= propulsion.induced_power_w
+    power = v2 * propulsion.profile_speed_factor
+    power += 1.0
+    power *= propulsion.profile_power_w
+    power += induced
+    power += propulsion.parasite_drag_factor * v2 * v
     return _maybe_float(power)

@@ -141,7 +141,8 @@ def update_position(position, velocity) -> np.ndarray:
 
 def run(cfg: PsoConfig, problem: LinkProblem) -> SolverReport:
     """Run the swarm and report the best mission found."""
-    return drive(steps(cfg, problem), problem)[0]
+    (reports, _), = drive([steps(cfg, problem)], problem)
+    return reports[0]
 
 
 def steps(cfg: PsoConfig, problem: LinkProblem,
@@ -178,8 +179,7 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
     personal_x = positions.copy()
     personal_fit = ev.fitness.reshape(-1, size).copy()
     personal_worst = ev.worst_violation.reshape(-1, size).copy()
-    for row, k in enumerate(live):
-        best[k].offer(personal_x[row], personal_fit[row], personal_worst[row], 0)
+    Incumbent.offer_rows(best, personal_x, personal_fit, personal_worst, 0)
 
     for it in range(1, cfg.iterations + 2):
         keep = np.full(live.size, it <= cfg.iterations)
@@ -208,13 +208,14 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
         fitness = ev.fitness.reshape(-1, size)
         violation = ev.worst_violation.reshape(-1, size)
         improved = fitness < personal_fit
-        personal_x[improved] = positions[improved]
-        personal_fit[improved] = fitness[improved]
-        personal_worst[improved] = violation[improved]
-        means = np.mean(fitness, axis=1)
-        for row, b in enumerate(holders):
-            b.offer(personal_x[row], personal_fit[row], personal_worst[row], it)
-            b.record(it, means[row], int(spent[live[row]]))
+        np.copyto(personal_x, positions, where=improved[..., None])
+        np.copyto(personal_fit, fitness, where=improved)
+        np.copyto(personal_worst, violation, where=improved)
+        Incumbent.offer_rows(holders, personal_x, personal_fit, personal_worst,
+                             it)
+        for b, mean, k in zip(holders, np.mean(fitness, axis=1).tolist(),
+                              live.tolist()):
+            b.record(it, mean, int(spent[k]))
 
         if cfg.mutation_active:
             offsets = masked_gaussian_offsets(

@@ -70,6 +70,25 @@ def test_negative_seed_is_a_usage_error_naming_the_flag(
     assert out == "" and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--solver", "random"],
+    ["sweep", "--param", "system.wpt_power_db", "--values", "30,33",
+     "--solver", "random,ga", "--seeds", "0"],
+], ids=["run", "sweep"])
+@pytest.mark.parametrize("budget", ["0", "-1", "ten"])
+def test_budget_below_one_is_a_usage_error_naming_the_flag(
+        capsys, tmp_path, command, budget):
+    code, out, err = run_cli(capsys, *command, "--config", TINY,
+                             f"--budget={budget}",
+                             "--out", str(tmp_path / "out"))
+    assert code == 2
+    payload = error_payload(err)
+    assert payload["category"] == "usage"
+    assert payload["message"].startswith("argument --budget: ")
+    assert f"'{budget}'" in payload["message"]
+    assert out == "" and not (tmp_path / "out").exists()
+
+
 def test_zero_workers_is_a_usage_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "sweep", "--config", TINY, "--param", "system.wpt_power_db",
@@ -160,8 +179,10 @@ def test_slot_count_too_large_to_allocate_is_a_config_error(capsys, tmp_path):
 
 
 def test_impossible_budget_is_an_execution_error(capsys):
+    # A budget below one population (40 in the tiny scenario); a budget
+    # below 1 is a usage error instead.
     code, _, err = run_cli(capsys, "run", "--config", TINY,
-                           "--solver", "random", "--budget", "0")
+                           "--solver", "ga", "--budget", "1")
     assert code == 4
     assert error_payload(err)["category"] == "execution"
 

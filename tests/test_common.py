@@ -1,10 +1,11 @@
 """The one best-so-far rule shared by every solver and the grid oracle,
-the one initializer of both population-based solvers, and the per-seed
-draws of a stacked solver loop."""
+the one initializer of both population-based solvers, the per-seed
+draws of a stacked solver loop, and the one driver of solver loops."""
 
 import dataclasses
 
 import numpy as np
+import pytest
 
 from uavbsc import ga, pso
 from uavbsc.common import (
@@ -13,6 +14,7 @@ from uavbsc.common import (
     Incumbent,
     SolverReport,
     draw,
+    drive,
     initial_population,
 )
 
@@ -87,6 +89,24 @@ def test_stored_genome_is_a_copy_of_the_winning_row():
     best.offer(genomes, fit, worst)
     genomes[0] = -1.0
     np.testing.assert_array_equal(best.genome, np.zeros(3))
+
+
+def test_offer_rows_is_offer_row_by_row():
+    rng = np.random.default_rng(8)
+    fit = rng.integers(0, 3, (4, 6)).astype(float)  # many full ties
+    worst = rng.integers(0, 2, (4, 6)).astype(float)
+    genomes = rng.random((4, 6, 3))
+    rows, alone = [Incumbent() for _ in range(4)], [Incumbent() for _ in range(4)]
+    for gen in range(3):
+        got = Incumbent.offer_rows(rows, genomes, fit - gen, worst, gen)
+        want = [b.offer(genomes[r], fit[r] - gen, worst[r], gen)
+                for r, b in enumerate(alone)]
+        assert got == want
+        assert [(b.fitness, b.worst, b.index, b.last_improvement)
+                for b in rows] == [(b.fitness, b.worst, b.index,
+                                    b.last_improvement) for b in alone]
+        assert all(np.array_equal(a.genome, b.genome)
+                   for a, b in zip(rows, alone))
 
 
 def test_record_traces_the_current_best():
@@ -170,3 +190,69 @@ def test_initial_population_of_a_stack_is_each_seed_alone(tiny_problem):
         alone = initial_population(tiny_problem, 5, None, 0.2,
                                    np.random.default_rng(seed))
         assert layer.tobytes() == alone.tobytes()
+
+
+def _loop(problem, ticks, bad=None, seen=None):
+    """A solver loop of ``ticks`` one-genome blocks; ``bad`` maps a tick to
+    the gene value that spoils its block, or to an exception to raise."""
+    genome = problem.heuristic_mean()
+    for tick in range(ticks):
+        spoil = (bad or {}).get(tick)
+        if isinstance(spoil, Exception):
+            raise spoil
+        block = genome[None].copy()
+        if spoil is not None:
+            block[0, 0] = spoil
+        ev = yield block
+        if seen is not None:
+            seen.append((tick, float(ev.fitness[0])))
+    return [ticks]
+
+
+def test_drive_steps_every_loop_with_one_evaluation_per_tick(tiny_problem):
+    seen = [[], [], []]
+    loops = [_loop(tiny_problem, n, seen=log) for n, log in zip((3, 5, 1), seen)]
+    driven = drive(loops, tiny_problem)
+    assert [reports for reports, _ in driven] == [[3], [5], [1]]
+    assert all(busy > 0.0 for _, busy in driven)
+    fitness = tiny_problem.evaluate(tiny_problem.heuristic_mean()).fitness
+    assert seen == [[(t, fitness) for t in range(n)] for n in (3, 5, 1)]
+
+
+def test_drive_charges_a_failed_evaluation_to_its_own_loop(tiny_problem):
+    seen = [[], [], []]
+    loops = [_loop(tiny_problem, 5, seen=seen[0]),
+             _loop(tiny_problem, 3, {1: 2.0}, seen[1]),
+             _loop(tiny_problem, 5, seen=seen[2])]
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        drive(loops, tiny_problem)
+    # The loop before the failed one ran to its end; the one after it was
+    # closed in the same tick.
+    assert [len(log) for log in seen] == [5, 1, 1]
+
+
+def test_drive_raises_the_error_of_the_earliest_loop_to_fail(tiny_problem):
+    # The second loop fails first, the first one later: running them one
+    # after another would meet the first loop's error.
+    loops = [_loop(tiny_problem, 5, {3: np.nan}),
+             _loop(tiny_problem, 5, {1: 2.0})]
+    with pytest.raises(ValueError, match="must be finite"):
+        drive(loops, tiny_problem)
+    loops = [_loop(tiny_problem, 5, {3: ValueError("own step")}),
+             _loop(tiny_problem, 5, {1: 2.0})]
+    with pytest.raises(ValueError, match="own step"):
+        drive(loops, tiny_problem)
+
+
+def test_drive_takes_no_loop_after_one_that_fails_at_its_first_block(
+        tiny_problem):
+    taken = []
+
+    def loops():
+        for n, bad in ((2, None), (2, {0: ValueError("first block")}), (2, None)):
+            taken.append(n)
+            yield _loop(tiny_problem, n, bad)
+
+    with pytest.raises(ValueError, match="first block"):
+        drive(loops(), tiny_problem)
+    assert taken == [2, 2]

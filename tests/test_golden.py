@@ -18,7 +18,14 @@ import pytest
 from uavbsc import ga, pso
 from uavbsc.common import drive
 from uavbsc.config import SOLVER_CONFIGS, ScenarioConfig
-from uavbsc.harness import random_steps, run_campaign, run_single
+from uavbsc.encoding import LinkProblem
+from uavbsc.harness import (
+    SweepSpec,
+    random_steps,
+    run_campaign,
+    run_single,
+    run_sweep,
+)
 
 from helpers import REFERENCE_CONFIG, TINY_CONFIG
 
@@ -107,6 +114,60 @@ def test_campaign_equals_per_seed_run_single(tiny_scenario, workers,
         [e.to_dict(include_timing=False) for e in expected]
 
 
+def _untimed(artifacts):
+    return [a.to_dict(include_timing=False) for a in artifacts]
+
+
+@pytest.fixture
+def evaluate_batch_calls(monkeypatch):
+    """Count the calls of ``LinkProblem.evaluate_batch``."""
+    calls = []
+    evaluate_batch = LinkProblem.evaluate_batch
+
+    def counting(self, genomes):
+        calls.append(len(genomes))
+        return evaluate_batch(self, genomes)
+
+    monkeypatch.setattr(LinkProblem, "evaluate_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seeds", [[1, 2, 3, 5], [4, 1, 4]],
+                         ids=["distinct", "duplicates"])
+def test_fused_slice_equals_each_group_alone(tiny_scenario, seeds,
+                                             evaluate_batch_calls):
+    # GA seeds that stall at different generations, IPSO at an odd
+    # budget, and random search, whose four blocks end first: the loops
+    # leave the fused slice at different ticks.
+    scenario = tiny_scenario.with_value(
+        "solvers.ga", {"population_size": 20, "stall_limit": 3})
+    solvers = ["ga", "ipso", "random"]
+    fused = run_campaign(scenario, solvers, seeds, budget=777)
+    fused_calls = len(evaluate_batch_calls)
+    alone, ticks = [], []
+    for solver in solvers:
+        start = len(evaluate_batch_calls)
+        alone += run_campaign(scenario, solver, seeds, budget=777)
+        ticks.append(len(evaluate_batch_calls) - start)
+    assert _untimed(fused) == _untimed(alone)
+    assert _untimed(fused) == _untimed(
+        [run_single(scenario, a.solver, a.seed, budget=777) for a in fused])
+    assert len(set(ticks)) == len(solvers), ticks
+    assert fused_calls == max(ticks)  # one evaluation per tick
+
+
+def test_a_group_failing_at_its_first_block_fails_the_fused_slice(
+        tiny_scenario):
+    spec = SweepSpec("solvers.ga", [{"population_size": 500}],
+                     ["random", "ga", "ipso"], [0, 1], budget=200)
+    varied = tiny_scenario.with_value("solvers.ga", spec.values[0])
+    with pytest.raises(ValueError, match="cannot fit one population") as caught:
+        run_campaign(varied, spec.solvers, spec.seeds, budget=spec.budget)
+    (point,) = run_sweep(tiny_scenario, spec)
+    assert point.error == str(caught.value)
+    assert point.artifacts == []
+
+
 def _stacked_and_alone(problem, solver, seeds, budget, overrides):
     """Reports of ``seeds`` as one stacked loop, and of each seed alone."""
     if solver == "random":
@@ -119,8 +180,8 @@ def _stacked_and_alone(problem, solver, seeds, budget, overrides):
 
         def loop(group):
             return make(cfg, problem, group)
-    return (drive(loop(seeds), problem),
-            [drive(loop([seed]), problem)[0] for seed in seeds])
+    return (drive([loop(seeds)], problem)[0][0],
+            [drive([loop([seed])], problem)[0][0][0] for seed in seeds])
 
 
 def _mutants_per_iteration(report):

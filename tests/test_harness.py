@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -124,6 +125,24 @@ def test_run_campaign_accepts_single_solver_name(tiny_scenario):
     assert arts[0].solver == "random"
 
 
+def test_wall_clock_shares_add_up_to_the_campaign_wall_time(
+        reference_scenario, tiny_scenario):
+    # Each artifact's share is its loop's own time plus its row share of
+    # every evaluation it joined, split over the loop's seeds.
+    started = time.perf_counter()
+    arts = run_campaign(reference_scenario, list(harness.SOLVER_NAMES),
+                        seeds=[0, 1, 2], budget=2000)
+    wall = time.perf_counter() - started
+    assert all(a.wall_clock_s > 0.0 for a in arts)
+    assert sum(a.wall_clock_s for a in arts) == pytest.approx(wall, rel=0.05)
+    spec = SweepSpec("system.wpt_power_db", [30, 33], ["random", "ga"], [0, 1],
+                     budget=100)
+    for workers in (1, 2):
+        assert all(a.wall_clock_s > 0.0 for point in
+                   run_sweep(tiny_scenario, spec, workers=workers)
+                   for a in point.artifacts)
+
+
 def test_run_campaign_worker_count_does_not_change_results(tiny_scenario):
     serial = run_campaign(tiny_scenario, ["random", "ipso"], seeds=[0, 1],
                           budget=200, workers=1)
@@ -222,7 +241,10 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="x", values=[1], seeds=[])
     with pytest.raises(ValueError, match="unknown solver"):
         SweepSpec(parameter="x", values=[1], solvers=["nope"])
-    spec = SweepSpec(parameter="x", values=[1], solvers="random")
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match=r"budget must be at least 1"):
+            SweepSpec(parameter="x", values=[1], budget=budget)
+    spec = SweepSpec(parameter="x", values=[1], solvers="random", budget=1)
     assert spec.solvers == ["random"]
 
 

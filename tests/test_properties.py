@@ -1,6 +1,6 @@
 """Property tests: the genome repair map, the genome codec, the one
-best-so-far rule and the sign conventions of the constraint margins,
-each checked on inputs Hypothesis draws.
+best-so-far rule, the sign conventions of the constraint margins and the
+stacked random draws, each checked on inputs Hypothesis draws.
 
 Every test is derandomized, so a run of the suite draws the same cases.
 """
@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import REFERENCE_CONFIG, TINY_CONFIG, small_problem
-from uavbsc.common import Incumbent
+from uavbsc import ga
+from uavbsc.common import Incumbent, draw
 from uavbsc.config import ScenarioConfig
-from uavbsc.encoding import LinkProblem, normalize
+from uavbsc.encoding import LinkProblem, _slot_sum, normalize
 from uavbsc.model import Trajectory
 
 PROBLEMS = {
@@ -210,3 +211,73 @@ def test_scalar_and_batch_evaluation_agree_bit_for_bit(name):
                 batch.worst_violation[row].tobytes()
 
     check()
+
+
+@checked
+@given(st.integers(1, 3), st.integers(1, 300), st.data())
+def test_slot_sums_equal_numpy_sums_over_each_mission(missions, slots, data):
+    # The slot-major pass folds its per-mission sums over whole rows in
+    # the order numpy's pairwise sum adds one mission's slots.
+    values = st.one_of(st.just(-0.0), st.floats(-1e9, 1e9, allow_nan=False))
+    table = data.draw(arrays(np.float64, (missions, slots), elements=values))
+    want = np.sum(table, axis=1)
+    assert _slot_sum(np.ascontiguousarray(table.T)).tobytes() == want.tobytes()
+
+
+# Seeds of a stack, duplicates included.
+_SEEDS = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4)
+
+
+@checked
+@given(_SEEDS, st.integers(0, 6), st.integers(1, 5), st.floats(-5.0, 5.0),
+       st.floats(0.0, 3.0), st.booleans())
+def test_stacked_draws_equal_each_seed_alone(seeds, count, dim, loc, scale,
+                                             genome_loc):
+    if genome_loc:  # as initial_population draws around a mean genome
+        loc = np.linspace(loc, -loc, dim)
+    for method, args in (("random", ()), ("normal", (loc, scale))):
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        stack = draw(rngs, method, (len(seeds), count, dim), *args)
+        for layer, rng, seed in zip(stack, rngs, seeds):
+            alone = np.random.default_rng(seed)
+            want = (alone.random((count, dim)) if method == "random"
+                    else alone.normal(loc, scale, (count, dim)))
+            assert layer.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == alone.bit_generator.state
+
+
+def _choice(seed, weights, n_picks):
+    """``Generator.choice(p=...)`` picks, with roulette's uniform fallback."""
+    total = float(np.sum(weights))
+    p = (np.full(weights.size, 1.0 / weights.size)
+         if not np.isfinite(total) or total <= 0.0 else weights / total)
+    return np.random.default_rng(seed).choice(weights.size, n_picks, p=p)
+
+
+# Fitness levels with ties; a row of one level weighs zero everywhere.
+_FITNESS = st.sampled_from([-3.0, -1.0, 0.0, 0.0, 2.0, 1e12])
+
+
+@checked
+@given(_SEEDS, st.integers(2, 12), st.floats(0.0, 1.0), st.data())
+def test_stacked_select_picks_equal_generator_choice(seeds, size,
+                                                     elite_fraction, data):
+    fitness = np.array(data.draw(st.lists(
+        st.one_of(st.lists(_FITNESS, min_size=size, max_size=size),
+                  st.just([0.0] * size)),
+        min_size=len(seeds), max_size=len(seeds))))
+    genomes = np.arange(len(seeds) * size, dtype=np.float64).reshape(
+        len(seeds), size, 1)
+    cfg = ga.GaConfig(population_size=size, elite_fraction=elite_fraction)
+    pool = ga.select(genomes, fitness, cfg,
+                     [np.random.default_rng(seed) for seed in seeds])
+    n_elite = ga.elite_count(cfg, size)
+    for row, seed in enumerate(seeds):
+        order = np.argsort(fitness[row], kind="stable")
+        picks = np.concatenate([order[:n_elite], _choice(
+            seed, ga.selection_weights(fitness[row]), size - n_elite)])
+        assert np.array_equal(pool[row], genomes[row][picks])
+    weights = ga.selection_weights(fitness)
+    picks = ga.roulette(weights, 7, [np.random.default_rng(s) for s in seeds])
+    for row, seed in enumerate(seeds):
+        assert np.array_equal(picks[row], _choice(seed, weights[row], 7))
