@@ -78,7 +78,7 @@ def _int_at_least(low: int, kind: str):
 
 
 _seed = _int_at_least(0, "non-negative")  # --seed
-_budget = _int_at_least(1, "positive")    # --budget
+_positive = _int_at_least(1, "positive")  # --budget, --workers
 
 
 def _seeds(text: str) -> list:
@@ -116,7 +116,7 @@ def build_parser() -> _Parser:
     add_common(p_run)
     p_run.add_argument("--solver", choices=SOLVER_NAMES, default="ipso")
     p_run.add_argument("--seed", type=_seed, default=0)
-    p_run.add_argument("--budget", type=_budget, default=None,
+    p_run.add_argument("--budget", type=_positive, default=None,
                        help="cap on objective evaluations")
     p_run.add_argument("--out", default=None, help="artifact JSON path")
     p_run.add_argument("--no-timing", action="store_true",
@@ -133,8 +133,8 @@ def build_parser() -> _Parser:
                               f"(choices: {', '.join(SOLVER_NAMES)})")
     p_sweep.add_argument("--seeds", type=_seeds, default="0,1,2",
                          help="comma-separated seeds (default 0,1,2)")
-    p_sweep.add_argument("--budget", type=_budget, default=None)
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--budget", type=_positive, default=None)
+    p_sweep.add_argument("--workers", type=_positive, default=1)
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--no-timing", action="store_true")
 
@@ -179,8 +179,6 @@ def _cmd_sweep(args) -> int:
             raise _CliError(
                 EXIT_USAGE, "usage",
                 f"unknown solver {name!r}; choices: {', '.join(SOLVER_NAMES)}")
-    if args.workers < 1:
-        raise _CliError(EXIT_USAGE, "usage", "--workers must be at least 1")
     spec = SweepSpec(
         parameter=args.param,
         values=_parse_value_list(args.values),

@@ -16,7 +16,8 @@ runs any number of loops on one problem together, with one
 ``evaluate_batch`` per tick for all of them, and times each loop.  Each
 seed draws from its own generator (see :func:`draw`) and evaluation is
 row-wise, so a seed's report depends neither on its stack nor on the
-loops beside it.
+loops beside it.  Blocks are valid by construction, made by
+:meth:`~uavbsc.encoding.LinkProblem.adjust`: a loop fails in its own step.
 """
 
 from __future__ import annotations
@@ -192,23 +193,21 @@ def drive(loops: Iterable[SolverSteps],
     loop's own time (inside ``next`` and ``send``) plus its row share of
     each evaluation it joined.
 
-    A loop is taken from ``loops`` only after every earlier one has
-    yielded its first block.  A ``ValueError`` ends the loop that raised
-    it (a failed evaluation is charged to the block that fails alone) and
-    closes every later loop; the loops before it run on, and the earliest
-    loop to fail raises its error at the end.  That is the outcome of
-    running the loops one after another up to the first failure.
+    Loops fail in their own steps: each block has just passed
+    :meth:`~uavbsc.encoding.LinkProblem.adjust`, so it is valid by
+    construction, and an evaluation error (a raw invalid block)
+    propagates at once.  A loop is taken from ``loops`` only after every
+    earlier one has yielded its first block.  A ``ValueError`` in a
+    loop's step ends it and closes every later loop; the loops before it
+    run on, and the earliest loop to fail raises its error at the end:
+    the outcome of running the loops one after another up to the first
+    failure.
     """
     running: Dict[int, SolverSteps] = {}   # by loop index, in loop order
     blocks: Dict[int, np.ndarray] = {}
     reports: List[List[SolverReport]] = []
     busy: List[float] = []
     failed: List[Exception] = []           # the earliest failure so far
-
-    def fail(j: int, exc: Exception) -> None:
-        for k in [k for k in running if k >= j]:
-            running.pop(k).close()
-        failed[:] = [exc]
 
     def advance(j: int, value) -> None:
         started = perf_counter()
@@ -218,18 +217,14 @@ def drive(loops: Iterable[SolverSteps],
             reports[j] = stop.value
             del running[j]
         except ValueError as exc:
-            fail(j, exc)
+            for k in [k for k in running if k >= j]:
+                running.pop(k).close()
+            failed[:] = [exc]
         busy[j] += perf_counter() - started
 
     source = iter(loops)
-    while not failed:
-        try:
-            running[len(reports)] = next(source)
-        except StopIteration:
-            break
-        except ValueError as exc:  # the loop could not be made
-            failed.append(exc)
-            break
+    while not failed and (loop := next(source, None)) is not None:
+        running[len(reports)] = loop
         reports.append([])
         busy.append(0.0)
         advance(len(reports) - 1, None)
@@ -237,40 +232,18 @@ def drive(loops: Iterable[SolverSteps],
     while running:
         started = perf_counter()
         order = list(running)
-        shares = _evaluate(problem, [blocks[j] for j in order])
-        rows = np.array([len(blocks[j]) for j in order])
-        spent = ((perf_counter() - started) * rows / rows.sum()).tolist()
-        for j, share, seconds in zip(order, shares, spent):
-            busy[j] += seconds
-            if j in running and isinstance(share, ValueError):
-                fail(j, share)
-            elif j in running:
-                advance(j, share)
+        ev = problem.evaluate_batch(np.concatenate([blocks[j] for j in order]))
+        cuts = np.cumsum([0] + [len(blocks[j]) for j in order]).tolist()
+        seconds = perf_counter() - started
+        for j, lo, hi in zip(order, cuts, cuts[1:]):
+            busy[j] += seconds * (hi - lo) / cuts[-1]
+            if j in running:
+                advance(j, BatchEvaluation(
+                    blocks[j], ev.objectives[lo:hi], ev.fitness[lo:hi],
+                    ev.feasible[lo:hi], ev.worst_violation[lo:hi]))
     if failed:
         raise failed[0]
     return list(zip(reports, busy))
-
-
-def _evaluate(problem: LinkProblem, blocks: List[np.ndarray]) -> list:
-    """Each block's rows of one evaluation of all the blocks.
-
-    When that raises ``ValueError``, each block is evaluated alone, and a
-    block that fails gets its own error in place of its rows.
-    """
-    try:
-        ev = problem.evaluate_batch(np.concatenate(blocks))
-    except ValueError:
-        shares = []
-        for block in blocks:
-            try:
-                shares.append(problem.evaluate_batch(block))
-            except ValueError as exc:
-                shares.append(exc)
-        return shares
-    cuts = np.cumsum([0] + [len(block) for block in blocks]).tolist()
-    return [BatchEvaluation(block, ev.objectives[lo:hi], ev.fitness[lo:hi],
-                            ev.feasible[lo:hi], ev.worst_violation[lo:hi])
-            for block, lo, hi in zip(blocks, cuts, cuts[1:])]
 
 
 def draw(rng, method: str, shape, *args) -> np.ndarray:
@@ -293,8 +266,9 @@ def draw(rng, method: str, shape, *args) -> np.ndarray:
         getattr(g, fill)(out=layer)
     if method == "normal":
         loc, scale = args
-        out *= scale
-        out += loc
+        with np.errstate(over="ignore"):  # LinkProblem.adjust rejects inf
+            out *= scale
+            out += loc
     return out
 
 

@@ -264,9 +264,14 @@ class LinkProblem:
         """Clamp genes to [0, 1] and re-pin frozen genes.
 
         Accepts a single genome (dim,) or a stack (B, dim); returns a new
-        array of the same shape.
+        array of the same shape, which :meth:`evaluate_batch` accepts.
+        This is the one gate every solver block passes: a NaN or
+        infinite gene raises ``ValueError`` rather than being clamped.
         """
-        arr = np.clip(np.asarray(genes, dtype=np.float64), 0.0, 1.0)
+        arr = np.asarray(genes, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ValueError("genome genes must be finite")
+        arr = np.clip(arr, 0.0, 1.0)
         if self._frozen_idx.size:
             arr[..., self._frozen_idx] = self._frozen_value
         return arr

@@ -126,13 +126,14 @@ def make_solver_config(scenario: ScenarioConfig, solver: str, seed: int,
 
 def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
                budget: Optional[int], problem: LinkProblem) -> SolverSteps:
-    """The stacked loop of one solver over ``seeds`` on a built scenario."""
+    """The stacked loop of one solver over ``seeds`` on a built scenario;
+    its solver config is made, and may fail, in the loop's first step."""
     cfg = make_solver_config(scenario, solver, seeds[0], budget)
     if cfg is None:
-        return random_steps(
-            problem, RANDOM_DEFAULT_BUDGET if budget is None else budget, seeds)
+        return (yield from random_steps(
+            problem, RANDOM_DEFAULT_BUDGET if budget is None else budget, seeds))
     steps = ga_mod.steps if isinstance(cfg, ga_mod.GaConfig) else pso_mod.steps
-    return steps(cfg, problem, seeds)
+    return (yield from steps(cfg, problem, seeds))
 
 
 def run_single(scenario: ScenarioConfig, solver: str, seed: int,

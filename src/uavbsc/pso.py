@@ -117,16 +117,18 @@ def update_velocity(position, velocity, personal_best, global_best,
     Works on a single particle (dim,), the whole swarm (S, dim), or a
     (seeds, S, dim) stack of swarms with one generator per seed; the
     global best broadcasts.  The optional velocity clamp is applied last.
+    A diverging swarm overflows silently; ``LinkProblem.adjust`` rejects it.
     """
     x = np.asarray(position, dtype=np.float64)
     v = np.asarray(velocity, dtype=np.float64)
     pull_own = draw(rng, "random", x.shape)
     pull_global = draw(rng, "random", x.shape)
-    new_v = (
-        inertia * v
-        + cfg.cognitive_coeff * pull_own * (np.asarray(personal_best) - x)
-        + cfg.social_coeff * pull_global * (np.asarray(global_best) - x)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_v = (
+            inertia * v
+            + cfg.cognitive_coeff * pull_own * (np.asarray(personal_best) - x)
+            + cfg.social_coeff * pull_global * (np.asarray(global_best) - x)
+        )
     if cfg.velocity_clamp is not None:
         new_v = np.clip(new_v, -cfg.velocity_clamp, cfg.velocity_clamp)
     return new_v
@@ -201,7 +203,7 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
         leaders = np.stack([b.genome for b in holders])[:, None, :]
         velocities = update_velocity(positions, velocities, personal_x,
                                      leaders, inertia, cfg, stack)
-        positions = problem.adjust(update_position(positions, velocities))
+        positions = problem.adjust(positions + velocities)
         ev = yield positions.reshape(-1, problem.genome_size)
         spent[live] += size
 

@@ -433,6 +433,40 @@ def test_console_script_is_installed_and_runs(tmp_path):
     assert proc.stdout.startswith("run scenario=tiny solver=random seed=3")
 
 
+@pytest.mark.parametrize("ipso", [
+    {"inertia_max": 1e300, "inertia_min": -1e300, "inertia_exponent": 1.0,
+     "iterations": 8},
+    {"init_std": 1e308, "iterations": 8},
+], ids=["velocity", "initial-population"])
+def test_a_diverging_swarm_keeps_the_error_contract(tmp_path, ipso):
+    # In a subprocess, so that a numpy warning on stderr would show.
+    scenario = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
+    scenario["solvers"]["ipso"] = ipso
+    config = tmp_path / "diverging.json"
+    config.write_text(json.dumps(scenario), encoding="utf-8")
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "uavbsc.cli", *argv, "--config", str(config)],
+            capture_output=True, text=True, timeout=120)
+
+    proc = cli("run", "--solver", "ipso")
+    assert proc.returncode == 4
+    assert len(proc.stderr.splitlines()) == 1
+    assert "finite" in error_payload(proc.stderr)["message"]
+    rows = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        proc = cli("sweep", "--param", "system.wpt_power_db", "--values",
+                   "30,33", "--solver", "ipso", "--seeds", "0,1",
+                   "--workers", workers, "--out", str(out), "--no-timing")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rows.append((out / "sweep_rows.csv").read_text(encoding="utf-8"))
+    assert rows[0] == rows[1]
+    assert rows[0].count("genome genes must be finite") == 2
+
+
 def test_module_invocation_matches_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "uavbsc.cli", "oracle", "--config", TINY,

@@ -192,9 +192,12 @@ def test_initial_population_of_a_stack_is_each_seed_alone(tiny_problem):
         assert layer.tobytes() == alone.tobytes()
 
 
-def _loop(problem, ticks, bad=None, seen=None):
+def _loop(problem, ticks, bad=None, seen=None, raw=False):
     """A solver loop of ``ticks`` one-genome blocks; ``bad`` maps a tick to
-    the gene value that spoils its block, or to an exception to raise."""
+    the gene value that spoils its block, or to an exception to raise.
+
+    A spoiled block passes through ``adjust``, as every solver block does,
+    unless ``raw``: then it is yielded as it is."""
     genome = problem.heuristic_mean()
     for tick in range(ticks):
         spoil = (bad or {}).get(tick)
@@ -203,6 +206,8 @@ def _loop(problem, ticks, bad=None, seen=None):
         block = genome[None].copy()
         if spoil is not None:
             block[0, 0] = spoil
+            if not raw:
+                block = problem.adjust(block)
         ev = yield block
         if seen is not None:
             seen.append((tick, float(ev.fitness[0])))
@@ -219,27 +224,40 @@ def test_drive_steps_every_loop_with_one_evaluation_per_tick(tiny_problem):
     assert seen == [[(t, fitness) for t in range(n)] for n in (3, 5, 1)]
 
 
-def test_drive_charges_a_failed_evaluation_to_its_own_loop(tiny_problem):
+def test_drive_raises_the_evaluation_error_of_a_raw_invalid_block(
+        tiny_problem):
+    # Solver blocks come out of adjust; a block that skips it and fails
+    # the evaluation fails the whole drive at once.
     seen = [[], [], []]
     loops = [_loop(tiny_problem, 5, seen=seen[0]),
-             _loop(tiny_problem, 3, {1: 2.0}, seen[1]),
+             _loop(tiny_problem, 3, {1: 2.0}, seen[1], raw=True),
              _loop(tiny_problem, 5, seen=seen[2])]
     with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
         drive(loops, tiny_problem)
+    assert [len(log) for log in seen] == [1, 1, 1]
+
+
+def test_drive_charges_a_failed_step_to_its_own_loop(tiny_problem):
+    seen = [[], [], []]
+    loops = [_loop(tiny_problem, 5, seen=seen[0]),
+             _loop(tiny_problem, 3, {2: np.inf}, seen[1]),
+             _loop(tiny_problem, 5, seen=seen[2])]
+    with pytest.raises(ValueError, match="must be finite"):
+        drive(loops, tiny_problem)
     # The loop before the failed one ran to its end; the one after it was
     # closed in the same tick.
-    assert [len(log) for log in seen] == [5, 1, 1]
+    assert [len(log) for log in seen] == [5, 2, 1]
 
 
 def test_drive_raises_the_error_of_the_earliest_loop_to_fail(tiny_problem):
     # The second loop fails first, the first one later: running them one
     # after another would meet the first loop's error.
     loops = [_loop(tiny_problem, 5, {3: np.nan}),
-             _loop(tiny_problem, 5, {1: 2.0})]
+             _loop(tiny_problem, 5, {1: ValueError("second loop")})]
     with pytest.raises(ValueError, match="must be finite"):
         drive(loops, tiny_problem)
     loops = [_loop(tiny_problem, 5, {3: ValueError("own step")}),
-             _loop(tiny_problem, 5, {1: 2.0})]
+             _loop(tiny_problem, 5, {1: -np.inf})]
     with pytest.raises(ValueError, match="own step"):
         drive(loops, tiny_problem)
 

@@ -339,6 +339,22 @@ def test_a_failed_campaign_run_raises_its_error(tiny_scenario, monkeypatch):
     assert solvers_run == ["random", "ga"]
 
 
+# Legal IPSO settings whose inertia overflows the velocities to infinity
+# and then, as the weight passes through zero, to NaN.
+DIVERGING_IPSO = {"inertia_max": 1e300, "inertia_min": -1e300,
+                  "inertia_exponent": 1.0, "iterations": 8}
+
+
+def test_a_diverging_swarm_fails_its_own_step(tiny_scenario):
+    diverging = tiny_scenario.with_value("solvers.ipso", DIVERGING_IPSO)
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="must be finite") as caught:
+            run_campaign(diverging, ["ga", "ipso"], [0, 1], workers=workers)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
 def test_sweep_point_medians_count_infeasible_as_zero(tiny_scenario):
     spec = SweepSpec(parameter="system.demanded_rate_bps",
                      values=[2.0e7, 1.0e15], solvers=["random"],

@@ -36,16 +36,29 @@ def raw_genes(problem):
                   elements=st.floats(-1e6, 1e6, allow_nan=False))
 
 
+def any_genes(problem):
+    """Any float64 genes, with NaN and infinities planted often."""
+    return arrays(np.float64, problem.genome_size, elements=st.floats()
+                  | st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_adjust_is_an_idempotent_repair(name):
+    # adjust is the one gate for solver blocks: what it returns is a block
+    # that evaluate_batch accepts, and a non-finite gene is refused.
     problem = PROBLEMS[name]
     frozen = problem.frozen_gene_indices()
     pinned = normalize(problem.params.altitude_m, *problem.params.bounds_m[2])
 
     @checked
-    @given(raw_genes(problem))
+    @given(st.one_of(raw_genes(problem), any_genes(problem)))
     def check(genes):
+        if not np.isfinite(genes).all():
+            with pytest.raises(ValueError, match="must be finite"):
+                problem.adjust(genes)
+            return
         once = problem.adjust(genes)
+        problem.evaluate_batch(once[None])
         assert np.all((once >= 0.0) & (once <= 1.0))
         assert np.array_equal(problem.adjust(once), once)
         assert np.all(once[frozen] == pinned)
