@@ -1,35 +1,31 @@
 """Plumbing shared by the population-based solvers.
 
-Both solvers consume a :class:`~uavbsc.encoding.LinkProblem`, draw every
-random number from a single seeded generator in a fixed order before
-evaluations are dispatched, and report their progress through the same
-per-generation record type, so the harness can treat them uniformly.
-Every solver, and the grid oracle, keeps its best-so-far mission, trace
-and last improvement in an :class:`Incumbent`, which holds the one
+Every solver draws each random number from its seeds' own generators in
+a fixed order and reports its progress through one per-generation record
+type.  Every solver, and the grid oracle, keeps its best-so-far mission,
+trace and last improvement in an :class:`Incumbent`, which holds the one
 ordering rule of the package.
 
 Every solver loop has one shape: a generator that steps several seeds as
 one stack, yields the genome block of all its running seeds, seed after
-seed, receives the block's :class:`~uavbsc.encoding.BatchEvaluation`
-back, and returns one :class:`SolverReport` per seed.  :func:`drive`
-runs any number of loops on one problem together, with one
-``evaluate_batch`` per tick for all of them, and times each loop.  Each
-seed draws from its own generator (see :func:`draw`) and evaluation is
-row-wise, so a seed's report depends neither on its stack nor on the
-loops beside it.  Blocks are valid by construction, made by
-:meth:`~uavbsc.encoding.LinkProblem.adjust`: a loop fails in its own step.
+seed, is sent the block's :class:`~uavbsc.encoding.BatchEvaluation`, and
+returns one :class:`SolverReport` per seed.  :func:`drive` runs loops
+together, with one evaluation per tick.  Each seed draws from its own
+generator (see :func:`draw`) and evaluation is row-wise, so a seed's
+report depends neither on its stack nor on the loops beside it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .encoding import BatchEvaluation, EvaluatedSolution, LinkProblem
+from .encoding import BatchEvaluation, EvaluatedSolution, LinkProblem, evaluate_blocks
 
 __all__ = [
     "STALL_TOL",
@@ -184,26 +180,26 @@ SolverSteps = Generator[np.ndarray, BatchEvaluation, List[SolverReport]]
 
 
 def drive(loops: Iterable[SolverSteps],
-          problem: LinkProblem) -> List[Tuple[List[SolverReport], float]]:
+          problems: Union[LinkProblem, Iterable[LinkProblem]]
+          ) -> List[Tuple[List[SolverReport], float]]:
     """Run solver loops together, with one ``evaluate_batch`` per tick.
 
-    Each tick stacks the pending block of every running loop, in loop
-    order, evaluates the stack once and sends each loop its own rows.
-    Returns one ``(reports, busy_s)`` pair per loop: ``busy_s`` is the
-    loop's own time (inside ``next`` and ``send``) plus its row share of
-    each evaluation it joined.
+    ``problems`` is the problem of every loop, or one per loop, all with
+    one geometry.  Each tick evaluates the running loops' pending blocks,
+    in loop order, in one call (:func:`~uavbsc.encoding.evaluate_blocks`)
+    and sends each loop its own rows.  Returns one ``(reports, busy_s)`` pair
+    per loop: the loop's own time (inside ``next`` and ``send``) plus its
+    row share of each evaluation it joined.
 
-    Loops fail in their own steps: each block has just passed
-    :meth:`~uavbsc.encoding.LinkProblem.adjust`, so it is valid by
-    construction, and an evaluation error (a raw invalid block)
-    propagates at once.  A loop is taken from ``loops`` only after every
-    earlier one has yielded its first block.  A ``ValueError`` in a
-    loop's step ends it and closes every later loop; the loops before it
-    run on, and the earliest loop to fail raises its error at the end:
-    the outcome of running the loops one after another up to the first
-    failure.
+    Blocks come out of :meth:`~uavbsc.encoding.LinkProblem.adjust`, so a
+    loop fails in its own step, and an evaluation error (a raw invalid
+    block) propagates at once.  A loop is taken only after every earlier
+    one has yielded its first block.  A ``ValueError`` in a loop's step
+    ends it and closes every later loop; the earlier loops run on, and the
+    earliest failure is raised at the end: the outcome of running the
+    loops one after another.
     """
-    running: Dict[int, SolverSteps] = {}   # by loop index, in loop order
+    running: Dict[int, Tuple[SolverSteps, LinkProblem]] = {}  # in loop order
     blocks: Dict[int, np.ndarray] = {}
     reports: List[List[SolverReport]] = []
     busy: List[float] = []
@@ -212,19 +208,20 @@ def drive(loops: Iterable[SolverSteps],
     def advance(j: int, value) -> None:
         started = perf_counter()
         try:
-            blocks[j] = running[j].send(value)
+            blocks[j] = running[j][0].send(value)
         except StopIteration as stop:
             reports[j] = stop.value
             del running[j]
         except ValueError as exc:
             for k in [k for k in running if k >= j]:
-                running.pop(k).close()
+                running.pop(k)[0].close()
             failed[:] = [exc]
         busy[j] += perf_counter() - started
 
-    source = iter(loops)
-    while not failed and (loop := next(source, None)) is not None:
-        running[len(reports)] = loop
+    source = zip(loops, itertools.repeat(problems)
+                 if isinstance(problems, LinkProblem) else problems)
+    while not failed and (pair := next(source, None)) is not None:
+        running[len(reports)] = pair
         reports.append([])
         busy.append(0.0)
         advance(len(reports) - 1, None)
@@ -232,7 +229,7 @@ def drive(loops: Iterable[SolverSteps],
     while running:
         started = perf_counter()
         order = list(running)
-        ev = problem.evaluate_batch(np.concatenate([blocks[j] for j in order]))
+        ev = evaluate_blocks([running[j][1] for j in order], [blocks[j] for j in order])
         cuts = np.cumsum([0] + [len(blocks[j]) for j in order]).tolist()
         seconds = perf_counter() - started
         for j, lo, hi in zip(order, cuts, cuts[1:]):

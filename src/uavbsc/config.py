@@ -78,9 +78,6 @@ _SYSTEM_FIELDS = {
 }
 _SYSTEM_KEYS = {key: int if convert is int else _NUMBER
                 for key, (_, convert) in _SYSTEM_FIELDS.items()}
-_SYSTEM_OPTIONAL = {
-    "light_speed_mps": _NUMBER,
-}
 
 _GEOMETRY_KEYS = {
     "altitude_m": _NUMBER,
@@ -171,16 +168,13 @@ def _check_value(problems, label, value, typ=_NUMBER) -> bool:
     float, so they are caught here rather than trusted to the parser.
     """
     if not isinstance(value, typ) or isinstance(value, bool):
-        problems.append(f"{label} must be a {_type_name(typ)}")
+        name = {int: "integer", list: "list"}.get(typ, "number")
+        problems.append(f"{label} must be a {name}")
         return False
     if isinstance(value, float) and not math.isfinite(value):
         problems.append(f"{label} must be finite (got {value})")
         return False
     return not isinstance(value, int) or _convert(problems, label, value) is not None
-
-
-def _type_name(typ) -> str:
-    return {int: "integer", list: "list"}.get(typ, "number")
 
 
 def _check_pair(problems, block, section, key, ordered=False):
@@ -262,7 +256,7 @@ class ScenarioConfig:
             name = default_name
 
         system_block = _check_section(
-            problems, data, "system", _SYSTEM_KEYS, _SYSTEM_OPTIONAL)
+            problems, data, "system", _SYSTEM_KEYS, {"light_speed_mps": _NUMBER})
         geometry_block = _check_section(problems, data, "geometry", _GEOMETRY_KEYS)
 
         # Geometry pairs.

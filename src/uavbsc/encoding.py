@@ -24,7 +24,9 @@ candidates from feasible ones with high rates).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -52,6 +54,7 @@ __all__ = [
     "SlotTable",
     "BatchEvaluation",
     "LinkProblem",
+    "evaluate_blocks",
 ]
 
 # Base fitness assigned to infeasible solutions in "safe" penalty mode;
@@ -72,6 +75,10 @@ _SPEED_TOL = 1.0e-12
 # passes of this many rows, so that the pass's two dozen per-slot arrays
 # stay small (64 KB each at 8 slots) whatever the stack's size.
 _PASS_ROWS = 1024
+
+# The numeric parameter fields (see evaluate_blocks): those with a range rule.
+_RULED = {f.name for cls in (SystemParams, PropulsionParams)
+          for f in fields(cls) if "rule" in f.metadata}
 
 
 def _norm3(d: np.ndarray) -> np.ndarray:
@@ -229,6 +236,10 @@ class LinkProblem:
         self.n_interior = n - 1
         self.genome_size = 3 * (n - 1) + n
         self.split_offset = 3 * (n - 1)
+        # What the problems of one pass share, and its columns (evaluate_blocks).
+        self._columns = {}
+        self.geometry = (n, params.bounds_m, penalty_mode, rate_weighting, *(
+            tuple(p.tolist()) for p in (self.source, self.user, self.start, self.goal)))
 
         bounds = np.asarray(params.bounds_m, dtype=np.float64)
         self._lo = bounds[:, 0]
@@ -312,19 +323,6 @@ class LinkProblem:
         coords, split = self._decode_stack(self._check_genome(genome)[None, :])
         return Trajectory(coords[:, :, 0].T.copy()), split[:, 0].copy()
 
-    def encode(self, traj: Trajectory, time_split) -> np.ndarray:
-        """Inverse of :meth:`decode` for trajectories inside the arena."""
-        split = as_time_split(time_split, self.n_slots)
-        if traj.n_slots != self.n_slots:
-            raise ValueError(
-                f"trajectory has {traj.n_slots} slots, expected {self.n_slots}")
-        genome = np.empty(self.genome_size)
-        interior = traj.waypoints[1:-1]
-        genome[: self.split_offset] = (
-            (interior - self._lo) / self._span).reshape(-1)
-        genome[self.split_offset:] = split
-        return genome
-
     def _decode_stack(self, genomes: np.ndarray):
         """Vectorized decode of pre-validated genomes, shape (B, dim).
 
@@ -404,7 +402,7 @@ class LinkProblem:
                                           np.abs(sum_dn) + p.demanded_rate_bps),
             "energy": sum_constraint(sum_harvest - sum_consume,
                                      sum_harvest + sum_consume),
-            "speed": (np.minimum.reduce(max_hop - hops), max(1.0, max_hop),
+            "speed": (np.minimum.reduce(max_hop - hops), np.maximum(1.0, max_hop),
                       _SPEED_TOL),
             "bounds": (bounds, 1.0, 0.0),
         }
@@ -473,11 +471,49 @@ class LinkProblem:
             report=report,
         )
 
+    def _pass(self, lo: int) -> "LinkProblem":
+        """This problem with its parameter columns cut to the pass at row ``lo``."""
+        if not self._columns:
+            return self
+        problem = copy.copy(self)
+        problem.params = copy.copy(self.params)
+        problem.propulsion = copy.copy(self.propulsion)
+        for (attr, name), column in self._columns.items():  # rules unchecked
+            object.__setattr__(getattr(problem, attr), name, column[lo:lo + _PASS_ROWS])
+        return problem
+
     def evaluate_batch(self, genomes) -> BatchEvaluation:
         """Evaluate a stack of genomes, shape (B, dim), ``_PASS_ROWS`` at a time."""
         arr = self._check_genome(genomes, stacked=True)
-        passes = [self._evaluate_stack(*self._decode_stack(arr[lo:lo + _PASS_ROWS]))
+        passes = [self._pass(lo)._evaluate_stack(
+                      *self._decode_stack(arr[lo:lo + _PASS_ROWS]))
                   for lo in range(0, len(arr), _PASS_ROWS) or [0]]
+        join = np.concatenate if len(passes) > 1 else (lambda arrays: arrays[0])
         return BatchEvaluation(arr, *(
-            np.concatenate([result[key] for result in passes])
+            join([result[key] for result in passes])
             for key in ("objective", "fitness", "feasible", "worst")))
+
+
+def evaluate_blocks(problems: Sequence[LinkProblem],
+                    blocks: Sequence[np.ndarray]) -> BatchEvaluation:
+    """One ``evaluate_batch`` of the stacked blocks, block k on problem k.
+
+    The first problem evaluates, with each numeric parameter field that
+    differs among the problems, which must share their ``geometry``, as a
+    per-row column.  Evaluation is row-wise, so every row keeps the bits
+    of its own problem.
+    """
+    first = problems[0]
+    if any(p is not first for p in problems):
+        if any(p.geometry != first.geometry for p in problems):
+            raise ValueError("problems evaluated together must share a geometry")
+        first, rows = copy.copy(first), [len(block) for block in blocks]
+        first._columns = {}
+        for attr in ("params", "propulsion"):
+            bundles = [vars(getattr(p, attr)) for p in problems]
+            for name, value in bundles[0].items():
+                values = [bundle[name] for bundle in bundles]
+                if name in _RULED and values.count(value) < len(values):
+                    first._columns[attr, name] = np.repeat(
+                        np.array(values, dtype=float), rows)
+    return first.evaluate_batch(np.concatenate(blocks))

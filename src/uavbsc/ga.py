@@ -65,7 +65,11 @@ class GaConfig:
     max_evaluations: Optional[int] = POSITIVE_OR_NONE(None)
 
     def __post_init__(self) -> None:
-        check_fields(self, "GA config")
+        spread = self.mutation_spread  # the mutation std is 1 / spread
+        tiny = isinstance(spread, float) and 0 < spread and np.isinf(1.0 / spread)
+        check_fields(self, "GA config", [
+            f"mutation_spread must keep 1 / mutation_spread finite (got {spread})"
+        ] if tiny else [])
 
 
 def elite_count(cfg: GaConfig, population_size: int) -> int:

@@ -1,17 +1,16 @@
 """Benchmark harness: seeded runs, campaigns, sweeps, baselines, export.
 
 Everything here is deterministic given (scenario, solver, seed, budget):
-each run owns a single seeded generator, and campaigns and sweeps step
-the seeds of one solver as one stacked solver loop, and all the loops on
-one scenario together with one evaluation per tick.  Evaluation is
-row-wise, so a run's results do not depend on which runs share its
-group or its ticks.  Worker processes take contiguous slices of the run
-list, and results are collected in run order.  Artifacts therefore
-compare equal bit for bit at any worker count once wall-clock fields are
-stripped.  A run's ``wall_clock_s`` is its loop's own operator time plus
-its row share of each evaluation it joined, split evenly over the loop's
-seeds (:func:`~uavbsc.common.drive`); :func:`run_single` reports its run's
-own wall time.
+each run owns a single seeded generator.  Campaigns and sweeps step the
+seeds of one solver as one stacked loop, and the loops of consecutive
+scenarios that share a geometry (one campaign, or the values of a sweep
+over a physics scalar) together, with one evaluation per tick; a failed
+run fails its own scenario only (:func:`_run_slice`).  Evaluation is
+row-wise and worker processes take contiguous slices of the run list,
+so artifacts compare equal bit for bit at any worker count once
+wall-clock fields are stripped.  A run's ``wall_clock_s`` is its loop's
+own operator time plus its row share of each evaluation it joined, split
+evenly over the loop's seeds; :func:`run_single` reports its own wall time.
 """
 
 from __future__ import annotations
@@ -174,29 +173,35 @@ def _as_seed_list(seeds) -> List[int]:
 def _run_slice(runs: Sequence[tuple], budget: Optional[int]) -> list:
     """One result per ``(scenario, solver, seed)`` run, in run order.
 
-    Each maximal stretch of runs on the same scenario object builds one
-    problem and is one :func:`~uavbsc.common.drive` call: every stretch
-    of same-solver runs in it is one stacked loop, and all the loops
-    share one ``evaluate_batch`` per tick.  An artifact's
-    ``wall_clock_s`` is its loop's busy time split evenly over its seeds.
-    When a loop raises ``ConfigError`` or ``ValueError``, the later loops
-    on that scenario do not run, and every run of the stretch gets the
-    error of the earliest loop to fail: one failed run fails its whole
-    campaign or swept value.
+    Each stretch of runs on one scenario object builds one problem, and
+    its stretches of same-solver runs are stacked loops.  Consecutive
+    scenarios whose problems share a geometry (a sweep over a physics
+    scalar, not over the slot count or the altitude) run all their loops
+    in one :func:`~uavbsc.common.drive`.  An artifact's ``wall_clock_s``
+    is its loop's busy time split evenly over its seeds.  When a loop
+    raises ``ConfigError`` or ``ValueError``, each scenario of the drive
+    runs again alone, and each run of a scenario with a failed loop gets
+    the error of its earliest: a failed run fails its own value only.
     """
     results = []
-    for scenario, stretch in itertools.groupby(runs, key=lambda run: run[0]):
-        groups = [(solver, [seed for *_, seed in group]) for solver, group
-                  in itertools.groupby(stretch, key=lambda run: run[1])]
+    stretches = [list(stretch) for _, stretch in
+                 itertools.groupby(runs, key=lambda run: run[0])]
+    built = [(stretch, stretch[0][0].build_problem()) for stretch in stretches]
+    for _, fused in itertools.groupby(built, key=lambda sp: sp[1].geometry):
+        fused = list(fused)
+        groups = [(scenario, solver, problem, [seed for *_, seed in group])
+                  for stretch, problem in fused for (scenario, solver), group
+                  in itertools.groupby(stretch, key=lambda run: run[:2])]
         try:
-            problem = scenario.build_problem()
             driven = drive((_run_group(scenario, solver, seeds, budget, problem)
-                            for solver, seeds in groups), problem)
+                            for scenario, solver, problem, seeds in groups),
+                           [problem for _, _, problem, _ in groups])
         except (ConfigError, ValueError) as exc:
-            results += [exc] * sum(len(seeds) for _, seeds in groups)
+            results += [exc] * len(fused[0][0]) if len(fused) == 1 else [
+                result for part, _ in fused for result in _run_slice(part, budget)]
             continue
-        digest = scenario.scenario_hash()
-        for (solver, seeds), (reports, busy) in zip(groups, driven):
+        for (scenario, solver, _, seeds), (reports, busy) in zip(groups, driven):
+            digest = scenario.scenario_hash()
             results += [RunArtifact(scenario.name, digest, solver, int(seed),
                                     None if budget is None else int(budget),
                                     report, busy / len(seeds))
@@ -229,12 +234,9 @@ def run_campaign(scenario: ScenarioConfig, solvers, seeds: Sequence[int],
     """One run per (solver, seed), in solver-major then seed order.
 
     ``solvers`` is a name or a list of names; every run gets the same
-    evaluation budget, so campaigns compare solvers fairly.  Runs are
-    dealt to workers in contiguous slices, and a slice's runs of one
-    solver step as one stack with one evaluation per step (see
-    :func:`_execute`).  Every run is seeded independently and evaluation
-    is row-wise, so the artifacts are identical whatever the worker
-    count.  The first failed run's exception is raised.
+    evaluation budget, so campaigns compare solvers fairly.  The artifacts
+    are identical whatever the worker count (see :func:`_execute`).  The
+    first failed run's exception is raised.
     """
     names = _as_solver_list(solvers)
     seeds = _as_seed_list(seeds)
@@ -345,9 +347,6 @@ class SweepPoint:
             return float("nan")
         return float(np.median(rates))
 
-    def solvers(self) -> List[str]:
-        return list(dict.fromkeys(a.solver for a in self.artifacts))
-
 
 def run_sweep(scenario: ScenarioConfig, spec: SweepSpec,
               workers: int = 1) -> List[SweepPoint]:
@@ -434,7 +433,7 @@ def sweep_summary(points: Sequence[SweepPoint]) -> List[dict]:
                 "median_rate_bps": "", "best_rate_bps": "",
                 "error": point.error,
             })
-        for solver in point.solvers():
+        for solver in dict.fromkeys(a.solver for a in point.artifacts):
             arts = [a for a in point.artifacts if a.solver == solver]
             rates = point.rates_bps(solver)
             rows.append({
@@ -525,29 +524,17 @@ def grid_oracle(problem: LinkProblem, resolution: int) -> GridResult:
             f"grid of {resolution}^{n_free} = {total} points exceeds the "
             f"{GRID_MAX_POINTS}-point guard")
 
-    if resolution == 1:
-        levels = np.array([0.5])
-    else:
-        levels = np.linspace(0.0, 1.0, resolution)
-
-    best = Incumbent()
-    evaluated = 0
-    radix = resolution
-    weights = radix ** np.arange(n_free - 1, -1, -1, dtype=np.int64)
-
-    start = 0
+    levels = np.linspace(0.0, 1.0, resolution) if resolution > 1 else np.array([0.5])
+    weights = resolution ** np.arange(n_free - 1, -1, -1, dtype=np.int64)
     base = np.full(problem.genome_size, 0.5)
-    while start < total:
-        stop = min(start + _GRID_CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = (idx[:, None] // weights[None, :]) % radix
-        genomes = np.tile(base, (stop - start, 1))
-        genomes[:, free] = levels[digits]
+    best = Incumbent()
+    for start in range(0, total, _GRID_CHUNK):
+        idx = np.arange(start, min(start + _GRID_CHUNK, total), dtype=np.int64)
+        genomes = np.tile(base, (len(idx), 1))
+        genomes[:, free] = levels[(idx[:, None] // weights) % resolution]
         genomes = problem.adjust(genomes)
         ev = problem.evaluate_batch(genomes)
-        evaluated += stop - start
         best.offer(genomes, ev.fitness, ev.worst_violation)
-        start = stop
 
     winner = problem.evaluate(best.genome)
     return GridResult(
@@ -556,7 +543,7 @@ def grid_oracle(problem: LinkProblem, resolution: int) -> GridResult:
         objective_bps=winner.objective_bps,
         feasible=winner.report.feasible,
         worst_violation=winner.report.worst_violation,
-        points_evaluated=evaluated,
+        points_evaluated=total,
         resolution=resolution,
         free_gene_indices=free,
     )

@@ -452,9 +452,9 @@ class SystemParams:
         return self.mission_time_s / self.slot_count
 
     @property
-    def cache_indicator(self) -> int:
+    def cache_indicator(self) -> float:
         """1 when any demanded data is cached on the tag, else 0."""
-        return math.ceil(self.cached_fraction)
+        return np.ceil(self.cached_fraction)
 
 
 # ======================================================================
@@ -483,11 +483,22 @@ def doppler_factor(speed, params: SystemParams):
     arg /= params.light_speed_mps  # the Doppler spread (Hz)
     arg *= 2.0 * math.pi
     arg *= params.sampling_time_s
-    return _maybe_float(np.clip(np.square(bessel_j0(arg)), 0.0, 1.0))
+    return _maybe_float(np.minimum(np.square(bessel_j0(arg)), 1.0))
+
+
+def _power(base, exponent):
+    """``np.power``; a per-row (B,) exponent takes each value as a scalar,
+    as numpy may special-case a scalar (it squares for 2.0)."""
+    if np.ndim(exponent) == 0:
+        return np.power(base, exponent)
+    out = np.empty_like(base)
+    for value in np.unique(exponent).tolist():
+        out[..., exponent == value] = np.power(base[..., exponent == value], value)
+    return out
 
 
 def _path_loss(d_su, params: SystemParams):
-    return np.power(_check_distance(d_su), params.path_loss_exp)
+    return _power(_check_distance(d_su), params.path_loss_exp)
 
 
 def link_terms(d_su, correlation, params: SystemParams) -> tuple:
@@ -531,7 +542,8 @@ def rate_downlink(d_su, d_du, correlation, params: SystemParams, terms=None):
         d_su, correlation, params)
     d_du = _check_distance(d_du)
     eff_noise = stale_noise + params.noise_var_downlink_w
-    eff_noise += np.square(stale) * params.noise_var_estimation_w**2
+    # libm's pow, as Python's ** takes it, for a scalar or a column alike
+    eff_noise += np.square(stale) * np.float_power(params.noise_var_estimation_w, 2)
     cache_power = params.cache_indicator * params.ub_tx_power_w
     snr = np.square(corr_sq)  # the reflected component, then the SNR
     snr *= params.backscatter_coeff
@@ -539,8 +551,8 @@ def rate_downlink(d_su, d_du, correlation, params: SystemParams, terms=None):
     snr *= params.source_power_w
     snr += corr_sq * cache_power * path_loss  # the cached component
     snr *= math.exp(-EULER_GAMMA) * params.ref_gain
-    two_hop = np.power(np.asarray(d_su, dtype=np.float64) * d_du,
-                       params.path_loss_exp)
+    two_hop = _power(np.asarray(d_su, dtype=np.float64) * d_du,
+                     params.path_loss_exp)
     two_hop *= eff_noise
     snr /= two_hop
     return _maybe_float(params.bandwidth_hz * np.log2(1.0 + snr))

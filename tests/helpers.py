@@ -112,6 +112,16 @@ def small_problem(params: SystemParams = None,
     )
 
 
+def encode(problem: LinkProblem, traj, split) -> np.ndarray:
+    """Inverse of ``problem.decode`` for trajectories inside the arena."""
+    genome = np.empty(problem.genome_size)
+    lo = np.array([b[0] for b in problem.params.bounds_m])
+    span = np.array([b[1] - b[0] for b in problem.params.bounds_m])
+    genome[:problem.split_offset] = ((traj.waypoints[1:-1] - lo) / span).reshape(-1)
+    genome[problem.split_offset:] = split
+    return genome
+
+
 def random_genomes(problem: LinkProblem, rng: np.random.Generator,
                    count: int) -> np.ndarray:
     """Uniform-random genomes (already adjusted), shape (count, dim)."""

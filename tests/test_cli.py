@@ -163,6 +163,21 @@ def test_solver_override_too_large_for_a_float_is_a_config_error(capsys,
     assert "solvers.ipso.cognitive_coeff is out of range" in payload["message"]
 
 
+def test_mutation_spread_with_an_infinite_std_is_a_config_error(capsys,
+                                                               tmp_path):
+    doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
+    doc["solvers"]["ga"] = {"mutation_spread": 5e-324, "generations": 20}
+    tiny_spread = tmp_path / "spread.json"
+    tiny_spread.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(tiny_spread),
+                             "--solver", "ga")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = error_payload(err)
+    assert payload["category"] == "config"
+    assert "solvers.ga.mutation_spread" in payload["message"]
+
+
 def test_slot_count_too_large_to_allocate_is_a_config_error(capsys, tmp_path):
     doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
     doc["system"]["slot_count"] = 10**15

@@ -274,6 +274,10 @@ def test_rejects_unknown_solver_sections_and_keys(doc):
     pytest.param("ga", "population_size", 10**400,
                  f"is out of range (got {10**400})", 40,
                  id="ga-population_size-10**400-is out of range-40"),
+    # A positive spread whose mutation std 1 / spread is infinite.
+    pytest.param("ga", "mutation_spread", 5e-324,
+                 "must keep 1 / mutation_spread finite (got 5e-324)", 1e-300,
+                 id="ga-mutation_spread-5e-324-must keep 1 / mutation_spread finite"),
 ])
 def test_rejects_bad_solver_override_values(doc, section, key, bad, problem,
                                             good):

@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     TINY_CONFIG,
     audit_genome,
+    encode,
     random_genomes,
     small_problem,
     small_system_params,
@@ -25,7 +26,7 @@ from oracles import (
     per_point_evaluate,
 )
 from uavbsc.config import ScenarioConfig
-from uavbsc.encoding import PENALTY_SCALE, LinkProblem, normalize
+from uavbsc.encoding import PENALTY_SCALE, LinkProblem, evaluate_blocks, normalize
 from uavbsc.harness import run_single
 from uavbsc.model import Trajectory
 
@@ -115,7 +116,7 @@ def test_decode_pins_endpoints_and_encode_round_trips(reference_problem):
     traj, split = reference_problem.decode(genome)
     assert np.array_equal(traj.waypoints[0], reference_problem.start)
     assert np.array_equal(traj.waypoints[-1], reference_problem.goal)
-    back = reference_problem.encode(traj, split)
+    back = encode(reference_problem, traj, split)
     assert np.allclose(back, genome, rtol=0, atol=1e-12)
 
 
@@ -414,6 +415,21 @@ def _variant(problem, **modes):
     """``problem`` with its penalty / weighting / altitude modes replaced."""
     return LinkProblem(problem.params, problem.propulsion, problem.source,
                        problem.user, problem.start, problem.goal, **modes)
+
+
+@pytest.mark.parametrize("modes", [{"penalty_mode": "paper"},
+                                   {"rate_weighting": "delta"}])
+def test_blocks_of_problems_with_another_geometry_are_refused(tiny_problem,
+                                                              modes):
+    other = _variant(tiny_problem, **modes)
+    block = tiny_problem.heuristic_mean()[None]
+    with pytest.raises(ValueError, match="share a geometry"):
+        evaluate_blocks([tiny_problem, other], [block, block])
+    moved = LinkProblem(tiny_problem.params, tiny_problem.propulsion,
+                        tiny_problem.source, tiny_problem.user,
+                        tiny_problem.start + [1.0, 0.0, 0.0], tiny_problem.goal)
+    with pytest.raises(ValueError, match="share a geometry"):
+        evaluate_blocks([tiny_problem, moved], [block, block])
 
 
 def _probe_stacks(problem, rng):

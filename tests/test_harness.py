@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from helpers import small_problem, small_system_params
-from uavbsc import harness
+from uavbsc import common, harness
 from uavbsc.common import SolverReport
+from uavbsc.encoding import LinkProblem
 from uavbsc.ga import GaConfig
 from uavbsc.harness import (
     SweepPoint,
@@ -296,6 +297,77 @@ def test_run_sweep_equals_one_campaign_per_value(tiny_scenario, workers):
     assert [error is None for _, error, _ in expected] == [True, False, False]
     spec = SweepSpec("solvers.ga", GA_SIZES, solvers, seeds, budget=200)
     assert untimed(run_sweep(tiny_scenario, spec, workers=workers)) == expected
+
+
+# Charging powers at which the tiny scenario turns from infeasible to
+# feasible, so that every value's runs end differently.
+WPT_VALUES = [20, 27, 33]
+
+
+def campaigns_per_value(scenario, parameter, values, solvers, seeds, budget):
+    return [(value, None, [a.to_dict(include_timing=False) for a in run_campaign(
+        scenario.with_value(parameter, value), solvers, seeds, budget=budget)])
+        for value in values]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_over_a_physics_scalar_equals_one_campaign_per_value(
+        tiny_scenario, workers):
+    # The values of a slice share one drive, each row evaluated with its
+    # own value's charging power as a per-row column.
+    solvers, seeds = ["ipso", "ga"], [0, 1, 2]
+    expected = campaigns_per_value(tiny_scenario, "system.wpt_power_db",
+                                   WPT_VALUES, solvers, seeds, 300)
+    fitness = [[run["report"]["best"]["fitness"] for run in runs]
+               for _, _, runs in expected]
+    assert len({tuple(f) for f in fitness}) == len(WPT_VALUES)
+    spec = SweepSpec("system.wpt_power_db", WPT_VALUES, solvers, seeds, budget=300)
+    assert untimed(run_sweep(tiny_scenario, spec, workers=workers)) == expected
+
+
+def test_a_sweep_slice_makes_one_evaluation_per_tick(tiny_scenario, monkeypatch):
+    calls = []
+    evaluate_batch = LinkProblem.evaluate_batch
+
+    def counting(self, genomes):
+        calls.append(len(genomes))
+        return evaluate_batch(self, genomes)
+
+    monkeypatch.setattr(LinkProblem, "evaluate_batch", counting)
+    solvers, seeds = ["ipso", "ga"], [0, 1]
+    ticks = []
+    for value in WPT_VALUES:
+        start = len(calls)
+        run_campaign(tiny_scenario.with_value("system.wpt_power_db", value),
+                     solvers, seeds, budget=300)
+        ticks.append(len(calls) - start)
+    start = len(calls)
+    spec = SweepSpec("system.wpt_power_db", WPT_VALUES, solvers, seeds, budget=300)
+    run_sweep(tiny_scenario, spec, workers=1)
+    assert len(calls) - start == max(ticks) < sum(ticks)
+
+
+@pytest.mark.parametrize("parameter, values", [
+    ("geometry.altitude_m", [5.0, 8.0, 12.0]),   # start and goal move
+    ("system.slot_count", [2, 3, 2]),
+    ("system.wpt_power_db", WPT_VALUES),
+])
+def test_only_values_that_share_a_geometry_share_a_drive(
+        tiny_scenario, monkeypatch, parameter, values):
+    drives = []
+
+    def counting(loops, problems):
+        drives.append(problems)
+        return common.drive(loops, problems)
+
+    monkeypatch.setattr(harness, "drive", counting)
+    spec = SweepSpec(parameter, values, ["ipso"], [0, 1], budget=200)
+    points = run_sweep(tiny_scenario, spec)
+    shared = parameter == "system.wpt_power_db"
+    assert len(drives) == (1 if shared else len(values))
+    monkeypatch.undo()
+    assert untimed(points) == campaigns_per_value(
+        tiny_scenario, parameter, values, ["ipso"], [0, 1], 200)
 
 
 @pytest.fixture

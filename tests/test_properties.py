@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import REFERENCE_CONFIG, TINY_CONFIG, small_problem
+from helpers import REFERENCE_CONFIG, TINY_CONFIG, encode, small_problem
 from uavbsc import ga
 from uavbsc.common import Incumbent, draw
 from uavbsc.config import ScenarioConfig
-from uavbsc.encoding import LinkProblem, _slot_sum, normalize
+from uavbsc.encoding import _PASS_ROWS, LinkProblem, _slot_sum, evaluate_blocks, normalize
 from uavbsc.model import Trajectory
 
 PROBLEMS = {
@@ -80,7 +80,7 @@ def test_encode_inverts_decode_on_adjusted_genomes(name):
         traj, split = problem.decode(genome)
         assert np.array_equal(traj.waypoints[0], problem.start)
         assert np.array_equal(traj.waypoints[-1], problem.goal)
-        back = problem.encode(traj, split)
+        back = encode(problem, traj, split)
         assert np.allclose(back, genome, rtol=0.0, atol=1e-12)
         assert np.array_equal(back[problem.split_offset:],
                               genome[problem.split_offset:])
@@ -224,6 +224,73 @@ def test_scalar_and_batch_evaluation_agree_bit_for_bit(name):
                 batch.worst_violation[row].tobytes()
 
     check()
+
+
+def _field_values(bundle, f):
+    """Values a problem may take for a numeric parameter field: the
+    reference value scaled, zero and one, and a few the evaluation treats
+    specially, each kept only where the field's range rule accepts it."""
+    accepts = f.metadata["rule"][1]
+    special = {"path_loss_exp": [2.0, 0.5, 1.0], "cached_fraction": [0.0, 0.5]}
+    base = getattr(bundle, f.name)
+    return st.one_of(st.floats(0.25, 4.0).map(lambda k: base * k),
+                     st.sampled_from([0.0, 1.0, *special.get(f.name, [])])
+                     ).filter(accepts)
+
+
+def _overrides(attr):
+    """Field overrides for a copy of the reference problem's ``attr``."""
+    bundle = getattr(PROBLEMS["reference"], attr)
+    return st.fixed_dictionaries({}, optional={
+        f.name: _field_values(bundle, f) for f in dataclasses.fields(bundle)
+        if "rule" in f.metadata})
+
+
+def _variant(system, propulsion, modes):
+    """The reference problem with other parameter values, same geometry."""
+    base = PROBLEMS["reference"]
+    return LinkProblem(dataclasses.replace(base.params, **system),
+                       dataclasses.replace(base.propulsion, **propulsion),
+                       base.source, base.user, base.start, base.goal, *modes)
+
+
+@checked
+@given(st.sampled_from([("safe", "literal"), ("paper", "delta")]),
+       st.lists(st.tuples(_overrides("params"), _overrides("propulsion")),
+                min_size=1, max_size=3),
+       st.sampled_from([3, _PASS_ROWS - 1, _PASS_ROWS + 5]),
+       st.lists(st.integers(1, 400), min_size=4, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_columned_evaluation_equals_each_problems_own_bit_for_bit(
+        modes, variants, first_rows, rows, seed):
+    # One pass evaluates every block on the first problem, the fields that
+    # differ passed as per-row columns.  The second problem has no cached
+    # data, a path-loss exponent of 2 (numpy squares for a scalar 2), and
+    # an estimation noise whose square by ** is not its product by *, with
+    # a source power that makes the square count in the rates.  A first
+    # block of about _PASS_ROWS rows makes the next block straddle a pass
+    # boundary.
+    odd = {"path_loss_exp": 2.0, "cached_fraction": 0.0, "source_power_w": 1e10,
+           "noise_var_estimation_w": 0.7658294888050159}
+    noise = odd["noise_var_estimation_w"]
+    assert noise ** 2 != noise * noise
+    problems = [_variant({}, {}, modes), _variant(odd, {}, modes),
+                *(_variant(system, prop, modes) for system, prop in variants)]
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for problem, n in zip(problems, [first_rows, *rows]):
+        dim = problem.genome_size
+        near = problem.heuristic_mean() + rng.normal(0.0, 0.05, (n // 2, dim))
+        blocks.append(problem.adjust(
+            np.concatenate([rng.uniform(size=(n - n // 2, dim)), near])))
+    fused = evaluate_blocks(problems, blocks)
+    start = 0
+    for problem, block in zip(problems, blocks):
+        alone = problem.evaluate_batch(block)
+        for name in ("objectives", "fitness", "feasible", "worst_violation"):
+            got = getattr(fused, name)[start:start + len(block)]
+            assert got.tobytes() == getattr(alone, name).tobytes(), name
+        start += len(block)
 
 
 @checked

@@ -37,6 +37,7 @@ REMOVED = [
     ("config", "ScenarioConfig.save"),
     ("config", "ScenarioConfig.canonical_text"),
     ("model", "SystemParams.euler_gamma"),
+    ("encoding", "LinkProblem.encode"),
 ]
 
 # (module, callable, parameter) triples removed from the package.
