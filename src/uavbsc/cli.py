@@ -78,7 +78,7 @@ def _int_at_least(low: int, kind: str):
 
 
 _seed = _int_at_least(0, "non-negative")  # --seed
-_positive = _int_at_least(1, "positive")  # --budget, --workers
+_positive = _int_at_least(1, "positive")  # --budget, --workers, --resolution
 
 
 def _seeds(text: str) -> list:
@@ -141,7 +141,7 @@ def build_parser() -> _Parser:
     p_oracle = sub.add_parser(
         "oracle", help="exhaustively enumerate a tiny scenario's grid")
     add_common(p_oracle)
-    p_oracle.add_argument("--resolution", type=int, required=True,
+    p_oracle.add_argument("--resolution", type=_positive, required=True,
                           help="grid levels per free gene")
     p_oracle.add_argument("--out", default=None, help="result JSON path")
 

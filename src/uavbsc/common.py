@@ -10,15 +10,15 @@ Every solver loop has one shape: a generator that steps several seeds as
 one stack, yields the genome block of all its running seeds, seed after
 seed, is sent the block's :class:`~uavbsc.encoding.BatchEvaluation`, and
 returns one :class:`SolverReport` per seed.  :func:`drive` runs loops
-together, with one evaluation per tick.  Each seed draws from its own
-generator (see :func:`draw`) and evaluation is row-wise, so a seed's
-report depends neither on its stack nor on the loops beside it.
+together, with one evaluation per tick, and a loop's error is its own
+outcome.  Each seed draws from its own generator (see :func:`draw`) and
+evaluation is row-wise, so a seed's report depends neither on its stack
+nor on the loops beside it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple, Union
@@ -34,6 +34,7 @@ __all__ = [
     "Incumbent",
     "SolverSteps",
     "drive",
+    "run_alone",
     "draw",
     "initial_population",
     "masked_gaussian_offsets",
@@ -179,53 +180,36 @@ class Incumbent:
 SolverSteps = Generator[np.ndarray, BatchEvaluation, List[SolverReport]]
 
 
-def drive(loops: Iterable[SolverSteps],
-          problems: Union[LinkProblem, Iterable[LinkProblem]]
-          ) -> List[Tuple[List[SolverReport], float]]:
+def drive(loops: Iterable[SolverSteps], problems: Iterable[LinkProblem]
+          ) -> List[Tuple[Union[List[SolverReport], ValueError], float]]:
     """Run solver loops together, with one ``evaluate_batch`` per tick.
 
-    ``problems`` is the problem of every loop, or one per loop, all with
-    one geometry.  Each tick evaluates the running loops' pending blocks,
-    in loop order, in one call (:func:`~uavbsc.encoding.evaluate_blocks`)
-    and sends each loop its own rows.  Returns one ``(reports, busy_s)`` pair
-    per loop: the loop's own time (inside ``next`` and ``send``) plus its
-    row share of each evaluation it joined.
-
-    Blocks come out of :meth:`~uavbsc.encoding.LinkProblem.adjust`, so a
-    loop fails in its own step, and an evaluation error (a raw invalid
-    block) propagates at once.  A loop is taken only after every earlier
-    one has yielded its first block.  A ``ValueError`` in a loop's step
-    ends it and closes every later loop; the earlier loops run on, and the
-    earliest failure is raised at the end: the outcome of running the
-    loops one after another.
+    ``problems`` holds one problem per loop, all with one geometry.  Each
+    tick evaluates the running loops' pending blocks, in loop order, in
+    one call (:func:`~uavbsc.encoding.evaluate_blocks`) and sends each
+    loop its own rows.  Returns one ``(outcome, busy_s)`` pair per loop:
+    its reports, or the ``ValueError`` that ended its step, and its own
+    time (inside ``next`` and ``send``) plus its row share of each
+    evaluation it joined.  A loop's error ends that loop only.  Blocks
+    come out of :meth:`~uavbsc.encoding.LinkProblem.adjust`, so an
+    evaluation error (a raw invalid block) propagates at once.
     """
-    running: Dict[int, Tuple[SolverSteps, LinkProblem]] = {}  # in loop order
+    running = dict(enumerate(zip(loops, problems)))  # in loop order
     blocks: Dict[int, np.ndarray] = {}
-    reports: List[List[SolverReport]] = []
-    busy: List[float] = []
-    failed: List[Exception] = []           # the earliest failure so far
+    outcomes: list = [None] * len(running)
+    busy = [0.0] * len(running)
 
     def advance(j: int, value) -> None:
         started = perf_counter()
         try:
             blocks[j] = running[j][0].send(value)
-        except StopIteration as stop:
-            reports[j] = stop.value
+        except (StopIteration, ValueError) as end:  # the loop's outcome
+            outcomes[j] = end.value if isinstance(end, StopIteration) else end
             del running[j]
-        except ValueError as exc:
-            for k in [k for k in running if k >= j]:
-                running.pop(k)[0].close()
-            failed[:] = [exc]
         busy[j] += perf_counter() - started
 
-    source = zip(loops, itertools.repeat(problems)
-                 if isinstance(problems, LinkProblem) else problems)
-    while not failed and (pair := next(source, None)) is not None:
-        running[len(reports)] = pair
-        reports.append([])
-        busy.append(0.0)
-        advance(len(reports) - 1, None)
-
+    for j in list(running):
+        advance(j, None)
     while running:
         started = perf_counter()
         order = list(running)
@@ -234,13 +218,18 @@ def drive(loops: Iterable[SolverSteps],
         seconds = perf_counter() - started
         for j, lo, hi in zip(order, cuts, cuts[1:]):
             busy[j] += seconds * (hi - lo) / cuts[-1]
-            if j in running:
-                advance(j, BatchEvaluation(
-                    blocks[j], ev.objectives[lo:hi], ev.fitness[lo:hi],
-                    ev.feasible[lo:hi], ev.worst_violation[lo:hi]))
-    if failed:
-        raise failed[0]
-    return list(zip(reports, busy))
+            advance(j, BatchEvaluation(
+                blocks[j], ev.objectives[lo:hi], ev.fitness[lo:hi],
+                ev.feasible[lo:hi], ev.worst_violation[lo:hi]))
+    return list(zip(outcomes, busy))
+
+
+def run_alone(loop: SolverSteps, problem: LinkProblem) -> SolverReport:
+    """The report of a one-seed loop driven alone; its error is raised."""
+    ((outcome, _),) = drive([loop], [problem])
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome[0]
 
 
 def draw(rng, method: str, shape, *args) -> np.ndarray:

@@ -409,28 +409,27 @@ class ScenarioConfig:
             fixed_altitude=self.fixed_altitude,
         )
 
-    def with_value(self, parameter: str, value) -> "ScenarioConfig":
-        """A copy of this scenario with one swept parameter replaced.
-
-        ``parameter`` is a dotted path into the document
-        (``system.wpt_power_db``) or a bare key that occurs in exactly one
-        section (``wpt_power_db``).
-        """
-        doc = json.loads(json.dumps(self.raw))
+    def parameter_path(self, parameter: str) -> "tuple[str, str]":
+        """The ``(section, key)`` of a swept parameter: a dotted path into
+        the document (``system.wpt_power_db``) or a bare key that occurs in
+        exactly one section (``wpt_power_db``)."""
         if "." in parameter:
             section, key = parameter.split(".", 1)
-            if section not in doc or not isinstance(doc[section], dict) \
-                    or key not in doc[section]:
+            if not isinstance(block := self.raw.get(section), dict) or key not in block:
                 raise ConfigError(f"unknown sweep parameter {parameter!r}")
-            doc[section][key] = value
-        else:
-            hits = [
-                section for section in ("system", "geometry", "modes")
-                if parameter in doc.get(section, {})
-            ]
-            if len(hits) != 1:
-                raise ConfigError(
-                    f"sweep parameter {parameter!r} matches {len(hits)} sections; "
-                    f"use a dotted path")
-            doc[hits[0]][parameter] = value
+            return section, key
+        hits = [section for section in ("system", "geometry", "modes")
+                if parameter in self.raw.get(section, {})]
+        if len(hits) != 1:
+            raise ConfigError(
+                f"sweep parameter {parameter!r} matches {len(hits)} sections; "
+                f"use a dotted path")
+        return hits[0], parameter
+
+    def with_value(self, parameter: str, value) -> "ScenarioConfig":
+        """A copy of this scenario with one swept parameter replaced
+        (see :meth:`parameter_path`)."""
+        section, key = self.parameter_path(parameter)
+        doc = json.loads(json.dumps(self.raw))
+        doc[section][key] = value
         return ScenarioConfig.from_dict(doc, default_name=self.name)

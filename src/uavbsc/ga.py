@@ -21,9 +21,9 @@ from .common import (
     SolverSteps,
     config_snapshot,
     draw,
-    drive,
     initial_population,
     masked_gaussian_offsets,
+    run_alone,
 )
 from .encoding import LinkProblem
 from .model import (
@@ -176,8 +176,7 @@ def mutate(genes, cfg: GaConfig, rng) -> np.ndarray:
 
 def run(cfg: GaConfig, problem: LinkProblem) -> SolverReport:
     """Run the genetic algorithm and report the best mission found."""
-    (reports, _), = drive([steps(cfg, problem)], problem)
-    return reports[0]
+    return run_alone(steps(cfg, problem), problem)
 
 
 def steps(cfg: GaConfig, problem: LinkProblem,

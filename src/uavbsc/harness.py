@@ -4,8 +4,8 @@ Everything here is deterministic given (scenario, solver, seed, budget):
 each run owns a single seeded generator.  Campaigns and sweeps step the
 seeds of one solver as one stacked loop, and the loops of consecutive
 scenarios that share a geometry (one campaign, or the values of a sweep
-over a physics scalar) together, with one evaluation per tick; a failed
-run fails its own scenario only (:func:`_run_slice`).  Evaluation is
+over a physics scalar) together, with one evaluation per tick; a loop's
+error is the result of each of its runs (:func:`_run_slice`).  Evaluation is
 row-wise and worker processes take contiguous slices of the run list,
 so artifacts compare equal bit for bit at any worker count once
 wall-clock fields are stripped.  A run's ``wall_clock_s`` is its loop's
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import ga as ga_mod
 from . import pso as pso_mod
-from .common import Incumbent, SolverReport, SolverSteps, draw, drive
+from .common import Incumbent, SolverReport, SolverSteps, draw, drive, run_alone
 from .config import SOLVER_CONFIGS, ConfigError, ScenarioConfig
 from .encoding import LinkProblem
 
@@ -178,34 +178,30 @@ def _run_slice(runs: Sequence[tuple], budget: Optional[int]) -> list:
     scenarios whose problems share a geometry (a sweep over a physics
     scalar, not over the slot count or the altitude) run all their loops
     in one :func:`~uavbsc.common.drive`.  An artifact's ``wall_clock_s``
-    is its loop's busy time split evenly over its seeds.  When a loop
-    raises ``ConfigError`` or ``ValueError``, each scenario of the drive
-    runs again alone, and each run of a scenario with a failed loop gets
-    the error of its earliest: a failed run fails its own value only.
+    is its loop's busy time split evenly over its seeds.  Each run of a
+    loop that raised ``ValueError`` (``ConfigError`` included) gets that
+    error, so a failed loop fails its own runs only.
     """
     results = []
     stretches = [list(stretch) for _, stretch in
                  itertools.groupby(runs, key=lambda run: run[0])]
     built = [(stretch, stretch[0][0].build_problem()) for stretch in stretches]
     for _, fused in itertools.groupby(built, key=lambda sp: sp[1].geometry):
-        fused = list(fused)
         groups = [(scenario, solver, problem, [seed for *_, seed in group])
                   for stretch, problem in fused for (scenario, solver), group
                   in itertools.groupby(stretch, key=lambda run: run[:2])]
-        try:
-            driven = drive((_run_group(scenario, solver, seeds, budget, problem)
-                            for scenario, solver, problem, seeds in groups),
-                           [problem for _, _, problem, _ in groups])
-        except (ConfigError, ValueError) as exc:
-            results += [exc] * len(fused[0][0]) if len(fused) == 1 else [
-                result for part, _ in fused for result in _run_slice(part, budget)]
-            continue
-        for (scenario, solver, _, seeds), (reports, busy) in zip(groups, driven):
+        driven = drive([_run_group(scenario, solver, seeds, budget, problem)
+                        for scenario, solver, problem, seeds in groups],
+                       [problem for _, _, problem, _ in groups])
+        for (scenario, solver, _, seeds), (outcome, busy) in zip(groups, driven):
+            if isinstance(outcome, ValueError):
+                results += [outcome] * len(seeds)
+                continue
             digest = scenario.scenario_hash()
             results += [RunArtifact(scenario.name, digest, solver, int(seed),
                                     None if budget is None else int(budget),
                                     report, busy / len(seeds))
-                        for seed, report in zip(seeds, reports)]
+                        for seed, report in zip(seeds, outcome)]
     return results
 
 
@@ -235,8 +231,9 @@ def run_campaign(scenario: ScenarioConfig, solvers, seeds: Sequence[int],
 
     ``solvers`` is a name or a list of names; every run gets the same
     evaluation budget, so campaigns compare solvers fairly.  The artifacts
-    are identical whatever the worker count (see :func:`_execute`).  The
-    first failed run's exception is raised.
+    are identical whatever the worker count (see :func:`_execute`).  A
+    failed loop ends itself only, so every run ends before the first
+    failed run's exception is raised.
     """
     names = _as_solver_list(solvers)
     seeds = _as_seed_list(seeds)
@@ -261,8 +258,7 @@ def campaign_to_dict(artifacts: Sequence[RunArtifact],
 def random_search(problem: LinkProblem, budget: int,
                   seed: int = 0) -> SolverReport:
     """Uniform random sampling of the unit box, best-so-far kept."""
-    (reports, _), = drive([random_steps(problem, budget, [seed])], problem)
-    return reports[0]
+    return run_alone(random_steps(problem, budget, [seed]), problem)
 
 
 def random_steps(problem: LinkProblem, budget: int,
@@ -352,10 +348,12 @@ def run_sweep(scenario: ScenarioConfig, spec: SweepSpec,
               workers: int = 1) -> List[SweepPoint]:
     """Every (value, solver, seed) run, dealt like a campaign's.
 
-    One pool serves the whole sweep.  One bad value never kills it: a
-    value that fails to load, or whose runs fail, keeps the first error
-    and no artifacts.
+    One pool serves the whole sweep.  An unknown parameter raises
+    ``ConfigError`` before any value is built.  One bad value never kills
+    the sweep: a value that fails to load, or whose runs fail, keeps the
+    first error and no artifacts.
     """
+    scenario.parameter_path(spec.parameter)
     points: List[SweepPoint] = []
     runs = []
     for value in spec.values:

@@ -22,9 +22,9 @@ from .common import (
     SolverSteps,
     config_snapshot,
     draw,
-    drive,
     initial_population,
     masked_gaussian_offsets,
+    run_alone,
 )
 from .encoding import LinkProblem
 from .model import (
@@ -143,8 +143,7 @@ def update_position(position, velocity) -> np.ndarray:
 
 def run(cfg: PsoConfig, problem: LinkProblem) -> SolverReport:
     """Run the swarm and report the best mission found."""
-    (reports, _), = drive([steps(cfg, problem)], problem)
-    return reports[0]
+    return run_alone(steps(cfg, problem), problem)
 
 
 def steps(cfg: PsoConfig, problem: LinkProblem,

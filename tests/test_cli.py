@@ -89,6 +89,20 @@ def test_budget_below_one_is_a_usage_error_naming_the_flag(
     assert out == "" and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("resolution", ["0", "-1"])
+def test_resolution_below_one_is_a_usage_error_naming_the_flag(
+        capsys, tmp_path, resolution):
+    code, out, err = run_cli(capsys, "oracle", "--config", TINY,
+                             f"--resolution={resolution}",
+                             "--out", str(tmp_path / "oracle.json"))
+    assert code == 2
+    payload = error_payload(err)
+    assert payload["category"] == "usage"
+    assert payload["message"].startswith("argument --resolution: ")
+    assert f"'{resolution}'" in payload["message"]
+    assert out == "" and not (tmp_path / "oracle.json").exists()
+
+
 def test_zero_workers_is_a_usage_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "sweep", "--config", TINY, "--param", "system.wpt_power_db",
@@ -191,6 +205,24 @@ def test_slot_count_too_large_to_allocate_is_a_config_error(capsys, tmp_path):
         payload = error_payload(err)
         assert payload["category"] == "config"
         assert "system.slot_count is too large" in payload["message"]
+
+
+@pytest.mark.parametrize("param, message", [
+    ("system.nope", "unknown sweep parameter 'system.nope'"),
+    ("nope", "sweep parameter 'nope' matches 0 sections"),
+], ids=["dotted", "bare"])
+def test_unknown_sweep_parameter_is_a_config_error(capsys, tmp_path, param,
+                                                   message):
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", TINY, "--param", param, "--values", "1,2",
+        "--solver", "random", "--seeds", "0", "--budget", "8",
+        "--out", str(tmp_path / "out"))
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = error_payload(err)
+    assert payload["category"] == "config"
+    assert message in payload["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_impossible_budget_is_an_execution_error(capsys):

@@ -16,6 +16,7 @@ from uavbsc.common import (
     draw,
     drive,
     initial_population,
+    run_alone,
 )
 
 
@@ -217,7 +218,7 @@ def _loop(problem, ticks, bad=None, seen=None, raw=False):
 def test_drive_steps_every_loop_with_one_evaluation_per_tick(tiny_problem):
     seen = [[], [], []]
     loops = [_loop(tiny_problem, n, seen=log) for n, log in zip((3, 5, 1), seen)]
-    driven = drive(loops, tiny_problem)
+    driven = drive(loops, [tiny_problem] * 3)
     assert [reports for reports, _ in driven] == [[3], [5], [1]]
     assert all(busy > 0.0 for _, busy in driven)
     fitness = tiny_problem.evaluate(tiny_problem.heuristic_mean()).fitness
@@ -233,7 +234,7 @@ def test_drive_raises_the_evaluation_error_of_a_raw_invalid_block(
              _loop(tiny_problem, 3, {1: 2.0}, seen[1], raw=True),
              _loop(tiny_problem, 5, seen=seen[2])]
     with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
-        drive(loops, tiny_problem)
+        drive(loops, [tiny_problem] * 3)
     assert [len(log) for log in seen] == [1, 1, 1]
 
 
@@ -242,28 +243,25 @@ def test_drive_charges_a_failed_step_to_its_own_loop(tiny_problem):
     loops = [_loop(tiny_problem, 5, seen=seen[0]),
              _loop(tiny_problem, 3, {2: np.inf}, seen[1]),
              _loop(tiny_problem, 5, seen=seen[2])]
-    with pytest.raises(ValueError, match="must be finite"):
-        drive(loops, tiny_problem)
-    # The loop before the failed one ran to its end; the one after it was
-    # closed in the same tick.
-    assert [len(log) for log in seen] == [5, 2, 1]
+    (first, _), (failed, busy), (last, _) = drive(loops, [tiny_problem] * 3)
+    assert isinstance(failed, ValueError) and "must be finite" in str(failed)
+    assert busy > 0.0
+    # The loops on either side of the failed one ran to their ends.
+    assert (first, last) == ([5], [5])
+    assert [len(log) for log in seen] == [5, 2, 5]
 
 
-def test_drive_raises_the_error_of_the_earliest_loop_to_fail(tiny_problem):
-    # The second loop fails first, the first one later: running them one
-    # after another would meet the first loop's error.
+def test_each_loop_outcome_holds_its_own_error(tiny_problem):
     loops = [_loop(tiny_problem, 5, {3: np.nan}),
-             _loop(tiny_problem, 5, {1: ValueError("second loop")})]
-    with pytest.raises(ValueError, match="must be finite"):
-        drive(loops, tiny_problem)
-    loops = [_loop(tiny_problem, 5, {3: ValueError("own step")}),
-             _loop(tiny_problem, 5, {1: -np.inf})]
-    with pytest.raises(ValueError, match="own step"):
-        drive(loops, tiny_problem)
+             _loop(tiny_problem, 5, {1: ValueError("second loop")}),
+             _loop(tiny_problem, 2)]
+    outcomes = [outcome for outcome, _ in drive(loops, [tiny_problem] * 3)]
+    assert [str(error) for error in outcomes[:2]] == [
+        "genome genes must be finite", "second loop"]
+    assert outcomes[2] == [2]
 
 
-def test_drive_takes_no_loop_after_one_that_fails_at_its_first_block(
-        tiny_problem):
+def test_drive_takes_every_loop(tiny_problem):
     taken = []
 
     def loops():
@@ -271,6 +269,13 @@ def test_drive_takes_no_loop_after_one_that_fails_at_its_first_block(
             taken.append(n)
             yield _loop(tiny_problem, n, bad)
 
-    with pytest.raises(ValueError, match="first block"):
-        drive(loops(), tiny_problem)
-    assert taken == [2, 2]
+    outcomes = [outcome for outcome, _ in drive(loops(), [tiny_problem] * 3)]
+    assert taken == [2, 2, 2]
+    assert outcomes[0] == outcomes[2] == [2]
+    assert str(outcomes[1]) == "first block"
+
+
+def test_run_alone_returns_the_report_or_raises_the_error(tiny_problem):
+    assert run_alone(_loop(tiny_problem, 3), tiny_problem) == 3
+    with pytest.raises(ValueError, match="own step"):
+        run_alone(_loop(tiny_problem, 3, {1: ValueError("own step")}), tiny_problem)

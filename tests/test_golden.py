@@ -180,8 +180,8 @@ def _stacked_and_alone(problem, solver, seeds, budget, overrides):
 
         def loop(group):
             return make(cfg, problem, group)
-    return (drive([loop(seeds)], problem)[0][0],
-            [drive([loop([seed])], problem)[0][0][0] for seed in seeds])
+    return (drive([loop(seeds)], [problem])[0][0],
+            [drive([loop([seed])], [problem])[0][0][0] for seed in seeds])
 
 
 def _mutants_per_iteration(report):

@@ -282,21 +282,43 @@ def untimed(points):
                                 for a in p.artifacts]) for p in points]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_run_sweep_equals_one_campaign_per_value(tiny_scenario, workers):
-    solvers, seeds = ["ga", "random"], [0, 1, 2]
+def ga_size_campaigns(scenario, sizes, solvers, seeds):
+    """One campaign (budget 200) per GA override, or its error, as
+    :func:`untimed` gives sweep points."""
     expected = []
-    for value in GA_SIZES:
+    for value in sizes:
         try:
-            varied = tiny_scenario.with_value("solvers.ga", value)
+            varied = scenario.with_value("solvers.ga", value)
             arts = run_campaign(varied, solvers, seeds, budget=200, workers=1)
             expected.append((value, None, [a.to_dict(include_timing=False)
                                            for a in arts]))
         except ValueError as exc:
             expected.append((value, str(exc), []))
+    return expected
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_sweep_equals_one_campaign_per_value(tiny_scenario, workers):
+    solvers, seeds = ["ga", "random"], [0, 1, 2]
+    expected = ga_size_campaigns(tiny_scenario, GA_SIZES, solvers, seeds)
     assert [error is None for _, error, _ in expected] == [True, False, False]
     spec = SweepSpec("solvers.ga", GA_SIZES, solvers, seeds, budget=200)
     assert untimed(run_sweep(tiny_scenario, spec, workers=workers)) == expected
+
+
+def test_a_failed_loop_drives_no_group_twice(tiny_scenario, monkeypatch):
+    # Both sizes share one drive; size 500's GA fails in its first step,
+    # and the loops beside it keep their own outcomes.
+    sizes, solvers, seeds = GA_SIZES[:2], ["ga", "random"], [0, 1, 2]
+    expected = ga_size_campaigns(tiny_scenario, sizes, solvers, seeds)
+    solvers_run = []
+    run_group = harness._run_group
+    monkeypatch.setattr(harness, "_run_group", lambda *args: (
+        solvers_run.append(args[1]), run_group(*args))[1])
+    spec = SweepSpec("solvers.ga", sizes, solvers, seeds, budget=200)
+    points = run_sweep(tiny_scenario, spec)
+    assert solvers_run == ["ga", "random", "ga", "random"]
+    assert untimed(points) == expected
 
 
 # Charging powers at which the tiny scenario turns from infeasible to
@@ -401,14 +423,14 @@ def test_a_failed_campaign_run_raises_its_error(tiny_scenario, monkeypatch):
         with pytest.raises(ValueError, match="cannot fit one population"):
             run_campaign(varied, ["random", "ga"], [0, 1], budget=200,
                          workers=workers)
-    # In process, the groups after the failed one are never run.
+    # In process too, the groups after the failed one run before it raises.
     solvers_run = []
     run_group = harness._run_group
     monkeypatch.setattr(harness, "_run_group", lambda *args: (
         solvers_run.append(args[1]), run_group(*args))[1])
     with pytest.raises(ValueError, match="cannot fit one population"):
         run_campaign(varied, ["random", "ga", "ipso"], [0, 1], budget=200)
-    assert solvers_run == ["random", "ga"]
+    assert solvers_run == ["random", "ga", "ipso"]
 
 
 # Legal IPSO settings whose inertia overflows the velocities to infinity
