@@ -193,7 +193,8 @@ def _cmd_sweep(args) -> int:
     include_timing = not args.no_timing
     write_csv(out_dir / "sweep_rows.csv",
               sweep_rows(points, include_timing=include_timing))
-    write_csv(out_dir / "sweep_summary.csv", sweep_summary(points))
+    summary = sweep_summary(points)
+    write_csv(out_dir / "sweep_summary.csv", summary)
     dump = {
         "scenario": scenario.name,
         "scenario_hash": scenario.scenario_hash(),
@@ -213,7 +214,7 @@ def _cmd_sweep(args) -> int:
     }
     write_json(out_dir / "sweep.json", dump)
 
-    for row in sweep_summary(points):
+    for row in summary:
         if row["error"]:
             print(f"sweep {spec.parameter}={row['value']} error={row['error']}")
         else:

@@ -79,22 +79,27 @@ _SYSTEM_FIELDS = {
 _SYSTEM_KEYS = {key: int if convert is int else _NUMBER
                 for key, (_, convert) in _SYSTEM_FIELDS.items()}
 
+# A list of two numbers, and one whose entries satisfy lo < hi.
+_PAIR, _ORDERED_PAIR = "pair", "ordered pair"
+
 _GEOMETRY_KEYS = {
     "altitude_m": _NUMBER,
-    "source_xy_m": list,
-    "user_xy_m": list,
-    "start_xy_m": list,
-    "final_xy_m": list,
-    "arena_x_m": list,
-    "arena_y_m": list,
-    "arena_z_m": list,
+    "source_xy_m": _PAIR,
+    "user_xy_m": _PAIR,
+    "start_xy_m": _PAIR,
+    "final_xy_m": _PAIR,
+    "arena_x_m": _ORDERED_PAIR,
+    "arena_y_m": _ORDERED_PAIR,
+    "arena_z_m": _ORDERED_PAIR,
 }
 
-_MODE_DEFAULTS = {
-    "penalty_mode": "safe",
-    "rate_weighting": "literal",
-    "lambda1_literal": False,
-    "fixed_altitude": True,
+# Each mode -> (the values it takes, its default); a tuple of strings
+# is a choice set.
+_MODES = {
+    "penalty_mode": (PENALTY_MODES, "safe"),
+    "rate_weighting": (RATE_WEIGHTINGS, "literal"),
+    "lambda1_literal": (bool, False),
+    "fixed_altitude": (bool, True),
 }
 
 # The config each solver section builds; the variant of a swarm comes
@@ -135,13 +140,14 @@ def _check_section(problems, data, label, required, optional=None):
 
     Records every unknown key, missing key and bad value under the dotted
     ``label``; a key whose type is a dict names a nested object, checked
-    the same way.  Returns the block, or {} when it is not an object.
+    the same way.  A section with no required keys may be left out.
+    Returns the block, or {} when it is not an object.
     """
-    block = data.get(label.rpartition(".")[2])
+    block = data.get(label.rpartition(".")[2], None if required else {})
     if not isinstance(block, dict):
         if "." in label:
             problems.append(f"{label} must be an object")
-        elif block is None:
+        elif label not in data:
             problems.append(f"missing section {label!r}")
         else:
             problems.append(f"section {label!r} must be an object")
@@ -162,34 +168,38 @@ def _check_section(problems, data, label, required, optional=None):
 
 
 def _check_value(problems, label, value, typ=_NUMBER) -> bool:
-    """Record why ``value`` is not a finite ``typ``; True when it is.
+    """Record why ``value`` is not a valid ``typ``; True when it is.
 
-    JSON parsing accepts ``NaN``, ``Infinity`` and integers too large for a
-    float, so they are caught here rather than trusted to the parser.
+    ``typ`` is a type or tuple of types, whose numbers must be finite; a
+    choice set; or ``_PAIR`` / ``_ORDERED_PAIR``.  JSON parsing accepts
+    ``NaN``, ``Infinity`` and integers too large for a float, so they are
+    caught here rather than trusted to the parser.
     """
-    if not isinstance(value, typ) or isinstance(value, bool):
-        name = {int: "integer", list: "list"}.get(typ, "number")
-        problems.append(f"{label} must be a {name}")
+    if typ in (_PAIR, _ORDERED_PAIR):
+        if not isinstance(value, list) or len(value) != 2 or not all(
+                isinstance(v, _NUMBER) and not isinstance(v, bool) for v in value):
+            problems.append(f"{label} must be a list of two numbers")
+            return False
+        if not all(_check_value(problems, label, v) for v in value):
+            return False
+        if typ == _ORDERED_PAIR and not value[0] < value[1]:
+            problems.append(f"{label} must satisfy lo < hi (got {value})")
+            return False
+        return True
+    if isinstance(typ, tuple) and isinstance(typ[0], str):
+        if value in typ:
+            return True
+        problems.append(
+            f"{label} must be {' or '.join(map(repr, typ))} (got {value!r})")
+        return False
+    if not isinstance(value, typ) or isinstance(value, bool) and typ is not bool:
+        name = {int: "an integer", bool: "a boolean"}.get(typ, "a number")
+        problems.append(f"{label} must be {name}")
         return False
     if isinstance(value, float) and not math.isfinite(value):
         problems.append(f"{label} must be finite (got {value})")
         return False
     return not isinstance(value, int) or _convert(problems, label, value) is not None
-
-
-def _check_pair(problems, block, section, key, ordered=False):
-    value = block.get(key)
-    if not isinstance(value, list) or len(value) != 2 or not all(
-        isinstance(v, _NUMBER) and not isinstance(v, bool) for v in value
-    ):
-        problems.append(f"{section}.{key} must be a list of two numbers")
-        return None
-    if not all(_check_value(problems, f"{section}.{key}", v) for v in value):
-        return None
-    if ordered and not value[0] < value[1]:
-        problems.append(f"{section}.{key} must satisfy lo < hi (got {value})")
-        return None
-    return tuple(_convert(problems, f"{section}.{key}", v) for v in value)
 
 
 def _convert(problems, label, value, convert=float):
@@ -259,41 +269,16 @@ class ScenarioConfig:
             problems, data, "system", _SYSTEM_KEYS, {"light_speed_mps": _NUMBER})
         geometry_block = _check_section(problems, data, "geometry", _GEOMETRY_KEYS)
 
-        # Geometry pairs.
-        pairs = {}
-        if geometry_block:
-            for key in ("source_xy_m", "user_xy_m", "start_xy_m", "final_xy_m"):
-                pairs[key] = _check_pair(problems, geometry_block, "geometry", key)
-            for key in ("arena_x_m", "arena_y_m", "arena_z_m"):
-                pairs[key] = _check_pair(
-                    problems, geometry_block, "geometry", key, ordered=True)
-
         # Propulsion: either the derived coefficients or raw rotor constants.
         propulsion_block = data.get("propulsion")
         rotor_form = isinstance(propulsion_block, dict) and "rotor" in propulsion_block
         _check_section(problems, data, "propulsion",
                        {"rotor": _ROTOR_KEYS} if rotor_form else _PROPULSION_KEYS)
 
-        # Modes.
-        modes_block = data.get("modes", {})
-        if not isinstance(modes_block, dict):
-            problems.append("section 'modes' must be an object")
-            modes_block = {}
-        modes = dict(_MODE_DEFAULTS)
-        for key, value in modes_block.items():
-            if key not in _MODE_DEFAULTS:
-                problems.append(f"unknown key modes.{key}")
-            else:
-                modes[key] = value
-        for key, choices in (("penalty_mode", PENALTY_MODES),
-                             ("rate_weighting", RATE_WEIGHTINGS)):
-            if modes[key] not in choices:
-                allowed = " or ".join(map(repr, choices))
-                problems.append(f"modes.{key} must be {allowed} (got {modes[key]!r})")
-        for key in ("lambda1_literal", "fixed_altitude"):
-            if not isinstance(modes[key], bool):
-                problems.append(f"modes.{key} must be a boolean")
-        if modes["lambda1_literal"] and isinstance(propulsion_block, dict) \
+        modes = {key: default for key, (_, default) in _MODES.items()}
+        modes.update(_check_section(problems, data, "modes", {},
+                                    {key: typ for key, (typ, _) in _MODES.items()}))
+        if modes["lambda1_literal"] is True and isinstance(propulsion_block, dict) \
                 and not rotor_form:
             problems.append(
                 "modes.lambda1_literal requires propulsion given as rotor constants")
@@ -338,6 +323,8 @@ class ScenarioConfig:
 
         # Range rules, and geometry problems (start or goal outside the
         # arena), surface at load time rather than on first use.
+        pairs = {key: tuple(map(float, value))
+                 for key, value in geometry_block.items() if key != "altitude_m"}
         try:
             system = SystemParams(**sys_kwargs, bounds_m=(
                 pairs["arena_x_m"], pairs["arena_y_m"], pairs["arena_z_m"]))
@@ -345,7 +332,7 @@ class ScenarioConfig:
                 propulsion = PropulsionParams.from_rotor(
                     RotorConstants(**coefficients),
                     slot_duration=system.slot_duration_s,
-                    literal_profile_scaling=bool(modes["lambda1_literal"]),
+                    literal_profile_scaling=modes["lambda1_literal"],
                 ) if rotor_form else PropulsionParams(**coefficients)
             except ParameterError as err:  # each problem starts with its key
                 raise ConfigError("invalid scenario: " + "; ".join(sorted(
@@ -373,7 +360,7 @@ class ScenarioConfig:
                 goal=np.array([*pairs["final_xy_m"], altitude]),
                 penalty_mode=modes["penalty_mode"],
                 rate_weighting=modes["rate_weighting"],
-                fixed_altitude=bool(modes["fixed_altitude"]),
+                fixed_altitude=modes["fixed_altitude"],
                 solver_overrides=overrides,
             )
             cfg.build_problem()

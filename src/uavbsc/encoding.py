@@ -270,6 +270,12 @@ class LinkProblem:
         mean[: self.split_offset] = np.clip(
             (points - self._lo) / (hi - self._lo), 0.0, 1.0).reshape(-1)
         self._mean = self.adjust(mean)
+        # Allocate and free one block the size of a pass's ~32 per-slot
+        # arrays (2 MB at 8 slots, capped at 64 slots).  Per mallopt(3),
+        # freeing an mmap'd block raises glibc's dynamic mmap and trim
+        # thresholds, so the heap keeps what each pass frees rather than
+        # returning it to the kernel and faulting it in on the next pass.
+        np.empty(32 * min(n, 64) * _PASS_ROWS)
 
     def adjust(self, genes) -> np.ndarray:
         """Clamp genes to [0, 1] and re-pin frozen genes.

@@ -19,7 +19,6 @@ import csv
 import itertools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -219,6 +218,7 @@ def _execute(runs: Sequence[tuple], budget: Optional[int],
         return _run_slice(runs, budget)
     cuts = [len(runs) * k // n_slices for k in range(n_slices + 1)]
     parts = [runs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
     with ProcessPoolExecutor(max_workers=n_slices) as pool:
         done = pool.map(_run_slice, parts, itertools.repeat(budget))
         return [result for part in done for result in part]

@@ -193,7 +193,7 @@ def test_rejects_boolean_posing_as_number(doc):
 
 def test_rejects_fractional_slot_count(doc):
     doc["system"]["slot_count"] = 8.0
-    with pytest.raises(ConfigError, match="system.slot_count must be a integer"):
+    with pytest.raises(ConfigError, match="system.slot_count must be an integer"):
         load_doc(doc)
 
 
@@ -230,6 +230,27 @@ def test_rejects_bad_mode_values(doc):
         load_doc(doc)
 
 
+@pytest.mark.parametrize("section, key, bad, problem", [
+    ("geometry", "source_xy_m", 5,
+     "geometry.source_xy_m must be a list of two numbers"),
+    ("geometry", "arena_x_m", [70.0, -10.0],
+     "geometry.arena_x_m must satisfy lo < hi (got [70.0, -10.0])"),
+    ("modes", "penalty_mode", 3,
+     "modes.penalty_mode must be 'safe' or 'paper' (got 3)"),
+    ("modes", "fixed_altitude", "yes", "modes.fixed_altitude must be a boolean"),
+    ("modes", "lambda1_literal", 1, "modes.lambda1_literal must be a boolean"),
+    ("modes", "color", "red", "unknown key modes.color"),
+    (None, "modes", [], "section 'modes' must be an object"),
+    (None, "modes", None, "section 'modes' must be an object"),
+], ids=["non-list-pair", "unordered-arena", "bad-choice", "non-boolean",
+        "non-boolean-lambda1", "unknown-mode", "non-object-modes", "null-modes"])
+def test_each_fault_is_reported_once(doc, section, key, bad, problem):
+    (doc[section] if section else doc)[key] = bad
+    with pytest.raises(ConfigError) as err:
+        load_doc(doc)
+    assert str(err.value) == f"invalid scenario: {problem}"
+
+
 def test_literal_profile_scaling_requires_rotor_constants(doc):
     doc["modes"]["lambda1_literal"] = True
     with pytest.raises(ConfigError, match="rotor"):
@@ -250,11 +271,11 @@ def test_rejects_unknown_solver_sections_and_keys(doc):
 
 
 @pytest.mark.parametrize("section, key, bad, problem, good", [
-    ("ga", "population_size", "x", "must be a integer", 40),
-    ("ga", "stall_limit", True, "must be a integer", 40),
-    ("ga", "generations", 300.0, "must be a integer", 300),
+    ("ga", "population_size", "x", "must be an integer", 40),
+    ("ga", "stall_limit", True, "must be an integer", 40),
+    ("ga", "generations", 300.0, "must be an integer", 300),
     ("ga", "mutation_rate", None, "must be a number", 0.2),
-    ("ipso", "swarm_size", False, "must be a integer", 40),
+    ("ipso", "swarm_size", False, "must be an integer", 40),
     ("ipso", "cognitive_coeff", float("nan"), "must be finite (got nan)", 1),
     ("pso", "social_coeff", float("inf"), "must be finite (got inf)", 1.5),
     ("pso", "velocity_clamp", "fast", "must be a number", None),

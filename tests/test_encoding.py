@@ -7,11 +7,15 @@ and require agreement at 1e-12 of each margin's normalization scale.
 
 import json
 import math
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import (
+    REFERENCE_CONFIG,
     TINY_CONFIG,
     audit_genome,
     encode,
@@ -378,6 +382,34 @@ def test_evaluate_batch_agrees_with_scalar_evaluate(reference_problem):
         assert batch.objectives[i] == single.objective_bps
         assert batch.feasible[i] == single.report.feasible
         assert batch.worst_violation[i] == single.report.worst_violation
+
+
+FAULTS_PER_CALL = """
+import resource, sys
+import numpy as np
+from uavbsc.config import ScenarioConfig
+problem = ScenarioConfig.load(sys.argv[1]).build_problem()
+rows = problem.adjust(np.random.default_rng(0).random((1024, problem.genome_size)))
+for _ in range(3):
+    problem.evaluate_batch(rows)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    problem.evaluate_batch(rows)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's heap trimming")
+def test_warm_evaluate_batch_calls_fault_no_memory_in():
+    # In a fresh interpreter, so that no earlier free has raised glibc's trim
+    # threshold: building the problem must raise it.  Without that, each call
+    # of 1,024 reference rows faults in about a hundred freed pages again.
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_CALL, str(REFERENCE_CONFIG)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 10
 
 
 BATCH_FIELDS = ("genomes", "objectives", "fitness", "feasible",

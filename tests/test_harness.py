@@ -1,8 +1,11 @@
 """Campaign runner, random baseline, sweeps, grid oracle, and exports."""
 
+import concurrent.futures
 import itertools
 import json
 import math
+import subprocess
+import sys
 import time
 import warnings
 
@@ -397,12 +400,12 @@ def pools(monkeypatch):
     """Count the process pools the harness creates."""
     created = []
 
-    class CountingPool(harness.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             created.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return created
 
 
@@ -415,6 +418,16 @@ def test_a_call_creates_at_most_one_pool(tiny_scenario, pools, workers, most):
     run_campaign(tiny_scenario, ["random", "ipso"], [0, 1, 2], budget=100,
                  workers=workers)
     assert len(pools) == 2 * most
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # In a fresh interpreter: multiprocessing loads only when a pool is made.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, uavbsc.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_a_failed_campaign_run_raises_its_error(tiny_scenario, monkeypatch):
