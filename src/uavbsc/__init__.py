@@ -7,8 +7,7 @@ energy harvesting, rotary-wing propulsion power), encodes missions as
 normalized genomes, and searches them with a genetic algorithm, a particle
 swarm, and an improved particle swarm, under cache, rate, energy, and
 mobility constraints.  A benchmark harness adds seeded campaigns,
-parameter sweeps, a uniform random baseline, an exhaustive grid oracle
-for tiny instances, and artifact export.
+parameter sweeps, a uniform random baseline, and artifact export.
 """
 
 from .common import STALL_TOL, GenerationRecord, SolverReport
@@ -24,13 +23,11 @@ from .encoding import (
 from .ga import GaConfig
 from .ga import run as run_ga
 from .harness import (
-    GridResult,
     RunArtifact,
     SweepPoint,
     SweepSpec,
     convergence_speed,
     export_solution,
-    grid_oracle,
     random_search,
     run_campaign,
     run_single,
@@ -72,5 +69,5 @@ __all__ = [
     "ConfigError", "ScenarioConfig", "db_to_linear", "dbm_to_watt",
     "RunArtifact", "run_single", "run_campaign", "random_search",
     "SweepSpec", "SweepPoint", "run_sweep", "convergence_speed",
-    "GridResult", "grid_oracle", "export_solution",
+    "export_solution",
 ]

@@ -5,7 +5,6 @@ Subcommands
 run       one solver on one scenario (artifact JSON via --out)
           (--solver random is the seeded uniform random baseline)
 sweep     a parameter sweep: CSV rows + median summary + artifact JSON
-oracle    exhaustive grid enumeration for tiny scenarios
 export    solution.json + trajectory.csv for a finished run
 
 Errors are reported as a one-line JSON object on stderr; exit codes are
@@ -26,7 +25,6 @@ from .harness import (
     SweepSpec,
     campaign_to_dict,
     export_solution,
-    grid_oracle,
     read_solution,
     run_single,
     run_sweep,
@@ -78,7 +76,7 @@ def _int_at_least(low: int, kind: str):
 
 
 _seed = _int_at_least(0, "non-negative")  # --seed
-_positive = _int_at_least(1, "positive")  # --budget, --workers, --resolution
+_positive = _int_at_least(1, "positive")  # --budget, --workers
 
 
 def _seeds(text: str) -> list:
@@ -137,13 +135,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--workers", type=_positive, default=1)
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--no-timing", action="store_true")
-
-    p_oracle = sub.add_parser(
-        "oracle", help="exhaustively enumerate a tiny scenario's grid")
-    add_common(p_oracle)
-    p_oracle.add_argument("--resolution", type=_positive, required=True,
-                          help="grid levels per free gene")
-    p_oracle.add_argument("--out", default=None, help="result JSON path")
 
     p_export = sub.add_parser(
         "export", help="write solution.json and trajectory.csv for a run")
@@ -225,24 +216,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    scenario = ScenarioConfig.load(args.config)
-    problem = scenario.build_problem()
-    result = grid_oracle(problem, args.resolution)
-    if args.out:
-        payload = {
-            "scenario": scenario.name,
-            "scenario_hash": scenario.scenario_hash(),
-            **result.to_dict(),
-        }
-        write_json(args.out, payload)
-    print(
-        f"oracle scenario={scenario.name} resolution={result.resolution} "
-        f"points={result.points_evaluated} feasible={result.feasible} "
-        f"rate_bps={result.objective_bps:.6g}")
-    return 0
-
-
 def _cmd_export(args) -> int:
     scenario = ScenarioConfig.load(args.config)
     problem = scenario.build_problem()
@@ -273,7 +246,6 @@ def _cmd_export(args) -> int:
 _COMMANDS = {
     "run": _cmd_run,
     "sweep": _cmd_sweep,
-    "oracle": _cmd_oracle,
     "export": _cmd_export,
 }
 

@@ -2,9 +2,9 @@
 
 Every solver draws each random number from its seeds' own generators in
 a fixed order and reports its progress through one per-generation record
-type.  Every solver, and the grid oracle, keeps its best-so-far mission,
-trace and last improvement in an :class:`Incumbent`, which holds the one
-ordering rule of the package.
+type.  Every solver keeps its best-so-far mission, trace and last
+improvement in an :class:`Incumbent`, which holds the one ordering rule
+of the package.
 
 Every solver loop has one shape: a generator that steps several seeds as
 one stack, yields the genome block of all its running seeds, seed after

@@ -49,8 +49,6 @@ __all__ = [
     "sweep_summary",
     "write_csv",
     "write_json",
-    "GridResult",
-    "grid_oracle",
     "export_solution",
     "read_solution",
 ]
@@ -63,10 +61,6 @@ RANDOM_DEFAULT_BUDGET = 10_000
 # candidates for a given seed is a prefix-stable sequence: raising the
 # budget never changes the candidates already evaluated.
 _RANDOM_CHUNK = 256
-
-GRID_MAX_POINTS = 10_000_000
-GRID_MAX_SLOTS = 3
-_GRID_CHUNK = 4096
 
 
 def convergence_speed(report: SolverReport) -> float:
@@ -464,87 +458,6 @@ def write_csv(path, rows: Sequence[dict]) -> None:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
-
-
-# ----------------------------------------------------------------------
-# Exhaustive grid oracle (tiny scenarios only)
-# ----------------------------------------------------------------------
-
-@dataclass(eq=False)
-class GridResult:
-    """Best point of an exhaustive grid enumeration."""
-
-    genome: np.ndarray
-    fitness: float
-    objective_bps: float
-    feasible: bool
-    worst_violation: float
-    points_evaluated: int
-    resolution: int
-    free_gene_indices: List[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "genome": [float(g) for g in self.genome],
-            "fitness": float(self.fitness),
-            "objective_bps": float(self.objective_bps),
-            "feasible": bool(self.feasible),
-            "worst_violation": float(self.worst_violation),
-            "points_evaluated": int(self.points_evaluated),
-            "resolution": int(self.resolution),
-            "free_gene_indices": [int(i) for i in self.free_gene_indices],
-        }
-
-
-def grid_oracle(problem: LinkProblem, resolution: int) -> GridResult:
-    """Enumerate every grid point of the free genes and keep the best.
-
-    Only meant for small instances: refuses problems with more than
-    ``GRID_MAX_SLOTS`` slots and grids larger than ``GRID_MAX_POINTS``.
-    Points are evaluated in blocks of ``_GRID_CHUNK``; the winner is kept
-    by :class:`~uavbsc.common.Incumbent`, so ties on (fitness, worst
-    violation) go to the earliest point in lexicographic gene order.
-    """
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
-    n_slots = problem.params.slot_count
-    if n_slots > GRID_MAX_SLOTS:
-        raise ValueError(
-            f"grid oracle only supports up to {GRID_MAX_SLOTS} slots "
-            f"(scenario has {n_slots}); it would be astronomically large otherwise")
-
-    frozen = set(problem.frozen_gene_indices())
-    free = [g for g in range(problem.genome_size) if g not in frozen]
-    n_free = len(free)
-    total = resolution ** n_free
-    if total > GRID_MAX_POINTS:
-        raise ValueError(
-            f"grid of {resolution}^{n_free} = {total} points exceeds the "
-            f"{GRID_MAX_POINTS}-point guard")
-
-    levels = np.linspace(0.0, 1.0, resolution) if resolution > 1 else np.array([0.5])
-    weights = resolution ** np.arange(n_free - 1, -1, -1, dtype=np.int64)
-    base = np.full(problem.genome_size, 0.5)
-    best = Incumbent()
-    for start in range(0, total, _GRID_CHUNK):
-        idx = np.arange(start, min(start + _GRID_CHUNK, total), dtype=np.int64)
-        genomes = np.tile(base, (len(idx), 1))
-        genomes[:, free] = levels[(idx[:, None] // weights) % resolution]
-        genomes = problem.adjust(genomes)
-        ev = problem.evaluate_batch(genomes)
-        best.offer(genomes, ev.fitness, ev.worst_violation)
-
-    winner = problem.evaluate(best.genome)
-    return GridResult(
-        genome=best.genome,
-        fitness=winner.fitness,
-        objective_bps=winner.objective_bps,
-        feasible=winner.report.feasible,
-        worst_violation=winner.report.worst_violation,
-        points_evaluated=total,
-        resolution=resolution,
-        free_gene_indices=free,
-    )
 
 
 # ----------------------------------------------------------------------

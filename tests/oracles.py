@@ -5,9 +5,13 @@ plain Python scalars (``math`` + ``fractions``), deliberately avoiding any
 import from the package under test and avoiding its vectorized formula
 layout.  Tests compare the package against these second routes.
 
-The one exception is the per-point layout reference at the end: it is the
-package's earlier (B, N+1, 3) waypoint layout of the batch evaluation,
-kept to pin that the axis-by-axis layout gives the same bits.
+There are two exceptions, both at the end.  The per-point layout
+reference is the package's earlier (B, N+1, 3) waypoint layout of the
+batch evaluation, kept to pin that the axis-by-axis layout gives the
+same bits.  The exhaustive grid oracle enumerates a tiny scenario's free
+genes through ``LinkProblem.evaluate_batch`` and keeps its best point by
+``uavbsc.common.Incumbent``, the package's one ordering rule, so that
+solver runs can be compared with a grid best on the same fitness.
 
 The geometry helpers and the Monte-Carlo channel sampler are numpy-based
 but import nothing from the package: they give the tests a norm-based
@@ -20,10 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
+# Only the grid oracle uses the package's best-so-far rule.
+from uavbsc.common import Incumbent
 # Only the per-point layout reference uses the package's formula functions.
 from uavbsc.model import (
     doppler_factor,
@@ -549,3 +555,77 @@ def per_point_evaluate(problem, genomes) -> dict:
     tables = per_point_tables(problem, waypoints, split)
     margins = per_point_margins(problem, waypoints, split, tables)
     return {"waypoints": waypoints, "tables": tables, **margins}
+
+
+# ----------------------------------------------------------------------
+# Exhaustive grid oracle (tiny scenarios only)
+# ----------------------------------------------------------------------
+
+GRID_MAX_POINTS = 10_000_000
+GRID_MAX_SLOTS = 3
+_GRID_CHUNK = 4096
+
+
+@dataclass(eq=False)
+class GridResult:
+    """Best point of an exhaustive grid enumeration."""
+
+    genome: np.ndarray
+    fitness: float
+    objective_bps: float
+    feasible: bool
+    worst_violation: float
+    points_evaluated: int
+    resolution: int
+    free_gene_indices: List[int]
+
+
+def grid_oracle(problem, resolution: int) -> GridResult:
+    """Enumerate every grid point of the free genes and keep the best.
+
+    Only meant for small instances: refuses problems with more than
+    ``GRID_MAX_SLOTS`` slots and grids larger than ``GRID_MAX_POINTS``.
+    Points are evaluated in blocks of ``_GRID_CHUNK``; the winner is kept
+    by :class:`~uavbsc.common.Incumbent`, so ties on (fitness, worst
+    violation) go to the earliest point in lexicographic gene order.
+    """
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
+    n_slots = problem.params.slot_count
+    if n_slots > GRID_MAX_SLOTS:
+        raise ValueError(
+            f"grid oracle only supports up to {GRID_MAX_SLOTS} slots "
+            f"(scenario has {n_slots}); it would be astronomically large otherwise")
+
+    frozen = set(problem.frozen_gene_indices())
+    free = [g for g in range(problem.genome_size) if g not in frozen]
+    n_free = len(free)
+    total = resolution ** n_free
+    if total > GRID_MAX_POINTS:
+        raise ValueError(
+            f"grid of {resolution}^{n_free} = {total} points exceeds the "
+            f"{GRID_MAX_POINTS}-point guard")
+
+    levels = np.linspace(0.0, 1.0, resolution) if resolution > 1 else np.array([0.5])
+    weights = resolution ** np.arange(n_free - 1, -1, -1, dtype=np.int64)
+    base = np.full(problem.genome_size, 0.5)
+    best = Incumbent()
+    for start in range(0, total, _GRID_CHUNK):
+        idx = np.arange(start, min(start + _GRID_CHUNK, total), dtype=np.int64)
+        genomes = np.tile(base, (len(idx), 1))
+        genomes[:, free] = levels[(idx[:, None] // weights) % resolution]
+        genomes = problem.adjust(genomes)
+        ev = problem.evaluate_batch(genomes)
+        best.offer(genomes, ev.fitness, ev.worst_violation)
+
+    winner = problem.evaluate(best.genome)
+    return GridResult(
+        genome=best.genome,
+        fitness=winner.fitness,
+        objective_bps=winner.objective_bps,
+        feasible=winner.report.feasible,
+        worst_violation=winner.report.worst_violation,
+        points_evaluated=total,
+        resolution=resolution,
+        free_gene_indices=free,
+    )

@@ -33,6 +33,7 @@ from helpers import (
     small_system_params,
     uplink_kwargs,
 )
+from oracles import grid_oracle
 from uavbsc import ga as ga_mod
 from uavbsc import model
 from uavbsc import pso as pso_mod
@@ -42,7 +43,6 @@ from uavbsc.harness import (
     SOLVER_NAMES,
     SweepSpec,
     campaign_to_dict,
-    grid_oracle,
     make_solver_config,
     random_search,
     run_campaign,

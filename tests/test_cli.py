@@ -36,6 +36,20 @@ def test_no_command_is_a_usage_error(capsys):
     assert error_payload(err)["category"] == "usage"
 
 
+@pytest.mark.parametrize("command", [
+    ["oracle", "--resolution", "3"],
+    ["baseline", "--budget", "64"],
+], ids=["oracle", "baseline"])
+def test_removed_subcommand_is_a_usage_error(capsys, tmp_path, command):
+    out_file = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, *command, "--config", TINY,
+                             "--out", str(out_file))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert error_payload(err)["category"] == "usage"
+    assert out == "" and not out_file.exists()
+
+
 def test_unknown_solver_choice_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "run", "--config", TINY,
                            "--solver", "simplex")
@@ -87,20 +101,6 @@ def test_budget_below_one_is_a_usage_error_naming_the_flag(
     assert payload["message"].startswith("argument --budget: ")
     assert f"'{budget}'" in payload["message"]
     assert out == "" and not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("resolution", ["0", "-1"])
-def test_resolution_below_one_is_a_usage_error_naming_the_flag(
-        capsys, tmp_path, resolution):
-    code, out, err = run_cli(capsys, "oracle", "--config", TINY,
-                             f"--resolution={resolution}",
-                             "--out", str(tmp_path / "oracle.json"))
-    assert code == 2
-    payload = error_payload(err)
-    assert payload["category"] == "usage"
-    assert payload["message"].startswith("argument --resolution: ")
-    assert f"'{resolution}'" in payload["message"]
-    assert out == "" and not (tmp_path / "oracle.json").exists()
 
 
 def test_zero_workers_is_a_usage_error(capsys, tmp_path):
@@ -234,15 +234,8 @@ def test_impossible_budget_is_an_execution_error(capsys):
     assert error_payload(err)["category"] == "execution"
 
 
-def test_oracle_refuses_large_scenarios_as_execution_error(capsys):
-    code, _, err = run_cli(capsys, "oracle", "--config",
-                           str(REFERENCE_CONFIG), "--resolution", "3")
-    assert code == 4
-    assert "slots" in error_payload(err)["message"]
-
-
 # ----------------------------------------------------------------------
-# run / random baseline / oracle happy paths
+# run / random baseline happy paths
 # ----------------------------------------------------------------------
 
 def test_run_writes_artifact_without_timing(capsys, tmp_path):
@@ -277,19 +270,6 @@ def test_baseline_runs_random_search(capsys, tmp_path):
     artifact = json.loads(out.read_text(encoding="utf-8"))
     assert artifact["solver"] == "random"
     assert artifact["report"]["evaluations"] == 128
-
-
-def test_oracle_reports_grid_size(capsys, tmp_path):
-    out = tmp_path / "oracle.json"
-    code, stdout, _ = run_cli(capsys, "oracle", "--config", TINY,
-                              "--resolution", "3", "--out", str(out))
-    assert code == 0
-    assert "points=81" in stdout
-    payload = json.loads(out.read_text(encoding="utf-8"))
-    assert payload["points_evaluated"] == 81
-    assert payload["resolution"] == 3
-    assert len(payload["genome"]) == 5
-    assert payload["scenario"] == "tiny"
 
 
 # ----------------------------------------------------------------------
@@ -514,10 +494,14 @@ def test_a_diverging_swarm_keeps_the_error_contract(tmp_path, ipso):
     assert rows[0].count("genome genes must be finite") == 2
 
 
-def test_module_invocation_matches_entry_point(tmp_path):
+def test_module_invocation_matches_entry_point(capsys, tmp_path):
+    args = ["run", "--config", TINY, "--solver", "random", "--budget", "64",
+            "--no-timing"]
+    via_module, in_process = tmp_path / "module.json", tmp_path / "main.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "uavbsc.cli", "oracle", "--config", TINY,
-         "--resolution", "2"],
+        [sys.executable, "-m", "uavbsc.cli", *args, "--out", str(via_module)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "points=16" in proc.stdout
+    code, _, _ = run_cli(capsys, *args, "--out", str(in_process))
+    assert code == 0
+    assert via_module.read_bytes() == in_process.read_bytes()

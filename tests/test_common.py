@@ -1,6 +1,6 @@
-"""The one best-so-far rule shared by every solver and the grid oracle,
-the one initializer of both population-based solvers, the per-seed
-draws of a stacked solver loop, and the one driver of solver loops."""
+"""The one best-so-far rule shared by every solver, the one initializer
+of both population-based solvers, the per-seed draws of a stacked solver
+loop, and the one driver of solver loops."""
 
 import dataclasses
 

@@ -12,7 +12,8 @@ DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
-    assert len(DEMOS) >= 4
+    assert {path.name for path in DEMOS} == {
+        "link_model_tour.py", "solve_reference.py", "sweep_charging_power.py"}
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)

@@ -38,6 +38,10 @@ REMOVED = [
     ("config", "ScenarioConfig.canonical_text"),
     ("model", "SystemParams.euler_gamma"),
     ("encoding", "LinkProblem.encode"),
+    ("harness", "grid_oracle"),
+    ("harness", "GridResult"),
+    ("harness", "GRID_MAX_POINTS"),
+    ("harness", "GRID_MAX_SLOTS"),
 ]
 
 # (module, callable, parameter) triples removed from the package.
@@ -49,8 +53,6 @@ REMOVED_PARAMETERS = [
         ("harness", "random_steps"))],
     ("harness", "random_search", "chunk_size"),
     ("harness", "random_steps", "chunk_size"),
-    ("harness", "grid_oracle", "max_points"),
-    ("harness", "grid_oracle", "chunk_size"),
 ]
 
 
