@@ -462,6 +462,18 @@ def test_a_diverging_swarm_fails_its_own_step(tiny_scenario):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_diverging_swarm_fails_every_value_of_its_loop(tiny_scenario, workers):
+    # The swept values share the diverging solver config, so the swarm of
+    # every value fails, and each point keeps the same error.
+    diverging = tiny_scenario.with_value("solvers.ipso", DIVERGING_IPSO)
+    spec = SweepSpec("system.wpt_power_db", WPT_VALUES, ["ipso"], [0, 1])
+    points = run_sweep(diverging, spec, workers=workers)
+    assert [point.artifacts for point in points] == [[]] * len(WPT_VALUES)
+    assert len({point.error for point in points}) == 1
+    assert "must be finite" in points[0].error
+
+
 def test_sweep_point_medians_count_infeasible_as_zero(tiny_scenario):
     spec = SweepSpec(parameter="system.demanded_rate_bps",
                      values=[2.0e7, 1.0e15], solvers=["random"],
