@@ -8,12 +8,14 @@ of the package.
 
 Every solver loop has one shape: a generator that steps several seeds as
 one stack, yields the genome block of all its running seeds, seed after
-seed, is sent the block's :class:`~uavbsc.encoding.BatchEvaluation`, and
-returns one :class:`SolverReport` per seed.  :func:`drive` runs loops
-together, with one evaluation per tick, and a loop's error is its own
-outcome.  Each seed draws from its own generator (see :func:`draw`) and
-evaluation is row-wise, so a seed's report depends neither on its stack
-nor on the loops beside it.
+seed, together with the seed of each row (its position in the loop's
+seeds), is sent the block's :class:`~uavbsc.encoding.BatchEvaluation`,
+and returns one :class:`SolverReport` per seed.  The seeds of one loop
+may each have their own problem (see :func:`seed_problems`).
+:func:`drive` runs loops together, with one evaluation per tick, and a
+loop's error is its own outcome.  Each seed draws from its own generator
+(see :func:`draw`) and evaluation is row-wise, so a seed's report
+depends neither on its stack nor on the loops beside it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple, U
 
 import numpy as np
 
-from .encoding import BatchEvaluation, EvaluatedSolution, LinkProblem, evaluate_blocks
+from .encoding import BatchEvaluation, EvaluatedSolution, LinkProblem, RowEvaluator
 
 __all__ = [
     "STALL_TOL",
@@ -33,6 +35,7 @@ __all__ = [
     "SolverReport",
     "Incumbent",
     "SolverSteps",
+    "seed_problems",
     "drive",
     "run_alone",
     "draw",
@@ -175,18 +178,32 @@ class Incumbent:
         )
 
 
-# A solver loop: yields genome blocks, is sent their evaluations, and
-# returns one report per seed.
-SolverSteps = Generator[np.ndarray, BatchEvaluation, List[SolverReport]]
+# A solver loop: yields genome blocks with the seed of each row, is sent
+# their evaluations, and returns one report per seed.
+SolverSteps = Generator[Tuple[np.ndarray, np.ndarray], BatchEvaluation,
+                        List[SolverReport]]
 
 
-def drive(loops: Iterable[SolverSteps], problems: Iterable[LinkProblem]
+def seed_problems(problem, seeds: Sequence[int]) -> List[LinkProblem]:
+    """One problem per seed of a solver loop.
+
+    ``problem`` is the problem of every seed, or a sequence of one per
+    seed; these share a ``geometry``, so the loop adjusts and starts every
+    seed alike, and each seed's report comes from its own problem.
+    """
+    return [problem] * len(seeds) if isinstance(problem, LinkProblem) else list(problem)
+
+
+def drive(loops: Iterable[SolverSteps], problems: Iterable
           ) -> List[Tuple[Union[List[SolverReport], ValueError], float]]:
     """Run solver loops together, with one ``evaluate_batch`` per tick.
 
-    ``problems`` holds one problem per loop, all with one geometry.  Each
-    tick evaluates the running loops' pending blocks, in loop order, in
-    one call (:func:`~uavbsc.encoding.evaluate_blocks`) and sends each
+    ``problems`` holds each loop's problem, or its problems one per seed
+    (see :func:`seed_problems`), all with one geometry.  The parameter
+    fields in which they differ are tabulated once per drive
+    (:class:`~uavbsc.encoding.RowEvaluator`).  Each tick evaluates the
+    running loops' pending blocks, in loop order, in one call, each row
+    with its own seed's parameters as per-row columns, and sends each
     loop its own rows.  Returns one ``(outcome, busy_s)`` pair per loop:
     its reports, or the ``ValueError`` that ended its step, and its own
     time (inside ``next`` and ``send``) plus its row share of each
@@ -194,15 +211,19 @@ def drive(loops: Iterable[SolverSteps], problems: Iterable[LinkProblem]
     come out of :meth:`~uavbsc.encoding.LinkProblem.adjust`, so an
     evaluation error (a raw invalid block) propagates at once.
     """
-    running = dict(enumerate(zip(loops, problems)))  # in loop order
+    seats = [[p] if isinstance(p, LinkProblem) else list(p) for p in problems]
+    evaluate = RowEvaluator([p for loop_seats in seats for p in loop_seats])
+    first_seat = np.cumsum([0] + [len(loop_seats) for loop_seats in seats]).tolist()
+    running = dict(enumerate(loops))  # in loop order
     blocks: Dict[int, np.ndarray] = {}
+    owners: Dict[int, np.ndarray] = {}  # the seed of each row of a block
     outcomes: list = [None] * len(running)
     busy = [0.0] * len(running)
 
     def advance(j: int, value) -> None:
         started = perf_counter()
         try:
-            blocks[j] = running[j][0].send(value)
+            blocks[j], owners[j] = running[j].send(value)
         except (StopIteration, ValueError) as end:  # the loop's outcome
             outcomes[j] = end.value if isinstance(end, StopIteration) else end
             del running[j]
@@ -213,7 +234,12 @@ def drive(loops: Iterable[SolverSteps], problems: Iterable[LinkProblem]
     while running:
         started = perf_counter()
         order = list(running)
-        ev = evaluate_blocks([running[j][1] for j in order], [blocks[j] for j in order])
+        genomes = [blocks[j] for j in order]
+        # Each row's problem, as a seat index; a loop's one problem is one seat.
+        which = np.concatenate([owners[j] % len(seats[j]) + first_seat[j]
+                                for j in order]) if evaluate.table else None
+        ev = evaluate(genomes[0] if len(order) == 1 else np.concatenate(genomes),
+                      which)
         cuts = np.cumsum([0] + [len(blocks[j]) for j in order]).tolist()
         seconds = perf_counter() - started
         for j, lo, hi in zip(order, cuts, cuts[1:]):

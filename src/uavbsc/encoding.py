@@ -54,6 +54,7 @@ __all__ = [
     "SlotTable",
     "BatchEvaluation",
     "LinkProblem",
+    "RowEvaluator",
     "evaluate_blocks",
 ]
 
@@ -76,7 +77,7 @@ _SPEED_TOL = 1.0e-12
 # stay small (64 KB each at 8 slots) whatever the stack's size.
 _PASS_ROWS = 1024
 
-# The numeric parameter fields (see evaluate_blocks): those with a range rule.
+# The numeric parameter fields (see RowEvaluator): those with a range rule.
 _RULED = {f.name for cls in (SystemParams, PropulsionParams)
           for f in fields(cls) if "rule" in f.metadata}
 
@@ -236,10 +237,12 @@ class LinkProblem:
         self.n_interior = n - 1
         self.genome_size = 3 * (n - 1) + n
         self.split_offset = 3 * (n - 1)
-        # What the problems of one pass share, and its columns (evaluate_blocks).
+        # What the problems of one pass and of one solver loop share, and the
+        # per-row parameter columns of a RowEvaluator's own copy.
         self._columns = {}
-        self.geometry = (n, params.bounds_m, penalty_mode, rate_weighting, *(
-            tuple(p.tolist()) for p in (self.source, self.user, self.start, self.goal)))
+        self.geometry = (n, params.bounds_m, penalty_mode, rate_weighting,
+                         self.fixed_altitude, *(tuple(p.tolist()) for p in (
+                             self.source, self.user, self.start, self.goal)))
 
         bounds = np.asarray(params.bounds_m, dtype=np.float64)
         self._lo = bounds[:, 0]
@@ -360,10 +363,19 @@ class LinkProblem:
         geometry.
         """
         p = self.params
+        n, rows = split.shape
+        # One norm gives the slot-start distances to the source and to the
+        # user, the hop lengths, and the start and goal deviations.
+        d = np.empty((3, 3 * n + 2, rows))
         starts = waypoints[:, :-1]
-        d_su = _norm3(starts - self.source[:, None, None])
-        d_du = _norm3(starts - self.user[:, None, None])
-        hops = _norm3(waypoints[:, 1:] - starts)
+        np.subtract(starts, self.source[:, None, None], out=d[:, :n])
+        np.subtract(starts, self.user[:, None, None], out=d[:, n:2 * n])
+        np.subtract(waypoints[:, 1:], starts, out=d[:, 2 * n:3 * n])
+        np.subtract(waypoints[:, 0], self.start[:, None], out=d[:, 3 * n])
+        np.subtract(waypoints[:, n], self.goal[:, None], out=d[:, 3 * n + 1])
+        norms = _norm3(d)
+        del d  # hold fewer per-slot arrays at once
+        d_su, d_du, hops = norms[:n], norms[n:2 * n], norms[2 * n:3 * n]
         sigma = p.slot_duration_s
         speeds = hops / sigma
         corr = doppler_factor(speeds, p)
@@ -372,20 +384,25 @@ class LinkProblem:
         r_dn = rate_downlink(d_su, d_du, corr, p, terms)
         harvested = harvested_energy_slot(d_su, split, p, terms)
         del terms  # unused below: hold fewer per-slot arrays at once
-        weighted_up, weighted_dn = ((r_up * split, r_dn * split)
-                                    if self.rate_weighting == "delta" else (r_up, r_dn))
+        # The four summed slot terms, folded together: weighted up and down
+        # rates, harvested and consumed energy.
+        slots = np.empty((n, 4, rows))
+        slots[:, 0], slots[:, 1], slots[:, 2] = r_up, r_dn, harvested
+        if self.rate_weighting == "delta":
+            slots[:, :2] *= split[:, None]
+        weighted_up, weighted_dn = slots[:, 0], slots[:, 1]
         fly_j = flying_power(speeds, self.propulsion)
         fly_j *= sigma
-        backscatter_j = split * sigma * p.backscatter_circuit_power_w
-        cache_j = split * sigma * p.ub_tx_power_w
-        consumed = fly_j + backscatter_j
+        active_s = split * sigma
+        backscatter_j = active_s * p.backscatter_circuit_power_w
+        cache_j = np.multiply(active_s, p.ub_tx_power_w, out=active_s)
+        consumed = np.add(fly_j, backscatter_j, out=slots[:, 3])
         consumed += cache_j
 
-        sum_up = _slot_sum(weighted_up)
-        sum_dn = _slot_sum(weighted_dn)
-        sum_harvest = _slot_sum(harvested)
-        sum_consume = _slot_sum(consumed)
+        sum_up, sum_dn, sum_harvest, sum_consume = _slot_sum(slots)
         cache_credit = p.cached_fraction * p.demanded_rate_bps
+        credit_up = cache_credit + sum_up
+        abs_dn = np.abs(sum_dn)
         max_hop = p.max_speed_mps * sigma
 
         def sum_constraint(margin, magnitude):  # held to _REL_TOL of its scale
@@ -396,16 +413,14 @@ class LinkProblem:
         # least 1 - split, and minus the start and goal deviations.
         bounds = np.minimum.reduce(split)
         np.minimum(bounds, np.minimum.reduce(np.subtract(1.0, split)), out=bounds)
-        for end, point in ((0, self.start), (-1, self.goal)):
-            np.minimum(bounds, -_norm3(waypoints[:, end] - point[:, None]),
-                       out=bounds)
+        for deviation in np.negative(norms[3 * n:], out=norms[3 * n:]):
+            np.minimum(bounds, deviation, out=bounds)
         # Each constraint is (margin, scale, slack): it holds when
         # margin >= -slack, and it is violated by -margin / scale.
         constraints = {
-            "cache_balance": sum_constraint(cache_credit + sum_up - sum_dn,
-                                            cache_credit + sum_up + np.abs(sum_dn)),
+            "cache_balance": sum_constraint(credit_up - sum_dn, credit_up + abs_dn),
             "rate_demand": sum_constraint(sum_dn - p.demanded_rate_bps,
-                                          np.abs(sum_dn) + p.demanded_rate_bps),
+                                          abs_dn + p.demanded_rate_bps),
             "energy": sum_constraint(sum_harvest - sum_consume,
                                      sum_harvest + sum_consume),
             "speed": (np.minimum.reduce(max_hop - hops), np.maximum(1.0, max_hop),
@@ -477,22 +492,17 @@ class LinkProblem:
             report=report,
         )
 
-    def _pass(self, lo: int) -> "LinkProblem":
-        """This problem with its parameter columns cut to the pass at row ``lo``."""
-        if not self._columns:
-            return self
-        problem = copy.copy(self)
-        problem.params = copy.copy(self.params)
-        problem.propulsion = copy.copy(self.propulsion)
+    def _evaluate_pass(self, arr: np.ndarray, lo: int) -> dict:
+        """:meth:`_evaluate_stack` of the pass at row ``lo``, with the
+        parameter columns (if any) cut to it."""
         for (attr, name), column in self._columns.items():  # rules unchecked
-            object.__setattr__(getattr(problem, attr), name, column[lo:lo + _PASS_ROWS])
-        return problem
+            object.__setattr__(getattr(self, attr), name, column[lo:lo + _PASS_ROWS])
+        return self._evaluate_stack(*self._decode_stack(arr[lo:lo + _PASS_ROWS]))
 
     def evaluate_batch(self, genomes) -> BatchEvaluation:
         """Evaluate a stack of genomes, shape (B, dim), ``_PASS_ROWS`` at a time."""
         arr = self._check_genome(genomes, stacked=True)
-        passes = [self._pass(lo)._evaluate_stack(
-                      *self._decode_stack(arr[lo:lo + _PASS_ROWS]))
+        passes = [self._evaluate_pass(arr, lo)
                   for lo in range(0, len(arr), _PASS_ROWS) or [0]]
         join = np.concatenate if len(passes) > 1 else (lambda arrays: arrays[0])
         return BatchEvaluation(arr, *(
@@ -500,26 +510,46 @@ class LinkProblem:
             for key in ("objective", "fitness", "feasible", "worst")))
 
 
-def evaluate_blocks(problems: Sequence[LinkProblem],
-                    blocks: Sequence[np.ndarray]) -> BatchEvaluation:
-    """One ``evaluate_batch`` of the stacked blocks, block k on problem k.
+class RowEvaluator:
+    """Rows that each belong to one of ``problems``, in one ``evaluate_batch``.
 
-    The first problem evaluates, with each numeric parameter field that
-    differs among the problems, which must share their ``geometry``, as a
-    per-row column.  Evaluation is row-wise, so every row keeps the bits
-    of its own problem.
+    The problems must share a ``geometry``.  The numeric parameter fields
+    in which they differ are tabulated once, one value per problem; a call
+    hands each row its own problem's values as per-row columns of a copy
+    of the first problem.  Evaluation is row-wise, so every row keeps the
+    bits of its own problem.
     """
-    first = problems[0]
-    if any(p is not first for p in problems):
+
+    def __init__(self, problems: Sequence[LinkProblem]) -> None:
+        first = self.problem = problems[0]
+        self.table = {}  # (attr, field) -> the field's value in each problem
+        if all(p is first for p in problems):
+            return
         if any(p.geometry != first.geometry for p in problems):
             raise ValueError("problems evaluated together must share a geometry")
-        first, rows = copy.copy(first), [len(block) for block in blocks]
-        first._columns = {}
         for attr in ("params", "propulsion"):
             bundles = [vars(getattr(p, attr)) for p in problems]
             for name, value in bundles[0].items():
                 values = [bundle[name] for bundle in bundles]
                 if name in _RULED and values.count(value) < len(values):
-                    first._columns[attr, name] = np.repeat(
-                        np.array(values, dtype=float), rows)
-    return first.evaluate_batch(np.concatenate(blocks))
+                    self.table[attr, name] = np.array(values, dtype=float)
+        if self.table:  # a copy whose parameter bundles take the columns
+            self.problem = copy.copy(first)
+            self.problem.params = copy.copy(first.params)
+            self.problem.propulsion = copy.copy(first.propulsion)
+
+    def __call__(self, genomes: np.ndarray, which) -> BatchEvaluation:
+        """Row ``i`` evaluated on ``problems[which[i]]``; ``which`` is read
+        only when the table is not empty."""
+        if self.table:
+            self.problem._columns = {key: values[which]
+                                     for key, values in self.table.items()}
+        return self.problem.evaluate_batch(genomes)
+
+
+def evaluate_blocks(problems: Sequence[LinkProblem],
+                    blocks: Sequence[np.ndarray]) -> BatchEvaluation:
+    """One ``evaluate_batch`` of the stacked blocks, block k on problem k
+    (see :class:`RowEvaluator`)."""
+    which = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+    return RowEvaluator(problems)(np.concatenate(blocks), which)

@@ -24,6 +24,7 @@ from .common import (
     initial_population,
     masked_gaussian_offsets,
     run_alone,
+    seed_problems,
 )
 from .encoding import LinkProblem
 from .model import (
@@ -179,14 +180,15 @@ def run(cfg: GaConfig, problem: LinkProblem) -> SolverReport:
     return run_alone(steps(cfg, problem), problem)
 
 
-def steps(cfg: GaConfig, problem: LinkProblem,
+def steps(cfg: GaConfig, problem,
           seeds: Optional[Sequence[int]] = None) -> SolverSteps:
     """The GA over a (seeds, size, dim) stack (see :mod:`uavbsc.common`).
 
-    Each seed (default: ``cfg.seed``) has its own generator, and leaves
-    the stack at the generation limit, after ``stall_limit`` generations
-    without a best-fitness improvement beyond ``STALL_TOL``, or when the
-    next generation would exceed ``max_evaluations``.
+    Each seed (default: ``cfg.seed``) has its own generator, and its own
+    problem if ``problem`` is a sequence (see :mod:`uavbsc.common`).  A
+    seed leaves the stack at the generation limit, after ``stall_limit``
+    generations without a best-fitness improvement beyond ``STALL_TOL``,
+    or when the next generation would exceed ``max_evaluations``.
     """
     size = cfg.population_size
     budget = cfg.max_evaluations
@@ -194,6 +196,8 @@ def steps(cfg: GaConfig, problem: LinkProblem,
         raise ValueError(
             f"evaluation budget {budget} cannot fit one population of {size}")
     seeds = [cfg.seed] if seeds is None else [int(seed) for seed in seeds]
+    problems = seed_problems(problem, seeds)
+    problem = problems[0]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     best = [Incumbent() for _ in seeds]
     stall = np.zeros(len(seeds), dtype=int)
@@ -203,7 +207,7 @@ def steps(cfg: GaConfig, problem: LinkProblem,
     paired = size - size % 2  # pairs (0, 1), (2, 3), ... cross; an odd last is copied
 
     pop = initial_population(problem, size, cfg.init_mean, cfg.init_std, rngs)
-    ev = yield pop.reshape(-1, problem.genome_size)
+    ev = yield pop.reshape(-1, problem.genome_size), np.repeat(live, size)
     fit = ev.fitness.reshape(-1, size)
     worst = ev.worst_violation.reshape(-1, size)
 
@@ -234,7 +238,7 @@ def steps(cfg: GaConfig, problem: LinkProblem,
             pool[:, 0:paired:2], pool[:, 1:paired:2], cfg, stack)
         children = problem.adjust(mutate(children, cfg, stack))
 
-        cev = yield children.reshape(-1, problem.genome_size)
+        cev = yield children.reshape(-1, problem.genome_size), np.repeat(live, size)
         spent[live] += size
         pop = np.concatenate([children, pool[:, :n_elite]], axis=1)
         fit = np.concatenate(
@@ -242,6 +246,6 @@ def steps(cfg: GaConfig, problem: LinkProblem,
         worst = np.concatenate(
             [cev.worst_violation.reshape(-1, size), worst[:, :n_elite]], axis=1)
 
-    return [best[k].report(problem, "ga", seed, int(spent[k]), budget,
+    return [best[k].report(problems[k], "ga", seed, int(spent[k]), budget,
                            {**config_snapshot(cfg), "seed": seed})
             for k, seed in enumerate(seeds)]

@@ -19,6 +19,7 @@ import csv
 import itertools
 import json
 import time
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -27,7 +28,8 @@ import numpy as np
 
 from . import ga as ga_mod
 from . import pso as pso_mod
-from .common import Incumbent, SolverReport, SolverSteps, draw, drive, run_alone
+from .common import (Incumbent, SolverReport, SolverSteps, draw, drive, run_alone,
+                     seed_problems)
 from .config import SOLVER_CONFIGS, ConfigError, ScenarioConfig
 from .encoding import LinkProblem
 
@@ -117,15 +119,16 @@ def make_solver_config(scenario: ScenarioConfig, solver: str, seed: int,
 
 
 def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
-               budget: Optional[int], problem: LinkProblem) -> SolverSteps:
-    """The stacked loop of one solver over ``seeds`` on a built scenario;
-    its solver config is made, and may fail, in the loop's first step."""
+               budget: Optional[int], problems) -> SolverSteps:
+    """The stacked loop of one solver over ``seeds`` on their problems, with
+    the solver settings of ``scenario``; its solver config is made, and may
+    fail, in the loop's first step."""
     cfg = make_solver_config(scenario, solver, seeds[0], budget)
     if cfg is None:
         return (yield from random_steps(
-            problem, RANDOM_DEFAULT_BUDGET if budget is None else budget, seeds))
+            problems, RANDOM_DEFAULT_BUDGET if budget is None else budget, seeds))
     steps = ga_mod.steps if isinstance(cfg, ga_mod.GaConfig) else pso_mod.steps
-    return (yield from steps(cfg, problem, seeds))
+    return (yield from steps(cfg, problems, seeds))
 
 
 def run_single(scenario: ScenarioConfig, solver: str, seed: int,
@@ -166,35 +169,41 @@ def _as_seed_list(seeds) -> List[int]:
 def _run_slice(runs: Sequence[tuple], budget: Optional[int]) -> list:
     """One result per ``(scenario, solver, seed)`` run, in run order.
 
-    Each stretch of runs on one scenario object builds one problem, and
-    its stretches of same-solver runs are stacked loops.  Consecutive
-    scenarios whose problems share a geometry (a sweep over a physics
-    scalar, not over the slot count or the altitude) run all their loops
-    in one :func:`~uavbsc.common.drive`.  An artifact's ``wall_clock_s``
-    is its loop's busy time split evenly over its seeds.  Each run of a
-    loop that raised ``ValueError`` (``ConfigError`` included) gets that
-    error, so a failed loop fails its own runs only.
+    Each stretch of runs on one scenario object builds one problem.
+    Consecutive scenarios whose problems share a geometry (a sweep over a
+    physics scalar, not over the slot count or the altitude) run in one
+    :func:`~uavbsc.common.drive`.  Among them, consecutive scenarios with
+    equal solver settings (a sweep over a ``system.*`` or ``propulsion.*``
+    scalar) share one stacked loop per solver over all their seeds, value
+    after value, each seed on its own value's problem.  An artifact's
+    ``wall_clock_s`` is its loop's busy time split evenly over all the
+    loop's seeds.  Each run of a loop that raised ``ValueError``
+    (``ConfigError`` included) gets that error, so a failed loop fails
+    its own runs only.
     """
-    results = []
-    stretches = [list(stretch) for _, stretch in
-                 itertools.groupby(runs, key=lambda run: run[0])]
-    built = [(stretch, stretch[0][0].build_problem()) for stretch in stretches]
-    for _, fused in itertools.groupby(built, key=lambda sp: sp[1].geometry):
-        groups = [(scenario, solver, problem, [seed for *_, seed in group])
-                  for stretch, problem in fused for (scenario, solver), group
-                  in itertools.groupby(stretch, key=lambda run: run[:2])]
-        driven = drive([_run_group(scenario, solver, seeds, budget, problem)
-                        for scenario, solver, problem, seeds in groups],
-                       [problem for _, _, problem, _ in groups])
-        for (scenario, solver, _, seeds), (outcome, busy) in zip(groups, driven):
-            if isinstance(outcome, ValueError):
-                results += [outcome] * len(seeds)
-                continue
-            digest = scenario.scenario_hash()
-            results += [RunArtifact(scenario.name, digest, solver, int(seed),
-                                    None if budget is None else int(budget),
-                                    report, busy / len(seeds))
-                        for seed, report in zip(seeds, outcome)]
+    results: list = [None] * len(runs)
+    stretches = [(scenario, scenario.build_problem(), list(stretch))
+                 for scenario, stretch in itertools.groupby(
+                     enumerate(runs), key=lambda item: item[1][0])]
+    for _, fused in itertools.groupby(stretches, key=lambda st: st[1].geometry):
+        loops = []  # (solver, [(run index, seed, scenario, problem)]) per loop
+        for _, merged in itertools.groupby(fused, lambda st: st[0].solver_overrides):
+            members: dict = {}
+            for scenario, problem, stretch in merged:
+                for index, (_, solver, seed) in stretch:
+                    members.setdefault(solver, []).append(
+                        (index, seed, scenario, problem))
+            loops += members.items()
+        problems = [[problem for *_, problem in group] for _, group in loops]
+        driven = drive([_run_group(group[0][2], solver, [run[1] for run in group],
+                                   budget, own)
+                        for (solver, group), own in zip(loops, problems)], problems)
+        for (solver, group), (outcome, busy) in zip(loops, driven):
+            for k, (index, seed, scenario, _) in enumerate(group):
+                results[index] = outcome if isinstance(outcome, ValueError) else \
+                    RunArtifact(scenario.name, scenario.scenario_hash(), solver,
+                                int(seed), None if budget is None else int(budget),
+                                outcome[k], busy / len(group))
     return results
 
 
@@ -255,7 +264,7 @@ def random_search(problem: LinkProblem, budget: int,
     return run_alone(random_steps(problem, budget, [seed]), problem)
 
 
-def random_steps(problem: LinkProblem, budget: int,
+def random_steps(problem, budget: int,
                  seeds: Sequence[int] = (0,)) -> SolverSteps:
     """Random search over a stack of seeds (see :mod:`uavbsc.common`).
 
@@ -267,6 +276,8 @@ def random_steps(problem: LinkProblem, budget: int,
     if budget < 1:
         raise ValueError("random search needs a budget of at least 1")
     seeds = [int(seed) for seed in seeds]
+    problems = seed_problems(problem, seeds)
+    problem = problems[0]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     dim = problem.genome_size
 
@@ -276,7 +287,7 @@ def random_steps(problem: LinkProblem, budget: int,
     while evaluations < budget:
         n = min(_RANDOM_CHUNK, budget - evaluations)
         genomes = problem.adjust(draw(rngs, "random", (len(seeds), n, dim)))
-        ev = yield genomes.reshape(-1, dim)
+        ev = yield genomes.reshape(-1, dim), np.repeat(np.arange(len(seeds)), n)
         evaluations += n
         block += 1
         fitness = ev.fitness.reshape(-1, n)
@@ -285,9 +296,9 @@ def random_steps(problem: LinkProblem, budget: int,
         for b, mean in zip(best, np.mean(fitness, axis=1).tolist()):
             b.record(block, mean, evaluations)
 
-    return [b.report(problem, "random", seed, evaluations, int(budget),
+    return [b.report(own, "random", seed, evaluations, int(budget),
                      {"chunk_size": _RANDOM_CHUNK})
-            for b, seed in zip(best, seeds)]
+            for b, seed, own in zip(best, seeds, problems)]
 
 
 # ----------------------------------------------------------------------
@@ -441,10 +452,52 @@ def sweep_summary(points: Sequence[SweepPoint]) -> List[dict]:
     return rows
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The JSON text of a scalar of each type (bool before its base class int).
+_SCALARS = {str: encode_basestring_ascii,
+            float: lambda value: _NON_FINITE.get(text := float.__repr__(value), text),
+            bool: lambda value: "true" if value else "false", int: int.__repr__,
+            type(None): lambda value: "null"}
+
+
+def _scalar_text(value, refusal: str) -> str:
+    """The JSON text of a scalar, of a subclass too; anything else raises
+    ``TypeError(refusal)``, the value's type named in it."""
+    for kind, text in _SCALARS.items():
+        if isinstance(value, kind):
+            return text(value)
+    raise TypeError(refusal.format(type(value).__name__))
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
+    nested at ``indent`` (a newline, then two spaces a level)."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        ends, items = "[]", [_json_text(item, inner) for item in value]
+    elif isinstance(value, dict):
+        ends, items = "{}", [encode_basestring_ascii(
+            key if isinstance(key, str) else _scalar_text(
+                key, "keys must be str, int, float, bool or None, not {}"))
+            + ": " + _json_text(item, inner) for key, item in sorted(value.items())]
+    else:
+        return _scalar_text(value, "Object of type {} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 def write_json(path, payload) -> None:
-    """Write an artifact as JSON: sorted keys, two-space indent, final newline."""
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write an artifact as JSON: sorted keys, two-space indent, final newline.
+
+    The text is ``json.dumps(payload, indent=2, sort_keys=True)``'s, built
+    level by level rather than by the pure-Python encoder ``json`` falls
+    back to whenever it indents.
+    """
+    Path(path).write_text(_json_text(payload, "\n") + "\n", encoding="utf-8")
 
 
 def write_csv(path, rows: Sequence[dict]) -> None:

@@ -468,10 +468,6 @@ def _check_distance(d) -> np.ndarray:
     return arr
 
 
-def _maybe_float(value):
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def doppler_factor(speed, params: SystemParams):
     """Channel time-selectivity factor in [0, 1] for a cruise speed.
 
@@ -483,7 +479,21 @@ def doppler_factor(speed, params: SystemParams):
     arg /= params.light_speed_mps  # the Doppler spread (Hz)
     arg *= 2.0 * math.pi
     arg *= params.sampling_time_s
-    return _maybe_float(np.minimum(np.square(bessel_j0(arg)), 1.0))
+    corr = bessel_j0(arg)
+    if np.ndim(corr) == 0:
+        return float(np.minimum(np.square(corr), 1.0))
+    np.square(corr, out=corr)
+    return np.minimum(corr, 1.0, out=corr)
+
+
+def _rate(bandwidth, snr):
+    """``bandwidth * log2(1 + snr)``, in place in an array ``snr``."""
+    if np.ndim(snr) == 0:
+        return float(bandwidth * np.log2(1.0 + snr))
+    snr += 1.0
+    np.log2(snr, out=snr)
+    snr *= bandwidth
+    return snr
 
 
 def _power(base, exponent):
@@ -528,7 +538,7 @@ def rate_uplink(d_su, correlation, params: SystemParams, terms=None):
     snr = corr_sq * (math.exp(-EULER_GAMMA) * params.ref_gain)
     snr *= params.source_power_w
     snr /= eff_noise
-    return _maybe_float(params.bandwidth_hz * np.log2(1.0 + snr))
+    return _rate(params.bandwidth_hz, snr)
 
 
 def rate_downlink(d_su, d_du, correlation, params: SystemParams, terms=None):
@@ -543,19 +553,23 @@ def rate_downlink(d_su, d_du, correlation, params: SystemParams, terms=None):
     d_du = _check_distance(d_du)
     eff_noise = stale_noise + params.noise_var_downlink_w
     # libm's pow, as Python's ** takes it, for a scalar or a column alike
-    eff_noise += np.square(stale) * np.float_power(params.noise_var_estimation_w, 2)
+    stale_sq = np.square(stale)
+    stale_sq *= np.float_power(params.noise_var_estimation_w, 2)
+    eff_noise += stale_sq
     cache_power = params.cache_indicator * params.ub_tx_power_w
     snr = np.square(corr_sq)  # the reflected component, then the SNR
     snr *= params.backscatter_coeff
     snr *= params.ref_gain
     snr *= params.source_power_w
-    snr += corr_sq * cache_power * path_loss  # the cached component
+    cached = corr_sq * cache_power  # the cached component
+    cached *= path_loss
+    snr += cached
     snr *= math.exp(-EULER_GAMMA) * params.ref_gain
     two_hop = _power(np.asarray(d_su, dtype=np.float64) * d_du,
                      params.path_loss_exp)
     two_hop *= eff_noise
     snr /= two_hop
-    return _maybe_float(params.bandwidth_hz * np.log2(1.0 + snr))
+    return _rate(params.bandwidth_hz, snr)
 
 
 # ======================================================================
@@ -574,7 +588,7 @@ def harvested_energy_slot(d_su, split, params: SystemParams, terms=None):
     energy *= params.slot_duration_s
     energy *= params.wpt_power_w
     energy /= path_loss
-    return _maybe_float(energy)
+    return float(energy) if np.ndim(energy) == 0 else energy
 
 
 def flying_power(speed, propulsion: PropulsionParams):
@@ -584,16 +598,23 @@ def flying_power(speed, propulsion: PropulsionParams):
     a = induced_speed_factor * v^2 is evaluated in the cancellation-free
     form 1 / sqrt(sqrt(1 + a^2) + a).
     """
-    v = np.asarray(speed, dtype=np.float64)
+    v = np.atleast_1d(np.asarray(speed, dtype=np.float64))
     if (v < 0.0).any():
         raise ValueError("speed must be nonnegative")
     v2 = np.square(v)
     a = v2 * propulsion.induced_speed_factor
-    induced = 1.0 / np.sqrt(np.sqrt(1.0 + np.square(a)) + a)
+    induced = np.square(a)
+    induced += 1.0
+    np.sqrt(induced, out=induced)
+    induced += a
+    np.sqrt(induced, out=induced)
+    np.divide(1.0, induced, out=induced)
     induced *= propulsion.induced_power_w
     power = v2 * propulsion.profile_speed_factor
     power += 1.0
     power *= propulsion.profile_power_w
     power += induced
-    power += propulsion.parasite_drag_factor * v2 * v
-    return _maybe_float(power)
+    v2 *= propulsion.parasite_drag_factor
+    v2 *= v
+    power += v2
+    return power if np.ndim(speed) else float(power[0])

@@ -25,6 +25,7 @@ from .common import (
     initial_population,
     masked_gaussian_offsets,
     run_alone,
+    seed_problems,
 )
 from .encoding import LinkProblem
 from .model import (
@@ -146,11 +147,12 @@ def run(cfg: PsoConfig, problem: LinkProblem) -> SolverReport:
     return run_alone(steps(cfg, problem), problem)
 
 
-def steps(cfg: PsoConfig, problem: LinkProblem,
+def steps(cfg: PsoConfig, problem,
           seeds: Optional[Sequence[int]] = None) -> SolverSteps:
     """The swarm over a (seeds, size, dim) stack (see :mod:`uavbsc.common`).
 
-    Each seed (default: ``cfg.seed``) has its own generator.  Per
+    Each seed (default: ``cfg.seed``) has its own generator, and its own
+    problem if ``problem`` is a sequence (see :mod:`uavbsc.common`).  Per
     iteration: velocities and positions update against the previous
     iteration's global best, particles are re-evaluated, personal bests
     then the global best are refreshed, and (improved variant) the
@@ -165,6 +167,8 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
         raise ValueError(
             f"evaluation budget {budget} cannot fit one swarm of {size}")
     seeds = [cfg.seed] if seeds is None else [int(seed) for seed in seeds]
+    problems = seed_problems(problem, seeds)
+    problem = problems[0]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     best = [Incumbent() for _ in seeds]
     spent = np.full(len(seeds), size)  # evaluations of each seed
@@ -175,7 +179,7 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
     positions = initial_population(
         problem, size, cfg.init_mean, cfg.init_std, rngs)
     velocities = np.zeros_like(positions)
-    ev = yield positions.reshape(-1, problem.genome_size)
+    ev = yield positions.reshape(-1, problem.genome_size), np.repeat(live, size)
 
     personal_x = positions.copy()
     personal_fit = ev.fitness.reshape(-1, size).copy()
@@ -203,7 +207,7 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
         velocities = update_velocity(positions, velocities, personal_x,
                                      leaders, inertia, cfg, stack)
         positions = problem.adjust(positions + velocities)
-        ev = yield positions.reshape(-1, problem.genome_size)
+        ev = yield positions.reshape(-1, problem.genome_size), np.repeat(live, size)
         spent[live] += size
 
         fitness = ev.fitness.reshape(-1, size)
@@ -227,7 +231,7 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
                 # Exact for a seed that moves no row: its positions are
                 # already adjusted, and its offsets are all +0.0.
                 positions = problem.adjust(positions + offsets)
-                mev = yield positions[moved]
+                mev = yield positions[moved], live[np.nonzero(moved)[0]]
                 spent[live] += np.count_nonzero(moved, axis=1)
                 better = mev.fitness < personal_fit[moved]
                 upd = moved.copy()
@@ -236,6 +240,6 @@ def steps(cfg: PsoConfig, problem: LinkProblem,
                 personal_fit[upd] = mev.fitness[better]
                 personal_worst[upd] = mev.worst_violation[better]
 
-    return [best[k].report(problem, cfg.variant, seed, int(spent[k]), budget,
+    return [best[k].report(problems[k], cfg.variant, seed, int(spent[k]), budget,
                            {**config_snapshot(cfg), "seed": seed})
             for k, seed in enumerate(seeds)]

@@ -162,12 +162,13 @@ def test_initial_population_is_one_normal_draw_then_adjust(tiny_problem):
 def test_both_solvers_start_from_the_shared_initializer(tiny_problem):
     want = initial_population(tiny_problem, 6, None, 0.2,
                               np.random.default_rng(4))
-    first_ga = next(ga.steps(ga.GaConfig(population_size=6, seed=4),
-                             tiny_problem))
-    first_pso = next(pso.steps(pso.PsoConfig(swarm_size=6, seed=4),
-                               tiny_problem))
+    first_ga, ga_seeds = next(ga.steps(ga.GaConfig(population_size=6, seed=4),
+                                       tiny_problem))
+    first_pso, pso_seeds = next(pso.steps(pso.PsoConfig(swarm_size=6, seed=4),
+                                          tiny_problem))
     assert first_ga.tobytes() == want.tobytes()
     assert first_pso.tobytes() == want.tobytes()
+    assert ga_seeds.tolist() == pso_seeds.tolist() == [0] * 6
 
 
 def test_draw_fills_each_layer_of_a_stack_from_its_own_generator():
@@ -194,8 +195,8 @@ def test_initial_population_of_a_stack_is_each_seed_alone(tiny_problem):
 
 
 def _loop(problem, ticks, bad=None, seen=None, raw=False):
-    """A solver loop of ``ticks`` one-genome blocks; ``bad`` maps a tick to
-    the gene value that spoils its block, or to an exception to raise.
+    """A one-seed solver loop of ``ticks`` one-genome blocks; ``bad`` maps a
+    tick to the gene value that spoils its block, or to an exception to raise.
 
     A spoiled block passes through ``adjust``, as every solver block does,
     unless ``raw``: then it is yielded as it is."""
@@ -209,7 +210,7 @@ def _loop(problem, ticks, bad=None, seen=None, raw=False):
             block[0, 0] = spoil
             if not raw:
                 block = problem.adjust(block)
-        ev = yield block
+        ev = yield block, np.zeros(1, dtype=int)
         if seen is not None:
             seen.append((tick, float(ev.fitness[0])))
     return [ticks]

@@ -372,6 +372,34 @@ def test_a_sweep_slice_makes_one_evaluation_per_tick(tiny_scenario, monkeypatch)
     assert len(calls) - start == max(ticks) < sum(ticks)
 
 
+def test_a_physics_sweep_runs_one_loop_per_solver(tiny_scenario, monkeypatch):
+    # The values share their solver settings, so each solver steps the
+    # seeds of every value as one loop, value after value.
+    calls, groups = [], []
+    evaluate_batch = LinkProblem.evaluate_batch
+    monkeypatch.setattr(LinkProblem, "evaluate_batch", lambda self, genomes: (
+        calls.append(len(genomes)), evaluate_batch(self, genomes))[1])
+    solvers, seeds = ["ipso", "ga"], [0, 1]
+    ticks = []
+    for value in WPT_VALUES:
+        start = len(calls)
+        run_campaign(tiny_scenario.with_value("system.wpt_power_db", value),
+                     solvers, seeds, budget=300)
+        ticks.append(len(calls) - start)
+    run_group = harness._run_group
+    monkeypatch.setattr(harness, "_run_group", lambda *args: (
+        groups.append((args[1], list(args[2]))), run_group(*args))[1])
+    start = len(calls)
+    spec = SweepSpec("system.wpt_power_db", WPT_VALUES, solvers, seeds, budget=300)
+    points = run_sweep(tiny_scenario, spec, workers=1)
+    assert groups == [(solver, seeds * len(WPT_VALUES)) for solver in solvers]
+    assert len(calls) - start == max(ticks)
+    # A run's time is its loop's busy time split over all the loop's seeds.
+    for solver in solvers:
+        assert len({a.wall_clock_s for point in points for a in point.artifacts
+                    if a.solver == solver}) == 1
+
+
 @pytest.mark.parametrize("parameter, values", [
     ("geometry.altitude_m", [5.0, 8.0, 12.0]),   # start and goal move
     ("system.slot_count", [2, 3, 2]),

@@ -1,11 +1,15 @@
 """Property tests: the genome repair map, the genome codec, the one
-best-so-far rule, the sign conventions of the constraint margins and the
-stacked random draws, each checked on inputs Hypothesis draws.
+best-so-far rule, the sign conventions of the constraint margins, the
+stacked random draws and the JSON writer, each checked on inputs
+Hypothesis draws.
 
 Every test is derandomized, so a run of the suite draws the same cases.
 """
 
 import dataclasses
+import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from uavbsc import ga
 from uavbsc.common import Incumbent, draw
 from uavbsc.config import ScenarioConfig
 from uavbsc.encoding import _PASS_ROWS, LinkProblem, _slot_sum, evaluate_blocks, normalize
+from uavbsc.harness import write_json
 from uavbsc.model import Trajectory
 
 PROBLEMS = {
@@ -361,3 +366,37 @@ def test_stacked_select_picks_equal_generator_choice(seeds, size,
     picks = ga.roulette(weights, 7, [np.random.default_rng(s) for s in seeds])
     for row, seed in enumerate(seeds):
         assert np.array_equal(picks[row], _choice(seed, weights[row], 7))
+
+
+# JSON scalars: None, bools, large ints, floats with NaN, +-inf and -0.0
+# (numpy's too), and text with non-ASCII and control characters.
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**256, 2**256),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, np.float64(-math.inf)]),
+    st.floats(), st.floats().map(np.float64), st.text())
+# Containers, empty ones included; the keys of one dict share a type, so
+# that they sort.
+_JSON = st.recursive(_JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    *(st.dictionaries(keys, children, max_size=4) for keys in (
+        st.text(), st.integers(-2**70, 2**70), st.floats(allow_nan=False),
+        st.booleans(), st.none()))), max_leaves=25)
+
+
+@settings(checked, max_examples=300)
+@given(_JSON)
+def test_write_json_writes_what_json_dumps_writes(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "payload.json"
+    write_json(path, payload)
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": {1, 2}}, [np.int64(3)], {"a": [object()]}, {(1, 2): 0},
+    {1: 0, "a": 1}, {"a": {np.int64(1): 0}}])
+def test_write_json_rejects_what_json_rejects(tmp_path, payload):
+    with pytest.raises(TypeError) as want:
+        json.dumps(payload, indent=2, sort_keys=True)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        write_json(tmp_path / "payload.json", payload)

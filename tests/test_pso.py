@@ -173,9 +173,9 @@ def _first_iteration(cfg, problem):
     incumbent after the personal-best refresh, recomputed outside.
     """
     loop = pso.steps(cfg, problem)
-    start = next(loop)
+    start, _ = next(loop)
     ev0 = problem.evaluate_batch(start)
-    positions = loop.send(ev0)
+    positions, _ = loop.send(ev0)
     ev1 = problem.evaluate_batch(positions)
     better = ev1.fitness < ev0.fitness
     best = Incumbent()
@@ -193,7 +193,7 @@ def test_ipso_mutate_replays_masked_offsets():
     cfg = small_cfg(mutation_prob=0.4, swarm_size=7)
     loop, positions, ev, best_row = _first_iteration(cfg, problem)
     replay = copy.deepcopy(_solver_rng(loop))
-    mutants = loop.send(ev)
+    mutants, seeds = loop.send(ev)
     mask = replay.uniform(size=positions.shape) < cfg.mutation_prob
     offsets = replay.normal(0.0, math.sqrt(IPSO_MUTATION_VARIANCE),
                             size=positions.shape)
@@ -203,6 +203,7 @@ def test_ipso_mutate_replays_masked_offsets():
     assert 0 < np.count_nonzero(moved) < cfg.swarm_size
     expected = problem.adjust(positions + offsets)[moved]
     assert mutants.tobytes() == expected.tobytes()
+    assert seeds.tolist() == [0] * len(mutants)
     assert _solver_rng(loop).bit_generator.state == replay.bit_generator.state
 
 
@@ -213,12 +214,12 @@ def test_ipso_mutate_is_inert_for_plain_variant():
     for cfg in (small_cfg(variant="pso", iterations=5),
                 small_cfg(mutation_prob=0.0, iterations=5)):
         loop = pso.steps(cfg, problem)
-        block = next(loop)
+        block, _ = next(loop)
         blocks = 1
         while True:
             replay = copy.deepcopy(_solver_rng(loop))
             try:
-                block = loop.send(problem.evaluate_batch(block))
+                block, _ = loop.send(problem.evaluate_batch(block))
             except StopIteration as stop:
                 [report] = stop.value
                 break
