@@ -468,6 +468,10 @@ def _check_distance(d) -> np.ndarray:
     return arr
 
 
+def _maybe_float(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def doppler_factor(speed, params: SystemParams):
     """Channel time-selectivity factor in [0, 1] for a cruise speed.
 
@@ -479,21 +483,18 @@ def doppler_factor(speed, params: SystemParams):
     arg /= params.light_speed_mps  # the Doppler spread (Hz)
     arg *= 2.0 * math.pi
     arg *= params.sampling_time_s
-    corr = bessel_j0(arg)
-    if np.ndim(corr) == 0:
-        return float(np.minimum(np.square(corr), 1.0))
+    corr = np.asarray(bessel_j0(arg))  # a 0-d array for a scalar speed
     np.square(corr, out=corr)
-    return np.minimum(corr, 1.0, out=corr)
+    return _maybe_float(np.minimum(corr, 1.0, out=corr))
 
 
 def _rate(bandwidth, snr):
     """``bandwidth * log2(1 + snr)``, in place in an array ``snr``."""
-    if np.ndim(snr) == 0:
-        return float(bandwidth * np.log2(1.0 + snr))
+    snr = np.asarray(snr)  # a 0-d array for a scalar
     snr += 1.0
     np.log2(snr, out=snr)
     snr *= bandwidth
-    return snr
+    return _maybe_float(snr)
 
 
 def _power(base, exponent):
@@ -588,7 +589,7 @@ def harvested_energy_slot(d_su, split, params: SystemParams, terms=None):
     energy *= params.slot_duration_s
     energy *= params.wpt_power_w
     energy /= path_loss
-    return float(energy) if np.ndim(energy) == 0 else energy
+    return _maybe_float(energy)
 
 
 def flying_power(speed, propulsion: PropulsionParams):
