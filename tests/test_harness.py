@@ -423,6 +423,15 @@ def test_only_values_that_share_a_geometry_share_a_drive(
         tiny_scenario, parameter, values, ["ipso"], [0, 1], 200)
 
 
+def test_the_altitude_modes_of_a_sweep_share_no_loop(tiny_scenario):
+    # adjust pins the z genes in fixed-altitude mode only, so the two modes
+    # have different geometries, and each value's runs equal its own campaign.
+    values, solvers, seeds = [True, False], ["ipso", "random"], [0, 1]
+    spec = SweepSpec("modes.fixed_altitude", values, solvers, seeds, budget=200)
+    assert untimed(run_sweep(tiny_scenario, spec)) == campaigns_per_value(
+        tiny_scenario, "modes.fixed_altitude", values, solvers, seeds, 200)
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """Count the process pools the harness creates."""
