@@ -7,11 +7,11 @@ improvement in an :class:`Incumbent`, which holds the one ordering rule
 of the package.
 
 Every solver loop has one shape: a generator that steps several seeds as
-one stack, yields the genome block of all its running seeds, seed after
-seed, together with the seed of each row (its position in the loop's
-seeds), is sent the block's :class:`~uavbsc.encoding.BatchEvaluation`,
-and returns one :class:`SolverReport` per seed.  The seeds of one loop
-may each have their own problem (see :func:`seed_problems`).
+one stack, yields the (seeds, rows, genes) stack of its running seeds
+with those seeds (their positions in the loop's seeds), is sent a
+:class:`~uavbsc.encoding.BatchEvaluation` with (seeds, rows) arrays, and
+returns one :class:`SolverReport` per seed.  The seeds of one loop may
+each have their own problem (see :func:`seed_problems`).
 :func:`drive` runs loops together, with one evaluation per tick, and a
 loop's error is its own outcome.  Each seed draws from its own generator
 (see :func:`draw`) and evaluation is row-wise, so a seed's report
@@ -178,8 +178,8 @@ class Incumbent:
         )
 
 
-# A solver loop: yields genome blocks with the seed of each row, is sent
-# their evaluations, and returns one report per seed.
+# A solver loop: yields (seeds, rows, genes) stacks with their seeds, is
+# sent their (seeds, rows) evaluations, and returns one report per seed.
 SolverSteps = Generator[Tuple[np.ndarray, np.ndarray], BatchEvaluation,
                         List[SolverReport]]
 
@@ -201,22 +201,23 @@ def drive(loops: Iterable[SolverSteps], problems: Iterable
     ``problems`` holds each loop's problem, or its problems one per seed
     (see :func:`seed_problems`), all with one geometry.  The parameter
     fields in which they differ are tabulated once per drive
-    (:class:`~uavbsc.encoding.RowEvaluator`).  Each tick evaluates the
-    running loops' pending blocks, in loop order, in one call, each row
-    with its own seed's parameters as per-row columns, and sends each
-    loop its own rows.  Returns one ``(outcome, busy_s)`` pair per loop:
-    its reports, or the ``ValueError`` that ended its step, and its own
-    time (inside ``next`` and ``send``) plus its row share of each
-    evaluation it joined.  A loop's error ends that loop only.  Blocks
-    come out of :meth:`~uavbsc.encoding.LinkProblem.adjust`, so an
-    evaluation error (a raw invalid block) propagates at once.
+    (:class:`~uavbsc.encoding.RowEvaluator`).  Each tick flattens the
+    running loops' pending stacks, in loop order, into one call, each row
+    with its own seed's parameters as per-row columns, and sends each loop
+    its share in its stack's (seeds, rows) shape.  Returns one
+    ``(outcome, busy_s)`` pair per loop: its reports, or the ``ValueError``
+    that ended its step, and its own time (inside ``next`` and ``send``)
+    plus its row share of each evaluation it joined.  A loop's error ends
+    that loop only.  Stacks come out of
+    :meth:`~uavbsc.encoding.LinkProblem.adjust`, so an evaluation error (a
+    raw invalid stack) propagates at once.
     """
     seats = [[p] if isinstance(p, LinkProblem) else list(p) for p in problems]
     evaluate = RowEvaluator([p for loop_seats in seats for p in loop_seats])
     first_seat = np.cumsum([0] + [len(loop_seats) for loop_seats in seats]).tolist()
     running = dict(enumerate(loops))  # in loop order
     blocks: Dict[int, np.ndarray] = {}
-    owners: Dict[int, np.ndarray] = {}  # the seed of each row of a block
+    owners: Dict[int, np.ndarray] = {}  # the seed of each layer of a stack
     outcomes: list = [None] * len(running)
     busy = [0.0] * len(running)
 
@@ -234,19 +235,20 @@ def drive(loops: Iterable[SolverSteps], problems: Iterable
     while running:
         started = perf_counter()
         order = list(running)
-        genomes = [blocks[j] for j in order]
+        genomes = [blocks[j].reshape(-1, blocks[j].shape[-1]) for j in order]
         # Each row's problem, as a seat index; a loop's one problem is one seat.
-        which = np.concatenate([owners[j] % len(seats[j]) + first_seat[j]
-                                for j in order]) if evaluate.table else None
+        which = np.concatenate([
+            np.repeat(owners[j] % len(seats[j]) + first_seat[j], blocks[j].shape[1])
+            for j in order]) if evaluate.table else None
         ev = evaluate(genomes[0] if len(order) == 1 else np.concatenate(genomes),
                       which)
-        cuts = np.cumsum([0] + [len(blocks[j]) for j in order]).tolist()
+        cuts = np.cumsum([0] + [len(rows) for rows in genomes]).tolist()
         seconds = perf_counter() - started
         for j, lo, hi in zip(order, cuts, cuts[1:]):
             busy[j] += seconds * (hi - lo) / cuts[-1]
-            advance(j, BatchEvaluation(
-                blocks[j], ev.objectives[lo:hi], ev.fitness[lo:hi],
-                ev.feasible[lo:hi], ev.worst_violation[lo:hi]))
+            advance(j, BatchEvaluation(blocks[j], *(
+                values[lo:hi].reshape(blocks[j].shape[:2]) for values in (
+                    ev.objectives, ev.fitness, ev.feasible, ev.worst_violation))))
     return list(zip(outcomes, busy))
 
 

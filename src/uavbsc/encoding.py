@@ -55,7 +55,6 @@ __all__ = [
     "BatchEvaluation",
     "LinkProblem",
     "RowEvaluator",
-    "evaluate_blocks",
 ]
 
 # Base fitness assigned to infeasible solutions in "safe" penalty mode;
@@ -74,8 +73,12 @@ _SPEED_TOL = 1.0e-12
 
 # Most genomes one evaluation pass takes.  A larger stack is evaluated in
 # passes of this many rows, so that the pass's two dozen per-slot arrays
-# stay small (64 KB each at 8 slots) whatever the stack's size.
-_PASS_ROWS = 1024
+# stay small (128 KB each at 8 slots) whatever the stack's size.  On the
+# reference mission (2 vCPUs), 2048 rows against 1024 left a campaign pass
+# level (median ratio 0.99 over 12 alternating pairs; its ticks of up to
+# 2,280 rows stay at two passes) and cut a sweep worker's slice, 151
+# calls of about 1,500 rows, by 9% (12 of 12 pairs).
+_PASS_ROWS = 2048
 
 # The numeric parameter fields (see RowEvaluator): those with a range rule.
 _RULED = {f.name for cls in (SystemParams, PropulsionParams)
@@ -188,7 +191,8 @@ class SlotTable:
 
 @dataclass(eq=False)
 class BatchEvaluation:
-    """Vectorized evaluation results for a stack of genomes."""
+    """Evaluation results: (B,) arrays for ``evaluate_batch``'s (B, dim)
+    genomes, (seeds, rows) ones for a solver loop's stack (see ``drive``)."""
 
     genomes: np.ndarray        # (B, dim)
     objectives: np.ndarray     # (B,) mission rate sums (bit/s)
@@ -274,7 +278,7 @@ class LinkProblem:
             (points - self._lo) / (hi - self._lo), 0.0, 1.0).reshape(-1)
         self._mean = self.adjust(mean)
         # Allocate and free one block the size of a pass's ~32 per-slot
-        # arrays (2 MB at 8 slots, capped at 64 slots).  Per mallopt(3),
+        # arrays (4 MB at 8 slots, capped at 64 slots).  Per mallopt(3),
         # freeing an mmap'd block raises glibc's dynamic mmap and trim
         # thresholds, so the heap keeps what each pass frees rather than
         # returning it to the kernel and faulting it in on the next pass.
@@ -546,10 +550,3 @@ class RowEvaluator:
                                      for key, values in self.table.items()}
         return self.problem.evaluate_batch(genomes)
 
-
-def evaluate_blocks(problems: Sequence[LinkProblem],
-                    blocks: Sequence[np.ndarray]) -> BatchEvaluation:
-    """One ``evaluate_batch`` of the stacked blocks, block k on problem k
-    (see :class:`RowEvaluator`)."""
-    which = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
-    return RowEvaluator(problems)(np.concatenate(blocks), which)

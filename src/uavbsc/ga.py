@@ -202,14 +202,13 @@ def steps(cfg: GaConfig, problem,
     best = [Incumbent() for _ in seeds]
     stall = np.zeros(len(seeds), dtype=int)
     spent = np.full(len(seeds), size)  # evaluations of each seed
-    live = np.arange(len(seeds))  # the seed of each stacked row
+    live = np.arange(len(seeds))  # the seed of each layer of the stack
     n_elite = elite_count(cfg, size)
     paired = size - size % 2  # pairs (0, 1), (2, 3), ... cross; an odd last is copied
 
     pop = initial_population(problem, size, cfg.init_mean, cfg.init_std, rngs)
-    ev = yield pop.reshape(-1, problem.genome_size), np.repeat(live, size)
-    fit = ev.fitness.reshape(-1, size)
-    worst = ev.worst_violation.reshape(-1, size)
+    ev = yield pop, live
+    fit, worst = ev.fitness, ev.worst_violation
 
     # Generation 0 ranks the initial populations; generation g > 0 ranks
     # the children of generation g together with the elites they keep.
@@ -238,13 +237,11 @@ def steps(cfg: GaConfig, problem,
             pool[:, 0:paired:2], pool[:, 1:paired:2], cfg, stack)
         children = problem.adjust(mutate(children, cfg, stack))
 
-        cev = yield children.reshape(-1, problem.genome_size), np.repeat(live, size)
+        cev = yield children, live
         spent[live] += size
         pop = np.concatenate([children, pool[:, :n_elite]], axis=1)
-        fit = np.concatenate(
-            [cev.fitness.reshape(-1, size), fit[:, :n_elite]], axis=1)
-        worst = np.concatenate(
-            [cev.worst_violation.reshape(-1, size), worst[:, :n_elite]], axis=1)
+        fit = np.concatenate([cev.fitness, fit[:, :n_elite]], axis=1)
+        worst = np.concatenate([cev.worst_violation, worst[:, :n_elite]], axis=1)
 
     return [best[k].report(problems[k], "ga", seed, int(spent[k]), budget,
                            {**config_snapshot(cfg), "seed": seed})

@@ -287,13 +287,11 @@ def random_steps(problem, budget: int,
     while evaluations < budget:
         n = min(_RANDOM_CHUNK, budget - evaluations)
         genomes = problem.adjust(draw(rngs, "random", (len(seeds), n, dim)))
-        ev = yield genomes.reshape(-1, dim), np.repeat(np.arange(len(seeds)), n)
+        ev = yield genomes, np.arange(len(seeds))
         evaluations += n
         block += 1
-        fitness = ev.fitness.reshape(-1, n)
-        violation = ev.worst_violation.reshape(-1, n)
-        Incumbent.offer_rows(best, genomes, fitness, violation, block)
-        for b, mean in zip(best, np.mean(fitness, axis=1).tolist()):
+        Incumbent.offer_rows(best, genomes, ev.fitness, ev.worst_violation, block)
+        for b, mean in zip(best, np.mean(ev.fitness, axis=1).tolist()):
             b.record(block, mean, evaluations)
 
     return [b.report(own, "random", seed, evaluations, int(budget),

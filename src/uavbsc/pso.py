@@ -154,12 +154,14 @@ def steps(cfg: PsoConfig, problem,
     Each seed (default: ``cfg.seed``) has its own generator, and its own
     problem if ``problem`` is a sequence (see :mod:`uavbsc.common`).  Per
     iteration: velocities and positions update against the previous
-    iteration's global best, particles are re-evaluated, personal bests
-    then the global best are refreshed, and (improved variant) the
-    mutation pass perturbs and re-evaluates everyone except the global
-    best holder, whose result is folded into the bests at the next
-    iteration's refresh.  A seed leaves the stack after the last
-    iteration, or when its next one might exceed its budget.
+    iteration's global best; the swarm, with (improved variant) its
+    mutants ``adjust(swarm + offsets)`` beside it, is evaluated as one
+    block; personal bests then the global best are refreshed from the
+    swarm; and the mutants become the positions, all but the global-best
+    holder's, which keeps its own.  Only the mutants an offset moved count
+    and reach the personal bests, and the global best at the next refresh.
+    A seed leaves the stack after the last iteration, or when its next one
+    might exceed its budget.
     """
     size = cfg.swarm_size
     budget = cfg.max_evaluations
@@ -172,18 +174,18 @@ def steps(cfg: PsoConfig, problem,
     rngs = [np.random.default_rng(seed) for seed in seeds]
     best = [Incumbent() for _ in seeds]
     spent = np.full(len(seeds), size)  # evaluations of each seed
-    live = np.arange(len(seeds))  # the seed of each stacked row
+    live = np.arange(len(seeds))  # the seed of each layer of the stack
     mutation_std = math.sqrt(IPSO_MUTATION_VARIANCE)
     needed = size + (size - 1 if cfg.mutation_active else 0)
 
     positions = initial_population(
         problem, size, cfg.init_mean, cfg.init_std, rngs)
     velocities = np.zeros_like(positions)
-    ev = yield positions.reshape(-1, problem.genome_size), np.repeat(live, size)
+    ev = yield positions, live
 
     personal_x = positions.copy()
-    personal_fit = ev.fitness.reshape(-1, size).copy()
-    personal_worst = ev.worst_violation.reshape(-1, size).copy()
+    personal_fit = ev.fitness.copy()
+    personal_worst = ev.worst_violation.copy()
     Incumbent.offer_rows(best, personal_x, personal_fit, personal_worst, 0)
 
     for it in range(1, cfg.iterations + 2):
@@ -207,11 +209,15 @@ def steps(cfg: PsoConfig, problem,
         velocities = update_velocity(positions, velocities, personal_x,
                                      leaders, inertia, cfg, stack)
         positions = problem.adjust(positions + velocities)
-        ev = yield positions.reshape(-1, problem.genome_size), np.repeat(live, size)
+        block = positions
+        if cfg.mutation_active:
+            offsets = masked_gaussian_offsets(
+                stack, positions.shape, cfg.mutation_prob, mutation_std)
+            block = np.hstack([positions, problem.adjust(positions + offsets)])
+        ev = yield block, live
         spent[live] += size
 
-        fitness = ev.fitness.reshape(-1, size)
-        violation = ev.worst_violation.reshape(-1, size)
+        fitness, violation = ev.fitness[:, :size], ev.worst_violation[:, :size]
         improved = fitness < personal_fit
         np.copyto(personal_x, positions, where=improved[..., None])
         np.copyto(personal_fit, fitness, where=improved)
@@ -223,22 +229,17 @@ def steps(cfg: PsoConfig, problem,
             b.record(it, mean, int(spent[k]))
 
         if cfg.mutation_active:
-            offsets = masked_gaussian_offsets(
-                stack, positions.shape, cfg.mutation_prob, mutation_std)
-            offsets[np.arange(live.size), [b.index for b in holders]] = 0.0
+            rows, held = np.arange(live.size), [b.index for b in holders]
+            offsets[rows, held] = 0.0
             moved = np.any(offsets != 0.0, axis=2)
-            if np.any(moved):
-                # Exact for a seed that moves no row: its positions are
-                # already adjusted, and its offsets are all +0.0.
-                positions = problem.adjust(positions + offsets)
-                mev = yield positions[moved], live[np.nonzero(moved)[0]]
-                spent[live] += np.count_nonzero(moved, axis=1)
-                better = mev.fitness < personal_fit[moved]
-                upd = moved.copy()
-                upd[moved] = better
-                personal_x[upd] = positions[upd]
-                personal_fit[upd] = mev.fitness[better]
-                personal_worst[upd] = mev.worst_violation[better]
+            spent[live] += np.count_nonzero(moved, axis=1)
+            better = moved & (ev.fitness[:, size:] < personal_fit)
+            np.copyto(personal_x, block[:, size:], where=better[..., None])
+            np.copyto(personal_fit, ev.fitness[:, size:], where=better)
+            np.copyto(personal_worst, ev.worst_violation[:, size:], where=better)
+            # The holder's row re-adjusted, as a zero offset leaves it.
+            positions, unmoved = block[:, size:], positions[rows, held]
+            positions[rows, held] = problem.adjust(unmoved + 0.0)
 
     return [best[k].report(problems[k], cfg.variant, seed, int(spent[k]), budget,
                            {**config_snapshot(cfg), "seed": seed})

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from uavbsc.encoding import LinkProblem
+from uavbsc.encoding import LinkProblem, RowEvaluator
 from uavbsc.model import EULER_GAMMA, PropulsionParams, SystemParams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -227,3 +227,13 @@ def audit_genome(problem: LinkProblem, genome) -> dict:
         start=env["start"], goal=env["goal"])
     splits = [float(g) for g in np.asarray(genome)[3 * (env["n_slots"] - 1):]]
     return oracles.mission_audit(waypoints, splits, env)
+
+
+def evaluate_blocks(problems, blocks):
+    """One evaluation of the stacked blocks, block k on problem k.
+
+    Each row takes its block's problem through ``RowEvaluator``, as a
+    fused ``drive`` gives each row its seed's problem.
+    """
+    which = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+    return RowEvaluator(problems)(np.concatenate(blocks), which)

@@ -18,6 +18,7 @@ from uavbsc.common import (
     initial_population,
     run_alone,
 )
+from uavbsc.encoding import LinkProblem
 
 
 def _block(*rows):
@@ -166,9 +167,10 @@ def test_both_solvers_start_from_the_shared_initializer(tiny_problem):
                                        tiny_problem))
     first_pso, pso_seeds = next(pso.steps(pso.PsoConfig(swarm_size=6, seed=4),
                                           tiny_problem))
+    assert first_ga.shape == first_pso.shape == (1, *want.shape)
     assert first_ga.tobytes() == want.tobytes()
     assert first_pso.tobytes() == want.tobytes()
-    assert ga_seeds.tolist() == pso_seeds.tolist() == [0] * 6
+    assert ga_seeds.tolist() == pso_seeds.tolist() == [0]
 
 
 def test_draw_fills_each_layer_of_a_stack_from_its_own_generator():
@@ -195,25 +197,64 @@ def test_initial_population_of_a_stack_is_each_seed_alone(tiny_problem):
 
 
 def _loop(problem, ticks, bad=None, seen=None, raw=False):
-    """A one-seed solver loop of ``ticks`` one-genome blocks; ``bad`` maps a
-    tick to the gene value that spoils its block, or to an exception to raise.
+    """A one-seed solver loop of ``ticks`` (1, 1, dim) stacks; ``bad`` maps a
+    tick to the gene value that spoils its stack, or to an exception to raise.
 
-    A spoiled block passes through ``adjust``, as every solver block does,
+    A spoiled stack passes through ``adjust``, as every solver stack does,
     unless ``raw``: then it is yielded as it is."""
     genome = problem.heuristic_mean()
     for tick in range(ticks):
         spoil = (bad or {}).get(tick)
         if isinstance(spoil, Exception):
             raise spoil
-        block = genome[None].copy()
+        block = genome[None, None].copy()
         if spoil is not None:
-            block[0, 0] = spoil
+            block[0, 0, 0] = spoil
             if not raw:
                 block = problem.adjust(block)
         ev = yield block, np.zeros(1, dtype=int)
         if seen is not None:
-            seen.append((tick, float(ev.fitness[0])))
+            seen.append((tick, float(ev.fitness[0, 0])))
     return [ticks]
+
+
+def _with_wpt_power(problem, wpt_power_w):
+    """``problem`` with another charging power: the same geometry."""
+    return LinkProblem(dataclasses.replace(problem.params, wpt_power_w=wpt_power_w),
+                       problem.propulsion, problem.source, problem.user,
+                       problem.start, problem.goal)
+
+
+def test_each_loop_is_sent_its_stack_evaluated_on_its_seeds_problems(
+        tiny_problem):
+    # Two loops of different shapes, whose three seeds have three charging
+    # powers, share one evaluation; each reply has its stack's shape and
+    # the bits of each seed's rows on that seed's own problem alone.
+    own = [[_with_wpt_power(tiny_problem, w) for w in (0.5, 2.0)],
+           [_with_wpt_power(tiny_problem, 8.0)]]
+    rng = np.random.default_rng(3)
+    stacks = [tiny_problem.adjust(rng.random((seeds, rows, tiny_problem.genome_size)))
+              for seeds, rows in ((2, 3), (1, 5))]
+    replies = []
+
+    def loop(stack):
+        replies.append((yield stack, np.arange(len(stack))))
+        return []
+
+    assert [outcome for outcome, _ in drive(map(loop, stacks), own)] == [[], []]
+    fields = ("objectives", "fitness", "feasible", "worst_violation")
+    for stack, problems, reply in zip(stacks, own, replies):
+        assert reply.genomes is stack
+        for name in fields:
+            assert getattr(reply, name).shape == stack.shape[:2]
+        for k, problem in enumerate(problems):
+            alone = problem.evaluate_batch(stack[k])
+            for name in fields:
+                assert getattr(reply, name)[k].tobytes() == \
+                    getattr(alone, name).tobytes(), name
+    # The charging power moves the evaluation of these rows.
+    assert own[0][0].evaluate_batch(stacks[0][0]).worst_violation.tobytes() != \
+        own[0][1].evaluate_batch(stacks[0][0]).worst_violation.tobytes()
 
 
 def test_drive_steps_every_loop_with_one_evaluation_per_tick(tiny_problem):

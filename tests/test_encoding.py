@@ -19,6 +19,7 @@ from helpers import (
     TINY_CONFIG,
     audit_genome,
     encode,
+    evaluate_blocks,
     random_genomes,
     small_problem,
     small_system_params,
@@ -30,7 +31,7 @@ from oracles import (
     per_point_evaluate,
 )
 from uavbsc.config import ScenarioConfig
-from uavbsc.encoding import PENALTY_SCALE, LinkProblem, evaluate_blocks, normalize
+from uavbsc.encoding import PENALTY_SCALE, LinkProblem, normalize
 from uavbsc.harness import run_single
 from uavbsc.model import Trajectory
 

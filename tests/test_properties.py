@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import REFERENCE_CONFIG, TINY_CONFIG, encode, small_problem
+from helpers import (REFERENCE_CONFIG, TINY_CONFIG, encode, evaluate_blocks,
+                     small_problem)
 from uavbsc import ga
 from uavbsc.common import Incumbent, draw
 from uavbsc.config import ScenarioConfig
-from uavbsc.encoding import _PASS_ROWS, LinkProblem, _slot_sum, evaluate_blocks, normalize
+from uavbsc.encoding import _PASS_ROWS, LinkProblem, _slot_sum, normalize
 from uavbsc.harness import write_json
 from uavbsc.model import Trajectory
 

@@ -9,6 +9,8 @@ import pytest
 from helpers import small_problem, small_system_params
 from uavbsc import pso
 from uavbsc.common import Incumbent
+from uavbsc.encoding import BatchEvaluation, LinkProblem
+from uavbsc.harness import run_single
 from uavbsc.pso import IPSO_MUTATION_VARIANCE, PsoConfig
 
 
@@ -166,45 +168,65 @@ def _solver_rng(loop):
     return loop.gi_frame.f_locals["rngs"][0]
 
 
-def _first_iteration(cfg, problem):
-    """Step ``pso.steps`` by hand up to its iteration-1 position block.
+def _reply(problem, block):
+    """The evaluation ``drive`` sends a one-seed loop for its (1, rows, dim)
+    ``block``: (1, rows) arrays."""
+    ev = problem.evaluate_batch(block[0])
+    return BatchEvaluation(block, *(values[None] for values in (
+        ev.objectives, ev.fitness, ev.feasible, ev.worst_violation)))
 
-    Returns the loop, that block, its evaluation, and the row of the
-    incumbent after the personal-best refresh, recomputed outside.
+
+def _first_iteration(cfg, problem):
+    """Step ``pso.steps`` by hand up to its iteration-1 block.
+
+    Returns the loop, that block, a copy of the generator taken before the
+    block's draws, and the row of the incumbent after the personal-best
+    refresh, recomputed outside.
     """
     loop = pso.steps(cfg, problem)
     start, _ = next(loop)
-    ev0 = problem.evaluate_batch(start)
-    positions, _ = loop.send(ev0)
+    ev0 = problem.evaluate_batch(start[0])
+    replay = copy.deepcopy(_solver_rng(loop))
+    block, _ = loop.send(_reply(problem, start))
+    positions = block[0, :cfg.swarm_size]
     ev1 = problem.evaluate_batch(positions)
     better = ev1.fitness < ev0.fitness
     best = Incumbent()
-    best.offer(start, ev0.fitness, ev0.worst_violation)
-    best.offer(np.where(better[:, None], positions, start),
+    best.offer(start[0], ev0.fitness, ev0.worst_violation)
+    best.offer(np.where(better[:, None], positions, start[0]),
                np.where(better, ev1.fitness, ev0.fitness),
                np.where(better, ev1.worst_violation, ev0.worst_violation))
-    return loop, positions, ev1, best.index
+    return loop, block, replay, best.index
 
 
 def test_ipso_mutate_replays_masked_offsets():
-    # The mutation block is adjust(positions + offsets) with the best
-    # row's offsets zeroed, restricted to the rows an offset moved.
+    # The block's second half is adjust(positions + offsets) for every row,
+    # the offsets drawn before the best row is known.  Of its mutants, only
+    # the rows an offset moved, the best row's aside, are counted.
     problem = roomy_problem()
     cfg = small_cfg(mutation_prob=0.4, swarm_size=7)
-    loop, positions, ev, best_row = _first_iteration(cfg, problem)
-    replay = copy.deepcopy(_solver_rng(loop))
-    mutants, seeds = loop.send(ev)
+    size = cfg.swarm_size
+    loop, block, replay, best_row = _first_iteration(cfg, problem)
+    assert block.shape == (1, 2 * size, problem.genome_size)
+    positions = block[0, :size]
+    replay.uniform(size=positions.shape)  # the two velocity pulls
+    replay.uniform(size=positions.shape)
     mask = replay.uniform(size=positions.shape) < cfg.mutation_prob
     offsets = replay.normal(0.0, math.sqrt(IPSO_MUTATION_VARIANCE),
                             size=positions.shape)
     offsets = np.where(mask, offsets, 0.0)
-    offsets[best_row] = 0.0
-    moved = np.any(offsets != 0.0, axis=1)
-    assert 0 < np.count_nonzero(moved) < cfg.swarm_size
-    expected = problem.adjust(positions + offsets)[moved]
-    assert mutants.tobytes() == expected.tobytes()
-    assert seeds.tolist() == [0] * len(mutants)
     assert _solver_rng(loop).bit_generator.state == replay.bit_generator.state
+    expected = problem.adjust(positions + offsets)
+    assert block[0, size:].tobytes() == expected.tobytes()
+
+    assert np.any(offsets[best_row] != 0.0)  # the best row's mutant is dropped
+    offsets[best_row] = 0.0
+    moved = np.count_nonzero(np.any(offsets != 0.0, axis=1))
+    assert 0 < moved < size
+    spent = loop.gi_frame.f_locals["spent"]
+    before = int(spent[0])
+    loop.send(_reply(problem, block))
+    assert int(spent[0]) == before + size + moved
 
 
 def test_ipso_mutate_is_inert_for_plain_variant():
@@ -219,14 +241,14 @@ def test_ipso_mutate_is_inert_for_plain_variant():
         while True:
             replay = copy.deepcopy(_solver_rng(loop))
             try:
-                block, _ = loop.send(problem.evaluate_batch(block))
+                block, _ = loop.send(_reply(problem, block))
             except StopIteration as stop:
                 [report] = stop.value
                 break
             blocks += 1
-            assert block.shape == (cfg.swarm_size, problem.genome_size)
-            replay.uniform(size=block.shape)
-            replay.uniform(size=block.shape)
+            assert block.shape == (1, cfg.swarm_size, problem.genome_size)
+            replay.uniform(size=block.shape[1:])
+            replay.uniform(size=block.shape[1:])
             assert (_solver_rng(loop).bit_generator.state
                     == replay.bit_generator.state)
         assert blocks == cfg.iterations + 1
@@ -247,6 +269,27 @@ def test_run_is_deterministic_per_seed():
     assert [t.to_dict() for t in r1.trace] == [t.to_dict() for t in r2.trace]
     r3 = pso.run(small_cfg(swarm_size=10, iterations=12, seed=78), problem)
     assert not np.array_equal(r1.best.genome, r3.best.genome)
+
+
+@pytest.mark.parametrize("solver, calls, rows, evaluations", [
+    ("ipso", 151, 15_050, 14_551),
+    ("pso", 300, 15_000, 15_000),
+])
+def test_one_evaluation_call_per_iteration(reference_scenario, monkeypatch,
+                                           solver, calls, rows, evaluations):
+    # IPSO evaluates its moved swarm and its mutants in one block; the
+    # holder's mutant and the rows drawn no offset are evaluated uncounted.
+    sizes = []
+    evaluate_batch = LinkProblem.evaluate_batch
+
+    def counting(self, genomes):
+        sizes.append(len(genomes))
+        return evaluate_batch(self, genomes)
+
+    monkeypatch.setattr(LinkProblem, "evaluate_batch", counting)
+    report = run_single(reference_scenario, solver, 7, budget=15000).report
+    assert (len(sizes), sum(sizes), report.evaluations) == (calls, rows, evaluations)
+    assert len(sizes) == len(report.trace) + 1
 
 
 def test_improved_variant_with_flat_schedule_equals_plain_variant():

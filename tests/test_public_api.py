@@ -42,6 +42,7 @@ REMOVED = [
     ("harness", "GridResult"),
     ("harness", "GRID_MAX_POINTS"),
     ("harness", "GRID_MAX_SLOTS"),
+    ("encoding", "evaluate_blocks"),
 ]
 
 # (module, callable, parameter) triples removed from the package.
