@@ -2,9 +2,9 @@
 
 Every solver draws each random number from its seeds' own generators in
 a fixed order and reports its progress through one per-generation record
-type.  Every solver keeps its best-so-far mission, trace and last
-improvement in an :class:`Incumbent`, which holds the one ordering rule
-of the package.
+type.  Every solver loop keeps its seeds' best-so-far missions, traces and
+last improvements in one :class:`Incumbent`, which holds the one
+ordering rule of the package.
 
 Every solver loop has one shape: a generator that steps several seeds as
 one stack, yields the (seeds, rows, genes) stack of its running seeds
@@ -107,72 +107,71 @@ class SolverReport:
 
 
 class Incumbent:
-    """Best-so-far mission of one search, with its convergence trace.
+    """Best-so-far missions of the seeds of one search, with their traces.
 
+    Holds one row per seed: ``genome`` (seeds, dim), ``fitness``,
+    ``worst``, ``index`` (the block row of the last replacement, -1 before
+    the first offer) and ``last_improvement``, and one trace per seed.
     One rule orders candidates everywhere: lower fitness wins, then lower
     worst violation, and among equals the earliest offered row wins.
-    ``index`` is the block row of the last replacement.
     """
 
-    def __init__(self) -> None:
-        self.genome: Optional[np.ndarray] = None
-        self.fitness = np.inf
-        self.worst = np.inf
-        self.index = -1
-        self.last_improvement = 0
-        self.trace: List[GenerationRecord] = []
+    def __init__(self, seeds: int) -> None:
+        self.genome: Optional[np.ndarray] = None  # sized at the first offer
+        self.fitness = np.full(seeds, np.inf)
+        self.worst = np.full(seeds, np.inf)
+        self.index = np.full(seeds, -1)
+        self.last_improvement = np.zeros(seeds, dtype=int)
+        self.trace: List[List[GenerationRecord]] = [[] for _ in range(seeds)]
 
-    def offer(self, genomes: np.ndarray, fitness: np.ndarray,
-              worst: np.ndarray, generation: Optional[int] = None) -> bool:
-        """Take the block's best row if it beats the incumbent.
+    def offer(self, seeds, genomes: np.ndarray, fitness: np.ndarray,
+              worst: np.ndarray, generation: Optional[int] = None) -> np.ndarray:
+        """Offer layer ``r`` of a (rows, size) block to seed ``seeds[r]``.
 
-        Returns True when the best fitness drops by more than
-        ``STALL_TOL`` (always on the first offer); ``generation``, when
-        given, then becomes ``last_improvement``.
+        ``seeds`` are distinct.  Each seed takes its layer's best row if
+        it beats the seed's incumbent.  Returns the mask of the seeds whose
+        best fitness dropped by more than ``STALL_TOL`` (always at a seed's
+        first offer); ``generation``, when given, becomes their
+        ``last_improvement``.
         """
-        return Incumbent.offer_rows([self], genomes[None], fitness[None],
-                                    worst[None], generation)[0]
-
-    @staticmethod
-    def offer_rows(holders: Sequence["Incumbent"], genomes: np.ndarray,
-                   fitness: np.ndarray, worst: np.ndarray,
-                   generation: Optional[int] = None) -> List[bool]:
-        """:meth:`offer` row ``r`` of a (rows, size) block to ``holders[r]``.
-
-        One lexsort ranks every row of the block.
-        """
-        rows = np.arange(len(holders))
+        seeds = np.asarray(seeds)
+        rows = np.arange(len(seeds))
         picks = np.lexsort((worst, fitness))[:, 0]
-        improved = []
-        for b, r, k, fit, wv in zip(holders, rows.tolist(), picks.tolist(),
-                                    fitness[rows, picks].tolist(),
-                                    worst[rows, picks].tolist()):
-            first = b.genome is None
-            improved.append(first or fit < b.fitness - STALL_TOL)
-            if first or fit < b.fitness or (fit == b.fitness and wv < b.worst):
-                b.genome = genomes[r, k].copy()
-                b.fitness, b.worst, b.index = fit, wv, k
-            if improved[-1] and generation is not None:
-                b.last_improvement = generation
+        fit, wv = fitness[rows, picks], worst[rows, picks]
+        old, first = self.fitness[seeds], self.index[seeds] < 0
+        improved = first | (fit < old - STALL_TOL)
+        take = first | (fit < old) | ((fit == old) & (wv < self.worst[seeds]))
+        if take.any():  # the improved seeds are among those that take
+            if self.genome is None:
+                self.genome = np.zeros((len(self.fitness), genomes.shape[-1]))
+            won, picks = seeds[take], picks[take]
+            self.genome[won] = genomes[take, picks]
+            self.fitness[won], self.worst[won], self.index[won] = (
+                fit[take], wv[take], picks)
+            if generation is not None:
+                self.last_improvement[seeds[improved]] = generation
         return improved
 
-    def record(self, generation: int, mean_fitness: float,
-               evaluations: int) -> None:
-        """Append one trace line at the current best."""
-        self.trace.append(GenerationRecord(
-            generation, self.fitness, float(mean_fitness), evaluations))
+    def record(self, seeds, generation: int, means: np.ndarray,
+               evaluations: Sequence[int]) -> None:
+        """Append each seed's trace line at its current best; ``means`` and
+        ``evaluations`` follow ``seeds``."""
+        for k, best, mean, spent in zip(np.asarray(seeds).tolist(),
+                                        self.fitness[seeds].tolist(),
+                                        means.tolist(), evaluations):
+            self.trace[k].append(GenerationRecord(generation, best, mean, spent))
 
-    def report(self, problem: LinkProblem, solver: str, seed: int,
+    def report(self, k: int, problem: LinkProblem, solver: str, seed: int,
                evaluations: int, budget: Optional[int],
                config: Optional[dict]) -> SolverReport:
-        """The run's report, built from one evaluation of the incumbent."""
+        """Seed ``k``'s report, built from one evaluation of its incumbent."""
         return SolverReport(
             solver=solver,
             seed=seed,
-            best=problem.evaluate(self.genome),
-            trace=self.trace,
+            best=problem.evaluate(self.genome[k]),
+            trace=self.trace[k],
             evaluations=evaluations,
-            last_improvement_generation=self.last_improvement,
+            last_improvement_generation=int(self.last_improvement[k]),
             budget=budget,
             config=config,
         )

@@ -199,7 +199,7 @@ def steps(cfg: GaConfig, problem,
     problems = seed_problems(problem, seeds)
     problem = problems[0]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    best = [Incumbent() for _ in seeds]
+    best = Incumbent(len(seeds))
     stall = np.zeros(len(seeds), dtype=int)
     spent = np.full(len(seeds), size)  # evaluations of each seed
     live = np.arange(len(seeds))  # the seed of each layer of the stack
@@ -216,13 +216,10 @@ def steps(cfg: GaConfig, problem,
         rows = np.arange(live.size)[:, None]
         order = np.argsort(fit, axis=1, kind="stable")[:, :size]
         pop, fit, worst = pop[rows, order], fit[rows, order], worst[rows, order]
-        means = np.mean(fit, axis=1).tolist()
-        holders = [best[k] for k in live]
-        improved = Incumbent.offer_rows(holders, pop, fit, worst, gen)
+        improved = best.offer(live, pop, fit, worst, gen)
         if gen > 0:
             stall[live] = np.where(improved, 0, stall[live] + 1)
-            for b, mean, k in zip(holders, means, live.tolist()):
-                b.record(gen, mean, int(spent[k]))
+            best.record(live, gen, np.mean(fit, axis=1), spent[live].tolist())
         keep = stall[live] < cfg.stall_limit
         if not keep.all():
             pop, fit, worst, live = pop[keep], fit[keep], worst[keep], live[keep]
@@ -243,6 +240,6 @@ def steps(cfg: GaConfig, problem,
         fit = np.concatenate([cev.fitness, fit[:, :n_elite]], axis=1)
         worst = np.concatenate([cev.worst_violation, worst[:, :n_elite]], axis=1)
 
-    return [best[k].report(problems[k], "ga", seed, int(spent[k]), budget,
-                           {**config_snapshot(cfg), "seed": seed})
+    return [best.report(k, problems[k], "ga", seed, int(spent[k]), budget,
+                        {**config_snapshot(cfg), "seed": seed})
             for k, seed in enumerate(seeds)]

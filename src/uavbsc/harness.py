@@ -281,22 +281,23 @@ def random_steps(problem, budget: int,
     rngs = [np.random.default_rng(seed) for seed in seeds]
     dim = problem.genome_size
 
-    best = [Incumbent() for _ in seeds]
+    best = Incumbent(len(seeds))
+    everyone = np.arange(len(seeds))
     evaluations = 0
     block = 0
     while evaluations < budget:
         n = min(_RANDOM_CHUNK, budget - evaluations)
         genomes = problem.adjust(draw(rngs, "random", (len(seeds), n, dim)))
-        ev = yield genomes, np.arange(len(seeds))
+        ev = yield genomes, everyone
         evaluations += n
         block += 1
-        Incumbent.offer_rows(best, genomes, ev.fitness, ev.worst_violation, block)
-        for b, mean in zip(best, np.mean(ev.fitness, axis=1).tolist()):
-            b.record(block, mean, evaluations)
+        best.offer(everyone, genomes, ev.fitness, ev.worst_violation, block)
+        best.record(everyone, block, np.mean(ev.fitness, axis=1),
+                    [evaluations] * len(seeds))
 
-    return [b.report(own, "random", seed, evaluations, int(budget),
-                     {"chunk_size": _RANDOM_CHUNK})
-            for b, seed, own in zip(best, seeds, problems)]
+    return [best.report(k, own, "random", seed, evaluations, int(budget),
+                        {"chunk_size": _RANDOM_CHUNK})
+            for k, (seed, own) in enumerate(zip(seeds, problems))]
 
 
 # ----------------------------------------------------------------------

@@ -135,11 +135,10 @@ def update_velocity(position, velocity, personal_best, global_best,
     return new_v
 
 
-def update_position(position, velocity) -> np.ndarray:
-    """Move a particle and clamp it back into the unit box."""
-    x = np.asarray(position, dtype=np.float64)
-    v = np.asarray(velocity, dtype=np.float64)
-    return np.clip(x + v, 0.0, 1.0)
+def update_position(problem: LinkProblem, position, velocity) -> np.ndarray:
+    """Move particles by ``problem.adjust(position + velocity)``, which
+    clamps into the unit box, re-pins frozen genes and rejects a non-finite move."""
+    return problem.adjust(position + velocity)
 
 
 def run(cfg: PsoConfig, problem: LinkProblem) -> SolverReport:
@@ -172,7 +171,7 @@ def steps(cfg: PsoConfig, problem,
     problems = seed_problems(problem, seeds)
     problem = problems[0]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    best = [Incumbent() for _ in seeds]
+    best = Incumbent(len(seeds))
     spent = np.full(len(seeds), size)  # evaluations of each seed
     live = np.arange(len(seeds))  # the seed of each layer of the stack
     mutation_std = math.sqrt(IPSO_MUTATION_VARIANCE)
@@ -186,29 +185,27 @@ def steps(cfg: PsoConfig, problem,
     personal_x = positions.copy()
     personal_fit = ev.fitness.copy()
     personal_worst = ev.worst_violation.copy()
-    Incumbent.offer_rows(best, personal_x, personal_fit, personal_worst, 0)
+    best.offer(live, personal_x, personal_fit, personal_worst, 0)
 
     for it in range(1, cfg.iterations + 2):
         keep = np.full(live.size, it <= cfg.iterations)
         if budget is not None:
             keep &= spent[live] + needed <= budget
         if not keep.all():
-            for row in np.flatnonzero(~keep):  # fold in a last mutation pass
-                best[live[row]].offer(personal_x[row], personal_fit[row],
-                                      personal_worst[row])
+            gone = ~keep  # fold in a last mutation pass
+            best.offer(live[gone], personal_x[gone], personal_fit[gone],
+                       personal_worst[gone])
             live, positions, velocities = live[keep], positions[keep], velocities[keep]
             personal_x, personal_fit, personal_worst = (
                 personal_x[keep], personal_fit[keep], personal_worst[keep])
             if not live.size:
                 break
         stack = [rngs[k] for k in live]
-        holders = [best[k] for k in live]
 
         inertia = inertia_at(it - 1, cfg.iterations, cfg)
-        leaders = np.stack([b.genome for b in holders])[:, None, :]
         velocities = update_velocity(positions, velocities, personal_x,
-                                     leaders, inertia, cfg, stack)
-        positions = problem.adjust(positions + velocities)
+                                     best.genome[live, None], inertia, cfg, stack)
+        positions = update_position(problem, positions, velocities)
         block = positions
         if cfg.mutation_active:
             offsets = masked_gaussian_offsets(
@@ -222,14 +219,11 @@ def steps(cfg: PsoConfig, problem,
         np.copyto(personal_x, positions, where=improved[..., None])
         np.copyto(personal_fit, fitness, where=improved)
         np.copyto(personal_worst, violation, where=improved)
-        Incumbent.offer_rows(holders, personal_x, personal_fit, personal_worst,
-                             it)
-        for b, mean, k in zip(holders, np.mean(fitness, axis=1).tolist(),
-                              live.tolist()):
-            b.record(it, mean, int(spent[k]))
+        best.offer(live, personal_x, personal_fit, personal_worst, it)
+        best.record(live, it, np.mean(fitness, axis=1), spent[live].tolist())
 
         if cfg.mutation_active:
-            rows, held = np.arange(live.size), [b.index for b in holders]
+            rows, held = np.arange(live.size), best.index[live]
             offsets[rows, held] = 0.0
             moved = np.any(offsets != 0.0, axis=2)
             spent[live] += np.count_nonzero(moved, axis=1)
@@ -241,6 +235,6 @@ def steps(cfg: PsoConfig, problem,
             positions, unmoved = block[:, size:], positions[rows, held]
             positions[rows, held] = problem.adjust(unmoved + 0.0)
 
-    return [best[k].report(problems[k], cfg.variant, seed, int(spent[k]), budget,
-                           {**config_snapshot(cfg), "seed": seed})
+    return [best.report(k, problems[k], cfg.variant, seed, int(spent[k]), budget,
+                        {**config_snapshot(cfg), "seed": seed})
             for k, seed in enumerate(seeds)]

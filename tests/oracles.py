@@ -5,11 +5,14 @@ plain Python scalars (``math`` + ``fractions``), deliberately avoiding any
 import from the package under test and avoiding its vectorized formula
 layout.  Tests compare the package against these second routes.
 
-There are two exceptions, both at the end.  The per-point layout
+There are three exceptions, all at the end.  The per-point layout
 reference is the package's earlier (B, N+1, 3) waypoint layout of the
 batch evaluation, kept to pin that the axis-by-axis layout gives the
-same bits.  The exhaustive grid oracle enumerates a tiny scenario's free
-genes through ``LinkProblem.evaluate_batch`` and keeps its best point by
+same bits.  The best-so-far reference is the package's earlier loop
+with one holder per seed, kept to pin that the stacked
+``uavbsc.common.Incumbent`` applies the same rule with the same
+``STALL_TOL``.  The exhaustive grid oracle enumerates a tiny scenario's
+free genes through ``LinkProblem.evaluate_batch`` and keeps its best point by
 ``uavbsc.common.Incumbent``, the package's one ordering rule, so that
 solver runs can be compared with a grid best on the same fitness.
 
@@ -28,8 +31,9 @@ from typing import List, Optional
 
 import numpy as np
 
-# Only the grid oracle uses the package's best-so-far rule.
-from uavbsc.common import Incumbent
+# Only the grid oracle uses the package's best-so-far rule, and only the
+# rule's reference uses its stall tolerance.
+from uavbsc.common import STALL_TOL, Incumbent
 # Only the per-point layout reference uses the package's formula functions.
 from uavbsc.model import (
     doppler_factor,
@@ -558,6 +562,47 @@ def per_point_evaluate(problem, genomes) -> dict:
 
 
 # ----------------------------------------------------------------------
+# Best-so-far rule, one holder per seed
+# ----------------------------------------------------------------------
+
+@dataclass(eq=False)
+class ReferenceHolder:
+    """One seed's best-so-far row, as :func:`offer_reference` keeps it."""
+
+    genome: Optional[np.ndarray] = None
+    fitness: float = math.inf
+    worst: float = math.inf
+    index: int = -1
+    last_improvement: int = 0
+
+
+def offer_reference(holders, genomes, fitness, worst,
+                    generation: Optional[int] = None) -> List[bool]:
+    """Offer layer ``r`` of a (rows, size) block to ``holders[r]``, one by one.
+
+    Each holder takes its layer's best row (lower fitness, then lower
+    worst violation, then the earliest row) if it beats the holder; the
+    returned flags say whether its fitness dropped by more than
+    ``STALL_TOL`` (always at the first offer), and ``generation``, when
+    given, then becomes its ``last_improvement``.
+    """
+    rows = np.arange(len(holders))
+    picks = np.lexsort((worst, fitness))[:, 0]
+    improved = []
+    for b, r, k, fit, wv in zip(holders, rows.tolist(), picks.tolist(),
+                                fitness[rows, picks].tolist(),
+                                worst[rows, picks].tolist()):
+        first = b.genome is None
+        improved.append(first or fit < b.fitness - STALL_TOL)
+        if first or fit < b.fitness or (fit == b.fitness and wv < b.worst):
+            b.genome = genomes[r, k].copy()
+            b.fitness, b.worst, b.index = fit, wv, k
+        if improved[-1] and generation is not None:
+            b.last_improvement = generation
+    return improved
+
+
+# ----------------------------------------------------------------------
 # Exhaustive grid oracle (tiny scenarios only)
 # ----------------------------------------------------------------------
 
@@ -609,18 +654,18 @@ def grid_oracle(problem, resolution: int) -> GridResult:
     levels = np.linspace(0.0, 1.0, resolution) if resolution > 1 else np.array([0.5])
     weights = resolution ** np.arange(n_free - 1, -1, -1, dtype=np.int64)
     base = np.full(problem.genome_size, 0.5)
-    best = Incumbent()
+    best = Incumbent(1)
     for start in range(0, total, _GRID_CHUNK):
         idx = np.arange(start, min(start + _GRID_CHUNK, total), dtype=np.int64)
         genomes = np.tile(base, (len(idx), 1))
         genomes[:, free] = levels[(idx[:, None] // weights) % resolution]
         genomes = problem.adjust(genomes)
         ev = problem.evaluate_batch(genomes)
-        best.offer(genomes, ev.fitness, ev.worst_violation)
+        best.offer([0], genomes[None], ev.fitness[None], ev.worst_violation[None])
 
-    winner = problem.evaluate(best.genome)
+    winner = problem.evaluate(best.genome[0])
     return GridResult(
-        genome=best.genome,
+        genome=best.genome[0],
         fitness=winner.fitness,
         objective_bps=winner.objective_bps,
         feasible=winner.report.feasible,

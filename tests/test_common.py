@@ -22,117 +22,128 @@ from uavbsc.encoding import LinkProblem
 
 
 def _block(*rows):
-    """Genomes tagged by row number, plus (fitness, worst) columns."""
-    fit = np.array([r[0] for r in rows], dtype=np.float64)
-    worst = np.array([r[1] for r in rows], dtype=np.float64)
-    genomes = np.arange(len(rows), dtype=np.float64)[:, None] * np.ones(3)
-    return genomes, fit, worst
+    """One seed's (1, rows) block: genomes tagged by row number, plus
+    (fitness, worst) columns."""
+    fit = np.array([[r[0] for r in rows]], dtype=np.float64)
+    worst = np.array([[r[1] for r in rows]], dtype=np.float64)
+    genomes = np.arange(len(rows), dtype=np.float64)[None, :, None] * np.ones(3)
+    return [0], genomes, fit, worst
 
 
 def test_equal_fitness_goes_to_the_lower_worst_violation():
-    best = Incumbent()
+    best = Incumbent(1)
     best.offer(*_block((5.0, 0.3), (5.0, 0.1), (5.0, 0.2)))
-    assert (best.fitness, best.worst, best.index) == (5.0, 0.1, 1)
+    assert (best.fitness[0], best.worst[0], best.index[0]) == (5.0, 0.1, 1)
     # A later offer at equal fitness replaces only with a lower violation.
     best.offer(*_block((5.0, 0.1), (5.0, 0.05)))
-    assert (best.worst, best.index) == (0.05, 1)
+    assert (best.worst[0], best.index[0]) == (0.05, 1)
     best.offer(*_block((5.0, 0.2)))
-    assert (best.worst, best.index) == (0.05, 1)
+    assert (best.worst[0], best.index[0]) == (0.05, 1)
 
 
 def test_full_ties_go_to_the_earliest_row_and_the_earliest_offer():
-    best = Incumbent()
-    genomes, fit, worst = _block((2.0, 0.0), (1.0, 0.0), (1.0, 0.0))
-    best.offer(genomes, fit, worst)
-    assert best.index == 1
-    np.testing.assert_array_equal(best.genome, genomes[1])
+    best = Incumbent(1)
+    seeds, genomes, fit, worst = _block((2.0, 0.0), (1.0, 0.0), (1.0, 0.0))
+    best.offer(seeds, genomes, fit, worst)
+    assert best.index[0] == 1
+    np.testing.assert_array_equal(best.genome[0], genomes[0, 1])
     later = np.full_like(genomes, 9.0)
-    best.offer(later, fit, worst)
-    assert best.index == 1
-    np.testing.assert_array_equal(best.genome, genomes[1])
+    best.offer(seeds, later, fit, worst)
+    assert best.index[0] == 1
+    np.testing.assert_array_equal(best.genome[0], genomes[0, 1])
 
 
 def test_offer_reports_improvement_only_past_the_stall_tolerance():
-    best = Incumbent()
+    best = Incumbent(1)
     assert best.offer(*_block((1.0, 0.0)))          # the first offer counts
     assert not best.offer(*_block((1.0 - STALL_TOL / 2, 0.0)))
-    assert best.fitness == 1.0 - STALL_TOL / 2     # still replaced
-    assert not best.offer(*_block((best.fitness, 0.0)))
-    assert best.offer(*_block((best.fitness - 4 * STALL_TOL, 0.0)))
+    assert best.fitness[0] == 1.0 - STALL_TOL / 2  # still replaced
+    assert not best.offer(*_block((best.fitness[0], 0.0)))
+    assert best.offer(*_block((best.fitness[0] - 4 * STALL_TOL, 0.0)))
     assert not best.offer(*_block((2.0, 0.0)))
 
 
 def test_offer_without_a_generation_keeps_last_improvement():
-    best = Incumbent()
+    best = Incumbent(1)
     best.offer(*_block((3.0, 0.0)), generation=4)
-    assert best.last_improvement == 4
+    assert best.last_improvement[0] == 4
     assert best.offer(*_block((1.0, 0.0)))
-    assert best.last_improvement == 4
-    assert best.fitness == 1.0
+    assert best.last_improvement[0] == 4
+    assert best.fitness[0] == 1.0
     best.offer(*_block((3.0, 0.0)), generation=6)   # no improvement
-    assert best.last_improvement == 4
+    assert best.last_improvement[0] == 4
     best.offer(*_block((0.5, 0.0)), generation=7)
-    assert best.last_improvement == 7
+    assert best.last_improvement[0] == 7
 
 
 def test_index_names_the_row_of_the_last_replacement():
-    best = Incumbent()
+    best = Incumbent(1)
     best.offer(*_block((4.0, 0.0), (3.0, 0.0)))
-    assert best.index == 1
+    assert best.index[0] == 1
     best.offer(*_block((3.5, 0.0), (9.0, 0.0), (9.0, 0.0)))
-    assert best.index == 1                          # no replacement
+    assert best.index[0] == 1                       # no replacement
     best.offer(*_block((9.0, 0.0), (9.0, 0.0), (2.0, 0.0)))
-    assert best.index == 2
+    assert best.index[0] == 2
 
 
 def test_stored_genome_is_a_copy_of_the_winning_row():
-    best = Incumbent()
-    genomes, fit, worst = _block((1.0, 0.0))
-    best.offer(genomes, fit, worst)
-    genomes[0] = -1.0
-    np.testing.assert_array_equal(best.genome, np.zeros(3))
+    best = Incumbent(1)
+    seeds, genomes, fit, worst = _block((1.0, 0.0))
+    best.offer(seeds, genomes, fit, worst)
+    genomes[0, 0] = -1.0
+    np.testing.assert_array_equal(best.genome[0], np.zeros(3))
 
 
-def test_offer_rows_is_offer_row_by_row():
+def test_one_offer_over_seeds_is_one_offer_per_seed():
     rng = np.random.default_rng(8)
     fit = rng.integers(0, 3, (4, 6)).astype(float)  # many full ties
     worst = rng.integers(0, 2, (4, 6)).astype(float)
     genomes = rng.random((4, 6, 3))
-    rows, alone = [Incumbent() for _ in range(4)], [Incumbent() for _ in range(4)]
+    rows, alone = Incumbent(4), [Incumbent(1) for _ in range(4)]
     for gen in range(3):
-        got = Incumbent.offer_rows(rows, genomes, fit - gen, worst, gen)
-        want = [b.offer(genomes[r], fit[r] - gen, worst[r], gen)
+        got = rows.offer(np.arange(4), genomes, fit - gen, worst, gen)
+        want = [b.offer([0], genomes[r, None], fit[r, None] - gen,
+                        worst[r, None], gen)[0]
                 for r, b in enumerate(alone)]
-        assert got == want
-        assert [(b.fitness, b.worst, b.index, b.last_improvement)
-                for b in rows] == [(b.fitness, b.worst, b.index,
-                                    b.last_improvement) for b in alone]
-        assert all(np.array_equal(a.genome, b.genome)
-                   for a, b in zip(rows, alone))
+        assert got.tolist() == want
+        assert list(zip(rows.fitness, rows.worst, rows.index,
+                        rows.last_improvement)) == [
+            (b.fitness[0], b.worst[0], b.index[0], b.last_improvement[0])
+            for b in alone]
+        assert all(np.array_equal(a, b.genome[0])
+                   for a, b in zip(rows.genome, alone))
+    # The seeds left out of an offer keep their incumbents.
+    genome, last = rows.genome.copy(), rows.last_improvement.copy()
+    rows.offer([3, 1], genomes[:2], fit[:2] - 9.0, worst[:2], 9)
+    np.testing.assert_array_equal(rows.genome[[0, 2]], genome[[0, 2]])
+    assert rows.last_improvement.tolist() == [last[0], 9, last[2], 9]
 
 
 def test_record_traces_the_current_best():
-    best = Incumbent()
-    best.offer(*_block((2.0, 0.0)))
-    best.record(1, np.float64(7.5), 10)
+    best = Incumbent(2)
+    best.offer([0, 1], np.zeros((2, 1, 3)), np.array([[2.0], [4.0]]),
+               np.zeros((2, 1)))
+    best.record([0, 1], 1, np.array([7.5, 8.0]), [10, 12])
     best.offer(*_block((1.0, 0.0)))
-    best.record(2, 3.0, 20)
-    assert [r.to_dict() for r in best.trace] == [
-        GenerationRecord(1, 2.0, 7.5, 10).to_dict(),
-        GenerationRecord(2, 1.0, 3.0, 20).to_dict(),
+    best.record([0], 2, np.array([3.0]), [20])
+    assert [[r.to_dict() for r in trace] for trace in best.trace] == [
+        [GenerationRecord(1, 2.0, 7.5, 10).to_dict(),
+         GenerationRecord(2, 1.0, 3.0, 20).to_dict()],
+        [GenerationRecord(1, 4.0, 8.0, 12).to_dict()],
     ]
 
 
 def test_report_evaluates_the_incumbent_once(tiny_problem):
-    best = Incumbent()
+    best = Incumbent(1)
     genome = tiny_problem.heuristic_mean()
     ev = tiny_problem.evaluate_batch(genome[None, :])
-    best.offer(ev.genomes, ev.fitness, ev.worst_violation, 0)
-    report = best.report(tiny_problem, "x", 3, 1, None, {"k": 1})
+    best.offer([0], ev.genomes[None], ev.fitness[None],
+               ev.worst_violation[None], 0)
+    report = best.report(0, tiny_problem, "x", 3, 1, None, {"k": 1})
     assert (report.solver, report.seed, report.evaluations) == ("x", 3, 1)
     assert report.best.fitness == float(ev.fitness[0])
     assert report.last_improvement_generation == 0
-    assert report.trace is best.trace
+    assert report.trace is best.trace[0]
     assert report.config == {"k": 1}
 
 

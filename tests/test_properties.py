@@ -19,8 +19,9 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import (REFERENCE_CONFIG, TINY_CONFIG, encode, evaluate_blocks,
                      small_problem)
+from oracles import ReferenceHolder, offer_reference
 from uavbsc import ga
-from uavbsc.common import Incumbent, draw
+from uavbsc.common import STALL_TOL, Incumbent, draw
 from uavbsc.config import ScenarioConfig
 from uavbsc.encoding import _PASS_ROWS, LinkProblem, _slot_sum, normalize
 from uavbsc.harness import write_json
@@ -104,18 +105,65 @@ _BLOCKS = st.lists(st.lists(st.tuples(_LEVEL, _LEVEL), min_size=1,
 @checked
 @given(_BLOCKS)
 def test_incumbent_picks_the_first_of_a_sort_by_fitness_then_worst(blocks):
-    best = Incumbent()
+    best = Incumbent(1)
     offered = []
     for block in blocks:
         tags = np.arange(len(offered), len(offered) + len(block),
-                         dtype=np.float64)[:, None]
+                         dtype=np.float64)[None, :, None]
         offered += block
-        best.offer(tags, np.array([f for f, _ in block]),
-                   np.array([w for _, w in block]))
+        best.offer([0], tags, np.array([[f for f, _ in block]]),
+                   np.array([[w for _, w in block]]))
     winner = min(range(len(offered)),
                  key=lambda i: (offered[i][0], offered[i][1], i))
-    assert best.genome[0] == winner
-    assert (best.fitness, best.worst) == offered[winner]
+    assert best.genome[0, 0] == winner
+    assert (best.fitness[0], best.worst[0]) == offered[winner]
+
+
+# Fitness steps just inside, at and just past STALL_TOL from two levels.
+_NEAR_LEVEL = st.builds(lambda level, steps: level - steps * STALL_TOL,
+                        st.sampled_from([0.0, 1.0]),
+                        st.sampled_from([0.0, 0.5, 1.5]))
+
+
+@st.composite
+def _seed_offers(pick):
+    """A seed count, then offers of (distinct seeds, (rows, size) fitness
+    and worst-violation blocks, generation or None)."""
+    n_seeds = pick(st.integers(1, 4))
+    offers = []
+    for _ in range(pick(st.integers(1, 6))):
+        seeds = pick(st.lists(st.integers(0, n_seeds - 1), min_size=1,
+                              max_size=n_seeds, unique=True))
+        size = pick(st.integers(1, 4))
+        cells = pick(st.lists(st.tuples(_NEAR_LEVEL, _LEVEL),
+                              min_size=len(seeds) * size,
+                              max_size=len(seeds) * size))
+        block = np.array(cells).reshape(len(seeds), size, 2)
+        offers.append((seeds, block[..., 0], block[..., 1],
+                       pick(st.none() | st.integers(0, 9))))
+    return n_seeds, offers
+
+
+@checked
+@given(_seed_offers())
+def test_stacked_incumbent_offers_as_one_holder_per_seed(case):
+    n_seeds, offers = case
+    best, holders = Incumbent(n_seeds), [ReferenceHolder() for _ in range(n_seeds)]
+    tag = 0
+    for seeds, fitness, worst, generation in offers:
+        genomes = np.arange(tag, tag + fitness.size, dtype=np.float64).reshape(
+            fitness.shape)[..., None] * np.ones(2)
+        tag += fitness.size
+        improved = best.offer(np.array(seeds), genomes, fitness, worst, generation)
+        assert improved.tolist() == offer_reference(
+            [holders[k] for k in seeds], genomes, fitness, worst, generation)
+        assert [(b.fitness, b.worst, b.index, b.last_improvement)
+                for b in holders] == list(zip(
+                    best.fitness.tolist(), best.worst.tolist(),
+                    best.index.tolist(), best.last_improvement.tolist()))
+        for k, b in enumerate(holders):
+            if b.genome is not None:
+                assert best.genome[k].tobytes() == b.genome.tobytes()
 
 
 def _constraints_hold(problem, traj, split) -> dict:

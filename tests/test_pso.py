@@ -153,10 +153,20 @@ def test_update_velocity_applies_clamp():
 
 
 def test_update_position_moves_and_clamps():
-    x = np.array([0.1, 0.5, 0.95])
-    v = np.array([-0.3, 0.2, 0.2])
-    assert np.allclose(pso.update_position(x, v), [0.0, 0.7, 1.0],
-                       rtol=0, atol=1e-15)
+    problem = small_problem()
+    frozen = problem.frozen_gene_indices()
+    free = np.setdiff1d(np.arange(problem.genome_size), frozen)[:3]
+    assert frozen.size
+    x, v = np.full((2, problem.genome_size), 0.5), np.zeros((2, problem.genome_size))
+    x[:, free], v[:, free] = [0.1, 0.5, 0.95], [-0.3, 0.2, 0.2]
+    x = problem.adjust(x)
+    v[:, frozen] = 0.3  # frozen z genes are re-pinned, not moved
+    moved = pso.update_position(problem, x, v)
+    assert np.allclose(moved[:, free], [0.0, 0.7, 1.0], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(moved[:, frozen], x[:, frozen])
+    v[0, free[0]] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        pso.update_position(problem, x, v)
 
 
 # ----------------------------------------------------------------------
@@ -191,12 +201,12 @@ def _first_iteration(cfg, problem):
     positions = block[0, :cfg.swarm_size]
     ev1 = problem.evaluate_batch(positions)
     better = ev1.fitness < ev0.fitness
-    best = Incumbent()
-    best.offer(start[0], ev0.fitness, ev0.worst_violation)
-    best.offer(np.where(better[:, None], positions, start[0]),
-               np.where(better, ev1.fitness, ev0.fitness),
-               np.where(better, ev1.worst_violation, ev0.worst_violation))
-    return loop, block, replay, best.index
+    best = Incumbent(1)
+    best.offer([0], start, ev0.fitness[None], ev0.worst_violation[None])
+    best.offer([0], np.where(better[:, None], positions, start[0])[None],
+               np.where(better, ev1.fitness, ev0.fitness)[None],
+               np.where(better, ev1.worst_violation, ev0.worst_violation)[None])
+    return loop, block, replay, int(best.index[0])
 
 
 def test_ipso_mutate_replays_masked_offsets():

@@ -43,6 +43,7 @@ REMOVED = [
     ("harness", "GRID_MAX_POINTS"),
     ("harness", "GRID_MAX_SLOTS"),
     ("encoding", "evaluate_blocks"),
+    ("common", "Incumbent.offer_rows"),
 ]
 
 # (module, callable, parameter) triples removed from the package.
