@@ -26,7 +26,6 @@ from .harness import (
     RunArtifact,
     SweepPoint,
     SweepSpec,
-    convergence_speed,
     export_solution,
     random_search,
     run_campaign,
@@ -68,6 +67,5 @@ __all__ = [
     # scenarios & harness
     "ConfigError", "ScenarioConfig", "db_to_linear", "dbm_to_watt",
     "RunArtifact", "run_single", "run_campaign", "random_search",
-    "SweepSpec", "SweepPoint", "run_sweep", "convergence_speed",
-    "export_solution",
+    "SweepSpec", "SweepPoint", "run_sweep", "export_solution",
 ]

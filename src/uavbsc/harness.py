@@ -37,7 +37,6 @@ __all__ = [
     "SOLVER_NAMES",
     "RANDOM_DEFAULT_BUDGET",
     "RunArtifact",
-    "convergence_speed",
     "make_solver_config",
     "run_single",
     "run_campaign",
@@ -65,17 +64,6 @@ RANDOM_DEFAULT_BUDGET = 10_000
 _RANDOM_CHUNK = 256
 
 
-def convergence_speed(report: SolverReport) -> float:
-    """Achieved rate per generation actually needed to reach it.
-
-    The rate is :attr:`~uavbsc.common.SolverReport.achieved_rate_bps`.
-    The divisor is clamped to one so a run that never improves past its
-    initial population still yields a finite number.
-    """
-    return (float(max(report.achieved_rate_bps, 0.0))
-            / float(max(1, report.last_improvement_generation)))
-
-
 @dataclass(eq=False)
 class RunArtifact:
     """One solver run plus the provenance needed to reproduce it."""
@@ -88,10 +76,6 @@ class RunArtifact:
     report: SolverReport
     wall_clock_s: float
 
-    @property
-    def convergence_speed_bps(self) -> float:
-        return convergence_speed(self.report)
-
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
             "scenario_name": self.scenario_name,
@@ -99,7 +83,6 @@ class RunArtifact:
             "solver": self.solver,
             "seed": int(self.seed),
             "budget": None if self.budget is None else int(self.budget),
-            "convergence_speed_bps": float(self.convergence_speed_bps),
             "report": self.report.to_dict(),
         }
         if include_timing:

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import REFERENCE_CONFIG, TINY_CONFIG
 from uavbsc.cli import main
+from uavbsc.harness import read_solution
 
 TINY = str(TINY_CONFIG)
 
@@ -369,6 +370,24 @@ def test_export_from_run_artifact(capsys, tmp_path):
     assert solution["meta"]["source_file"] == str(art)
     csv_text = (out / "trajectory.csv").read_text(encoding="utf-8")
     assert len(csv_text.strip().splitlines()) == 1 + 2 + 1
+
+    # Artifacts written before the key was dropped still carry
+    # ``convergence_speed_bps``; they read and export alike.
+    data = json.loads(art.read_text(encoding="utf-8"))
+    assert "convergence_speed_bps" not in data
+    old = tmp_path / "old_artifact.json"
+    old.write_text(json.dumps({**data, "convergence_speed_bps": 1.5e6}),
+                   encoding="utf-8")
+    assert (read_solution(old)["genome"] == read_solution(art)["genome"]).all()
+    old_out = tmp_path / "old_export"
+    assert run_cli(capsys, "export", "--config", TINY, "--solution", str(old),
+                   "--out", str(old_out))[0] == 0
+    old_solution = json.loads(
+        (old_out / "solution.json").read_text(encoding="utf-8"))
+    assert old_solution["meta"].pop("source_file") == str(old)
+    solution["meta"].pop("source_file")
+    assert old_solution == solution
+    assert (old_out / "trajectory.csv").read_text(encoding="utf-8") == csv_text
 
 
 def test_export_rejects_missing_and_malformed_solutions(capsys, tmp_path):

@@ -34,6 +34,52 @@ SEEDS = (0, 1, 2)
 
 GOLDEN = {
     ("tiny", "ga"): [
+        "738d9d1cedad72b9b11e6046a96ee5f403a0dc12119e0fc4b9a56f316826a026",
+        "97e65921ddc9bac37954071f474086bf97ea872bb111d22b80e4c618de404cc5",
+        "fe5f6bd2260c7e81747c25b0b4ded7c5c52e906d2e06fbb2a4520ccf934421f1",
+    ],
+    ("tiny", "ipso"): [
+        "6bda915386d4f7e4d74a999e36cf7bda8a1c88940b93dbf9e1df90cf54717ffc",
+        "61d6b804b4ad51bbc06bbd5d75220b329a29f69485a168710aad29fac685cc3b",
+        "2d8cd8d95a5b25a3122df52b153ccb3f68a275eeb051e671cfe359a7888278ab",
+    ],
+    ("tiny", "pso"): [
+        "38383b5b41164bc231c5b5974ba05ff4ab53494edde3962767f72060ddea08bf",
+        "5abc344b4c2c5147072c4aa6c7f6ae786d1c47c4b434b996b6bdf5123565897d",
+        "ea705298c7a77a4fed75c003b5d98be3e09fd54268ed86024bde0c9926039552",
+    ],
+    ("tiny", "random"): [
+        "e5723185b6c0ffc49c10d3d96f4aee2b4598f5c4c85165f60066ca41e7ef8574",
+        "54332aa7a610a451f287fddec477f35115f57625b97fb3fc78ba280205f477e8",
+        "e45c1fd77110e50c15aca7ffd134aa21eef7e90650f08a6f07b50f1ba086168f",
+    ],
+    ("reference", "ga"): [
+        "62a60dcddab38cd74372d6d59a980761620ee82b431665cf19d97b7407211c8a",
+        "0108581c14a8315903bc716c9c75d9c77afb07ac45492e5f029e0d5c97f98bbf",
+        "0a599e42eb4de22db54d54ec295015ee64377669cb44e99c6c5d1f9c391ee3ce",
+    ],
+    ("reference", "ipso"): [
+        "575f6b3534b4b9cafda38a2eb7f99b8817ce2e97ffec52e8011fc3fc18847c4a",
+        "502eee716af754d0074dc888a89be277b480e7b2941caecbbe047b0da07384fc",
+        "95196026ed982086cc567b00b43a475085426e177e4924c7a3b93d06f0a63e8f",
+    ],
+    ("reference", "pso"): [
+        "bf55d23c90dc1317e015220a879725be224c67e068871d1f0633ee56c11beeb4",
+        "9f248aa09dca525b5e776700dda55268e92137bc7a3cd9a2d32f53fc1dc8c9ac",
+        "1dd4a5b821c701e6b5c9c6e1362a37c159deb5439aa55de773379b411cb727b1",
+    ],
+    ("reference", "random"): [
+        "0bdb15eb2a2dd21d5f22993665e4367c42703bf588b879ab4ba76e5b3d7dcb15",
+        "192126bb1ec0e87fdbaf92b367753368cda2ef8642ed829a9b2b6b90911a4f72",
+        "7e2a6e2f37f75b58d747656da3bb48b670f2a4d5a135b3348ed86a3b50bff08a",
+    ],
+}
+
+# The hashes before artifacts dropped ``convergence_speed_bps`` (the
+# achieved rate over the last improving generation, whose generations
+# differ in size between solvers).
+PARENT_GOLDEN = {
+    ("tiny", "ga"): [
         "043e2ae7c330615918cf64ba1948cdba64852e7985c4aeb0b79c8c5262a790d5",
         "4eebc581f9c5643ac270fe15f16f46a93f35a8db712ea3b621cddab60415f3a7",
         "0c4410601e7b6ed100167bd6da8b1c5a011dc977aed7b981d94c29c74d50fe85",
@@ -94,6 +140,24 @@ def test_run_artifacts_match_golden_hashes(scenarios, config, solver):
                                     budget=BUDGET))
            for seed in SEEDS]
     assert got == GOLDEN[config, solver]
+
+
+@pytest.mark.parametrize("config", ["tiny", "reference"])
+@pytest.mark.parametrize("solver", ["ga", "ipso", "pso", "random"])
+def test_artifacts_equal_the_parents_without_convergence_speed(
+        scenarios, config, solver):
+    got = []
+    for seed in SEEDS:
+        artifact = run_single(scenarios[config], solver, seed, budget=BUDGET)
+        data = artifact.to_dict(include_timing=False)
+        assert "convergence_speed_bps" not in data
+        report = artifact.report
+        data["convergence_speed_bps"] = (
+            max(report.achieved_rate_bps, 0.0)
+            / max(1, report.last_improvement_generation))
+        text = json.dumps(data, sort_keys=True)
+        got.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+    assert got == PARENT_GOLDEN[config, solver]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -15,13 +15,11 @@ import pytest
 from helpers import small_problem, small_system_params
 from oracles import grid_oracle
 from uavbsc import common, harness
-from uavbsc.common import SolverReport
 from uavbsc.encoding import LinkProblem
 from uavbsc.ga import GaConfig
 from uavbsc.harness import (
     SweepPoint,
     SweepSpec,
-    convergence_speed,
     export_solution,
     make_solver_config,
     random_search,
@@ -37,36 +35,9 @@ from uavbsc.harness import (
 from uavbsc.pso import PsoConfig
 
 
-def report_with(problem, genome, last_improvement=5) -> SolverReport:
-    best = problem.evaluate(genome)
-    return SolverReport(solver="x", seed=0, best=best, trace=[],
-                        evaluations=10,
-                        last_improvement_generation=last_improvement)
-
-
 # ----------------------------------------------------------------------
-# Metrics and per-run plumbing
+# Per-run plumbing
 # ----------------------------------------------------------------------
-
-def test_convergence_speed_divides_rate_by_improvement_generation():
-    problem = small_problem()
-    genome = problem.heuristic_mean()
-    rep = report_with(problem, genome, last_improvement=5)
-    assert rep.feasible
-    assert convergence_speed(rep) == rep.best_objective_bps / 5.0
-    # Never-improved runs divide by one instead of zero.
-    assert convergence_speed(report_with(problem, genome, 0)) == \
-        rep.best_objective_bps
-
-
-def test_convergence_speed_is_zero_for_infeasible_runs():
-    problem = small_problem()
-    bad = problem.heuristic_mean()
-    bad[problem.split_offset:] = 1.0
-    rep = report_with(problem, bad, last_improvement=3)
-    assert not rep.feasible
-    assert convergence_speed(rep) == 0.0
-
 
 def test_make_solver_config_applies_scenario_overrides(tiny_scenario):
     cfg = make_solver_config(tiny_scenario, "ga", seed=11, budget=500)
@@ -101,6 +72,14 @@ def test_run_single_is_replayable(tiny_scenario):
     assert a.scenario_hash == tiny_scenario.scenario_hash()
     assert "wall_clock_s" in a.to_dict()
     assert "wall_clock_s" not in a.to_dict(include_timing=False)
+
+
+def test_run_artifact_dict_has_exactly_its_keys(tiny_scenario):
+    art = run_single(tiny_scenario, "random", seed=0, budget=64)
+    untimed = ["budget", "report", "scenario_hash", "scenario_name", "seed",
+               "solver"]
+    assert sorted(art.to_dict()) == sorted(untimed + ["wall_clock_s"])
+    assert sorted(art.to_dict(include_timing=False)) == untimed
 
 
 def test_run_single_trace_is_the_direct_search_trace(tiny_scenario):

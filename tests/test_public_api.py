@@ -44,6 +44,8 @@ REMOVED = [
     ("harness", "GRID_MAX_SLOTS"),
     ("encoding", "evaluate_blocks"),
     ("common", "Incumbent.offer_rows"),
+    ("harness", "convergence_speed"),
+    ("harness", "RunArtifact.convergence_speed_bps"),
 ]
 
 # (module, callable, parameter) triples removed from the package.
