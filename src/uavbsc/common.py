@@ -285,27 +285,17 @@ def draw(rng, method: str, shape, *args) -> np.ndarray:
     return out
 
 
-def initial_population(problem: LinkProblem, count: int, init_mean,
-                       init_std: float, rng) -> np.ndarray:
-    """Gaussian genomes around the initialization mean, adjusted into the box.
+def initial_population(problem: LinkProblem, count: int, init_std: float,
+                       rng) -> np.ndarray:
+    """Gaussian genomes around the problem's heuristic mean, adjusted into the box.
 
-    ``init_mean`` is a scalar, a genome-length vector, or None for the
-    problem's heuristic mean.  ``rng`` is one generator, or a sequence of
-    them for a (seeds, count, dim) stack (see :func:`draw`).
+    ``rng`` is one generator, or a sequence of them for a (seeds, count,
+    dim) stack (see :func:`draw`).
     """
-    dim = problem.genome_size
-    if init_mean is None:
-        mean = problem.heuristic_mean()
-    else:
-        mean = np.asarray(init_mean, dtype=np.float64)
-        if mean.ndim == 0:
-            mean = np.full(dim, float(mean))
-        elif mean.shape != (dim,):
-            raise ValueError(
-                f"init mean must be scalar or shape ({dim},), got {mean.shape}")
     seed_axis = () if isinstance(rng, np.random.Generator) else (len(rng),)
+    shape = (*seed_axis, int(count), problem.genome_size)
     return problem.adjust(
-        draw(rng, "normal", (*seed_axis, int(count), dim), mean, init_std))
+        draw(rng, "normal", shape, problem.heuristic_mean(), init_std))
 
 
 def masked_gaussian_offsets(rng, shape, prob: float, std: float) -> np.ndarray:
@@ -323,10 +313,4 @@ def masked_gaussian_offsets(rng, shape, prob: float, std: float) -> np.ndarray:
 
 def config_snapshot(cfg) -> dict:
     """JSON-friendly dump of a solver config dataclass."""
-    out = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, np.ndarray):
-            value = [float(v) for v in value]
-        out[f.name] = value
-    return out
+    return dataclasses.asdict(cfg)

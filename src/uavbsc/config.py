@@ -111,9 +111,8 @@ SOLVER_CONFIGS = {
 }
 
 # Solver config fields a scenario file cannot override: seed and budget
-# come from the harness call, the variant from the section name, and
-# runs always start around the problem's heuristic mean.
-_NOT_OVERRIDABLE = ("seed", "max_evaluations", "init_mean", "variant")
+# come from the harness call, the variant from the section name.
+_NOT_OVERRIDABLE = ("seed", "max_evaluations", "variant")
 
 
 def _field_types(cls, skip=()) -> dict:

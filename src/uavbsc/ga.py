@@ -2,10 +2,10 @@
 
 Selection keeps an elite slice and fills the remaining parent slots by
 roulette; crossover blends gene pairs with a fresh uniform blend factor
-per gene; mutation adds clamped Gaussian perturbations.  Fitness is
-minimized.  Every random draw comes from one seeded generator in a fixed
-order, so runs are reproducible regardless of how evaluations are
-executed.
+per gene; mutation adds Gaussian perturbations that ``LinkProblem.adjust``
+clamps.  Fitness is minimized.  Every random draw comes from one seeded
+generator in a fixed order, so runs are reproducible regardless of how
+evaluations are executed.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ class GaConfig:
     elite_fraction: float = UNIT_INTERVAL(0.05)  # share of the population kept as is
     stall_limit: int = at_least(1, 200)  # generations without improvement to stop
     init_std: float = NONNEGATIVE(0.2)  # initialization spread around the mean genome
-    init_mean: Optional[object] = None  # scalar, genome-length vector, or None
     seed: int = 0
     max_evaluations: Optional[int] = POSITIVE_OR_NONE(None)
 
@@ -168,11 +167,11 @@ def crossover(parent_a, parent_b, cfg: GaConfig, rng):
 
 
 def mutate(genes, cfg: GaConfig, rng) -> np.ndarray:
-    """Clamped Gaussian mutation; works on one genome or a stack."""
+    """Unclamped Gaussian mutation of one genome or a stack (``adjust`` clamps)."""
     arr = np.asarray(genes, dtype=np.float64)
     offsets = masked_gaussian_offsets(
         rng, arr.shape, cfg.mutation_rate, 1.0 / cfg.mutation_spread)
-    return np.clip(arr + offsets, 0.0, 1.0)
+    return arr + offsets
 
 
 def run(cfg: GaConfig, problem: LinkProblem) -> SolverReport:
@@ -206,7 +205,7 @@ def steps(cfg: GaConfig, problem,
     n_elite = elite_count(cfg, size)
     paired = size - size % 2  # pairs (0, 1), (2, 3), ... cross; an odd last is copied
 
-    pop = initial_population(problem, size, cfg.init_mean, cfg.init_std, rngs)
+    pop = initial_population(problem, size, cfg.init_std, rngs)
     ev = yield pop, live
     fit, worst = ev.fitness, ev.worst_violation
 

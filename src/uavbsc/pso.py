@@ -3,9 +3,9 @@
 The improved variant ("ipso") decays the inertia weight along a square-root
 schedule and adds a Gaussian mutation pass that every particle except the
 current global-best holder may receive, restoring exploration late in the
-run.  The plain variant ("pso") keeps a constant inertia weight and never
-mutates.  Fitness is minimized; all draws come from one seeded generator
-in a fixed order.
+run.  The plain variant ("pso") holds the inertia at ``inertia_max``, the
+schedule's start, and never mutates.  Fitness is minimized; all draws
+come from one seeded generator in a fixed order.
 """
 
 from __future__ import annotations
@@ -61,17 +61,13 @@ class PsoConfig:
     iterations: int = at_least(1, 500)
     cognitive_coeff: float = NONNEGATIVE(1.5)  # pull toward the particle's own best
     social_coeff: float = NONNEGATIVE(1.5)  # pull toward the global best
-    inertia_max: float = FINITE(0.9)  # schedule start (improved variant)
+    inertia_max: float = FINITE(0.9)  # schedule start; the plain variant's weight
     inertia_min: float = FINITE(0.1)  # schedule end (improved variant)
     inertia_exponent: float = POSITIVE(0.5)  # schedule curvature
-    inertia_const: float = FINITE(0.9)  # constant weight (plain variant): the
-    # schedule's starting value held fixed, so the improved variant differs
-    # from the baseline only by the decay and the mutation pass
     mutation_prob: float = UNIT_INTERVAL(0.1)  # per-gene mutation probability
     # per-gene |velocity| cap, off when None
     velocity_clamp: Optional[float] = POSITIVE_OR_NONE(None)
     init_std: float = NONNEGATIVE(0.2)
-    init_mean: Optional[object] = None
     seed: int = 0
     max_evaluations: Optional[int] = POSITIVE_OR_NONE(None)
 
@@ -94,14 +90,14 @@ def inertia_at(step: int, total: int, cfg: PsoConfig) -> float:
 
     The improved variant decays from ``inertia_max`` at step 0 to
     ``inertia_min`` at the final step along a power-law schedule; the
-    plain variant returns the constant weight.
+    plain variant holds ``inertia_max``.
     """
     if total < 1:
         raise ValueError("total iteration count must be at least 1")
     if not 0 <= step <= total:
         raise ValueError(f"step {step} out of range 0..{total}")
     if cfg.variant == "pso":
-        return cfg.inertia_const
+        return cfg.inertia_max
     if step == total:
         # The subtraction form below lands within rounding error of
         # inertia_min here; return the endpoint itself so both schedule
@@ -177,8 +173,7 @@ def steps(cfg: PsoConfig, problem,
     mutation_std = math.sqrt(IPSO_MUTATION_VARIANCE)
     needed = size + (size - 1 if cfg.mutation_active else 0)
 
-    positions = initial_population(
-        problem, size, cfg.init_mean, cfg.init_std, rngs)
+    positions = initial_population(problem, size, cfg.init_std, rngs)
     velocities = np.zeros_like(positions)
     ev = yield positions, live
 

@@ -122,6 +122,14 @@ def encode(problem: LinkProblem, traj, split) -> np.ndarray:
     return genome
 
 
+def frozen_gene_indices(problem: LinkProblem) -> np.ndarray:
+    """Gene positions ``problem.adjust`` pins: those it moves in an all-zero
+    or an all-one genome (a pinned value cannot be both 0 and 1)."""
+    dim = problem.genome_size
+    return np.flatnonzero((problem.adjust(np.zeros(dim)) != 0.0)
+                          | (problem.adjust(np.ones(dim)) != 1.0))
+
+
 def random_genomes(problem: LinkProblem, rng: np.random.Generator,
                    count: int) -> np.ndarray:
     """Uniform-random genomes (already adjusted), shape (count, dim)."""

@@ -31,8 +31,9 @@ from typing import List, Optional
 
 import numpy as np
 
-# Only the grid oracle uses the package's best-so-far rule, and only the
-# rule's reference uses its stall tolerance.
+# Only the grid oracle uses the frozen-gene helper and the package's
+# best-so-far rule, and only the rule's reference uses its stall tolerance.
+from helpers import frozen_gene_indices
 from uavbsc.common import STALL_TOL, Incumbent
 # Only the per-point layout reference uses the package's formula functions.
 from uavbsc.model import (
@@ -642,7 +643,7 @@ def grid_oracle(problem, resolution: int) -> GridResult:
             f"grid oracle only supports up to {GRID_MAX_SLOTS} slots "
             f"(scenario has {n_slots}); it would be astronomically large otherwise")
 
-    frozen = set(problem.frozen_gene_indices())
+    frozen = set(frozen_gene_indices(problem))
     free = [g for g in range(problem.genome_size) if g not in frozen]
     n_free = len(free)
     total = resolution ** n_free

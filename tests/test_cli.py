@@ -193,6 +193,20 @@ def test_mutation_spread_with_an_infinite_std_is_a_config_error(capsys,
     assert "solvers.ga.mutation_spread" in payload["message"]
 
 
+@pytest.mark.parametrize("solver", ["ipso", "pso"])
+def test_deleted_inertia_const_is_an_unknown_key(capsys, tmp_path, solver):
+    doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
+    doc["solvers"][solver] = {"inertia_const": 0.9}
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(stale),
+                             "--solver", solver)
+    assert code == 3 and out == ""
+    payload = error_payload(err)
+    assert payload["category"] == "config"
+    assert f"unknown key solvers.{solver}.inertia_const" in payload["message"]
+
+
 def test_slot_count_too_large_to_allocate_is_a_config_error(capsys, tmp_path):
     doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
     doc["system"]["slot_count"] = 10**15
@@ -233,6 +247,23 @@ def test_impossible_budget_is_an_execution_error(capsys):
                            "--solver", "ga", "--budget", "1")
     assert code == 4
     assert error_payload(err)["category"] == "execution"
+
+
+def test_an_overflowing_mutation_is_an_execution_error(capsys, tmp_path):
+    # 1 / spread = 1e308 is finite, so the scenario loads; but an offset
+    # of std 1e308 overflows for any normal draw above about 1.8, and
+    # adjust, the GA's only clamp, rejects it.
+    doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
+    doc["solvers"]["ga"] = {"mutation_spread": 1e-308, "mutation_rate": 1.0,
+                            "generations": 20}
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(overflow),
+                             "--solver", "ga")
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1
+    assert error_payload(err) == {"category": "execution",
+                                  "message": "genome genes must be finite"}
 
 
 # ----------------------------------------------------------------------

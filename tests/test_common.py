@@ -161,19 +161,14 @@ def test_achieved_rate_counts_an_infeasible_run_as_zero(tiny_problem):
 
 def test_initial_population_is_one_normal_draw_then_adjust(tiny_problem):
     dim = tiny_problem.genome_size
-    for mean in (None, 0.3, np.linspace(0.0, 1.0, dim)):
-        got = initial_population(tiny_problem, 5, mean, 0.2,
-                                 np.random.default_rng(8))
-        centre = (tiny_problem.heuristic_mean() if mean is None
-                  else np.broadcast_to(mean, (dim,)))
-        want = tiny_problem.adjust(
-            np.random.default_rng(8).normal(centre, 0.2, size=(5, dim)))
-        assert got.tobytes() == want.tobytes()
+    got = initial_population(tiny_problem, 5, 0.2, np.random.default_rng(8))
+    want = tiny_problem.adjust(np.random.default_rng(8).normal(
+        tiny_problem.heuristic_mean(), 0.2, size=(5, dim)))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_both_solvers_start_from_the_shared_initializer(tiny_problem):
-    want = initial_population(tiny_problem, 6, None, 0.2,
-                              np.random.default_rng(4))
+    want = initial_population(tiny_problem, 6, 0.2, np.random.default_rng(4))
     first_ga, ga_seeds = next(ga.steps(ga.GaConfig(population_size=6, seed=4),
                                        tiny_problem))
     first_pso, pso_seeds = next(pso.steps(pso.PsoConfig(swarm_size=6, seed=4),
@@ -199,10 +194,10 @@ def test_draw_fills_each_layer_of_a_stack_from_its_own_generator():
 
 
 def test_initial_population_of_a_stack_is_each_seed_alone(tiny_problem):
-    stacked = initial_population(tiny_problem, 5, None, 0.2,
+    stacked = initial_population(tiny_problem, 5, 0.2,
                                  [np.random.default_rng(s) for s in (2, 9)])
     for layer, seed in zip(stacked, (2, 9)):
-        alone = initial_population(tiny_problem, 5, None, 0.2,
+        alone = initial_population(tiny_problem, 5, 0.2,
                                    np.random.default_rng(seed))
         assert layer.tobytes() == alone.tobytes()
 

@@ -20,6 +20,7 @@ from helpers import (
     audit_genome,
     encode,
     evaluate_blocks,
+    frozen_gene_indices,
     random_genomes,
     small_problem,
     small_system_params,
@@ -78,7 +79,7 @@ def test_genome_layout_counts(reference_problem):
     assert reference_problem.n_interior == 7
     assert reference_problem.genome_size == 3 * 7 + 8
     assert reference_problem.split_offset == 21
-    frozen = reference_problem.frozen_gene_indices()
+    frozen = frozen_gene_indices(reference_problem)
     assert frozen.tolist() == [2, 5, 8, 11, 14, 17, 20]
 
 
@@ -89,7 +90,7 @@ def test_adjust_clamps_and_pins_altitude_genes(reference_problem):
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
     z_lo, z_hi = reference_problem.params.bounds_m[2]
     pinned = normalize(reference_problem.params.altitude_m, z_lo, z_hi)
-    assert np.all(out[reference_problem.frozen_gene_indices()] == pinned)
+    assert np.all(out[frozen_gene_indices(reference_problem)] == pinned)
     # Stacked input keeps its shape.
     stack = reference_problem.adjust(np.tile(raw, (4, 1)))
     assert stack.shape == (4, reference_problem.genome_size)
@@ -98,7 +99,7 @@ def test_adjust_clamps_and_pins_altitude_genes(reference_problem):
 
 def test_full_3d_mode_leaves_altitude_genes_free():
     problem = small_problem(fixed_altitude=False)
-    assert problem.frozen_gene_indices().size == 0
+    assert frozen_gene_indices(problem).size == 0
     genes = np.full(problem.genome_size, 0.25)
     assert np.array_equal(problem.adjust(genes), genes)
 

@@ -34,6 +34,51 @@ SEEDS = (0, 1, 2)
 
 GOLDEN = {
     ("tiny", "ga"): [
+        "b661b423e2c91490b29541d76535b9920d43633ca5a19e0535e4fcc161a55f08",
+        "ece5dbc9589bd736db0d058ef4484c79cd07a84fe7076584102b7f5021c8390e",
+        "0d5fbaad21f5906c6cea82bb3800f187ac64ad8de2526f3388ceab1e3fc2b28e",
+    ],
+    ("tiny", "ipso"): [
+        "910124b01f9fd2a890b34eb0408be83fcb813865284a400735ffac34269ad8e2",
+        "bab90e29a25c3365da502b2f286e6687f96cb744d73c64319295af6e79672743",
+        "a5a56f6b3fcb28547905a45f953b511f489d542e0955fd08e35ff50a95a11959",
+    ],
+    ("tiny", "pso"): [
+        "194edd96f522f70fffc1646caabeeadab52f4e0ce8e680b97813a2407d7fd4e5",
+        "88cd89b741f174610d6270ad66a2e4f83e4decb1c51e172fd1c1793ebcf65d32",
+        "30725472b0d557c0eb76fe5c19a4d50673a8e8c8ec5f50fca5d4277ad2466471",
+    ],
+    ("tiny", "random"): [
+        "e5723185b6c0ffc49c10d3d96f4aee2b4598f5c4c85165f60066ca41e7ef8574",
+        "54332aa7a610a451f287fddec477f35115f57625b97fb3fc78ba280205f477e8",
+        "e45c1fd77110e50c15aca7ffd134aa21eef7e90650f08a6f07b50f1ba086168f",
+    ],
+    ("reference", "ga"): [
+        "df9d04a4f008f855cf7510ba4400c8bdf43acb964ab770c542def39cfd11069a",
+        "4f97448be7a60debcd75de313fc9a365b0b55e0e560a83f5db11c610eaac4f6a",
+        "26b6a879534b6d4eb46769982ac85afb965f78832be9f6353943a692e278ed0a",
+    ],
+    ("reference", "ipso"): [
+        "7225adbd0f9e7265a7407e2555c06d3d2c50d13390a01c848e831ca040a81f21",
+        "77d18a9d24f233f8eeb73dd1c9c7aa26f7165d195c689c34853d123e7f319942",
+        "90b843fd1a43cbba386150453d7a66e12641cb88b5a43bc973cfd11a4061ebf7",
+    ],
+    ("reference", "pso"): [
+        "24069080ab1b71c791aee41c1d7b48c71b98272a67f209ea97b32e17574a5856",
+        "8eb22b16cca0f13e8cb9db0eb8185d17c3b55c26a17d99ac24585f381adfed20",
+        "c3d3f60b7a7adac79e4bebcb1b1dc18d5c75092c5c7cd20a6eed90d10b443849",
+    ],
+    ("reference", "random"): [
+        "0bdb15eb2a2dd21d5f22993665e4367c42703bf588b879ab4ba76e5b3d7dcb15",
+        "192126bb1ec0e87fdbaf92b367753368cda2ef8642ed829a9b2b6b90911a4f72",
+        "7e2a6e2f37f75b58d747656da3bb48b670f2a4d5a135b3348ed86a3b50bff08a",
+    ],
+}
+
+# The hashes before ``report.config`` dropped two settings no caller set:
+# ``init_mean`` and ``inertia_const``.
+PARENT_GOLDEN = {
+    ("tiny", "ga"): [
         "738d9d1cedad72b9b11e6046a96ee5f403a0dc12119e0fc4b9a56f316826a026",
         "97e65921ddc9bac37954071f474086bf97ea872bb111d22b80e4c618de404cc5",
         "fe5f6bd2260c7e81747c25b0b4ded7c5c52e906d2e06fbb2a4520ccf934421f1",
@@ -75,10 +120,10 @@ GOLDEN = {
     ],
 }
 
-# The hashes before artifacts dropped ``convergence_speed_bps`` (the
-# achieved rate over the last improving generation, whose generations
+# The hashes before that, when artifacts also held ``convergence_speed_bps``
+# (the achieved rate over the last improving generation, whose generations
 # differ in size between solvers).
-PARENT_GOLDEN = {
+GRANDPARENT_GOLDEN = {
     ("tiny", "ga"): [
         "043e2ae7c330615918cf64ba1948cdba64852e7985c4aeb0b79c8c5262a790d5",
         "4eebc581f9c5643ac270fe15f16f46a93f35a8db712ea3b621cddab60415f3a7",
@@ -122,9 +167,45 @@ PARENT_GOLDEN = {
 }
 
 
-def artifact_hash(artifact) -> str:
-    text = json.dumps(artifact.to_dict(include_timing=False), sort_keys=True)
+# The config keys each solver's report dropped, with the one value every
+# run held there.
+DELETED_CONFIG = {
+    "ga": {"init_mean": None},
+    "ipso": {"init_mean": None, "inertia_const": 0.9},
+    "pso": {"init_mean": None, "inertia_const": 0.9},
+    "random": {},
+}
+
+# Each solver's ``report.config`` keys, in order.
+SWARM_KEYS = ["variant", "swarm_size", "iterations", "cognitive_coeff",
+              "social_coeff", "inertia_max", "inertia_min", "inertia_exponent",
+              "mutation_prob", "velocity_clamp", "init_std", "seed",
+              "max_evaluations"]
+CONFIG_KEYS = {
+    "ga": ["population_size", "generations", "crossover_rate", "mutation_rate",
+           "mutation_spread", "elite_fraction", "stall_limit", "init_std",
+           "seed", "max_evaluations"],
+    "ipso": SWARM_KEYS,
+    "pso": SWARM_KEYS,
+    "random": ["chunk_size"],
+}
+
+
+def data_hash(data) -> str:
+    text = json.dumps(data, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def artifact_hash(artifact) -> str:
+    return data_hash(artifact.to_dict(include_timing=False))
+
+
+def parent_data(artifact) -> dict:
+    """``artifact.to_dict(include_timing=False)`` with the deleted config
+    keys put back, as the parent wrote it."""
+    data = artifact.to_dict(include_timing=False)
+    data["report"]["config"].update(DELETED_CONFIG[artifact.solver])
+    return data
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +223,22 @@ def test_run_artifacts_match_golden_hashes(scenarios, config, solver):
     assert got == GOLDEN[config, solver]
 
 
+@pytest.mark.parametrize("solver", ["ga", "ipso", "pso", "random"])
+def test_report_config_has_exactly_its_keys(tiny_scenario, solver):
+    report = run_single(tiny_scenario, solver, 0, budget=600).report
+    assert list(report.config) == CONFIG_KEYS[solver]
+
+
+@pytest.mark.parametrize("config", ["tiny", "reference"])
+@pytest.mark.parametrize("solver", ["ga", "ipso", "pso", "random"])
+def test_artifacts_equal_the_parents_without_deleted_config_keys(
+        scenarios, config, solver):
+    got = [data_hash(parent_data(run_single(scenarios[config], solver, seed,
+                                            budget=BUDGET)))
+           for seed in SEEDS]
+    assert got == PARENT_GOLDEN[config, solver]
+
+
 @pytest.mark.parametrize("config", ["tiny", "reference"])
 @pytest.mark.parametrize("solver", ["ga", "ipso", "pso", "random"])
 def test_artifacts_equal_the_parents_without_convergence_speed(
@@ -149,15 +246,14 @@ def test_artifacts_equal_the_parents_without_convergence_speed(
     got = []
     for seed in SEEDS:
         artifact = run_single(scenarios[config], solver, seed, budget=BUDGET)
-        data = artifact.to_dict(include_timing=False)
+        data = parent_data(artifact)
         assert "convergence_speed_bps" not in data
         report = artifact.report
         data["convergence_speed_bps"] = (
             max(report.achieved_rate_bps, 0.0)
             / max(1, report.last_improvement_generation))
-        text = json.dumps(data, sort_keys=True)
-        got.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
-    assert got == PARENT_GOLDEN[config, solver]
+        got.append(data_hash(data))
+    assert got == GRANDPARENT_GOLDEN[config, solver]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

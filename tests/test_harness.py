@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import small_problem, small_system_params
+from helpers import frozen_gene_indices, small_problem, small_system_params
 from oracles import grid_oracle
 from uavbsc import common, harness
 from uavbsc.encoding import LinkProblem
@@ -595,7 +595,7 @@ def test_grid_enumerates_single_free_gene():
 def test_grid_matches_exhaustive_product_enumeration(tiny_problem):
     resolution = 9  # 9^4 = 6,561 points: more than one block of 4,096
     result = grid_oracle(tiny_problem, resolution=resolution)
-    frozen = set(tiny_problem.frozen_gene_indices())
+    frozen = set(frozen_gene_indices(tiny_problem))
     free = [g for g in range(tiny_problem.genome_size) if g not in frozen]
     levels = np.linspace(0.0, 1.0, resolution)
     best_fit = math.inf

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (REFERENCE_CONFIG, TINY_CONFIG, encode, evaluate_blocks,
-                     small_problem)
+                     frozen_gene_indices, small_problem)
 from oracles import ReferenceHolder, offer_reference
 from uavbsc import ga
 from uavbsc.common import STALL_TOL, Incumbent, draw
@@ -54,7 +54,7 @@ def test_adjust_is_an_idempotent_repair(name):
     # adjust is the one gate for solver blocks: what it returns is a block
     # that evaluate_batch accepts, and a non-finite gene is refused.
     problem = PROBLEMS[name]
-    frozen = problem.frozen_gene_indices()
+    frozen = frozen_gene_indices(problem)
     pinned = normalize(problem.params.altitude_m, *problem.params.bounds_m[2])
 
     @checked

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import small_problem, small_system_params
+from helpers import frozen_gene_indices, small_problem, small_system_params
 from uavbsc import pso
 from uavbsc.common import Incumbent
 from uavbsc.encoding import BatchEvaluation, LinkProblem
@@ -98,8 +98,9 @@ def test_inertia_schedule_is_monotone_nonincreasing():
 
 
 def test_plain_variant_keeps_constant_inertia():
-    cfg = small_cfg(variant="pso", inertia_const=0.73)
-    assert all(pso.inertia_at(s, 50, cfg) == 0.73 for s in (0, 1, 25, 50))
+    # The plain variant holds the schedule's start, inertia_max, throughout.
+    cfg = small_cfg(variant="pso", inertia_max=0.73, inertia_min=0.1)
+    assert [pso.inertia_at(s, 50, cfg) for s in range(51)] == [0.73] * 51
 
 
 def test_inertia_rejects_out_of_range_steps():
@@ -154,7 +155,7 @@ def test_update_velocity_applies_clamp():
 
 def test_update_position_moves_and_clamps():
     problem = small_problem()
-    frozen = problem.frozen_gene_indices()
+    frozen = frozen_gene_indices(problem)
     free = np.setdiff1d(np.arange(problem.genome_size), frozen)[:3]
     assert frozen.size
     x, v = np.full((2, problem.genome_size), 0.5), np.zeros((2, problem.genome_size))
@@ -303,13 +304,12 @@ def test_one_evaluation_call_per_iteration(reference_scenario, monkeypatch,
 
 
 def test_improved_variant_with_flat_schedule_equals_plain_variant():
-    # Freeze the schedule at the plain variant's constant and disable the
-    # mutation pass: both variants must then take identical steps.
+    # Freeze the schedule at the plain variant's weight, inertia_max, and
+    # disable the mutation pass: both variants must then take identical steps.
     problem = roomy_problem()
     flat = small_cfg(variant="ipso", inertia_max=0.9, inertia_min=0.9,
                      mutation_prob=0.0, swarm_size=10, iterations=15)
-    plain = small_cfg(variant="pso", inertia_const=0.9,
-                      swarm_size=10, iterations=15)
+    plain = small_cfg(variant="pso", swarm_size=10, iterations=15)
     a = pso.run(flat, problem)
     b = pso.run(plain, problem)
     assert a.solver == "ipso" and b.solver == "pso"

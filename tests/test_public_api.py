@@ -46,6 +46,10 @@ REMOVED = [
     ("common", "Incumbent.offer_rows"),
     ("harness", "convergence_speed"),
     ("harness", "RunArtifact.convergence_speed_bps"),
+    ("encoding", "LinkProblem.frozen_gene_indices"),
+    ("ga", "GaConfig.init_mean"),
+    ("pso", "PsoConfig.init_mean"),
+    ("pso", "PsoConfig.inertia_const"),
 ]
 
 # (module, callable, parameter) triples removed from the package.
@@ -57,6 +61,7 @@ REMOVED_PARAMETERS = [
         ("harness", "random_steps"))],
     ("harness", "random_search", "chunk_size"),
     ("harness", "random_steps", "chunk_size"),
+    ("common", "initial_population", "init_mean"),
 ]
 
 
