@@ -36,7 +36,6 @@ from .model import (
     EULER_GAMMA,
     ParameterError,
     PropulsionParams,
-    RotorConstants,
     SystemParams,
     Trajectory,
     bessel_j0,
@@ -55,7 +54,7 @@ __all__ = [
     "__version__",
     # model
     "EULER_GAMMA", "ParameterError", "Trajectory", "bessel_j0",
-    "RotorConstants", "PropulsionParams", "SystemParams",
+    "PropulsionParams", "SystemParams",
     "doppler_factor", "rate_uplink", "rate_downlink",
     "harvested_energy_slot", "flying_power",
     # encoding

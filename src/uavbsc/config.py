@@ -24,7 +24,7 @@ import numpy as np
 
 from .encoding import PENALTY_MODES, RATE_WEIGHTINGS, LinkProblem
 from .ga import GaConfig
-from .model import ParameterError, PropulsionParams, RotorConstants, SystemParams
+from .model import ParameterError, PropulsionParams, SystemParams
 from .pso import PsoConfig
 
 __all__ = [
@@ -128,8 +128,7 @@ def _field_types(cls, skip=()) -> dict:
             for f in fields(cls) if f.name not in skip}
 
 
-_PROPULSION_KEYS = _field_types(PropulsionParams, skip=("rotor",))
-_ROTOR_KEYS = _field_types(RotorConstants)
+_PROPULSION_KEYS = _field_types(PropulsionParams)
 _OVERRIDE_KEYS = {name: _field_types(getattr(make, "func", make), _NOT_OVERRIDABLE)
                   for name, make in SOLVER_CONFIGS.items()}
 
@@ -138,8 +137,7 @@ def _check_section(problems, data, label, required, optional=None):
     """Check the object ``data`` holds under the last part of ``label``.
 
     Records every unknown key, missing key and bad value under the dotted
-    ``label``; a key whose type is a dict names a nested object, checked
-    the same way.  A section with no required keys may be left out.
+    ``label``.  A section with no required keys may be left out.
     Returns the block, or {} when it is not an object.
     """
     block = data.get(label.rpartition(".")[2], None if required else {})
@@ -159,8 +157,6 @@ def _check_section(problems, data, label, required, optional=None):
         if key not in block:
             if key in required:
                 problems.append(f"missing key {label}.{key}")
-        elif isinstance(typ, dict):
-            _check_section(problems, block, f"{label}.{key}", typ)
         else:
             _check_value(problems, f"{label}.{key}", block[key], typ)
     return block
@@ -268,19 +264,12 @@ class ScenarioConfig:
             problems, data, "system", _SYSTEM_KEYS, {"light_speed_mps": _NUMBER})
         geometry_block = _check_section(problems, data, "geometry", _GEOMETRY_KEYS)
 
-        # Propulsion: either the derived coefficients or raw rotor constants.
-        propulsion_block = data.get("propulsion")
-        rotor_form = isinstance(propulsion_block, dict) and "rotor" in propulsion_block
-        _check_section(problems, data, "propulsion",
-                       {"rotor": _ROTOR_KEYS} if rotor_form else _PROPULSION_KEYS)
+        propulsion_block = _check_section(problems, data, "propulsion",
+                                          _PROPULSION_KEYS)
 
         modes = {key: default for key, (_, default) in _MODES.items()}
         modes.update(_check_section(problems, data, "modes", {},
                                     {key: typ for key, (typ, _) in _MODES.items()}))
-        if modes["lambda1_literal"] is True and isinstance(propulsion_block, dict) \
-                and not rotor_form:
-            problems.append(
-                "modes.lambda1_literal requires propulsion given as rotor constants")
 
         # Solver overrides.
         solvers_block = data.get("solvers", {})
@@ -312,10 +301,8 @@ class ScenarioConfig:
                     problems, "system.light_speed_mps", system_block["light_speed_mps"])
             sys_kwargs["altitude_m"] = _convert(
                 problems, "geometry.altitude_m", geometry_block["altitude_m"])
-            label = "propulsion.rotor" if rotor_form else "propulsion"
-            coeff_block = propulsion_block["rotor"] if rotor_form else propulsion_block
-            coefficients = {key: _convert(problems, f"{label}.{key}", value)
-                            for key, value in coeff_block.items()}
+            coefficients = {key: _convert(problems, f"propulsion.{key}", value)
+                            for key, value in propulsion_block.items()}
         if problems:
             raise ConfigError(
                 "invalid scenario: " + "; ".join(sorted(problems)))
@@ -327,16 +314,14 @@ class ScenarioConfig:
         try:
             system = SystemParams(**sys_kwargs, bounds_m=(
                 pairs["arena_x_m"], pairs["arena_y_m"], pairs["arena_z_m"]))
-            try:  # the range rules live on the propulsion and rotor fields
-                propulsion = PropulsionParams.from_rotor(
-                    RotorConstants(**coefficients),
-                    slot_duration=system.slot_duration_s,
-                    literal_profile_scaling=modes["lambda1_literal"],
-                ) if rotor_form else PropulsionParams(**coefficients)
+            # lambda1_literal keeps a dimensionally odd convention available
+            scaled = {"profile_speed_factor": coefficients["profile_speed_factor"]
+                      * system.slot_duration_s} if modes["lambda1_literal"] else {}
+            try:  # the range rules live on the propulsion fields
+                propulsion = PropulsionParams(**{**coefficients, **scaled})
             except ParameterError as err:  # each problem starts with its key
                 raise ConfigError("invalid scenario: " + "; ".join(sorted(
-                    f"propulsion.rotor.{item}" if item.split()[0] in _ROTOR_KEYS
-                    else f"propulsion.{item}" for item in err.problems))) from None
+                    f"propulsion.{item}" for item in err.problems))) from None
             altitude = system.altitude_m
             cfg = cls(
                 name=name,
@@ -346,8 +331,7 @@ class ScenarioConfig:
                     "system": {**{k: system_block[k] for k in _SYSTEM_KEYS},
                                "light_speed_mps": system.light_speed_mps},
                     "geometry": {k: geometry_block[k] for k in _GEOMETRY_KEYS},
-                    "propulsion": ({"rotor": coefficients} if rotor_form
-                                   else coefficients),
+                    "propulsion": coefficients,
                     "modes": modes,
                     "solvers": overrides,
                 },
@@ -369,9 +353,9 @@ class ScenarioConfig:
                 f"problem's arrays (got {system.slot_count})") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        except OverflowError as exc:  # float division or powers on huge values
-            raise ConfigError("invalid scenario: deriving the slot duration or "
-                              "the rotor power curve overflows a float") from exc
+        except OverflowError as exc:  # float division on huge values
+            raise ConfigError("invalid scenario: deriving the slot duration "
+                              "overflows a float") from exc
         return cfg
 
     def scenario_hash(self) -> str:

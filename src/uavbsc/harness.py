@@ -195,7 +195,8 @@ def _execute(runs: Sequence[tuple], budget: Optional[int],
     """Run every ``(scenario, solver, seed)``; see :func:`_run_slice`.
 
     ``min(workers, len(runs))`` contiguous slices of near-equal size run
-    in this process (one slice) or as the tasks of one process pool.
+    in this process (one slice) or as the tasks of one process pool.  A
+    worker that ends abruptly raises :class:`ChildProcessError`.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -205,9 +206,13 @@ def _execute(runs: Sequence[tuple], budget: Optional[int],
     cuts = [len(runs) * k // n_slices for k in range(n_slices + 1)]
     parts = [runs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-    with ProcessPoolExecutor(max_workers=n_slices) as pool:
-        done = pool.map(_run_slice, parts, itertools.repeat(budget))
-        return [result for part in done for result in part]
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        with ProcessPoolExecutor(max_workers=n_slices) as pool:
+            done = pool.map(_run_slice, parts, itertools.repeat(budget))
+            return [result for part in done for result in part]
+    except BrokenProcessPool as exc:  # a worker was killed or crashed
+        raise ChildProcessError(f"a worker process ended abruptly: {exc}") from exc
 
 
 def run_campaign(scenario: ScenarioConfig, solvers, seeds: Sequence[int],

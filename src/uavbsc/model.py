@@ -28,7 +28,6 @@ __all__ = [
     "EULER_GAMMA",
     "ParameterError",
     "Trajectory",
-    "RotorConstants",
     "PropulsionParams",
     "SystemParams",
     "as_position",
@@ -288,25 +287,6 @@ def check_fields(obj, label: str, problems=()) -> None:
 
 
 @dataclass(frozen=True)
-class RotorConstants:
-    """Raw rotary-wing constants from which the power curve is derived."""
-
-    profile_drag_coeff: float = POSITIVE()  # blade profile drag coefficient (-)
-    air_density_kgm3: float = POSITIVE()  # air density (kg/m^3)
-    rotor_solidity: float = POSITIVE()  # rotor solidity (-)
-    disc_area_m2: float = POSITIVE()  # rotor disc area (m^2)
-    blade_angular_velocity_rad_s: float = POSITIVE()  # blade angular velocity (rad/s)
-    rotor_radius_m: float = POSITIVE()  # rotor radius (m)
-    induced_power_factor: float = NONNEGATIVE()  # incremental induced-power factor (-)
-    aircraft_weight_n: float = POSITIVE()  # aircraft weight (N)
-    fuselage_drag_coeff: float = NONNEGATIVE()  # fuselage drag coefficient (-)
-    mean_induced_velocity_ms: float = POSITIVE()  # hover mean induced velocity (m/s)
-
-    def __post_init__(self) -> None:
-        check_fields(self, "rotor constants")
-
-
-@dataclass(frozen=True)
 class PropulsionParams:
     """Coefficients of the rotary-wing propulsion power curve.
 
@@ -317,8 +297,9 @@ class PropulsionParams:
                                  - induced_speed_factor * v^2)
       + parasite_drag_factor * v^3
 
-    for a cruise speed ``v``.  Instances can be built directly or derived
-    from :class:`RotorConstants` via :meth:`from_rotor`.
+    for a cruise speed ``v``: the five coefficients of Zeng, Xu & Zhang
+    (IEEE TWC 2019).  The README gives each one in terms of the rotor's
+    physical constants.
     """
 
     profile_power_w: float = NONNEGATIVE()  # blade profile power in hover (W)
@@ -326,68 +307,9 @@ class PropulsionParams:
     profile_speed_factor: float = NONNEGATIVE()  # profile power speed coeff (s^2/m^2)
     induced_speed_factor: float = NONNEGATIVE()  # induced power speed coeff (s^2/m^2)
     parasite_drag_factor: float = NONNEGATIVE()  # fuselage parasite drag coeff (kg/m)
-    rotor: Optional[RotorConstants] = None
 
     def __post_init__(self) -> None:
         check_fields(self, "propulsion parameters")
-
-    @classmethod
-    def from_rotor(
-        cls,
-        rotor: RotorConstants,
-        slot_duration: Optional[float] = None,
-        literal_profile_scaling: bool = False,
-    ) -> "PropulsionParams":
-        """Derive the power-curve coefficients from raw rotor constants.
-
-        With ``literal_profile_scaling`` the profile speed coefficient is
-        additionally multiplied by the slot duration (an alternative,
-        dimensionally odd convention kept available behind this flag).
-        """
-        def power(*names, exponent):  # of the product of the named constants
-            value = math.prod(getattr(rotor, name) for name in names)
-            try:
-                return value**exponent
-            except OverflowError:
-                raise ParameterError("rotor constants", [
-                    f"{' * '.join(names)} is too large: its power "
-                    f"{exponent} overflows a float (got {value})"]) from None
-
-        if literal_profile_scaling and slot_duration is None:
-            raise ValueError("literal_profile_scaling requires the slot duration")
-        profile_speed = 3.0 / power("blade_angular_velocity_rad_s",
-                                    "rotor_radius_m", exponent=2)
-        if literal_profile_scaling:
-            profile_speed *= slot_duration
-        profile_power = (
-            rotor.profile_drag_coeff / 8.0
-            * rotor.air_density_kgm3
-            * rotor.rotor_solidity
-            * rotor.disc_area_m2
-            * power("blade_angular_velocity_rad_s", exponent=3)
-            * power("rotor_radius_m", exponent=3)
-        )
-        induced_power = (
-            (1.0 + rotor.induced_power_factor)
-            * power("aircraft_weight_n", exponent=1.5)
-            / math.sqrt(2.0 * rotor.air_density_kgm3 * rotor.disc_area_m2)
-        )
-        induced_speed = 1.0 / (2.0 * power("mean_induced_velocity_ms", exponent=2))
-        parasite = (
-            0.5
-            * rotor.fuselage_drag_coeff
-            * rotor.air_density_kgm3
-            * rotor.rotor_solidity
-            * rotor.disc_area_m2
-        )
-        return cls(
-            profile_power_w=profile_power,
-            induced_power_w=induced_power,
-            profile_speed_factor=profile_speed,
-            induced_speed_factor=induced_speed,
-            parasite_drag_factor=parasite,
-            rotor=rotor,
-        )
 
 
 @dataclass(frozen=True)

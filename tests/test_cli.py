@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, and error reporting."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from helpers import REFERENCE_CONFIG, TINY_CONFIG
+from uavbsc import harness
 from uavbsc.cli import main
 from uavbsc.harness import read_solution
 
@@ -207,6 +209,19 @@ def test_deleted_inertia_const_is_an_unknown_key(capsys, tmp_path, solver):
     assert f"unknown key solvers.{solver}.inertia_const" in payload["message"]
 
 
+def test_rotor_constants_block_is_an_unknown_key(capsys, tmp_path):
+    doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
+    doc["propulsion"] = {"rotor": {"rotor_radius_m": 0.4}}
+    stale = tmp_path / "rotor.json"
+    stale.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(stale),
+                             "--solver", "random", "--budget", "64")
+    assert code == 3 and out == ""
+    payload = error_payload(err)
+    assert payload["category"] == "config"
+    assert "unknown key propulsion.rotor" in payload["message"]
+
+
 def test_slot_count_too_large_to_allocate_is_a_config_error(capsys, tmp_path):
     doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
     doc["system"]["slot_count"] = 10**15
@@ -264,6 +279,25 @@ def test_an_overflowing_mutation_is_an_execution_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1
     assert error_payload(err) == {"category": "execution",
                                   "message": "genome genes must be finite"}
+
+
+def _end_abruptly(runs, budget):
+    os._exit(3)  # a worker killed by the OS, or one that crashed
+
+
+def test_a_worker_that_ends_abruptly_is_an_execution_error(capsys, tmp_path,
+                                                           monkeypatch):
+    # Forked workers inherit the patch, so each pool task ends its process.
+    monkeypatch.setattr(harness, "_run_slice", _end_abruptly)
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", TINY, "--param", "system.wpt_power_db",
+        "--values", "30,33", "--solver", "ga", "--seeds", "0",
+        "--budget", "200", "--workers", "2", "--out", str(tmp_path / "out"))
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    payload = error_payload(err)
+    assert payload["category"] == "execution"
+    assert payload["message"].startswith("a worker process ended abruptly")
 
 
 # ----------------------------------------------------------------------

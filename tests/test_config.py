@@ -9,20 +9,7 @@ import pytest
 from helpers import REFERENCE_CONFIG, TINY_CONFIG
 from uavbsc.config import ConfigError, ScenarioConfig, db_to_linear, dbm_to_watt
 from uavbsc.harness import write_json
-from uavbsc.model import PropulsionParams, RotorConstants
-
-ROTOR_DOC = {
-    "profile_drag_coeff": 0.012,
-    "air_density_kgm3": 1.225,
-    "rotor_solidity": 0.05,
-    "disc_area_m2": 0.503,
-    "blade_angular_velocity_rad_s": 300.0,
-    "rotor_radius_m": 0.4,
-    "induced_power_factor": 0.1,
-    "aircraft_weight_n": 20.0,
-    "fuselage_drag_coeff": 0.6,
-    "mean_induced_velocity_ms": 4.03,
-}
+from uavbsc.model import PropulsionParams
 
 
 @pytest.fixture()
@@ -153,26 +140,25 @@ def test_every_required_section_reads_alike_when_absent_or_not_an_object(
         f"invalid scenario: section {section!r} must be an object")
 
 
-@pytest.mark.parametrize("rotor", [5, None, [1.0], "rotor"])
-def test_rejects_non_object_rotor_block(doc, rotor):
-    doc["propulsion"] = {"rotor": rotor}
+def test_propulsion_keys_are_the_dataclass_fields(doc):
+    names = {f.name for f in fields(PropulsionParams)}
+    assert set(doc["propulsion"]) == names
+    doc["propulsion"] = {}
     with pytest.raises(ConfigError) as err:
         load_doc(doc)
-    assert str(err.value) == "invalid scenario: propulsion.rotor must be an object"
+    assert str(err.value) == "invalid scenario: " + "; ".join(
+        sorted(f"missing key propulsion.{name}" for name in names))
 
 
-def test_propulsion_and_rotor_keys_are_the_dataclass_fields(doc):
-    derived = {f.name for f in fields(PropulsionParams)} - {"rotor"}
-    assert set(doc["propulsion"]) == derived
-    for block, label, names in (
-            ({}, "propulsion", derived),
-            ({"rotor": {}}, "propulsion.rotor",
-             {f.name for f in fields(RotorConstants)})):
-        doc["propulsion"] = block
-        with pytest.raises(ConfigError) as err:
-            load_doc(doc)
-        assert str(err.value) == "invalid scenario: " + "; ".join(
-            sorted(f"missing key {label}.{name}" for name in names))
+def test_rotor_constants_block_is_an_unknown_key(doc):
+    # The power curve is given by its five coefficients only; the README
+    # derives each from the rotor's physical constants.
+    doc["propulsion"] = {"rotor": {"rotor_radius_m": 0.4}}
+    with pytest.raises(ConfigError) as err:
+        load_doc(doc)
+    assert str(err.value) == "invalid scenario: " + "; ".join(sorted(
+        [f"missing key propulsion.{f.name}" for f in fields(PropulsionParams)]
+        + ["unknown key propulsion.rotor"]))
 
 
 def test_rejects_unknown_and_missing_section_keys(doc):
@@ -251,10 +237,19 @@ def test_each_fault_is_reported_once(doc, section, key, bad, problem):
     assert str(err.value) == f"invalid scenario: {problem}"
 
 
-def test_literal_profile_scaling_requires_rotor_constants(doc):
+def test_literal_profile_scaling_multiplies_the_given_coefficient(doc):
+    given = doc["propulsion"]["profile_speed_factor"]
+    plain = load_doc(doc)
+    assert plain.propulsion.profile_speed_factor == given
     doc["modes"]["lambda1_literal"] = True
-    with pytest.raises(ConfigError, match="rotor"):
-        load_doc(doc)
+    scaled = load_doc(doc)
+    assert scaled.propulsion.profile_speed_factor == (
+        given * scaled.system.slot_duration_s)
+    assert scaled.propulsion.profile_speed_factor != given
+    assert scaled.raw["propulsion"] == plain.raw["propulsion"] == doc["propulsion"]
+    for name in ("profile_power_w", "induced_power_w", "induced_speed_factor",
+                 "parasite_drag_factor"):
+        assert getattr(scaled.propulsion, name) == getattr(plain.propulsion, name)
 
 
 def test_rejects_unknown_solver_sections_and_keys(doc):
@@ -311,24 +306,6 @@ def test_rejects_bad_solver_override_values(doc, section, key, bad, problem,
     assert load_doc(doc).solver_overrides[section][key] == good
 
 
-def test_rejects_incomplete_rotor_block(doc):
-    rotor = dict(ROTOR_DOC)
-    del rotor["rotor_radius_m"]
-    rotor["radius"] = 0.4
-    doc["propulsion"] = {"rotor": rotor}
-    with pytest.raises(ConfigError) as err:
-        load_doc(doc)
-    msg = str(err.value)
-    assert "missing key propulsion.rotor.rotor_radius_m" in msg
-    assert "unknown key propulsion.rotor.radius" in msg
-
-
-def test_rejects_mixed_rotor_and_derived_propulsion(doc):
-    doc["propulsion"] = {"rotor": dict(ROTOR_DOC), "profile_power_w": 0.004}
-    with pytest.raises(ConfigError, match="unknown key propulsion.profile_power_w"):
-        load_doc(doc)
-
-
 def test_collects_every_problem_in_one_sorted_message(doc):
     doc["schema_version"] = 3
     del doc["system"]["bandwidth_hz"]
@@ -379,18 +356,6 @@ def test_parameter_errors_surface_as_config_errors(doc):
         load_doc(doc)
 
 
-@pytest.mark.parametrize("key, value", [
-    ("blade_angular_velocity_rad_s", 1e300),
-    ("aircraft_weight_n", 1e300),
-    ("mean_induced_velocity_ms", 1e300),
-])
-def test_overflowing_rotor_power_names_the_constant(doc, key, value):
-    doc["propulsion"] = {"rotor": {**ROTOR_DOC, key: value}}
-    with pytest.raises(ConfigError,
-                       match=f"^invalid scenario: propulsion.rotor.{key} "):
-        load_doc(doc)
-
-
 def test_slot_count_too_large_for_a_float_is_rejected_at_load(doc):
     doc["system"]["slot_count"] = 10**400
     with pytest.raises(ConfigError) as err:
@@ -432,31 +397,6 @@ def test_from_dict_does_not_mutate_the_input(doc):
     frozen = copy.deepcopy(doc)
     load_doc(doc)
     assert doc == frozen
-
-
-# ----------------------------------------------------------------------
-# Rotor-based propulsion
-# ----------------------------------------------------------------------
-
-def test_rotor_document_matches_direct_derivation(doc):
-    doc["propulsion"] = {"rotor": dict(ROTOR_DOC)}
-    cfg = load_doc(doc)
-    direct = PropulsionParams.from_rotor(RotorConstants(**ROTOR_DOC))
-    for field in ("profile_power_w", "induced_power_w", "profile_speed_factor",
-                  "induced_speed_factor", "parasite_drag_factor"):
-        assert getattr(cfg.propulsion, field) == pytest.approx(
-            getattr(direct, field), rel=1e-12)
-    assert cfg.raw["propulsion"] == {"rotor": ROTOR_DOC}
-
-
-def test_rotor_document_with_literal_profile_scaling(doc):
-    doc["propulsion"] = {"rotor": dict(ROTOR_DOC)}
-    doc["modes"]["lambda1_literal"] = True
-    cfg = load_doc(doc)
-    plain = PropulsionParams.from_rotor(RotorConstants(**ROTOR_DOC))
-    slot = cfg.system.slot_duration_s
-    assert cfg.propulsion.profile_speed_factor == pytest.approx(
-        plain.profile_speed_factor * slot, rel=1e-12)
 
 
 # ----------------------------------------------------------------------

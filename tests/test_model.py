@@ -29,7 +29,6 @@ from uavbsc.model import (
     EULER_GAMMA,
     ParameterError,
     PropulsionParams,
-    RotorConstants,
     Trajectory,
     as_position,
     as_time_split,
@@ -353,87 +352,6 @@ def test_propulsion_params_rejects_negative_coefficients():
             parasite_drag_factor=-0.5)
     message = str(err.value)
     assert "profile_power_w" in message and "parasite_drag_factor" in message
-
-
-def test_rotor_constants_reject_nonpositive_values():
-    good = dict(
-        profile_drag_coeff=0.012, air_density_kgm3=1.225,
-        rotor_solidity=0.05, disc_area_m2=0.503,
-        blade_angular_velocity_rad_s=300.0, rotor_radius_m=0.4,
-        induced_power_factor=0.1, aircraft_weight_n=20.0,
-        fuselage_drag_coeff=0.6, mean_induced_velocity_ms=4.03)
-    RotorConstants(**good)
-    with pytest.raises(ValueError):
-        RotorConstants(**{**good, "air_density_kgm3": 0.0})
-    with pytest.raises(ValueError):
-        RotorConstants(**{**good, "induced_power_factor": -0.1})
-
-
-def test_from_rotor_derives_hand_computed_coefficients():
-    rotor = RotorConstants(
-        profile_drag_coeff=0.012, air_density_kgm3=1.225,
-        rotor_solidity=0.05, disc_area_m2=0.503,
-        blade_angular_velocity_rad_s=300.0, rotor_radius_m=0.4,
-        induced_power_factor=0.1, aircraft_weight_n=20.0,
-        fuselage_drag_coeff=0.6, mean_induced_velocity_ms=4.03)
-    prop = PropulsionParams.from_rotor(rotor)
-
-    # Blade profile power: (drag/8) * rho * solidity * area * (omega R)^3
-    # regrouped as a tip-speed cube to make the check a second route.
-    tip_speed = 300.0 * 0.4
-    profile = 0.012 / 8.0 * 1.225 * 0.05 * 0.503 * tip_speed ** 3
-    assert math.isclose(prop.profile_power_w, profile, rel_tol=1e-12)
-
-    induced = 1.1 * 20.0 ** 1.5 / math.sqrt(2.0 * 1.225 * 0.503)
-    assert math.isclose(prop.induced_power_w, induced, rel_tol=1e-12)
-
-    assert math.isclose(prop.profile_speed_factor, 3.0 / tip_speed ** 2,
-                        rel_tol=1e-12)
-    assert math.isclose(prop.induced_speed_factor, 1.0 / (2.0 * 4.03 ** 2),
-                        rel_tol=1e-12)
-    assert math.isclose(prop.parasite_drag_factor,
-                        0.5 * 0.6 * 1.225 * 0.05 * 0.503, rel_tol=1e-12)
-    assert prop.rotor is rotor
-
-
-def test_from_rotor_literal_profile_scaling_flag():
-    rotor = RotorConstants(
-        profile_drag_coeff=0.012, air_density_kgm3=1.225,
-        rotor_solidity=0.05, disc_area_m2=0.503,
-        blade_angular_velocity_rad_s=300.0, rotor_radius_m=0.4,
-        induced_power_factor=0.1, aircraft_weight_n=20.0,
-        fuselage_drag_coeff=0.6, mean_induced_velocity_ms=4.03)
-    plain = PropulsionParams.from_rotor(rotor)
-    scaled = PropulsionParams.from_rotor(
-        rotor, slot_duration=5.0, literal_profile_scaling=True)
-    assert math.isclose(scaled.profile_speed_factor,
-                        5.0 * plain.profile_speed_factor, rel_tol=1e-15)
-    assert scaled.profile_power_w == plain.profile_power_w
-    with pytest.raises(ValueError):
-        PropulsionParams.from_rotor(rotor, literal_profile_scaling=True)
-
-
-@pytest.mark.parametrize("name, value, named", [
-    ("blade_angular_velocity_rad_s", 1e300,
-     "blade_angular_velocity_rad_s * rotor_radius_m"),
-    ("rotor_radius_m", 1e300, "blade_angular_velocity_rad_s * rotor_radius_m"),
-    ("blade_angular_velocity_rad_s", 1e103, "blade_angular_velocity_rad_s"),
-    ("aircraft_weight_n", 1e300, "aircraft_weight_n"),
-    ("mean_induced_velocity_ms", 1e300, "mean_induced_velocity_ms"),
-])
-def test_from_rotor_names_the_constants_whose_power_overflows(name, value,
-                                                              named):
-    rotor = RotorConstants(
-        profile_drag_coeff=0.012, air_density_kgm3=1.225,
-        rotor_solidity=0.05, disc_area_m2=0.503,
-        blade_angular_velocity_rad_s=300.0, rotor_radius_m=0.4,
-        induced_power_factor=0.1, aircraft_weight_n=20.0,
-        fuselage_drag_coeff=0.6, mean_induced_velocity_ms=4.03)
-    with pytest.raises(ParameterError) as err:
-        PropulsionParams.from_rotor(dataclasses.replace(rotor, **{name: value}))
-    [problem] = err.value.problems
-    assert problem.startswith(f"{named} is too large: its power ")
-    assert str(err.value).startswith("invalid rotor constants: ")
 
 
 def test_system_params_reject_a_slot_count_whose_duration_overflows():

@@ -50,6 +50,9 @@ REMOVED = [
     ("ga", "GaConfig.init_mean"),
     ("pso", "PsoConfig.init_mean"),
     ("pso", "PsoConfig.inertia_const"),
+    ("model", "RotorConstants"),
+    ("model", "PropulsionParams.from_rotor"),
+    ("model", "PropulsionParams.rotor"),
 ]
 
 # (module, callable, parameter) triples removed from the package.

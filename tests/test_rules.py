@@ -11,29 +11,20 @@ import pytest
 
 from helpers import small_propulsion, small_system_params
 from uavbsc.ga import GaConfig
-from uavbsc.model import ParameterError, RotorConstants
+from uavbsc.model import ParameterError
 from uavbsc.pso import PsoConfig
-
-ROTOR = dict(
-    profile_drag_coeff=0.012, air_density_kgm3=1.225,
-    rotor_solidity=0.05, disc_area_m2=0.503,
-    blade_angular_velocity_rad_s=300.0, rotor_radius_m=0.4,
-    induced_power_factor=0.1, aircraft_weight_n=20.0,
-    fuselage_drag_coeff=0.6, mean_induced_velocity_ms=4.03)
 
 # A valid instance of each class with rules.
 VALID = {
     "SystemParams": small_system_params,
-    "RotorConstants": lambda: RotorConstants(**ROTOR),
     "PropulsionParams": small_propulsion,
     "GaConfig": GaConfig,
     "PsoConfig": PsoConfig,
 }
 
 # The fields with no single-field range rule: an integer count checked
-# with the other system rules, the arena box, seeds, the swarm variant
-# and the nested rotor constants.
-EXEMPT = {"slot_count", "bounds_m", "seed", "variant", "rotor"}
+# with the other system rules, the arena box, seeds and the swarm variant.
+EXEMPT = {"slot_count", "bounds_m", "seed", "variant"}
 
 CASES = [(name, f.name) for name, make in VALID.items()
          for f in dataclasses.fields(make())]
