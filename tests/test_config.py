@@ -237,6 +237,16 @@ def test_each_fault_is_reported_once(doc, section, key, bad, problem):
     assert str(err.value) == f"invalid scenario: {problem}"
 
 
+def test_literal_profile_scaling_accepts_the_coefficient_form(doc):
+    plain = load_doc(doc)
+    doc["modes"]["lambda1_literal"] = True
+    scaled = load_doc(doc)
+    assert scaled.raw["propulsion"] == plain.raw["propulsion"] == doc["propulsion"]
+    for name in ("profile_power_w", "induced_power_w", "induced_speed_factor",
+                 "parasite_drag_factor"):
+        assert getattr(scaled.propulsion, name) == getattr(plain.propulsion, name)
+
+
 def test_literal_profile_scaling_multiplies_the_given_coefficient(doc):
     given = doc["propulsion"]["profile_speed_factor"]
     plain = load_doc(doc)
@@ -246,10 +256,6 @@ def test_literal_profile_scaling_multiplies_the_given_coefficient(doc):
     assert scaled.propulsion.profile_speed_factor == (
         given * scaled.system.slot_duration_s)
     assert scaled.propulsion.profile_speed_factor != given
-    assert scaled.raw["propulsion"] == plain.raw["propulsion"] == doc["propulsion"]
-    for name in ("profile_power_w", "induced_power_w", "induced_speed_factor",
-                 "parasite_drag_factor"):
-        assert getattr(scaled.propulsion, name) == getattr(plain.propulsion, name)
 
 
 def test_rejects_unknown_solver_sections_and_keys(doc):
