@@ -23,6 +23,7 @@ from .config import ConfigError, ScenarioConfig
 from .harness import (
     SOLVER_NAMES,
     SweepSpec,
+    _as_solver_list,
     campaign_to_dict,
     export_solution,
     read_solution,
@@ -87,6 +88,15 @@ def _seeds(text: str) -> list:
     return seeds
 
 
+def _solvers(text: str) -> list:
+    """argparse type of sweep's ``--solver``: comma-separated solver names."""
+    try:
+        return _as_solver_list([name.strip() for name in text.split(",")
+                                if name.strip()])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_value_list(text: str) -> list:
     values = []
     for part in text.split(","):
@@ -126,7 +136,7 @@ def build_parser() -> _Parser:
                          help="dotted path into the scenario, e.g. system.wpt_power_db")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 24,27,30,33,36")
-    p_sweep.add_argument("--solver", default="ipso",
+    p_sweep.add_argument("--solver", type=_solvers, default="ipso",
                          help="solver name or comma-separated list "
                               f"(choices: {', '.join(SOLVER_NAMES)})")
     p_sweep.add_argument("--seeds", type=_seeds, default="0,1,2",
@@ -162,18 +172,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = ScenarioConfig.load(args.config)
-    solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
-    if not solvers:
-        raise _CliError(EXIT_USAGE, "usage", "--solver must list at least one solver")
-    for name in solvers:
-        if name not in SOLVER_NAMES:
-            raise _CliError(
-                EXIT_USAGE, "usage",
-                f"unknown solver {name!r}; choices: {', '.join(SOLVER_NAMES)}")
     spec = SweepSpec(
         parameter=args.param,
         values=_parse_value_list(args.values),
-        solvers=solvers,
+        solvers=args.solver,
         seeds=args.seeds,
         budget=args.budget,
     )

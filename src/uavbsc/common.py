@@ -10,8 +10,9 @@ Every solver loop has one shape: a generator that steps several seeds as
 one stack, yields the (seeds, rows, genes) stack of its running seeds
 with those seeds (their positions in the loop's seeds), is sent a
 :class:`~uavbsc.encoding.BatchEvaluation` with (seeds, rows) arrays, and
-returns one :class:`SolverReport` per seed.  The seeds of one loop may
-each have their own problem (see :func:`seed_problems`).
+returns one :class:`SolverReport` per seed.  A loop keeps its seeds in
+one :class:`SeedStack` and states only its operators, its stop rule and
+its evaluation counts.
 :func:`drive` runs loops together, with one evaluation per tick, and a
 loop's error is its own outcome.  Each seed draws from its own generator
 (see :func:`draw`) and evaluation is row-wise, so a seed's report
@@ -35,13 +36,12 @@ __all__ = [
     "SolverReport",
     "Incumbent",
     "SolverSteps",
-    "seed_problems",
+    "SeedStack",
     "drive",
     "run_alone",
     "draw",
     "initial_population",
     "masked_gaussian_offsets",
-    "config_snapshot",
 ]
 
 # Minimum best-fitness decrease that counts as an improvement when
@@ -161,21 +161,6 @@ class Incumbent:
                                         means.tolist(), evaluations):
             self.trace[k].append(GenerationRecord(generation, best, mean, spent))
 
-    def report(self, k: int, problem: LinkProblem, solver: str, seed: int,
-               evaluations: int, budget: Optional[int],
-               config: Optional[dict]) -> SolverReport:
-        """Seed ``k``'s report, built from one evaluation of its incumbent."""
-        return SolverReport(
-            solver=solver,
-            seed=seed,
-            best=problem.evaluate(self.genome[k]),
-            trace=self.trace[k],
-            evaluations=evaluations,
-            last_improvement_generation=int(self.last_improvement[k]),
-            budget=budget,
-            config=config,
-        )
-
 
 # A solver loop: yields (seeds, rows, genes) stacks with their seeds, is
 # sent their (seeds, rows) evaluations, and returns one report per seed.
@@ -183,14 +168,67 @@ SolverSteps = Generator[Tuple[np.ndarray, np.ndarray], BatchEvaluation,
                         List[SolverReport]]
 
 
-def seed_problems(problem, seeds: Sequence[int]) -> List[LinkProblem]:
-    """One problem per seed of a solver loop.
+class SeedStack:
+    """The seeds of one solver loop, with what the loop keeps per seed.
 
-    ``problem`` is the problem of every seed, or a sequence of one per
-    seed; these share a ``geometry``, so the loop adjusts and starts every
-    seed alike, and each seed's report comes from its own problem.
+    ``problem`` is every seed's problem, or a sequence of one per seed;
+    these share a ``geometry``, so the loop adjusts and starts every seed
+    alike through ``problem`` (the first), and each seed's report comes
+    from its own.  ``seeds`` defaults to ``config.seed``.  Each seed has
+    its own generator (``rngs``), a row of one :class:`Incumbent`
+    (``best``) and an evaluation count (``spent``, from ``size``: the
+    loop's first generation).  ``live`` holds the seed of each layer of
+    the loop's stack.  A ``budget`` below ``size`` raises ``ValueError``.
     """
-    return [problem] * len(seeds) if isinstance(problem, LinkProblem) else list(problem)
+
+    def __init__(self, solver: str, problem, seeds: Optional[Sequence[int]],
+                 size: int, budget: Optional[int], config,
+                 unit: str = "population") -> None:
+        if budget is not None and budget < size:
+            raise ValueError(
+                f"evaluation budget {budget} cannot fit one {unit} of {size}")
+        self.solver, self.budget, self.config = solver, budget, config
+        self.seeds = [int(seed) for seed in ([config.seed] if seeds is None else seeds)]
+        self.problems = ([problem] * len(self.seeds)
+                         if isinstance(problem, LinkProblem) else list(problem))
+        self.problem = self.problems[0]
+        self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
+        self.best = Incumbent(len(self.seeds))
+        self.live = np.arange(len(self.seeds))
+        self.spent = np.full(len(self.seeds), size)
+
+    def fits(self, count: int) -> np.ndarray:
+        """Mask of the live seeds whose budget holds ``count`` more evaluations."""
+        limit = np.inf if self.budget is None else self.budget
+        return self.spent[self.live] + count <= limit
+
+    def keep(self, mask: np.ndarray, *arrays: np.ndarray) -> list:
+        """Drop the live seeds outside ``mask``; returns ``arrays``, whose
+        leading axis follows the stack, cut alike."""
+        if mask.all():
+            return list(arrays)
+        self.live = self.live[mask]
+        return [values[mask] for values in arrays]
+
+    def record(self, generation: int, fitness: np.ndarray) -> None:
+        """Each live seed's trace line: its best, the mean of its layer of
+        the (live, rows) ``fitness`` and its evaluations."""
+        self.best.record(self.live, generation, np.mean(fitness, axis=1),
+                         self.spent[self.live].tolist())
+
+    def reports(self) -> List[SolverReport]:
+        """One report per seed, from one evaluation of its incumbent on its
+        own problem.  A config dataclass is recorded with the seed's own
+        ``seed``, a dict as it is."""
+        best = self.best
+        return [SolverReport(
+            solver=self.solver, seed=seed, best=own.evaluate(best.genome[k]),
+            trace=best.trace[k], evaluations=int(self.spent[k]),
+            last_improvement_generation=int(best.last_improvement[k]),
+            budget=self.budget,
+            config=dict(self.config) if isinstance(self.config, dict)
+            else {**dataclasses.asdict(self.config), "seed": seed})
+            for k, (seed, own) in enumerate(zip(self.seeds, self.problems))]
 
 
 def drive(loops: Iterable[SolverSteps], problems: Iterable
@@ -198,7 +236,7 @@ def drive(loops: Iterable[SolverSteps], problems: Iterable
     """Run solver loops together, with one ``evaluate_batch`` per tick.
 
     ``problems`` holds each loop's problem, or its problems one per seed
-    (see :func:`seed_problems`), all with one geometry.  The parameter
+    (see :class:`SeedStack`), all with one geometry.  The parameter
     fields in which they differ are tabulated once per drive
     (:class:`~uavbsc.encoding.RowEvaluator`).  Each tick flattens the
     running loops' pending stacks, in loop order, into one call, each row
@@ -309,8 +347,3 @@ def masked_gaussian_offsets(rng, shape, prob: float, std: float) -> np.ndarray:
     mask = draw(rng, "random", shape) < prob
     offsets = draw(rng, "normal", shape, 0.0, std)
     return np.where(mask, offsets, 0.0)
-
-
-def config_snapshot(cfg) -> dict:
-    """JSON-friendly dump of a solver config dataclass."""
-    return dataclasses.asdict(cfg)

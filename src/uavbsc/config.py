@@ -317,6 +317,10 @@ class ScenarioConfig:
             # lambda1_literal keeps a dimensionally odd convention available
             scaled = {"profile_speed_factor": coefficients["profile_speed_factor"]
                       * system.slot_duration_s} if modes["lambda1_literal"] else {}
+            if math.isinf(scaled.get("profile_speed_factor", 0.0)):
+                raise ConfigError(
+                    "invalid scenario: propulsion.profile_speed_factor times the "
+                    "slot duration (modes.lambda1_literal) overflows a float")
             try:  # the range rules live on the propulsion fields
                 propulsion = PropulsionParams(**{**coefficients, **scaled})
             except ParameterError as err:  # each problem starts with its key

@@ -16,15 +16,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .common import (
-    Incumbent,
+    SeedStack,
     SolverReport,
     SolverSteps,
-    config_snapshot,
     draw,
     initial_population,
     masked_gaussian_offsets,
     run_alone,
-    seed_problems,
 )
 from .encoding import LinkProblem
 from .model import (
@@ -183,29 +181,20 @@ def steps(cfg: GaConfig, problem,
           seeds: Optional[Sequence[int]] = None) -> SolverSteps:
     """The GA over a (seeds, size, dim) stack (see :mod:`uavbsc.common`).
 
-    Each seed (default: ``cfg.seed``) has its own generator, and its own
-    problem if ``problem`` is a sequence (see :mod:`uavbsc.common`).  A
-    seed leaves the stack at the generation limit, after ``stall_limit``
-    generations without a best-fitness improvement beyond ``STALL_TOL``,
-    or when the next generation would exceed ``max_evaluations``.
+    The seeds (default: ``cfg.seed``) form one
+    :class:`~uavbsc.common.SeedStack`.  A seed leaves the stack at the
+    generation limit, after ``stall_limit`` generations without a
+    best-fitness improvement beyond ``STALL_TOL``, or when the next
+    generation would exceed ``max_evaluations``.
     """
     size = cfg.population_size
-    budget = cfg.max_evaluations
-    if budget is not None and budget < size:
-        raise ValueError(
-            f"evaluation budget {budget} cannot fit one population of {size}")
-    seeds = [cfg.seed] if seeds is None else [int(seed) for seed in seeds]
-    problems = seed_problems(problem, seeds)
-    problem = problems[0]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    best = Incumbent(len(seeds))
-    stall = np.zeros(len(seeds), dtype=int)
-    spent = np.full(len(seeds), size)  # evaluations of each seed
-    live = np.arange(len(seeds))  # the seed of each layer of the stack
+    stack = SeedStack("ga", problem, seeds, size, cfg.max_evaluations, cfg)
+    stall = np.zeros(len(stack.seeds), dtype=int)
     n_elite = elite_count(cfg, size)
     paired = size - size % 2  # pairs (0, 1), (2, 3), ... cross; an odd last is copied
 
-    pop = initial_population(problem, size, cfg.init_std, rngs)
+    live = stack.live
+    pop = initial_population(stack.problem, size, cfg.init_std, stack.rngs)
     ev = yield pop, live
     fit, worst = ev.fitness, ev.worst_violation
 
@@ -215,30 +204,27 @@ def steps(cfg: GaConfig, problem,
         rows = np.arange(live.size)[:, None]
         order = np.argsort(fit, axis=1, kind="stable")[:, :size]
         pop, fit, worst = pop[rows, order], fit[rows, order], worst[rows, order]
-        improved = best.offer(live, pop, fit, worst, gen)
+        improved = stack.best.offer(live, pop, fit, worst, gen)
         if gen > 0:
             stall[live] = np.where(improved, 0, stall[live] + 1)
-            best.record(live, gen, np.mean(fit, axis=1), spent[live].tolist())
-        keep = stall[live] < cfg.stall_limit
-        if not keep.all():
-            pop, fit, worst, live = pop[keep], fit[keep], worst[keep], live[keep]
-        if not live.size or gen == cfg.generations or (
-                budget is not None and spent[live[0]] + size > budget):
+            stack.record(gen, fit)
+        pop, fit, worst = stack.keep(
+            (stall[live] < cfg.stall_limit) & stack.fits(size), pop, fit, worst)
+        live = stack.live
+        if not live.size or gen == cfg.generations:
             break
 
-        stack = [rngs[k] for k in live]
-        pool = select(pop, fit, cfg, stack)
+        rngs = [stack.rngs[k] for k in live]
+        pool = select(pop, fit, cfg, rngs)
         children = pool.copy()
         children[:, 0:paired:2], children[:, 1:paired:2] = crossover(
-            pool[:, 0:paired:2], pool[:, 1:paired:2], cfg, stack)
-        children = problem.adjust(mutate(children, cfg, stack))
+            pool[:, 0:paired:2], pool[:, 1:paired:2], cfg, rngs)
+        children = stack.problem.adjust(mutate(children, cfg, rngs))
 
         cev = yield children, live
-        spent[live] += size
+        stack.spent[live] += size
         pop = np.concatenate([children, pool[:, :n_elite]], axis=1)
         fit = np.concatenate([cev.fitness, fit[:, :n_elite]], axis=1)
         worst = np.concatenate([cev.worst_violation, worst[:, :n_elite]], axis=1)
 
-    return [best.report(k, problems[k], "ga", seed, int(spent[k]), budget,
-                        {**config_snapshot(cfg), "seed": seed})
-            for k, seed in enumerate(seeds)]
+    return stack.reports()

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import ga as ga_mod
 from . import pso as pso_mod
-from .common import (Incumbent, SolverReport, SolverSteps, draw, drive, run_alone,
-                     seed_problems)
+from .common import SeedStack, SolverReport, SolverSteps, draw, drive, run_alone
 from .config import SOLVER_CONFIGS, ConfigError, ScenarioConfig
 from .encoding import LinkProblem
 
@@ -116,16 +115,14 @@ def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
 
 def run_single(scenario: ScenarioConfig, solver: str, seed: int,
                budget: Optional[int] = None) -> RunArtifact:
-    """Run one solver once on a scenario and package the result.
+    """Run one solver once on a scenario: a campaign of one run.
 
     The artifact's ``wall_clock_s`` is the run's own wall time.
     """
     started = time.perf_counter()
-    (result,) = _run_slice([(scenario, solver, *_as_seed_list([seed]))], budget)
-    if isinstance(result, Exception):
-        raise result
-    result.wall_clock_s = time.perf_counter() - started
-    return result
+    (artifact,) = run_campaign(scenario, solver, [seed], budget)
+    artifact.wall_clock_s = time.perf_counter() - started
+    return artifact
 
 
 def _as_solver_list(solvers) -> List[str]:
@@ -263,29 +260,17 @@ def random_steps(problem, budget: int,
     """
     if budget < 1:
         raise ValueError("random search needs a budget of at least 1")
-    seeds = [int(seed) for seed in seeds]
-    problems = seed_problems(problem, seeds)
-    problem = problems[0]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    dim = problem.genome_size
-
-    best = Incumbent(len(seeds))
-    everyone = np.arange(len(seeds))
-    evaluations = 0
-    block = 0
-    while evaluations < budget:
-        n = min(_RANDOM_CHUNK, budget - evaluations)
-        genomes = problem.adjust(draw(rngs, "random", (len(seeds), n, dim)))
-        ev = yield genomes, everyone
-        evaluations += n
-        block += 1
-        best.offer(everyone, genomes, ev.fitness, ev.worst_violation, block)
-        best.record(everyone, block, np.mean(ev.fitness, axis=1),
-                    [evaluations] * len(seeds))
-
-    return [best.report(k, own, "random", seed, evaluations, int(budget),
-                        {"chunk_size": _RANDOM_CHUNK})
-            for k, (seed, own) in enumerate(zip(seeds, problems))]
+    stack = SeedStack("random", problem, seeds, 0, int(budget),
+                      {"chunk_size": _RANDOM_CHUNK})
+    problem, dim = stack.problem, stack.problem.genome_size
+    for block, start in enumerate(range(0, budget, _RANDOM_CHUNK), 1):
+        n = min(_RANDOM_CHUNK, budget - start)
+        genomes = problem.adjust(draw(stack.rngs, "random", (len(stack.seeds), n, dim)))
+        ev = yield genomes, stack.live
+        stack.spent += n
+        stack.best.offer(stack.live, genomes, ev.fitness, ev.worst_violation, block)
+        stack.record(block, ev.fitness)
+    return stack.reports()
 
 
 # ----------------------------------------------------------------------

@@ -17,15 +17,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .common import (
-    Incumbent,
+    SeedStack,
     SolverReport,
     SolverSteps,
-    config_snapshot,
     draw,
     initial_population,
     masked_gaussian_offsets,
     run_alone,
-    seed_problems,
 )
 from .encoding import LinkProblem
 from .model import (
@@ -146,68 +144,57 @@ def steps(cfg: PsoConfig, problem,
           seeds: Optional[Sequence[int]] = None) -> SolverSteps:
     """The swarm over a (seeds, size, dim) stack (see :mod:`uavbsc.common`).
 
-    Each seed (default: ``cfg.seed``) has its own generator, and its own
-    problem if ``problem`` is a sequence (see :mod:`uavbsc.common`).  Per
-    iteration: velocities and positions update against the previous
-    iteration's global best; the swarm, with (improved variant) its
-    mutants ``adjust(swarm + offsets)`` beside it, is evaluated as one
-    block; personal bests then the global best are refreshed from the
-    swarm; and the mutants become the positions, all but the global-best
-    holder's, which keeps its own.  Only the mutants an offset moved count
-    and reach the personal bests, and the global best at the next refresh.
-    A seed leaves the stack after the last iteration, or when its next one
-    might exceed its budget.
+    The seeds (default: ``cfg.seed``) form one
+    :class:`~uavbsc.common.SeedStack`.  Per iteration: velocities and
+    positions update against the previous iteration's global best; the
+    swarm, with (improved variant) its mutants ``adjust(swarm + offsets)``
+    beside it, is evaluated as one block; personal bests then the global
+    best are refreshed from the swarm; and the mutants become the
+    positions, all but the global-best holder's, which keeps its own.
+    Only the mutants an offset moved count and reach the personal bests,
+    and the global best at the next refresh.  A seed leaves the stack
+    after the last iteration, or when its next one might exceed its budget.
     """
     size = cfg.swarm_size
-    budget = cfg.max_evaluations
-    if budget is not None and budget < size:
-        raise ValueError(
-            f"evaluation budget {budget} cannot fit one swarm of {size}")
-    seeds = [cfg.seed] if seeds is None else [int(seed) for seed in seeds]
-    problems = seed_problems(problem, seeds)
-    problem = problems[0]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    best = Incumbent(len(seeds))
-    spent = np.full(len(seeds), size)  # evaluations of each seed
-    live = np.arange(len(seeds))  # the seed of each layer of the stack
+    stack = SeedStack(cfg.variant, problem, seeds, size, cfg.max_evaluations, cfg,
+                      "swarm")
+    problem, best = stack.problem, stack.best
     mutation_std = math.sqrt(IPSO_MUTATION_VARIANCE)
     needed = size + (size - 1 if cfg.mutation_active else 0)
 
-    positions = initial_population(problem, size, cfg.init_std, rngs)
+    positions = initial_population(problem, size, cfg.init_std, stack.rngs)
     velocities = np.zeros_like(positions)
-    ev = yield positions, live
+    ev = yield positions, stack.live
 
     personal_x = positions.copy()
     personal_fit = ev.fitness.copy()
     personal_worst = ev.worst_violation.copy()
-    best.offer(live, personal_x, personal_fit, personal_worst, 0)
+    best.offer(stack.live, personal_x, personal_fit, personal_worst, 0)
 
     for it in range(1, cfg.iterations + 2):
-        keep = np.full(live.size, it <= cfg.iterations)
-        if budget is not None:
-            keep &= spent[live] + needed <= budget
+        keep = stack.fits(needed) & (it <= cfg.iterations)
         if not keep.all():
             gone = ~keep  # fold in a last mutation pass
-            best.offer(live[gone], personal_x[gone], personal_fit[gone],
+            best.offer(stack.live[gone], personal_x[gone], personal_fit[gone],
                        personal_worst[gone])
-            live, positions, velocities = live[keep], positions[keep], velocities[keep]
-            personal_x, personal_fit, personal_worst = (
-                personal_x[keep], personal_fit[keep], personal_worst[keep])
-            if not live.size:
-                break
-        stack = [rngs[k] for k in live]
+        positions, velocities, personal_x, personal_fit, personal_worst = stack.keep(
+            keep, positions, velocities, personal_x, personal_fit, personal_worst)
+        live = stack.live
+        if not live.size:
+            break
+        rngs = [stack.rngs[k] for k in live]
 
         inertia = inertia_at(it - 1, cfg.iterations, cfg)
         velocities = update_velocity(positions, velocities, personal_x,
-                                     best.genome[live, None], inertia, cfg, stack)
+                                     best.genome[live, None], inertia, cfg, rngs)
         positions = update_position(problem, positions, velocities)
         block = positions
         if cfg.mutation_active:
             offsets = masked_gaussian_offsets(
-                stack, positions.shape, cfg.mutation_prob, mutation_std)
+                rngs, positions.shape, cfg.mutation_prob, mutation_std)
             block = np.hstack([positions, problem.adjust(positions + offsets)])
         ev = yield block, live
-        spent[live] += size
+        stack.spent[live] += size
 
         fitness, violation = ev.fitness[:, :size], ev.worst_violation[:, :size]
         improved = fitness < personal_fit
@@ -215,13 +202,13 @@ def steps(cfg: PsoConfig, problem,
         np.copyto(personal_fit, fitness, where=improved)
         np.copyto(personal_worst, violation, where=improved)
         best.offer(live, personal_x, personal_fit, personal_worst, it)
-        best.record(live, it, np.mean(fitness, axis=1), spent[live].tolist())
+        stack.record(it, fitness)
 
         if cfg.mutation_active:
             rows, held = np.arange(live.size), best.index[live]
             offsets[rows, held] = 0.0
             moved = np.any(offsets != 0.0, axis=2)
-            spent[live] += np.count_nonzero(moved, axis=1)
+            stack.spent[live] += np.count_nonzero(moved, axis=1)
             better = moved & (ev.fitness[:, size:] < personal_fit)
             np.copyto(personal_x, block[:, size:], where=better[..., None])
             np.copyto(personal_fit, ev.fitness[:, size:], where=better)
@@ -230,6 +217,4 @@ def steps(cfg: PsoConfig, problem,
             positions, unmoved = block[:, size:], positions[rows, held]
             positions[rows, held] = problem.adjust(unmoved + 0.0)
 
-    return [best.report(k, problems[k], cfg.variant, seed, int(spent[k]), budget,
-                        {**config_snapshot(cfg), "seed": seed})
-            for k, seed in enumerate(seeds)]
+    return stack.reports()

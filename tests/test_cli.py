@@ -60,6 +60,19 @@ def test_unknown_solver_choice_is_a_usage_error(capsys):
     assert error_payload(err)["category"] == "usage"
 
 
+def test_unknown_solver_in_a_sweep_list_is_a_usage_error_naming_the_flag(
+        capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", TINY, "--param", "system.wpt_power_db",
+        "--values", "30", "--solver", "ga,simplex", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    payload = error_payload(err)
+    assert payload["category"] == "usage"
+    assert payload["message"].startswith("argument --solver: unknown solver 'simplex'")
+    assert out == "" and not (tmp_path / "out").exists()
+
+
 def test_bad_seed_list_is_a_usage_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "sweep", "--config", TINY, "--param", "system.wpt_power_db",

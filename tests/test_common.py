@@ -12,6 +12,7 @@ from uavbsc.common import (
     STALL_TOL,
     GenerationRecord,
     Incumbent,
+    SeedStack,
     SolverReport,
     draw,
     drive,
@@ -134,17 +135,28 @@ def test_record_traces_the_current_best():
 
 
 def test_report_evaluates_the_incumbent_once(tiny_problem):
-    best = Incumbent(1)
+    stack = SeedStack("x", tiny_problem, [3], 1, None, {"k": 1})
     genome = tiny_problem.heuristic_mean()
     ev = tiny_problem.evaluate_batch(genome[None, :])
-    best.offer([0], ev.genomes[None], ev.fitness[None],
-               ev.worst_violation[None], 0)
-    report = best.report(0, tiny_problem, "x", 3, 1, None, {"k": 1})
+    stack.best.offer([0], ev.genomes[None], ev.fitness[None],
+                     ev.worst_violation[None], 0)
+    (report,) = stack.reports()
     assert (report.solver, report.seed, report.evaluations) == ("x", 3, 1)
     assert report.best.fitness == float(ev.fitness[0])
     assert report.last_improvement_generation == 0
-    assert report.trace is best.trace[0]
+    assert report.trace is stack.best.trace[0]
     assert report.config == {"k": 1}
+
+
+@pytest.mark.parametrize("module, config, unit", [
+    (ga, ga.GaConfig(population_size=6, max_evaluations=5), "population"),
+    (pso, pso.PsoConfig(swarm_size=6, max_evaluations=5), "swarm"),
+], ids=["ga", "pso"])
+def test_a_budget_below_the_first_generation_names_what_cannot_fit(
+        tiny_problem, module, config, unit):
+    with pytest.raises(ValueError,
+                       match=f"^evaluation budget 5 cannot fit one {unit} of 6$"):
+        next(module.steps(config, tiny_problem))
 
 
 def test_achieved_rate_counts_an_infeasible_run_as_zero(tiny_problem):

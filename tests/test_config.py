@@ -258,6 +258,17 @@ def test_literal_profile_scaling_multiplies_the_given_coefficient(doc):
     assert scaled.propulsion.profile_speed_factor != given
 
 
+def test_literal_profile_scaling_that_overflows_names_the_key_and_mode(doc):
+    doc["propulsion"]["profile_speed_factor"] = 1e308
+    assert load_doc(doc).propulsion.profile_speed_factor == 1e308
+    doc["modes"]["lambda1_literal"] = True
+    with pytest.raises(ConfigError) as err:
+        load_doc(doc)
+    assert str(err.value) == (
+        "invalid scenario: propulsion.profile_speed_factor times the slot "
+        "duration (modes.lambda1_literal) overflows a float")
+
+
 def test_rejects_unknown_solver_sections_and_keys(doc):
     doc["solvers"]["annealer"] = {}
     with pytest.raises(ConfigError, match="unknown key solvers.annealer"):

@@ -176,7 +176,7 @@ def test_update_position_moves_and_clamps():
 
 def _solver_rng(loop):
     """The generator a suspended one-seed ``pso.steps`` loop draws from."""
-    return loop.gi_frame.f_locals["rngs"][0]
+    return loop.gi_frame.f_locals["stack"].rngs[0]
 
 
 def _reply(problem, block):
@@ -234,7 +234,7 @@ def test_ipso_mutate_replays_masked_offsets():
     offsets[best_row] = 0.0
     moved = np.count_nonzero(np.any(offsets != 0.0, axis=1))
     assert 0 < moved < size
-    spent = loop.gi_frame.f_locals["spent"]
+    spent = loop.gi_frame.f_locals["stack"].spent
     before = int(spent[0])
     loop.send(_reply(problem, block))
     assert int(spent[0]) == before + size + moved

@@ -53,6 +53,9 @@ REMOVED = [
     ("model", "RotorConstants"),
     ("model", "PropulsionParams.from_rotor"),
     ("model", "PropulsionParams.rotor"),
+    ("common", "seed_problems"),
+    ("common", "config_snapshot"),
+    ("common", "Incumbent.report"),
 ]
 
 # (module, callable, parameter) triples removed from the package.
