@@ -3,8 +3,8 @@
 Every solver draws each random number from its seeds' own generators in
 a fixed order and reports its progress through one per-generation record
 type.  Every solver loop keeps its seeds' best-so-far missions, traces and
-last improvements in one :class:`Incumbent`, which holds the one
-ordering rule of the package.
+last improvements in one :class:`Incumbent`, which orders candidates
+by fitness alone, as GA ranking and the swarm's personal bests do.
 
 Every solver loop has one shape: a generator that steps several seeds as
 one stack, yields the (seeds, rows, genes) stack of its running seeds
@@ -110,44 +110,42 @@ class Incumbent:
     """Best-so-far missions of the seeds of one search, with their traces.
 
     Holds one row per seed: ``genome`` (seeds, dim), ``fitness``,
-    ``worst``, ``index`` (the block row of the last replacement, -1 before
-    the first offer) and ``last_improvement``, and one trace per seed.
-    One rule orders candidates everywhere: lower fitness wins, then lower
-    worst violation, and among equals the earliest offered row wins.
+    ``index`` (the block row of the last replacement, -1 before the first
+    offer) and ``last_improvement``, and one trace per seed.  Fitness is
+    the one ordering key, as in GA ranking and the swarm's personal
+    bests: lower fitness wins, and among equals the earliest row of the
+    earliest block wins.
     """
 
     def __init__(self, seeds: int) -> None:
         self.genome: Optional[np.ndarray] = None  # sized at the first offer
         self.fitness = np.full(seeds, np.inf)
-        self.worst = np.full(seeds, np.inf)
         self.index = np.full(seeds, -1)
         self.last_improvement = np.zeros(seeds, dtype=int)
         self.trace: List[List[GenerationRecord]] = [[] for _ in range(seeds)]
 
     def offer(self, seeds, genomes: np.ndarray, fitness: np.ndarray,
-              worst: np.ndarray, generation: Optional[int] = None) -> np.ndarray:
+              generation: Optional[int] = None) -> np.ndarray:
         """Offer layer ``r`` of a (rows, size) block to seed ``seeds[r]``.
 
-        ``seeds`` are distinct.  Each seed takes its layer's best row if
-        it beats the seed's incumbent.  Returns the mask of the seeds whose
-        best fitness dropped by more than ``STALL_TOL`` (always at a seed's
-        first offer); ``generation``, when given, becomes their
-        ``last_improvement``.
+        ``seeds`` are distinct.  Each seed takes its layer's first row of
+        least fitness if that is below the seed's incumbent.  Returns the
+        mask of the seeds whose best fitness dropped by more than
+        ``STALL_TOL`` (always at a seed's first offer); ``generation``,
+        when given, becomes their ``last_improvement``.
         """
         seeds = np.asarray(seeds)
-        rows = np.arange(len(seeds))
-        picks = np.lexsort((worst, fitness))[:, 0]
-        fit, wv = fitness[rows, picks], worst[rows, picks]
+        picks = fitness.argmin(axis=1)
+        fit = fitness[np.arange(len(seeds)), picks]
         old, first = self.fitness[seeds], self.index[seeds] < 0
         improved = first | (fit < old - STALL_TOL)
-        take = first | (fit < old) | ((fit == old) & (wv < self.worst[seeds]))
+        take = first | (fit < old)
         if take.any():  # the improved seeds are among those that take
             if self.genome is None:
                 self.genome = np.zeros((len(self.fitness), genomes.shape[-1]))
             won, picks = seeds[take], picks[take]
             self.genome[won] = genomes[take, picks]
-            self.fitness[won], self.worst[won], self.index[won] = (
-                fit[take], wv[take], picks)
+            self.fitness[won], self.index[won] = fit[take], picks
             if generation is not None:
                 self.last_improvement[seeds[improved]] = generation
         return improved

@@ -253,7 +253,7 @@ class ScenarioConfig:
             if key not in known_root:
                 problems.append(f"unknown key {key}")
         version = data.get("schema_version")
-        if version != 1:
+        if type(version) is not int or version != 1:  # not True or 1.0
             problems.append(f"schema_version must be 1 (got {version!r})")
         name = data.get("name", default_name)
         if not isinstance(name, str) or not name:

@@ -196,20 +196,20 @@ def steps(cfg: GaConfig, problem,
     live = stack.live
     pop = initial_population(stack.problem, size, cfg.init_std, stack.rngs)
     ev = yield pop, live
-    fit, worst = ev.fitness, ev.worst_violation
+    fit = ev.fitness
 
     # Generation 0 ranks the initial populations; generation g > 0 ranks
     # the children of generation g together with the elites they keep.
     for gen in range(cfg.generations + 1):
         rows = np.arange(live.size)[:, None]
         order = np.argsort(fit, axis=1, kind="stable")[:, :size]
-        pop, fit, worst = pop[rows, order], fit[rows, order], worst[rows, order]
-        improved = stack.best.offer(live, pop, fit, worst, gen)
+        pop, fit = pop[rows, order], fit[rows, order]
+        improved = stack.best.offer(live, pop, fit, gen)
         if gen > 0:
             stall[live] = np.where(improved, 0, stall[live] + 1)
             stack.record(gen, fit)
-        pop, fit, worst = stack.keep(
-            (stall[live] < cfg.stall_limit) & stack.fits(size), pop, fit, worst)
+        pop, fit = stack.keep(
+            (stall[live] < cfg.stall_limit) & stack.fits(size), pop, fit)
         live = stack.live
         if not live.size or gen == cfg.generations:
             break
@@ -225,6 +225,5 @@ def steps(cfg: GaConfig, problem,
         stack.spent[live] += size
         pop = np.concatenate([children, pool[:, :n_elite]], axis=1)
         fit = np.concatenate([cev.fitness, fit[:, :n_elite]], axis=1)
-        worst = np.concatenate([cev.worst_violation, worst[:, :n_elite]], axis=1)
 
     return stack.reports()

@@ -268,7 +268,7 @@ def random_steps(problem, budget: int,
         genomes = problem.adjust(draw(stack.rngs, "random", (len(stack.seeds), n, dim)))
         ev = yield genomes, stack.live
         stack.spent += n
-        stack.best.offer(stack.live, genomes, ev.fitness, ev.worst_violation, block)
+        stack.best.offer(stack.live, genomes, ev.fitness, block)
         stack.record(block, ev.fitness)
     return stack.reports()
 
@@ -542,10 +542,10 @@ def read_solution(path) -> dict:
         raise ValueError(
             f"{path} holds neither a solution nor a run artifact "
             f"(no genome found)")
-    try:
-        genome = np.asarray(holder["genome"], dtype=np.float64)
-    except (TypeError, ValueError):
-        genome = None
-    if genome is None or genome.ndim != 1:
+    genes = holder["genome"]
+    if not isinstance(genes, list) or not all(type(g) in (int, float) for g in genes):
         raise ValueError(f"{path}: genome is not a flat list of numbers")
-    return {"genome": genome, "data": data}
+    try:
+        return {"genome": np.array(genes, dtype=np.float64), "data": data}
+    except OverflowError:
+        raise ValueError(f"{path}: a genome gene is too large for a float") from None

@@ -168,17 +168,15 @@ def steps(cfg: PsoConfig, problem,
 
     personal_x = positions.copy()
     personal_fit = ev.fitness.copy()
-    personal_worst = ev.worst_violation.copy()
-    best.offer(stack.live, personal_x, personal_fit, personal_worst, 0)
+    best.offer(stack.live, personal_x, personal_fit, 0)
 
     for it in range(1, cfg.iterations + 2):
         keep = stack.fits(needed) & (it <= cfg.iterations)
         if not keep.all():
             gone = ~keep  # fold in a last mutation pass
-            best.offer(stack.live[gone], personal_x[gone], personal_fit[gone],
-                       personal_worst[gone])
-        positions, velocities, personal_x, personal_fit, personal_worst = stack.keep(
-            keep, positions, velocities, personal_x, personal_fit, personal_worst)
+            best.offer(stack.live[gone], personal_x[gone], personal_fit[gone])
+        positions, velocities, personal_x, personal_fit = stack.keep(
+            keep, positions, velocities, personal_x, personal_fit)
         live = stack.live
         if not live.size:
             break
@@ -196,12 +194,11 @@ def steps(cfg: PsoConfig, problem,
         ev = yield block, live
         stack.spent[live] += size
 
-        fitness, violation = ev.fitness[:, :size], ev.worst_violation[:, :size]
+        fitness = ev.fitness[:, :size]
         improved = fitness < personal_fit
         np.copyto(personal_x, positions, where=improved[..., None])
         np.copyto(personal_fit, fitness, where=improved)
-        np.copyto(personal_worst, violation, where=improved)
-        best.offer(live, personal_x, personal_fit, personal_worst, it)
+        best.offer(live, personal_x, personal_fit, it)
         stack.record(it, fitness)
 
         if cfg.mutation_active:
@@ -212,7 +209,6 @@ def steps(cfg: PsoConfig, problem,
             better = moved & (ev.fitness[:, size:] < personal_fit)
             np.copyto(personal_x, block[:, size:], where=better[..., None])
             np.copyto(personal_fit, ev.fitness[:, size:], where=better)
-            np.copyto(personal_worst, ev.worst_violation[:, size:], where=better)
             # The holder's row re-adjusted, as a zero offset leaves it.
             positions, unmoved = block[:, size:], positions[rows, held]
             positions[rows, held] = problem.adjust(unmoved + 0.0)

@@ -572,32 +572,29 @@ class ReferenceHolder:
 
     genome: Optional[np.ndarray] = None
     fitness: float = math.inf
-    worst: float = math.inf
     index: int = -1
     last_improvement: int = 0
 
 
-def offer_reference(holders, genomes, fitness, worst,
+def offer_reference(holders, genomes, fitness,
                     generation: Optional[int] = None) -> List[bool]:
     """Offer layer ``r`` of a (rows, size) block to ``holders[r]``, one by one.
 
-    Each holder takes its layer's best row (lower fitness, then lower
-    worst violation, then the earliest row) if it beats the holder; the
-    returned flags say whether its fitness dropped by more than
-    ``STALL_TOL`` (always at the first offer), and ``generation``, when
-    given, then becomes its ``last_improvement``.
+    Each holder takes its layer's best row (lower fitness, then the
+    earliest row) if its fitness is lower than the holder's; the returned
+    flags say whether its fitness dropped by more than ``STALL_TOL``
+    (always at the first offer), and ``generation``, when given, then
+    becomes its ``last_improvement``.
     """
-    rows = np.arange(len(holders))
-    picks = np.lexsort((worst, fitness))[:, 0]
     improved = []
-    for b, r, k, fit, wv in zip(holders, rows.tolist(), picks.tolist(),
-                                fitness[rows, picks].tolist(),
-                                worst[rows, picks].tolist()):
+    for r, b in enumerate(holders):
+        k = min(range(fitness.shape[1]), key=lambda i: (fitness[r, i], i))
+        fit = float(fitness[r, k])
         first = b.genome is None
         improved.append(first or fit < b.fitness - STALL_TOL)
-        if first or fit < b.fitness or (fit == b.fitness and wv < b.worst):
+        if first or fit < b.fitness:
             b.genome = genomes[r, k].copy()
-            b.fitness, b.worst, b.index = fit, wv, k
+            b.fitness, b.index = fit, k
         if improved[-1] and generation is not None:
             b.last_improvement = generation
     return improved
@@ -632,8 +629,8 @@ def grid_oracle(problem, resolution: int) -> GridResult:
     Only meant for small instances: refuses problems with more than
     ``GRID_MAX_SLOTS`` slots and grids larger than ``GRID_MAX_POINTS``.
     Points are evaluated in blocks of ``_GRID_CHUNK``; the winner is kept
-    by :class:`~uavbsc.common.Incumbent`, so ties on (fitness, worst
-    violation) go to the earliest point in lexicographic gene order.
+    by :class:`~uavbsc.common.Incumbent`, so ties on fitness go to the
+    earliest point in lexicographic gene order.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -662,7 +659,7 @@ def grid_oracle(problem, resolution: int) -> GridResult:
         genomes[:, free] = levels[(idx[:, None] // weights) % resolution]
         genomes = problem.adjust(genomes)
         ev = problem.evaluate_batch(genomes)
-        best.offer([0], genomes[None], ev.fitness[None], ev.worst_violation[None])
+        best.offer([0], genomes[None], ev.fitness[None])
 
     winner = problem.evaluate(best.genome[0])
     return GridResult(

@@ -11,6 +11,7 @@ import pytest
 from helpers import REFERENCE_CONFIG, TINY_CONFIG
 from uavbsc import harness
 from uavbsc.cli import main
+from uavbsc.config import ScenarioConfig
 from uavbsc.harness import read_solution
 
 TINY = str(TINY_CONFIG)
@@ -484,7 +485,10 @@ def test_export_rejects_missing_and_malformed_solutions(capsys, tmp_path):
     assert "no genome" in error_payload(err)["message"]
 
     # Any JSON value: a bare string, a run artifact whose best is a list,
-    # or a genome that is not a flat list of numbers.
+    # or a genome that is not a flat list of numbers.  Text and booleans
+    # are no genes, even in a genome of the right length, and an integer
+    # no float can hold is an input error.
+    genes = ScenarioConfig.load(TINY).build_problem().heuristic_mean().tolist()
     not_flat = "genome is not a flat list of numbers"
     for doc, message in (("genome", "does not hold a JSON object"),
                          ({"report": {"best": [0.5]}},
@@ -494,7 +498,11 @@ def test_export_rejects_missing_and_malformed_solutions(capsys, tmp_path):
                          ({"genome": [[0.5], [0.5, 0.5]]}, not_flat),
                          ({"genome": [[0.5, 0.5]]}, not_flat),
                          ({"genome": 0.5}, not_flat),
-                         ({"report": {"best": {"genome": None}}}, not_flat)):
+                         ({"report": {"best": {"genome": None}}}, not_flat),
+                         ({"genome": [str(g) for g in genes]}, not_flat),
+                         ({"genome": [True] * len(genes)}, not_flat),
+                         ({"genome": [10**400, *genes[1:]]},
+                          "too large for a float")):
         bad.write_text(json.dumps(doc), encoding="utf-8")
         code, _, err = run_cli(capsys, "export", "--config", TINY,
                                "--solution", str(bad),
@@ -502,7 +510,7 @@ def test_export_rejects_missing_and_malformed_solutions(capsys, tmp_path):
         assert code == 4
         payload = error_payload(err)
         assert payload["category"] == "execution"
-        assert message in payload["message"]
+        assert message in payload["message"] and str(bad) in payload["message"]
 
 
 def test_export_rejects_an_artifact_from_another_scenario(capsys, tmp_path):

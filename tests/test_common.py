@@ -22,75 +22,74 @@ from uavbsc.common import (
 from uavbsc.encoding import LinkProblem
 
 
-def _block(*rows):
+def _block(*fits):
     """One seed's (1, rows) block: genomes tagged by row number, plus
-    (fitness, worst) columns."""
-    fit = np.array([[r[0] for r in rows]], dtype=np.float64)
-    worst = np.array([[r[1] for r in rows]], dtype=np.float64)
-    genomes = np.arange(len(rows), dtype=np.float64)[None, :, None] * np.ones(3)
-    return [0], genomes, fit, worst
+    their fitness."""
+    genomes = np.arange(len(fits), dtype=np.float64)[None, :, None] * np.ones(3)
+    return [0], genomes, np.array([fits], dtype=np.float64)
 
 
-def test_equal_fitness_goes_to_the_lower_worst_violation():
+def test_equal_fitness_never_displaces_the_earlier_row():
     best = Incumbent(1)
-    best.offer(*_block((5.0, 0.3), (5.0, 0.1), (5.0, 0.2)))
-    assert (best.fitness[0], best.worst[0], best.index[0]) == (5.0, 0.1, 1)
-    # A later offer at equal fitness replaces only with a lower violation.
-    best.offer(*_block((5.0, 0.1), (5.0, 0.05)))
-    assert (best.worst[0], best.index[0]) == (0.05, 1)
-    best.offer(*_block((5.0, 0.2)))
-    assert (best.worst[0], best.index[0]) == (0.05, 1)
+    best.offer(*_block(5.0, 5.0, 5.0))
+    assert (best.fitness[0], best.index[0]) == (5.0, 0)
+    # A later offer at equal fitness never replaces the holder.
+    best.offer(*_block(6.0, 5.0))
+    assert (best.fitness[0], best.index[0]) == (5.0, 0)
+    best.offer(*_block(5.0))
+    assert best.index[0] == 0
+    np.testing.assert_array_equal(best.genome[0], np.zeros(3))
 
 
 def test_full_ties_go_to_the_earliest_row_and_the_earliest_offer():
     best = Incumbent(1)
-    seeds, genomes, fit, worst = _block((2.0, 0.0), (1.0, 0.0), (1.0, 0.0))
-    best.offer(seeds, genomes, fit, worst)
+    seeds, genomes, fit = _block(2.0, 1.0, 1.0)
+    best.offer(seeds, genomes, fit)
     assert best.index[0] == 1
     np.testing.assert_array_equal(best.genome[0], genomes[0, 1])
     later = np.full_like(genomes, 9.0)
-    best.offer(seeds, later, fit, worst)
+    best.offer(seeds, later, fit)
     assert best.index[0] == 1
     np.testing.assert_array_equal(best.genome[0], genomes[0, 1])
 
 
 def test_offer_reports_improvement_only_past_the_stall_tolerance():
     best = Incumbent(1)
-    assert best.offer(*_block((1.0, 0.0)))          # the first offer counts
-    assert not best.offer(*_block((1.0 - STALL_TOL / 2, 0.0)))
+    assert best.offer(*_block(1.0))          # the first offer counts
+    assert not best.offer(*_block(1.0 - STALL_TOL / 2))
     assert best.fitness[0] == 1.0 - STALL_TOL / 2  # still replaced
-    assert not best.offer(*_block((best.fitness[0], 0.0)))
-    assert best.offer(*_block((best.fitness[0] - 4 * STALL_TOL, 0.0)))
-    assert not best.offer(*_block((2.0, 0.0)))
+    assert not best.offer(*_block(best.fitness[0]))
+    assert best.offer(*_block(best.fitness[0] - 4 * STALL_TOL))
+    assert not best.offer(*_block(2.0))
 
 
 def test_offer_without_a_generation_keeps_last_improvement():
     best = Incumbent(1)
-    best.offer(*_block((3.0, 0.0)), generation=4)
+    best.offer(*_block(3.0), generation=4)
     assert best.last_improvement[0] == 4
-    assert best.offer(*_block((1.0, 0.0)))
+    assert best.offer(*_block(1.0))
     assert best.last_improvement[0] == 4
     assert best.fitness[0] == 1.0
-    best.offer(*_block((3.0, 0.0)), generation=6)   # no improvement
+    best.offer(*_block(3.0), generation=6)   # no improvement
     assert best.last_improvement[0] == 4
-    best.offer(*_block((0.5, 0.0)), generation=7)
+    best.offer(*_block(0.5), generation=7)
     assert best.last_improvement[0] == 7
 
 
 def test_index_names_the_row_of_the_last_replacement():
     best = Incumbent(1)
-    best.offer(*_block((4.0, 0.0), (3.0, 0.0)))
+    best.offer(*_block(4.0, 3.0))
     assert best.index[0] == 1
-    best.offer(*_block((3.5, 0.0), (9.0, 0.0), (9.0, 0.0)))
+    best.offer(*_block(3.5, 9.0, 9.0))
     assert best.index[0] == 1                       # no replacement
-    best.offer(*_block((9.0, 0.0), (9.0, 0.0), (2.0, 0.0)))
+    best.offer(*_block(9.0, 9.0, 2.0))
     assert best.index[0] == 2
 
 
 def test_stored_genome_is_a_copy_of_the_winning_row():
     best = Incumbent(1)
-    seeds, genomes, fit, worst = _block((1.0, 0.0))
-    best.offer(seeds, genomes, fit, worst)
+    seeds, genomes, fit = _block(1.0)
+    best.offer(seeds, genomes, fit)
     genomes[0, 0] = -1.0
     np.testing.assert_array_equal(best.genome[0], np.zeros(3))
 
@@ -98,34 +97,29 @@ def test_stored_genome_is_a_copy_of_the_winning_row():
 def test_one_offer_over_seeds_is_one_offer_per_seed():
     rng = np.random.default_rng(8)
     fit = rng.integers(0, 3, (4, 6)).astype(float)  # many full ties
-    worst = rng.integers(0, 2, (4, 6)).astype(float)
     genomes = rng.random((4, 6, 3))
     rows, alone = Incumbent(4), [Incumbent(1) for _ in range(4)]
     for gen in range(3):
-        got = rows.offer(np.arange(4), genomes, fit - gen, worst, gen)
-        want = [b.offer([0], genomes[r, None], fit[r, None] - gen,
-                        worst[r, None], gen)[0]
+        got = rows.offer(np.arange(4), genomes, fit - gen, gen)
+        want = [b.offer([0], genomes[r, None], fit[r, None] - gen, gen)[0]
                 for r, b in enumerate(alone)]
         assert got.tolist() == want
-        assert list(zip(rows.fitness, rows.worst, rows.index,
-                        rows.last_improvement)) == [
-            (b.fitness[0], b.worst[0], b.index[0], b.last_improvement[0])
-            for b in alone]
+        assert list(zip(rows.fitness, rows.index, rows.last_improvement)) == [
+            (b.fitness[0], b.index[0], b.last_improvement[0]) for b in alone]
         assert all(np.array_equal(a, b.genome[0])
                    for a, b in zip(rows.genome, alone))
     # The seeds left out of an offer keep their incumbents.
     genome, last = rows.genome.copy(), rows.last_improvement.copy()
-    rows.offer([3, 1], genomes[:2], fit[:2] - 9.0, worst[:2], 9)
+    rows.offer([3, 1], genomes[:2], fit[:2] - 9.0, 9)
     np.testing.assert_array_equal(rows.genome[[0, 2]], genome[[0, 2]])
     assert rows.last_improvement.tolist() == [last[0], 9, last[2], 9]
 
 
 def test_record_traces_the_current_best():
     best = Incumbent(2)
-    best.offer([0, 1], np.zeros((2, 1, 3)), np.array([[2.0], [4.0]]),
-               np.zeros((2, 1)))
+    best.offer([0, 1], np.zeros((2, 1, 3)), np.array([[2.0], [4.0]]))
     best.record([0, 1], 1, np.array([7.5, 8.0]), [10, 12])
-    best.offer(*_block((1.0, 0.0)))
+    best.offer(*_block(1.0))
     best.record([0], 2, np.array([3.0]), [20])
     assert [[r.to_dict() for r in trace] for trace in best.trace] == [
         [GenerationRecord(1, 2.0, 7.5, 10).to_dict(),
@@ -138,8 +132,7 @@ def test_report_evaluates_the_incumbent_once(tiny_problem):
     stack = SeedStack("x", tiny_problem, [3], 1, None, {"k": 1})
     genome = tiny_problem.heuristic_mean()
     ev = tiny_problem.evaluate_batch(genome[None, :])
-    stack.best.offer([0], ev.genomes[None], ev.fitness[None],
-                     ev.worst_violation[None], 0)
+    stack.best.offer([0], ev.genomes[None], ev.fitness[None], 0)
     (report,) = stack.reports()
     assert (report.solver, report.seed, report.evaluations) == ("x", 3, 1)
     assert report.best.fitness == float(ev.fitness[0])

@@ -114,6 +114,16 @@ def test_rejects_wrong_schema_version(doc):
         load_doc(doc)
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_schema_version_must_be_the_integer_one(doc, version):
+    # As with slot_count, a bool or a float is not the integer 1.
+    doc["schema_version"] = version
+    with pytest.raises(ConfigError) as err:
+        load_doc(doc)
+    assert str(err.value) == (
+        f"invalid scenario: schema_version must be 1 (got {version!r})")
+
+
 def test_rejects_unknown_root_key(doc):
     doc["extras"] = {}
     with pytest.raises(ConfigError, match="unknown key extras"):

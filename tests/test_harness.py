@@ -14,7 +14,7 @@ import pytest
 
 from helpers import frozen_gene_indices, small_problem, small_system_params
 from oracles import grid_oracle
-from uavbsc import common, harness
+from uavbsc import common, ga, harness, pso
 from uavbsc.encoding import LinkProblem
 from uavbsc.ga import GaConfig
 from uavbsc.harness import (
@@ -203,6 +203,25 @@ def test_random_search_trace_is_monotone():
     best = [t.best_fitness for t in rep.trace]
     assert all(b <= a for a, b in zip(best, best[1:]))
     assert 1 <= rep.last_improvement_generation <= len(rep.trace)
+
+
+def test_paper_mode_with_no_feasible_mission_reports_the_first_candidate():
+    # Every infeasible mission scores -1 in "paper" mode; fitness is the
+    # one ordering key, so no later candidate displaces the first offered,
+    # whatever its worst violation.
+    problem = small_problem(small_system_params(demanded_rate_bps=1e15),
+                            penalty_mode="paper")
+    ga_cfg = GaConfig(population_size=10, generations=5, seed=4)
+    pso_cfg = PsoConfig(swarm_size=10, iterations=5, seed=4)
+    for report, first in (
+            (random_search(problem, budget=300, seed=4), problem.adjust(
+                np.random.default_rng(4).random((1, problem.genome_size)))),
+            (ga.run(ga_cfg, problem), common.initial_population(
+                problem, 10, ga_cfg.init_std, np.random.default_rng(4))),
+            (pso.run(pso_cfg, problem), common.initial_population(
+                problem, 10, pso_cfg.init_std, np.random.default_rng(4)))):
+        assert (report.best.fitness, report.feasible) == (-1.0, False)
+        np.testing.assert_array_equal(report.best.genome, first[0])
 
 
 def test_random_search_rejects_bad_arguments():
@@ -599,7 +618,6 @@ def test_grid_matches_exhaustive_product_enumeration(tiny_problem):
     free = [g for g in range(tiny_problem.genome_size) if g not in frozen]
     levels = np.linspace(0.0, 1.0, resolution)
     best_fit = math.inf
-    best_worst = math.inf
     best_genome = None
     count = 0
     for combo in itertools.product(levels, repeat=len(free)):
@@ -607,12 +625,8 @@ def test_grid_matches_exhaustive_product_enumeration(tiny_problem):
         genome[free] = combo
         genome = tiny_problem.adjust(genome)
         sol = tiny_problem.evaluate(genome)
-        worst = sol.report.worst_violation
-        if sol.fitness < best_fit or (
-            sol.fitness == best_fit and worst < best_worst
-        ):
+        if sol.fitness < best_fit:
             best_fit = sol.fitness
-            best_worst = worst
             best_genome = genome
         count += 1
     assert result.points_evaluated == count == resolution ** len(free)

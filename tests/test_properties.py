@@ -95,30 +95,8 @@ def test_encode_inverts_decode_on_adjusted_genomes(name):
     check()
 
 
-# Few distinct levels, so that ties on fitness and on worst violation
-# are common.
+# Few distinct levels, so that exact ties are common.
 _LEVEL = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0])
-_BLOCKS = st.lists(st.lists(st.tuples(_LEVEL, _LEVEL), min_size=1,
-                            max_size=6), min_size=1, max_size=6)
-
-
-@checked
-@given(_BLOCKS)
-def test_incumbent_picks_the_first_of_a_sort_by_fitness_then_worst(blocks):
-    best = Incumbent(1)
-    offered = []
-    for block in blocks:
-        tags = np.arange(len(offered), len(offered) + len(block),
-                         dtype=np.float64)[None, :, None]
-        offered += block
-        best.offer([0], tags, np.array([[f for f, _ in block]]),
-                   np.array([[w for _, w in block]]))
-    winner = min(range(len(offered)),
-                 key=lambda i: (offered[i][0], offered[i][1], i))
-    assert best.genome[0, 0] == winner
-    assert (best.fitness[0], best.worst[0]) == offered[winner]
-
-
 # Fitness steps just inside, at and just past STALL_TOL from two levels.
 _NEAR_LEVEL = st.builds(lambda level, steps: level - steps * STALL_TOL,
                         st.sampled_from([0.0, 1.0]),
@@ -126,7 +104,7 @@ _NEAR_LEVEL = st.builds(lambda level, steps: level - steps * STALL_TOL,
 
 
 @st.composite
-def _seed_offers(pick):
+def _seed_offers(pick, fitness=_NEAR_LEVEL):
     """A seed count, then offers of (distinct seeds, (rows, size) fitness
     and worst-violation blocks, generation or None)."""
     n_seeds = pick(st.integers(1, 4))
@@ -135,7 +113,7 @@ def _seed_offers(pick):
         seeds = pick(st.lists(st.integers(0, n_seeds - 1), min_size=1,
                               max_size=n_seeds, unique=True))
         size = pick(st.integers(1, 4))
-        cells = pick(st.lists(st.tuples(_NEAR_LEVEL, _LEVEL),
+        cells = pick(st.lists(st.tuples(fitness, _LEVEL),
                               min_size=len(seeds) * size,
                               max_size=len(seeds) * size))
         block = np.array(cells).reshape(len(seeds), size, 2)
@@ -145,22 +123,50 @@ def _seed_offers(pick):
 
 
 @checked
+@given(_seed_offers(fitness=_LEVEL))
+def test_incumbent_ranks_by_fitness_alone_as_the_ga_does(case):
+    # Each row's genome carries its worst violation, as a BatchEvaluation
+    # carries it beside the fitness; it decides nothing.  An offer picks
+    # the GA's top-ranked row, and an equal-fitness row never displaces
+    # the holder.
+    n_seeds, offers = case
+    best, tag = Incumbent(n_seeds), 0
+    for seeds, fitness, worst, generation in offers:
+        rows = np.arange(len(seeds))
+        tags = np.arange(tag, tag + fitness.size).reshape(fitness.shape)
+        tag += fitness.size
+        genomes = np.stack([tags, worst], axis=-1).astype(np.float64)
+        picks = np.argsort(fitness, axis=1, kind="stable")[:, 0]
+        fit = fitness[rows, picks]
+        held, index = best.fitness[seeds], best.index[seeds]
+        before = None if best.genome is None else best.genome[seeds]
+        best.offer(np.array(seeds), genomes, fitness, generation)
+        take = (index < 0) | (fit < held)
+        assert best.index[seeds].tolist() == np.where(take, picks, index).tolist()
+        assert best.fitness[seeds].tolist() == np.where(take, fit, held).tolist()
+        want = genomes[rows, picks]
+        if before is not None:
+            want = np.where(take[:, None], want, before)
+        assert best.genome[seeds].tolist() == want.tolist()
+
+
+@checked
 @given(_seed_offers())
 def test_stacked_incumbent_offers_as_one_holder_per_seed(case):
     n_seeds, offers = case
     best, holders = Incumbent(n_seeds), [ReferenceHolder() for _ in range(n_seeds)]
     tag = 0
-    for seeds, fitness, worst, generation in offers:
+    for seeds, fitness, _, generation in offers:
         genomes = np.arange(tag, tag + fitness.size, dtype=np.float64).reshape(
             fitness.shape)[..., None] * np.ones(2)
         tag += fitness.size
-        improved = best.offer(np.array(seeds), genomes, fitness, worst, generation)
+        improved = best.offer(np.array(seeds), genomes, fitness, generation)
         assert improved.tolist() == offer_reference(
-            [holders[k] for k in seeds], genomes, fitness, worst, generation)
-        assert [(b.fitness, b.worst, b.index, b.last_improvement)
+            [holders[k] for k in seeds], genomes, fitness, generation)
+        assert [(b.fitness, b.index, b.last_improvement)
                 for b in holders] == list(zip(
-                    best.fitness.tolist(), best.worst.tolist(),
-                    best.index.tolist(), best.last_improvement.tolist()))
+                    best.fitness.tolist(), best.index.tolist(),
+                    best.last_improvement.tolist()))
         for k, b in enumerate(holders):
             if b.genome is not None:
                 assert best.genome[k].tobytes() == b.genome.tobytes()

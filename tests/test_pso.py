@@ -203,10 +203,9 @@ def _first_iteration(cfg, problem):
     ev1 = problem.evaluate_batch(positions)
     better = ev1.fitness < ev0.fitness
     best = Incumbent(1)
-    best.offer([0], start, ev0.fitness[None], ev0.worst_violation[None])
+    best.offer([0], start, ev0.fitness[None])
     best.offer([0], np.where(better[:, None], positions, start[0])[None],
-               np.where(better, ev1.fitness, ev0.fitness)[None],
-               np.where(better, ev1.worst_violation, ev0.worst_violation)[None])
+               np.where(better, ev1.fitness, ev0.fitness)[None])
     return loop, block, replay, int(best.index[0])
 
 
