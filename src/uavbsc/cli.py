@@ -3,7 +3,6 @@
 Subcommands
 -----------
 run       one solver on one scenario (artifact JSON via --out)
-          (--solver random is the seeded uniform random baseline)
 sweep     a parameter sweep: CSV rows + median summary + artifact JSON
 export    solution.json + trajectory.csv for a finished run
 
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig
 from .harness import (
-    SOLVER_NAMES,
+    SOLVERS,
     SweepSpec,
     _as_solver_list,
     campaign_to_dict,
@@ -88,11 +87,11 @@ def _seeds(text: str) -> list:
     return seeds
 
 
-def _solvers(text: str) -> list:
-    """argparse type of sweep's ``--solver``: comma-separated solver names."""
+def _solvers(text: str, split: bool = True) -> list:
+    """argparse type of ``--solver``: comma-separated names, or one if not ``split``."""
     try:
         return _as_solver_list([name.strip() for name in text.split(",")
-                                if name.strip()])
+                                if name.strip()] if split else text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -122,7 +121,9 @@ def build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="run one solver on one scenario")
     add_common(p_run)
-    p_run.add_argument("--solver", choices=SOLVER_NAMES, default="ipso")
+    choices = f"(choices: {', '.join(SOLVERS)})"
+    p_run.add_argument("--solver", type=lambda text: _solvers(text, split=False)[0],
+                       default="ipso", help=f"solver name {choices}")
     p_run.add_argument("--seed", type=_seed, default=0)
     p_run.add_argument("--budget", type=_positive, default=None,
                        help="cap on objective evaluations")
@@ -137,8 +138,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 24,27,30,33,36")
     p_sweep.add_argument("--solver", type=_solvers, default="ipso",
-                         help="solver name or comma-separated list "
-                              f"(choices: {', '.join(SOLVER_NAMES)})")
+                         help=f"solver name or comma-separated list {choices}")
     p_sweep.add_argument("--seeds", type=_seeds, default="0,1,2",
                          help="comma-separated seeds (default 0,1,2)")
     p_sweep.add_argument("--budget", type=_positive, default=None)

@@ -16,16 +16,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .encoding import PENALTY_MODES, RATE_WEIGHTINGS, LinkProblem
-from .ga import GaConfig
+from .harness import SOLVERS
 from .model import ParameterError, PropulsionParams, SystemParams
-from .pso import PsoConfig
 
 __all__ = [
     "ConfigError",
@@ -102,14 +100,6 @@ _MODES = {
     "fixed_altitude": (bool, True),
 }
 
-# The config each solver section builds; the variant of a swarm comes
-# from its section name.
-SOLVER_CONFIGS = {
-    "ga": GaConfig,
-    "ipso": partial(PsoConfig, variant="ipso"),
-    "pso": partial(PsoConfig, variant="pso"),
-}
-
 # Solver config fields a scenario file cannot override: seed and budget
 # come from the harness call, the variant from the section name.
 _NOT_OVERRIDABLE = ("seed", "max_evaluations", "variant")
@@ -130,7 +120,7 @@ def _field_types(cls, skip=()) -> dict:
 
 _PROPULSION_KEYS = _field_types(PropulsionParams)
 _OVERRIDE_KEYS = {name: _field_types(getattr(make, "func", make), _NOT_OVERRIDABLE)
-                  for name, make in SOLVER_CONFIGS.items()}
+                  for name, (make, _) in SOLVERS.items() if make is not None}
 
 
 def _check_section(problems, data, label, required, optional=None):
@@ -278,7 +268,7 @@ class ScenarioConfig:
             solvers_block = {}
         overrides = {}
         for section, block in solvers_block.items():
-            if section not in SOLVER_CONFIGS:
+            if section not in _OVERRIDE_KEYS:
                 problems.append(f"unknown key solvers.{section}")
                 continue
             typed = len(problems)
@@ -286,7 +276,7 @@ class ScenarioConfig:
                            _OVERRIDE_KEYS[section])
             if len(problems) == typed:
                 try:  # the range rules live on the solver configs' fields
-                    SOLVER_CONFIGS[section](**block)
+                    SOLVERS[section][0](**block)
                 except ParameterError as err:
                     problems.extend(f"solvers.{section}.{p}" for p in err.problems)
                 overrides[section] = dict(block)

@@ -21,6 +21,7 @@ import json
 import time
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -29,10 +30,10 @@ import numpy as np
 from . import ga as ga_mod
 from . import pso as pso_mod
 from .common import SeedStack, SolverReport, SolverSteps, draw, drive, run_alone
-from .config import SOLVER_CONFIGS, ConfigError, ScenarioConfig
 from .encoding import LinkProblem
 
 __all__ = [
+    "SOLVERS",
     "SOLVER_NAMES",
     "RANDOM_DEFAULT_BUDGET",
     "RunArtifact",
@@ -53,14 +54,56 @@ __all__ = [
     "read_solution",
 ]
 
-SOLVER_NAMES = ("ga", "ipso", "pso", "random")
-
 RANDOM_DEFAULT_BUDGET = 10_000
 
 # Random-search draws happen in fixed-size blocks so that the stream of
 # candidates for a given seed is a prefix-stable sequence: raising the
 # budget never changes the candidates already evaluated.
 _RANDOM_CHUNK = 256
+
+
+# ----------------------------------------------------------------------
+# Random-search baseline
+# ----------------------------------------------------------------------
+
+def random_search(problem: LinkProblem, budget: int,
+                  seed: int = 0) -> SolverReport:
+    """Uniform random sampling of the unit box, best-so-far kept."""
+    return run_alone(random_steps(problem, budget, [seed]), problem)
+
+
+def random_steps(problem, budget: int,
+                 seeds: Sequence[int] = (0,)) -> SolverSteps:
+    """Random search over a stack of seeds (see :mod:`uavbsc.common`).
+
+    Each seed draws its candidates in row-major blocks of
+    ``_RANDOM_CHUNK`` from its own stream, so a longer budget evaluates
+    a strict superset of a shorter one.  The trace holds one record per
+    block.
+    """
+    if budget < 1:
+        raise ValueError("random search needs a budget of at least 1")
+    stack = SeedStack("random", problem, seeds, 0, int(budget),
+                      {"chunk_size": _RANDOM_CHUNK})
+    problem, dim = stack.problem, stack.problem.genome_size
+    for block, start in enumerate(range(0, budget, _RANDOM_CHUNK), 1):
+        n = min(_RANDOM_CHUNK, budget - start)
+        genomes = problem.adjust(draw(stack.rngs, "random", (len(stack.seeds), n, dim)))
+        ev = yield genomes, stack.live
+        stack.spent += n
+        stack.best.offer(stack.live, genomes, ev.fitness, block)
+        stack.record(block, ev.fitness)
+    return stack.reports()
+
+
+# Each solver's config factory (None: its loop takes a budget instead) and loop.
+SOLVERS = {
+    "ga": (ga_mod.GaConfig, ga_mod.steps),
+    "ipso": (partial(pso_mod.PsoConfig, variant="ipso"), pso_mod.steps),
+    "pso": (partial(pso_mod.PsoConfig, variant="pso"), pso_mod.steps),
+    "random": (None, random_steps),
+}
+SOLVER_NAMES = tuple(SOLVERS)
 
 
 @dataclass(eq=False)
@@ -92,12 +135,9 @@ class RunArtifact:
 def make_solver_config(scenario: ScenarioConfig, solver: str, seed: int,
                        budget: Optional[int] = None):
     """Solver config for a scenario: defaults, file overrides, then seed/budget."""
-    if solver == "random":
-        return None
-    if solver not in SOLVER_CONFIGS:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
-    return SOLVER_CONFIGS[solver](**scenario.solver_overrides.get(solver, {}),
-                                  seed=seed, max_evaluations=budget)
+    make, _ = SOLVERS[_as_solver_list(solver)[0]]
+    return None if make is None else make(
+        **scenario.solver_overrides.get(solver, {}), seed=seed, max_evaluations=budget)
 
 
 def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
@@ -106,11 +146,11 @@ def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
     the solver settings of ``scenario``; its solver config is made, and may
     fail, in the loop's first step."""
     cfg = make_solver_config(scenario, solver, seeds[0], budget)
+    _, loop = SOLVERS[solver]
     if cfg is None:
-        return (yield from random_steps(
+        return (yield from loop(
             problems, RANDOM_DEFAULT_BUDGET if budget is None else budget, seeds))
-    steps = ga_mod.steps if isinstance(cfg, ga_mod.GaConfig) else pso_mod.steps
-    return (yield from steps(cfg, problems, seeds))
+    return (yield from loop(cfg, problems, seeds))
 
 
 def run_single(scenario: ScenarioConfig, solver: str, seed: int,
@@ -130,9 +170,9 @@ def _as_solver_list(solvers) -> List[str]:
     if not names:
         raise ValueError("at least one solver is required")
     for name in names:
-        if name not in SOLVER_NAMES:
+        if name not in SOLVERS:
             raise ValueError(
-                f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
+                f"unknown solver {name!r}; expected one of {tuple(SOLVERS)}")
     return names
 
 
@@ -182,8 +222,7 @@ def _run_slice(runs: Sequence[tuple], budget: Optional[int]) -> list:
             for k, (index, seed, scenario, _) in enumerate(group):
                 results[index] = outcome if isinstance(outcome, ValueError) else \
                     RunArtifact(scenario.name, scenario.scenario_hash(), solver,
-                                int(seed), None if budget is None else int(budget),
-                                outcome[k], busy / len(group))
+                                seed, budget, outcome[k], busy / len(group))
     return results
 
 
@@ -237,40 +276,6 @@ def run_campaign(scenario: ScenarioConfig, solvers, seeds: Sequence[int],
 def campaign_to_dict(artifacts: Sequence[RunArtifact],
                      include_timing: bool = True) -> dict:
     return {"runs": [a.to_dict(include_timing=include_timing) for a in artifacts]}
-
-
-# ----------------------------------------------------------------------
-# Random-search baseline
-# ----------------------------------------------------------------------
-
-def random_search(problem: LinkProblem, budget: int,
-                  seed: int = 0) -> SolverReport:
-    """Uniform random sampling of the unit box, best-so-far kept."""
-    return run_alone(random_steps(problem, budget, [seed]), problem)
-
-
-def random_steps(problem, budget: int,
-                 seeds: Sequence[int] = (0,)) -> SolverSteps:
-    """Random search over a stack of seeds (see :mod:`uavbsc.common`).
-
-    Each seed draws its candidates in row-major blocks of
-    ``_RANDOM_CHUNK`` from its own stream, so a longer budget evaluates
-    a strict superset of a shorter one.  The trace holds one record per
-    block.
-    """
-    if budget < 1:
-        raise ValueError("random search needs a budget of at least 1")
-    stack = SeedStack("random", problem, seeds, 0, int(budget),
-                      {"chunk_size": _RANDOM_CHUNK})
-    problem, dim = stack.problem, stack.problem.genome_size
-    for block, start in enumerate(range(0, budget, _RANDOM_CHUNK), 1):
-        n = min(_RANDOM_CHUNK, budget - start)
-        genomes = problem.adjust(draw(stack.rngs, "random", (len(stack.seeds), n, dim)))
-        ev = yield genomes, stack.live
-        stack.spent += n
-        stack.best.offer(stack.live, genomes, ev.fitness, block)
-        stack.record(block, ev.fitness)
-    return stack.reports()
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +342,7 @@ def run_sweep(scenario: ScenarioConfig, spec: SweepSpec,
         point = SweepPoint(parameter=spec.parameter, value=value)
         try:
             varied = scenario.with_value(spec.parameter, value)
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:  # a ConfigError too
             point.error = str(exc)
         else:
             runs += [(varied, solver, seed)
@@ -415,8 +420,7 @@ def sweep_summary(points: Sequence[SweepPoint]) -> List[dict]:
                 "parameter": point.parameter, "value": point.value,
                 "solver": solver,
                 "runs": len(arts),
-                "feasible_runs": int(sum(
-                    1 for a in arts if a.report.feasible)),
+                "feasible_runs": int(sum(a.report.feasible for a in arts)),
                 "median_rate_bps": float(np.median(rates)) if len(rates) else "",
                 "best_rate_bps": float(np.max(rates)) if len(rates) else "",
                 "error": "",
@@ -529,7 +533,13 @@ def export_solution(problem: LinkProblem, genome, out_dir,
 
 def read_solution(path) -> dict:
     """Load a solution or run artifact and return its genome plus metadata."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc.msg} "
+                         f"(line {exc.lineno}, column {exc.colno})") from None
+    except ValueError as exc:  # e.g. an integer too long for int() to parse
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} does not hold a JSON object")
     holder = data

@@ -58,7 +58,13 @@ def test_unknown_solver_choice_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "run", "--config", TINY,
                            "--solver", "simplex")
     assert code == 2
-    assert error_payload(err)["category"] == "usage"
+    assert len(err.splitlines()) == 1
+    payload = error_payload(err)
+    assert payload["category"] == "usage"
+    # The message of sweep's list (see the next test).
+    assert payload["message"] == (
+        "argument --solver: unknown solver 'simplex'; "
+        "expected one of ('ga', 'ipso', 'pso', 'random')")
 
 
 def test_unknown_solver_in_a_sweep_list_is_a_usage_error_naming_the_flag(
@@ -490,20 +496,26 @@ def test_export_rejects_missing_and_malformed_solutions(capsys, tmp_path):
     # no float can hold is an input error.
     genes = ScenarioConfig.load(TINY).build_problem().heuristic_mean().tolist()
     not_flat = "genome is not a flat list of numbers"
-    for doc, message in (("genome", "does not hold a JSON object"),
-                         ({"report": {"best": [0.5]}},
-                          "report.best is not an object"),
-                         ({"genome": {"a": 1}}, not_flat),
-                         ({"genome": ["x", 0.5]}, not_flat),
-                         ({"genome": [[0.5], [0.5, 0.5]]}, not_flat),
-                         ({"genome": [[0.5, 0.5]]}, not_flat),
-                         ({"genome": 0.5}, not_flat),
-                         ({"report": {"best": {"genome": None}}}, not_flat),
-                         ({"genome": [str(g) for g in genes]}, not_flat),
-                         ({"genome": [True] * len(genes)}, not_flat),
-                         ({"genome": [10**400, *genes[1:]]},
-                          "too large for a float")):
-        bad.write_text(json.dumps(doc), encoding="utf-8")
+    cases = [(json.dumps(doc), message) for doc, message in (
+        ("genome", "does not hold a JSON object"),
+        ({"report": {"best": [0.5]}}, "report.best is not an object"),
+        ({"genome": {"a": 1}}, not_flat),
+        ({"genome": ["x", 0.5]}, not_flat),
+        ({"genome": [[0.5], [0.5, 0.5]]}, not_flat),
+        ({"genome": [[0.5, 0.5]]}, not_flat),
+        ({"genome": 0.5}, not_flat),
+        ({"report": {"best": {"genome": None}}}, not_flat),
+        ({"genome": [str(g) for g in genes]}, not_flat),
+        ({"genome": [True] * len(genes)}, not_flat),
+        ({"genome": [10**400, *genes[1:]]}, "too large for a float"))]
+    # Text that is not JSON, and an integer of more digits than Python
+    # parses, are input errors too.
+    cases += [('{"genome": [0.5,',
+               "is not valid JSON: Expecting value (line 1, column 17)"),
+              ('{"genome": [%s]}' % ("9" * 5001),
+               "is not valid JSON: Exceeds the limit (4300 digits)")]
+    for text, message in cases:
+        bad.write_text(text, encoding="utf-8")
         code, _, err = run_cli(capsys, "export", "--config", TINY,
                                "--solution", str(bad),
                                "--out", str(tmp_path / "o3"))

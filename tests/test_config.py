@@ -284,6 +284,11 @@ def test_rejects_unknown_solver_sections_and_keys(doc):
     with pytest.raises(ConfigError, match="unknown key solvers.annealer"):
         load_doc(doc)
     del doc["solvers"]["annealer"]
+    # A solver without a config (random search) takes no section.
+    doc["solvers"]["random"] = {}
+    with pytest.raises(ConfigError, match="unknown key solvers.random"):
+        load_doc(doc)
+    del doc["solvers"]["random"]
     doc["solvers"]["ga"]["seed"] = 3
     with pytest.raises(ConfigError, match="unknown key solvers.ga.seed"):
         load_doc(doc)

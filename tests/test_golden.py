@@ -6,22 +6,26 @@ They pin every solver's output bit for bit, so any change to a draw, an
 operator or the evaluation pipeline that alters results shows up here.
 The hashes were computed with numpy 2.4 on x86-64; a numpy build whose
 math routines round differently changes them without any code change.
+So does the CPU: with the same numpy build, the ``power`` and ``log2``
+kernels numpy picks at run time (AVX-512 or its baseline) change 4 of
+the 24 hashes of each table (tiny/ga seed 1, reference/ga seeds 0 and 2,
+reference/random seed 2), which fails 9 of the golden cases.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from uavbsc import ga, pso
 from uavbsc.common import drive
-from uavbsc.config import SOLVER_CONFIGS, ScenarioConfig
+from uavbsc.config import ScenarioConfig
 from uavbsc.encoding import LinkProblem
 from uavbsc.harness import (
     SweepSpec,
-    random_steps,
+    _run_group,
     run_campaign,
     run_single,
     run_sweep,
@@ -328,18 +332,14 @@ def test_a_group_failing_at_its_first_block_fails_the_fused_slice(
     assert point.artifacts == []
 
 
-def _stacked_and_alone(problem, solver, seeds, budget, overrides):
-    """Reports of ``seeds`` as one stacked loop, and of each seed alone."""
-    if solver == "random":
-        def loop(group):
-            return random_steps(problem, budget, group)
-    else:
-        make = ga.steps if solver == "ga" else pso.steps
-        cfg = SOLVER_CONFIGS[solver](**overrides, seed=seeds[0],
-                                     max_evaluations=budget)
+def _stacked_and_alone(scenario, problem, solver, seeds, budget, overrides):
+    """Reports of ``seeds`` as one stacked loop, and of each seed alone,
+    each loop started from the solver's row of the table as a campaign
+    starts it, with ``overrides`` as the solver's settings."""
+    scenario = dataclasses.replace(scenario, solver_overrides={solver: overrides})
 
-        def loop(group):
-            return make(cfg, problem, group)
+    def loop(group):
+        return _run_group(scenario, solver, group, budget, problem)
     return (drive([loop(seeds)], [problem])[0][0],
             [drive([loop([seed])], [problem])[0][0][0] for seed in seeds])
 
@@ -368,10 +368,10 @@ def _mutants_per_iteration(report):
         ("pso_duplicates", "pso", [4, 1, 4], {"swarm_size": 10}),
         ("random_duplicates", "random", [4, 1, 4], {}),
     ]])
-def test_stacked_loop_equals_each_seed_alone(tiny_problem, budget, case,
-                                             solver, seeds, overrides):
-    stacked, alone = _stacked_and_alone(tiny_problem, solver, seeds, budget,
-                                        overrides)
+def test_stacked_loop_equals_each_seed_alone(tiny_scenario, tiny_problem, budget,
+                                             case, solver, seeds, overrides):
+    stacked, alone = _stacked_and_alone(tiny_scenario, tiny_problem, solver,
+                                        seeds, budget, overrides)
     assert [r.to_dict() for r in stacked] == [r.to_dict() for r in alone]
     assert [r.seed for r in stacked] == seeds
     lengths = {len(r.trace) for r in alone}

@@ -12,9 +12,10 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import frozen_gene_indices, small_problem, small_system_params
+from helpers import TINY_CONFIG, frozen_gene_indices, small_problem, small_system_params
 from oracles import grid_oracle
 from uavbsc import common, ga, harness, pso
+from uavbsc.cli import main
 from uavbsc.encoding import LinkProblem
 from uavbsc.ga import GaConfig
 from uavbsc.harness import (
@@ -23,6 +24,7 @@ from uavbsc.harness import (
     export_solution,
     make_solver_config,
     random_search,
+    random_steps,
     read_solution,
     run_campaign,
     run_single,
@@ -106,6 +108,33 @@ def test_run_campaign_accepts_single_solver_name(tiny_scenario):
     arts = run_campaign(tiny_scenario, "random", seeds=[0], budget=64)
     assert len(arts) == 1
     assert arts[0].solver == "random"
+
+
+def test_a_new_solver_is_one_row_of_the_table(tiny_scenario, monkeypatch,
+                                              tmp_path, capsys):
+    # A row that runs random search under a name of its own reaches a
+    # campaign, a sweep and the command line with no other edit.
+    monkeypatch.setitem(harness.SOLVERS, "dummy", (None, random_steps))
+    expected = run_single(tiny_scenario, "random", 3, budget=300).report.to_dict()
+    (art,) = run_campaign(tiny_scenario, "dummy", [3], budget=300)
+    assert art.solver == "dummy"
+    assert art.report.to_dict() == expected
+    sweeps = [run_sweep(tiny_scenario, SweepSpec(
+        "system.wpt_power_db", [30, 33], [name, "ga"], [3, 4], budget=300))
+        for name in ("dummy", "random")]
+    for dummy, baseline in zip(*sweeps):
+        assert dummy.error is None
+        assert [(a.solver, a.seed) for a in dummy.artifacts] == \
+            [("dummy", 3), ("dummy", 4), ("ga", 3), ("ga", 4)]
+        assert [a.report.to_dict() for a in dummy.artifacts] == \
+            [a.report.to_dict() for a in baseline.artifacts]
+    out = tmp_path / "dummy.json"
+    assert main(["run", "--config", str(TINY_CONFIG), "--solver", "dummy",
+                 "--seed", "3", "--budget", "300", "--no-timing",
+                 "--out", str(out)]) == 0
+    assert "solver=dummy" in capsys.readouterr().out
+    assert json.loads(out.read_text(encoding="utf-8")) == \
+        {**art.to_dict(include_timing=False), "report": expected}
 
 
 def test_wall_clock_shares_add_up_to_the_campaign_wall_time(

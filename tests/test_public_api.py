@@ -57,6 +57,7 @@ REMOVED = [
     ("common", "seed_problems"),
     ("common", "config_snapshot"),
     ("common", "Incumbent.report"),
+    ("config", "SOLVER_CONFIGS"),
 ]
 
 # (module, callable path, parameter) triples removed from the package.
