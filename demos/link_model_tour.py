@@ -16,22 +16,22 @@ from uavbsc.model import doppler_factor, flying_power
 
 scenario = ScenarioConfig.load("configs/reference.json")
 problem = scenario.build_problem()
-params = scenario.system
+params = problem.params
 
 print(f"scenario {scenario.name}: {params.slot_count} slots x "
       f"{params.slot_duration_s:.1f} s, hash {scenario.scenario_hash()[:12]}")
-print(f"ground station at {scenario.source[:2]}, user at {scenario.user[:2]}, "
-      f"flight {scenario.start[:2]} -> {scenario.goal[:2]} "
+print(f"ground station at {problem.source[:2]}, user at {problem.user[:2]}, "
+      f"flight {problem.start[:2]} -> {problem.goal[:2]} "
       f"at {params.altitude_m:.0f} m")
 
-hover = flying_power(0.0, scenario.propulsion)
+hover = flying_power(0.0, problem.propulsion)
 print(f"\nhover power {hover * 1e3:.3f} mW; channel staleness factor at "
       f"{params.max_speed_mps:.0f} m/s: "
       f"{float(doppler_factor(params.max_speed_mps, params)):.6f}")
 
 genome = problem.heuristic_mean()
-trajectory, split = problem.decode(genome)
-table = problem.slot_table(trajectory, split)
+solution = problem.evaluate(genome)
+table = solution.table
 
 print("\nslot  d_station  d_user  corr     uplink      downlink    "
       "harvest     consumed")
@@ -44,8 +44,7 @@ for i in range(params.slot_count):
           f"{table.harvested_j[i] * 1e3:7.4f} mJ  "
           f"{consumed[i] * 1e3:7.4f} mJ")
 
-report = problem.check_constraints(trajectory, split)
-solution = problem.evaluate(genome)
+report = solution.report
 print(f"\nmission rate {solution.objective_bps / 1e6:.3f} Mbit/s, "
       f"feasible={report.feasible}")
 print("constraint margins (positive = slack):")

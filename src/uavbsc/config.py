@@ -3,26 +3,24 @@
 Scenarios are JSON documents with explicit units in the key names (dBm
 for radio powers, dB for ratios, SI elsewhere).  Loading converts to
 linear watts, validates every invariant (reporting all violations at
-once, not just the first), rejects unknown keys, and yields a
-:class:`ScenarioConfig` that can build the optimization problem.  Its
-``raw`` document, defaults filled in, is what the scenario hash covers;
-written with :func:`uavbsc.harness.write_json` it loads back to the same
-hash.
+once, not just the first), rejects unknown keys, builds the scenario's
+one :class:`~uavbsc.encoding.LinkProblem` and yields a
+:class:`ScenarioConfig` that keeps it.  Its ``raw`` document, defaults
+filled in, is what the scenario hash covers; written with
+:func:`uavbsc.harness.write_json` it loads back to the same hash.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-import numpy as np
-
 from .encoding import PENALTY_MODES, RATE_WEIGHTINGS, LinkProblem
-from .harness import SOLVERS
 from .model import ParameterError, PropulsionParams, SystemParams
 
 __all__ = [
@@ -105,11 +103,13 @@ _MODES = {
 _NOT_OVERRIDABLE = ("seed", "max_evaluations", "variant")
 
 
+@functools.cache  # from_dict types every solver section on each load
 def _field_types(cls, skip=()) -> dict:
     """Scenario keys of a dataclass's fields -> the type their values take.
 
     An ``int`` field takes an integer, an ``Optional`` one a number or
-    null, and every other field a number.
+    null, and every other field a number.  The dict is shared: do not
+    change it.
     """
     hints = get_type_hints(cls)
     return {f.name: int if hints[f.name] is int
@@ -119,8 +119,6 @@ def _field_types(cls, skip=()) -> dict:
 
 
 _PROPULSION_KEYS = _field_types(PropulsionParams)
-_OVERRIDE_KEYS = {name: _field_types(getattr(make, "func", make), _NOT_OVERRIDABLE)
-                  for name, (make, _) in SOLVERS.items() if make is not None}
 
 
 def _check_section(problems, data, label, required, optional=None):
@@ -195,22 +193,26 @@ def _convert(problems, label, value, convert=float):
         problems.append(f"{label} is out of range (got {value})")
 
 
+def _parse_json(text: str, label: str, error=ConfigError):
+    """``json.loads(text)``; raises ``error`` naming ``label`` when the text
+    is not valid JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{label} is not valid JSON: {exc.msg} "
+                    f"(line {exc.lineno}, column {exc.colno})") from None
+    except ValueError as exc:  # e.g. an integer too long for int() to parse
+        raise error(f"{label} is not valid JSON: {exc}") from None
+
+
 @dataclass(eq=False)
 class ScenarioConfig:
-    """A fully validated scenario, ready to build the link problem."""
+    """A fully validated scenario and the link problem it poses."""
 
     name: str
     raw: dict                    # canonical document with defaults filled in
-    system: SystemParams
-    propulsion: PropulsionParams
-    source: np.ndarray
-    user: np.ndarray
-    start: np.ndarray
-    goal: np.ndarray
-    penalty_mode: str
-    rate_weighting: str
-    fixed_altitude: bool
-    solver_overrides: dict = field(default_factory=dict)
+    problem: LinkProblem
+    solver_overrides: dict
 
     # ------------------------------------------------------------------
     # Construction
@@ -223,16 +225,13 @@ class ScenarioConfig:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"scenario file {path} is not valid JSON: {exc.msg} "
-                f"(line {exc.lineno}, column {exc.colno})") from exc
-        return cls.from_dict(data, default_name=path.stem)
+        return cls.from_dict(_parse_json(text, f"scenario file {path}"),
+                             default_name=path.stem)
 
     @classmethod
     def from_dict(cls, data: dict, default_name: str = "scenario") -> "ScenarioConfig":
+        from .harness import SOLVERS  # the solver table; harness imports this module
+
         if not isinstance(data, dict):
             raise ConfigError("scenario document must be a JSON object")
         problems = []
@@ -268,15 +267,16 @@ class ScenarioConfig:
             solvers_block = {}
         overrides = {}
         for section, block in solvers_block.items():
-            if section not in _OVERRIDE_KEYS:
+            make = SOLVERS.get(section, (None,))[0]  # a row with no config: no section
+            if make is None:
                 problems.append(f"unknown key solvers.{section}")
                 continue
             typed = len(problems)
             _check_section(problems, solvers_block, f"solvers.{section}", {},
-                           _OVERRIDE_KEYS[section])
+                           _field_types(getattr(make, "func", make), _NOT_OVERRIDABLE))
             if len(problems) == typed:
                 try:  # the range rules live on the solver configs' fields
-                    SOLVERS[section][0](**block)
+                    make(**block)
                 except ParameterError as err:
                     problems.extend(f"solvers.{section}.{p}" for p in err.problems)
                 overrides[section] = dict(block)
@@ -329,18 +329,17 @@ class ScenarioConfig:
                     "modes": modes,
                     "solvers": overrides,
                 },
-                system=system,
-                propulsion=propulsion,
-                source=np.array([*pairs["source_xy_m"], 0.0]),
-                user=np.array([*pairs["user_xy_m"], 0.0]),
-                start=np.array([*pairs["start_xy_m"], altitude]),
-                goal=np.array([*pairs["final_xy_m"], altitude]),
-                penalty_mode=modes["penalty_mode"],
-                rate_weighting=modes["rate_weighting"],
-                fixed_altitude=modes["fixed_altitude"],
+                problem=LinkProblem(
+                    system, propulsion,
+                    source=(*pairs["source_xy_m"], 0.0),
+                    user=(*pairs["user_xy_m"], 0.0),
+                    start=(*pairs["start_xy_m"], altitude),
+                    goal=(*pairs["final_xy_m"], altitude),
+                    penalty_mode=modes["penalty_mode"],
+                    rate_weighting=modes["rate_weighting"],
+                    fixed_altitude=modes["fixed_altitude"]),
                 solver_overrides=overrides,
             )
-            cfg.build_problem()
         except MemoryError as exc:  # the problem sizes its arrays by the slot count
             raise ConfigError(
                 "invalid scenario: system.slot_count is too large for the "
@@ -361,17 +360,8 @@ class ScenarioConfig:
     # ------------------------------------------------------------------
 
     def build_problem(self) -> LinkProblem:
-        return LinkProblem(
-            params=self.system,
-            propulsion=self.propulsion,
-            source=self.source,
-            user=self.user,
-            start=self.start,
-            goal=self.goal,
-            penalty_mode=self.penalty_mode,
-            rate_weighting=self.rate_weighting,
-            fixed_altitude=self.fixed_altitude,
-        )
+        """The scenario's problem, built once at load."""
+        return self.problem
 
     def parameter_path(self, parameter: str) -> "tuple[str, str]":
         """The ``(section, key)`` of a swept parameter: a dotted path into

@@ -150,7 +150,8 @@ class FeasibilityReport:
 
 @dataclass(eq=False)
 class EvaluatedSolution:
-    """A decoded candidate together with its objective and feasibility."""
+    """A decoded candidate together with its objective, feasibility and
+    per-slot breakdown (``table``, which :meth:`to_dict` leaves out)."""
 
     genome: np.ndarray
     trajectory: Trajectory
@@ -158,6 +159,7 @@ class EvaluatedSolution:
     objective_bps: float
     fitness: float
     report: FeasibilityReport
+    table: SlotTable
 
     def to_dict(self) -> dict:
         return {
@@ -192,9 +194,10 @@ class SlotTable:
 @dataclass(eq=False)
 class BatchEvaluation:
     """Evaluation results: (B,) arrays for ``evaluate_batch``'s (B, dim)
-    genomes, (seeds, rows) ones for a solver loop's stack (see ``drive``)."""
+    genomes, (seeds, rows) ones for a solver loop's (seeds, rows, dim)
+    stack (see ``drive``)."""
 
-    genomes: np.ndarray        # (B, dim)
+    genomes: np.ndarray        # (B, dim), or a loop's (seeds, rows, dim)
     objectives: np.ndarray     # (B,) mission rate sums (bit/s)
     fitness: np.ndarray        # (B,) scalar fitness, lower is better
     feasible: np.ndarray       # (B,) bool
@@ -289,9 +292,9 @@ class LinkProblem:
     def adjust(self, genes) -> np.ndarray:
         """Clamp genes to [0, 1] and re-pin frozen genes.
 
-        Accepts a single genome (dim,) or a stack (B, dim); returns a new
-        array of the same shape, which :meth:`evaluate_batch` accepts.
-        This is the one gate every solver block passes: a NaN or
+        Accepts a single genome (dim,) or any stack of them, such as a
+        solver loop's (seeds, rows, dim); returns a new array of the same
+        shape.  This is the one gate every solver block passes: a NaN or
         infinite gene raises ``ValueError`` rather than being clamped.
         """
         arr = np.asarray(genes, dtype=np.float64)
@@ -462,20 +465,21 @@ class LinkProblem:
         return result
 
     def _evaluate_mission(self, traj: Trajectory, time_split):
-        """:meth:`_evaluate_stack` of one mission, and its feasibility report."""
+        """:meth:`_evaluate_stack` of one mission, its feasibility report
+        and its slot table."""
         split = as_time_split(time_split, self.n_slots)
         result = self._evaluate_stack(traj.waypoints.T[:, :, None],
                                       split[:, None], with_table=True)
+        t = result["table"]
         return result, FeasibilityReport(
             margins={name: float(m[0]) for name, m in result["margins"].items()},
             feasible=bool(result["feasible"][0]),
             worst_violation=float(result["worst"][0]),
-        )
+        ), SlotTable(*(getattr(t, f.name)[:, 0] for f in fields(t)))
 
     def slot_table(self, traj: Trajectory, time_split) -> SlotTable:
-        """Per-slot breakdown of one mission (used by exports and demos)."""
-        t = self._evaluate_mission(traj, time_split)[0]["table"]
-        return SlotTable(*(getattr(t, f.name)[:, 0] for f in fields(t)))
+        """Per-slot breakdown of one mission."""
+        return self._evaluate_mission(traj, time_split)[2]
 
     def check_constraints(self, traj: Trajectory, time_split) -> FeasibilityReport:
         """Evaluate every mission constraint for one candidate."""
@@ -484,7 +488,7 @@ class LinkProblem:
     def evaluate(self, genome) -> EvaluatedSolution:
         """Decode and fully evaluate one genome."""
         traj, split = self.decode(genome)
-        result, report = self._evaluate_mission(traj, split)
+        result, report, table = self._evaluate_mission(traj, split)
         return EvaluatedSolution(
             genome=np.asarray(genome, dtype=np.float64).copy(),
             trajectory=traj,
@@ -492,6 +496,7 @@ class LinkProblem:
             objective_bps=float(result["objective"][0]),
             fitness=float(result["fitness"][0]),
             report=report,
+            table=table,
         )
 
     def _evaluate_pass(self, arr: np.ndarray, lo: int) -> dict:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import time
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ import numpy as np
 from . import ga as ga_mod
 from . import pso as pso_mod
 from .common import SeedStack, SolverReport, SolverSteps, draw, drive, run_alone
+from .config import ScenarioConfig, _parse_json
 from .encoding import LinkProblem
 
 __all__ = [
@@ -144,13 +144,14 @@ def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
                budget: Optional[int], problems) -> SolverSteps:
     """The stacked loop of one solver over ``seeds`` on their problems, with
     the solver settings of ``scenario``; its solver config is made, and may
-    fail, in the loop's first step."""
+    fail, in the loop's first step.  Each report is named after the row."""
     cfg = make_solver_config(scenario, solver, seeds[0], budget)
     _, loop = SOLVERS[solver]
-    if cfg is None:
-        return (yield from loop(
-            problems, RANDOM_DEFAULT_BUDGET if budget is None else budget, seeds))
-    return (yield from loop(cfg, problems, seeds))
+    reports = yield from (loop(cfg, problems, seeds) if cfg is not None else loop(
+        problems, RANDOM_DEFAULT_BUDGET if budget is None else budget, seeds))
+    for report in reports:
+        report.solver = solver
+    return reports
 
 
 def run_single(scenario: ScenarioConfig, solver: str, seed: int,
@@ -189,40 +190,36 @@ def _as_seed_list(seeds) -> List[int]:
 def _run_slice(runs: Sequence[tuple], budget: Optional[int]) -> list:
     """One result per ``(scenario, solver, seed)`` run, in run order.
 
-    Each stretch of runs on one scenario object builds one problem.
-    Consecutive scenarios whose problems share a geometry (a sweep over a
-    physics scalar, not over the slot count or the altitude) run in one
-    :func:`~uavbsc.common.drive`.  Among them, consecutive scenarios with
-    equal solver settings (a sweep over a ``system.*`` or ``propulsion.*``
-    scalar) share one stacked loop per solver over all their seeds, value
-    after value, each seed on its own value's problem.  An artifact's
-    ``wall_clock_s`` is its loop's busy time split evenly over all the
-    loop's seeds.  Each run of a loop that raised ``ValueError``
-    (``ConfigError`` included) gets that error, so a failed loop fails
-    its own runs only.
+    Consecutive runs whose scenarios' problems share a geometry (a sweep
+    over a physics scalar, not over the slot count or the altitude) run in
+    one :func:`~uavbsc.common.drive`.  Among them, consecutive scenarios
+    with equal solver settings (a sweep over a ``system.*`` or
+    ``propulsion.*`` scalar) share one stacked loop per solver over all
+    their seeds, value after value, each seed on its own value's problem.
+    An artifact's budget is its report's, and its ``wall_clock_s`` is its
+    loop's busy time split evenly over all the loop's seeds.  Each run of
+    a loop that raised ``ValueError`` (``ConfigError`` included) gets that
+    error, so a failed loop fails its own runs only.
     """
     results: list = [None] * len(runs)
-    stretches = [(scenario, scenario.build_problem(), list(stretch))
-                 for scenario, stretch in itertools.groupby(
-                     enumerate(runs), key=lambda item: item[1][0])]
-    for _, fused in itertools.groupby(stretches, key=lambda st: st[1].geometry):
-        loops = []  # (solver, [(run index, seed, scenario, problem)]) per loop
-        for _, merged in itertools.groupby(fused, lambda st: st[0].solver_overrides):
+    for _, fused in itertools.groupby(
+            enumerate(runs), key=lambda item: item[1][0].problem.geometry):
+        loops = []  # (solver, [(run index, seed, scenario)]) per loop
+        for _, merged in itertools.groupby(
+                fused, key=lambda item: item[1][0].solver_overrides):
             members: dict = {}
-            for scenario, problem, stretch in merged:
-                for index, (_, solver, seed) in stretch:
-                    members.setdefault(solver, []).append(
-                        (index, seed, scenario, problem))
+            for index, (scenario, solver, seed) in merged:
+                members.setdefault(solver, []).append((index, seed, scenario))
             loops += members.items()
-        problems = [[problem for *_, problem in group] for _, group in loops]
+        problems = [[scenario.problem for *_, scenario in group] for _, group in loops]
         driven = drive([_run_group(group[0][2], solver, [run[1] for run in group],
                                    budget, own)
                         for (solver, group), own in zip(loops, problems)], problems)
         for (solver, group), (outcome, busy) in zip(loops, driven):
-            for k, (index, seed, scenario, _) in enumerate(group):
+            for k, (index, seed, scenario) in enumerate(group):
                 results[index] = outcome if isinstance(outcome, ValueError) else \
-                    RunArtifact(scenario.name, scenario.scenario_hash(), solver,
-                                seed, budget, outcome[k], busy / len(group))
+                    RunArtifact(scenario.name, scenario.scenario_hash(), solver, seed,
+                                outcome[k].budget, outcome[k], busy / len(group))
     return results
 
 
@@ -504,7 +501,7 @@ def export_solution(problem: LinkProblem, genome, out_dir,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     evaluated = problem.evaluate(genome)
-    table = problem.slot_table(evaluated.trajectory, evaluated.time_split)
+    table = evaluated.table
     waypoints = evaluated.trajectory.waypoints
     n_slots = evaluated.trajectory.n_slots
 
@@ -533,13 +530,7 @@ def export_solution(problem: LinkProblem, genome, out_dir,
 
 def read_solution(path) -> dict:
     """Load a solution or run artifact and return its genome plus metadata."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc.msg} "
-                         f"(line {exc.lineno}, column {exc.colno})") from None
-    except ValueError as exc:  # e.g. an integer too long for int() to parse
-        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    data = _parse_json(Path(path).read_text(encoding="utf-8"), str(path), ValueError)
     if not isinstance(data, dict):
         raise ValueError(f"{path} does not hold a JSON object")
     holder = data

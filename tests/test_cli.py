@@ -242,6 +242,22 @@ def test_rotor_constants_block_is_an_unknown_key(capsys, tmp_path):
     assert "unknown key propulsion.rotor" in payload["message"]
 
 
+def test_scenario_with_an_overlong_integer_is_a_config_error(capsys, tmp_path):
+    # json.loads rejects an integer of more digits than Python parses with
+    # a plain ValueError; the file is invalid JSON like any other.
+    doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
+    doc["system"]["slot_count"] = "DIGITS"
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc).replace('"DIGITS"', "9" * 5001), encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", "--config", str(big),
+                           "--solver", "random", "--budget", "64")
+    assert code == 3
+    payload = error_payload(err)
+    assert payload["category"] == "config"
+    assert payload["message"].startswith(
+        f"scenario file {big} is not valid JSON: Exceeds the limit (4300 digits)")
+
+
 def test_slot_count_too_large_to_allocate_is_a_config_error(capsys, tmp_path):
     doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
     doc["system"]["slot_count"] = 10**15
@@ -356,6 +372,18 @@ def test_baseline_runs_random_search(capsys, tmp_path):
     artifact = json.loads(out.read_text(encoding="utf-8"))
     assert artifact["solver"] == "random"
     assert artifact["report"]["evaluations"] == 128
+
+
+def test_random_search_defaults_to_ten_thousand_evaluations(capsys, tmp_path):
+    # With no --budget the run takes 10,000 evaluations, and the artifact
+    # records that budget where its report does.
+    out = tmp_path / "random.json"
+    code, _, _ = run_cli(capsys, "run", "--config", TINY, "--solver", "random",
+                         "--out", str(out), "--no-timing")
+    assert code == 0
+    artifact = json.loads(out.read_text(encoding="utf-8"))
+    assert artifact["report"]["evaluations"] == 10_000
+    assert artifact["budget"] == artifact["report"]["budget"] == 10_000
 
 
 # ----------------------------------------------------------------------

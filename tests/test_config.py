@@ -47,7 +47,7 @@ def test_dbm_to_watt_known_values():
 def test_reference_scenario_loads_with_converted_units():
     cfg = ScenarioConfig.load(REFERENCE_CONFIG)
     assert cfg.name == "reference"
-    s = cfg.system
+    s = cfg.problem.params
     assert s.slot_count == 8
     assert s.mission_time_s == 40.0
     assert s.slot_duration_s == 5.0
@@ -59,33 +59,33 @@ def test_reference_scenario_loads_with_converted_units():
     assert s.noise_var_uplink_w == pytest.approx(1.0e-12, rel=1e-12)
     assert s.rician_factor == pytest.approx(10.0**0.7, rel=1e-12)
     assert s.light_speed_mps == 3.0e8
-    assert cfg.penalty_mode == "safe"
-    assert cfg.rate_weighting == "literal"
-    assert cfg.fixed_altitude is True
+    assert cfg.problem.penalty_mode == "safe"
+    assert cfg.problem.rate_weighting == "literal"
+    assert cfg.problem.fixed_altitude is True
     assert cfg.solver_overrides["ga"]["population_size"] == 50
 
 
 def test_tiny_scenario_loads_and_builds_problem():
     cfg = ScenarioConfig.load(TINY_CONFIG)
     problem = cfg.build_problem()
-    assert cfg.system.slot_count == 2
+    assert cfg.problem.params.slot_count == 2
     assert problem.genome_size == 3 * 1 + 2
-    assert problem.params is cfg.system
+    assert problem.params is cfg.problem.params
     assert cfg.solver_overrides["ga"]["stall_limit"] == 100
 
 
 def test_build_problem_places_endpoints_in_three_dimensions(doc):
     cfg = load_doc(doc)
-    assert cfg.source.tolist() == [0.0, 0.0, 0.0]
-    assert cfg.user.tolist() == [60.0, 0.0, 0.0]
-    assert cfg.start.tolist() == [5.0, 0.0, 5.0]
-    assert cfg.goal.tolist() == [55.0, 0.0, 5.0]
+    assert cfg.problem.source.tolist() == [0.0, 0.0, 0.0]
+    assert cfg.problem.user.tolist() == [60.0, 0.0, 0.0]
+    assert cfg.problem.start.tolist() == [5.0, 0.0, 5.0]
+    assert cfg.problem.goal.tolist() == [55.0, 0.0, 5.0]
 
 
 def test_light_speed_default_is_materialized_when_omitted(doc):
     del doc["system"]["light_speed_mps"]
     cfg = load_doc(doc)
-    assert cfg.system.light_speed_mps == pytest.approx(2.998e8, rel=1e-3)
+    assert cfg.problem.params.light_speed_mps == pytest.approx(2.998e8, rel=1e-3)
     assert "light_speed_mps" in cfg.raw["system"]
 
 
@@ -254,23 +254,24 @@ def test_literal_profile_scaling_accepts_the_coefficient_form(doc):
     assert scaled.raw["propulsion"] == plain.raw["propulsion"] == doc["propulsion"]
     for name in ("profile_power_w", "induced_power_w", "induced_speed_factor",
                  "parasite_drag_factor"):
-        assert getattr(scaled.propulsion, name) == getattr(plain.propulsion, name)
+        assert getattr(scaled.problem.propulsion, name) == \
+            getattr(plain.problem.propulsion, name)
 
 
 def test_literal_profile_scaling_multiplies_the_given_coefficient(doc):
     given = doc["propulsion"]["profile_speed_factor"]
     plain = load_doc(doc)
-    assert plain.propulsion.profile_speed_factor == given
+    assert plain.problem.propulsion.profile_speed_factor == given
     doc["modes"]["lambda1_literal"] = True
     scaled = load_doc(doc)
-    assert scaled.propulsion.profile_speed_factor == (
-        given * scaled.system.slot_duration_s)
-    assert scaled.propulsion.profile_speed_factor != given
+    assert scaled.problem.propulsion.profile_speed_factor == (
+        given * scaled.problem.params.slot_duration_s)
+    assert scaled.problem.propulsion.profile_speed_factor != given
 
 
 def test_literal_profile_scaling_that_overflows_names_the_key_and_mode(doc):
     doc["propulsion"]["profile_speed_factor"] = 1e308
-    assert load_doc(doc).propulsion.profile_speed_factor == 1e308
+    assert load_doc(doc).problem.propulsion.profile_speed_factor == 1e308
     doc["modes"]["lambda1_literal"] = True
     with pytest.raises(ConfigError) as err:
         load_doc(doc)
@@ -461,7 +462,7 @@ def test_with_value_dotted_path(doc):
     cfg = load_doc(doc)
     swept = cfg.with_value("system.wpt_power_db", 27.0)
     assert swept.raw["system"]["wpt_power_db"] == 27.0
-    assert swept.system.wpt_power_w == pytest.approx(10.0**2.7, rel=1e-12)
+    assert swept.problem.params.wpt_power_w == pytest.approx(10.0**2.7, rel=1e-12)
     # The original scenario is untouched.
     assert cfg.raw["system"]["wpt_power_db"] == 33.0
     assert swept.name == cfg.name
@@ -471,8 +472,8 @@ def test_with_value_bare_key_resolves_unique_section(doc):
     cfg = load_doc(doc)
     swept = cfg.with_value("altitude_m", 12.0)
     assert swept.raw["geometry"]["altitude_m"] == 12.0
-    assert swept.system.altitude_m == 12.0
-    assert swept.start[2] == 12.0
+    assert swept.problem.params.altitude_m == 12.0
+    assert swept.problem.start[2] == 12.0
 
 
 def test_with_value_rejects_unknown_parameter(doc):

@@ -16,6 +16,7 @@ from helpers import TINY_CONFIG, frozen_gene_indices, small_problem, small_syste
 from oracles import grid_oracle
 from uavbsc import common, ga, harness, pso
 from uavbsc.cli import main
+from uavbsc.config import ScenarioConfig
 from uavbsc.encoding import LinkProblem
 from uavbsc.ga import GaConfig
 from uavbsc.harness import (
@@ -113,21 +114,25 @@ def test_run_campaign_accepts_single_solver_name(tiny_scenario):
 def test_a_new_solver_is_one_row_of_the_table(tiny_scenario, monkeypatch,
                                               tmp_path, capsys):
     # A row that runs random search under a name of its own reaches a
-    # campaign, a sweep and the command line with no other edit.
+    # campaign, a sweep and the command line with no other edit, and its
+    # reports carry the row's name.
     monkeypatch.setitem(harness.SOLVERS, "dummy", (None, random_steps))
-    expected = run_single(tiny_scenario, "random", 3, budget=300).report.to_dict()
+    expected = {**run_single(tiny_scenario, "random", 3, budget=300).report.to_dict(),
+                "solver": "dummy"}
     (art,) = run_campaign(tiny_scenario, "dummy", [3], budget=300)
-    assert art.solver == "dummy"
+    assert art.solver == art.report.solver == "dummy"
     assert art.report.to_dict() == expected
     sweeps = [run_sweep(tiny_scenario, SweepSpec(
         "system.wpt_power_db", [30, 33], [name, "ga"], [3, 4], budget=300))
         for name in ("dummy", "random")]
     for dummy, baseline in zip(*sweeps):
         assert dummy.error is None
-        assert [(a.solver, a.seed) for a in dummy.artifacts] == \
-            [("dummy", 3), ("dummy", 4), ("ga", 3), ("ga", 4)]
+        assert [(a.solver, a.report.solver, a.seed) for a in dummy.artifacts] == \
+            [("dummy", "dummy", 3), ("dummy", "dummy", 4),
+             ("ga", "ga", 3), ("ga", "ga", 4)]
         assert [a.report.to_dict() for a in dummy.artifacts] == \
-            [a.report.to_dict() for a in baseline.artifacts]
+            [{**b.report.to_dict(), "solver": a.solver}
+             for a, b in zip(dummy.artifacts, baseline.artifacts)]
     out = tmp_path / "dummy.json"
     assert main(["run", "--config", str(TINY_CONFIG), "--solver", "dummy",
                  "--seed", "3", "--budget", "300", "--no-timing",
@@ -135,6 +140,29 @@ def test_a_new_solver_is_one_row_of_the_table(tiny_scenario, monkeypatch,
     assert "solver=dummy" in capsys.readouterr().out
     assert json.loads(out.read_text(encoding="utf-8")) == \
         {**art.to_dict(include_timing=False), "report": expected}
+
+
+def test_a_scenario_builds_its_problem_once(monkeypatch):
+    # Loading a scenario and replacing a swept value each build one
+    # problem; runs reuse their scenario's problem.
+    built = []
+    init = LinkProblem.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinkProblem, "__init__", counted_init)
+    scenario = ScenarioConfig.load(TINY_CONFIG)
+    assert len(built) == 1
+    swept = scenario.with_value("system.wpt_power_db", 30)
+    assert len(built) == 2
+    run_campaign(scenario, ["ga", "random"], [0, 1], budget=200)
+    assert len(built) == 2
+    run_sweep(scenario, SweepSpec("system.wpt_power_db", [30, 33], ["ipso"], [0],
+                                  budget=200))
+    assert len(built) == 4
+    assert built[:2] == [scenario.build_problem(), swept.build_problem()]
 
 
 def test_wall_clock_shares_add_up_to_the_campaign_wall_time(
@@ -698,6 +726,20 @@ def test_export_solution_files_and_round_trip(tiny_problem, tmp_path):
     for col in ("time_split", "speed_mps", "uplink_rate_bps",
                 "downlink_rate_bps", "harvested_j", "consumed_j"):
         assert last[header.index(col)] == ""
+
+
+def test_an_export_makes_one_evaluation_pass(tiny_problem, monkeypatch, tmp_path):
+    # solution.json and trajectory.csv both come from the pass of evaluate.
+    passes = []
+    one_pass = LinkProblem._evaluate_stack
+
+    def counted_pass(*args, **kwargs):
+        passes.append(1)
+        return one_pass(*args, **kwargs)
+
+    monkeypatch.setattr(LinkProblem, "_evaluate_stack", counted_pass)
+    export_solution(tiny_problem, tiny_problem.heuristic_mean(), tmp_path)
+    assert len(passes) == 1
 
 
 def test_exported_rates_sum_to_the_objective(tiny_problem, tmp_path):

@@ -2,15 +2,19 @@
 test-only helpers that moved to ``tests/oracles.py`` and ``tests/helpers.py``
 are gone from it.  The source also stays within its size limits."""
 
+import dataclasses
 import functools
 import importlib
 import importlib.util
 import inspect
+import typing
 from pathlib import Path
 
 import pytest
 
 import uavbsc
+from uavbsc import harness
+from uavbsc.config import ScenarioConfig
 
 MODULES = ("cli", "common", "config", "encoding", "ga", "harness", "model",
            "pso")
@@ -58,6 +62,9 @@ REMOVED = [
     ("common", "config_snapshot"),
     ("common", "Incumbent.report"),
     ("config", "SOLVER_CONFIGS"),
+    *[("config", f"ScenarioConfig.{name}") for name in (
+        "system", "propulsion", "source", "user", "start", "goal",
+        "penalty_mode", "rate_weighting", "fixed_altitude")],
 ]
 
 # (module, callable path, parameter) triples removed from the package.
@@ -75,7 +82,11 @@ REMOVED_PARAMETERS = [
 
 
 def _resolves(owner, path: str) -> bool:
+    """Whether ``path`` names an attribute, or a dataclass field."""
     for part in path.split("."):
+        if dataclasses.is_dataclass(owner) and part in {
+                f.name for f in dataclasses.fields(owner)}:
+            return True  # a field without a default is no class attribute
         if not hasattr(owner, part):
             return False
         owner = getattr(owner, part)
@@ -109,6 +120,13 @@ def test_deleted_parameters_are_not_accepted(module, name, parameter):
     owner = functools.reduce(getattr, name.split("."),
                              importlib.import_module(f"uavbsc.{module}"))
     assert parameter not in inspect.signature(owner).parameters
+
+
+@pytest.mark.parametrize("name", ["run_campaign", "run_single", "run_sweep",
+                                  "make_solver_config"])
+def test_harness_annotations_resolve(name):
+    hints = typing.get_type_hints(getattr(harness, name))
+    assert hints["scenario"] is ScenarioConfig
 
 
 def test_every_traced_name_is_defined_on_its_owner():
