@@ -223,10 +223,11 @@ def _cmd_export(args) -> int:
     problem = scenario.build_problem()
     loaded = read_solution(args.solution)
     data = loaded["data"]
-    # Run artifacts carry the hash at the top level, exported solutions
-    # in their meta block.
+    # Run artifacts carry the hash, solver and seed at the top level,
+    # exported solutions in their meta block.
     meta_block = data.get("meta") if isinstance(data.get("meta"), dict) else {}
-    source_hash = data.get("scenario_hash", meta_block.get("scenario_hash"))
+    source = {**meta_block, **data}
+    source_hash = source.get("scenario_hash")
     if source_hash is not None and source_hash != scenario.scenario_hash():
         raise ConfigError(
             f"{args.solution} was produced for scenario hash {source_hash}, "
@@ -237,8 +238,8 @@ def _cmd_export(args) -> int:
         "scenario_hash": scenario.scenario_hash(),
     }
     for key in ("solver", "seed"):
-        if key in data:
-            meta[key] = data[key]
+        if key in source:
+            meta[key] = source[key]
     solution_path, csv_path = export_solution(
         problem, loaded["genome"], args.out, meta=meta)
     print(f"export wrote {solution_path} and {csv_path}")

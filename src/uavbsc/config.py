@@ -372,7 +372,7 @@ class ScenarioConfig:
             if not isinstance(block := self.raw.get(section), dict) or key not in block:
                 raise ConfigError(f"unknown sweep parameter {parameter!r}")
             return section, key
-        hits = [section for section in ("system", "geometry", "modes")
+        hits = [section for section in ("system", "geometry", "propulsion", "modes")
                 if parameter in self.raw.get(section, {})]
         if len(hits) != 1:
             raise ConfigError(

@@ -13,8 +13,8 @@ mode the z genes are still present but are frozen to the normalized
 altitude by :meth:`LinkProblem.adjust`.
 
 Evaluation decodes a genome, sums the per-slot user rates into the
-objective, checks the mission constraints (cache balance, demanded rate,
-energy self-sufficiency, per-slot speed, bounds/pinning) and maps the pair
+objective, checks the four mission constraints (cache balance, demanded
+rate, energy self-sufficiency, per-slot speed) and maps the pair
 (objective, feasibility) to a scalar fitness that the solvers minimize:
 feasible candidates score the negative rate sum; infeasible ones score a
 large positive penalty that grows with the worst violation ("safe" mode)
@@ -35,7 +35,6 @@ from .model import (
     SystemParams,
     Trajectory,
     as_position,
-    as_time_split,
     doppler_factor,
     flying_power,
     harvested_energy_slot,
@@ -66,8 +65,9 @@ PENALTY_MODES = ("safe", "paper")
 RATE_WEIGHTINGS = ("literal", "delta")
 
 # Relative slack allowed on the three sum constraints (cache balance,
-# demanded rate, energy); the speed constraint is checked to 1e-12 m and
-# the bounds/pinning constraint exactly.
+# demanded rate, energy); the speed constraint is checked to 1e-12 m.  The
+# endpoints and the [0, 1] split box are no constraints: decoding pins the
+# endpoints, and every entry point rejects genes outside [0, 1].
 _REL_TOL = 1.0e-9
 _SPEED_TOL = 1.0e-12
 
@@ -359,28 +359,26 @@ class LinkProblem:
                         with_table: bool = False) -> dict:
         """The one evaluation pass over stacked missions.
 
-        ``waypoints`` is coordinate- and slot-major, shape (3, N+1, B), and
-        ``split`` has shape (N, B).  Returns the constraint margins by name
-        under "margins", and the (B,) arrays "objective", "feasible",
-        "worst" (the normalized worst violation) and "fitness"; with
-        ``with_table``, also the :class:`SlotTable` of (N, B) arrays under
-        "table".  Rates and energies are evaluated with the slot-start
-        geometry.
+        ``waypoints`` (coordinate- and slot-major, shape (3, N+1, B)) and
+        ``split`` (shape (N, B)) are as :meth:`_decode_stack` returns them,
+        so the endpoints are pinned and every split lies in [0, 1].  Returns
+        the four constraint margins by name under "margins", and the (B,)
+        arrays "objective", "feasible", "worst" (the normalized worst
+        violation) and "fitness"; with ``with_table``, also the
+        :class:`SlotTable` of (N, B) arrays under "table".  Rates and
+        energies are evaluated with the slot-start geometry.
         """
         p = self.params
         n, rows = split.shape
         # One norm gives the slot-start distances to the source and to the
-        # user, the hop lengths, and the start and goal deviations.
-        d = np.empty((3, 3 * n + 2, rows))
+        # user, and the hop lengths.
+        d = np.empty((3, 3 * n, rows))
         starts = waypoints[:, :-1]
         np.subtract(starts, self.source[:, None, None], out=d[:, :n])
         np.subtract(starts, self.user[:, None, None], out=d[:, n:2 * n])
-        np.subtract(waypoints[:, 1:], starts, out=d[:, 2 * n:3 * n])
-        np.subtract(waypoints[:, 0], self.start[:, None], out=d[:, 3 * n])
-        np.subtract(waypoints[:, n], self.goal[:, None], out=d[:, 3 * n + 1])
-        norms = _norm3(d)
+        np.subtract(waypoints[:, 1:], starts, out=d[:, 2 * n:])
+        d_su, d_du, hops = _norm3(d).reshape(3, n, rows)
         del d  # hold fewer per-slot arrays at once
-        d_su, d_du, hops = norms[:n], norms[n:2 * n], norms[2 * n:3 * n]
         sigma = p.slot_duration_s
         speeds = hops / sigma
         corr = doppler_factor(speeds, p)
@@ -414,12 +412,6 @@ class LinkProblem:
             scale = np.maximum(1.0, magnitude)
             return margin, scale, _REL_TOL * scale
 
-        # The bounds margin folds, in this order: the least split, the
-        # least 1 - split, and minus the start and goal deviations.
-        bounds = np.minimum.reduce(split)
-        np.minimum(bounds, np.minimum.reduce(np.subtract(1.0, split)), out=bounds)
-        for deviation in np.negative(norms[3 * n:], out=norms[3 * n:]):
-            np.minimum(bounds, deviation, out=bounds)
         # Each constraint is (margin, scale, slack): it holds when
         # margin >= -slack, and it is violated by -margin / scale.
         constraints = {
@@ -430,7 +422,6 @@ class LinkProblem:
                                      sum_harvest + sum_consume),
             "speed": (np.minimum.reduce(max_hop - hops), np.maximum(1.0, max_hop),
                       _SPEED_TOL),
-            "bounds": (bounds, 1.0, 0.0),
         }
         feasible = np.ones(sum_dn.shape, dtype=bool)
         worst = None  # the largest violation, folded in table order, then 0
@@ -464,39 +455,23 @@ class LinkProblem:
                 backscatter_j=backscatter_j, cache_j=cache_j)
         return result
 
-    def _evaluate_mission(self, traj: Trajectory, time_split):
-        """:meth:`_evaluate_stack` of one mission, its feasibility report
-        and its slot table."""
-        split = as_time_split(time_split, self.n_slots)
+    def evaluate(self, genome) -> EvaluatedSolution:
+        """Decode and fully evaluate one genome, its slot table included."""
+        traj, split = self.decode(genome)
         result = self._evaluate_stack(traj.waypoints.T[:, :, None],
                                       split[:, None], with_table=True)
         t = result["table"]
-        return result, FeasibilityReport(
-            margins={name: float(m[0]) for name, m in result["margins"].items()},
-            feasible=bool(result["feasible"][0]),
-            worst_violation=float(result["worst"][0]),
-        ), SlotTable(*(getattr(t, f.name)[:, 0] for f in fields(t)))
-
-    def slot_table(self, traj: Trajectory, time_split) -> SlotTable:
-        """Per-slot breakdown of one mission."""
-        return self._evaluate_mission(traj, time_split)[2]
-
-    def check_constraints(self, traj: Trajectory, time_split) -> FeasibilityReport:
-        """Evaluate every mission constraint for one candidate."""
-        return self._evaluate_mission(traj, time_split)[1]
-
-    def evaluate(self, genome) -> EvaluatedSolution:
-        """Decode and fully evaluate one genome."""
-        traj, split = self.decode(genome)
-        result, report, table = self._evaluate_mission(traj, split)
         return EvaluatedSolution(
             genome=np.asarray(genome, dtype=np.float64).copy(),
             trajectory=traj,
             time_split=split,
             objective_bps=float(result["objective"][0]),
             fitness=float(result["fitness"][0]),
-            report=report,
-            table=table,
+            report=FeasibilityReport(
+                margins={name: float(m[0]) for name, m in result["margins"].items()},
+                feasible=bool(result["feasible"][0]),
+                worst_violation=float(result["worst"][0])),
+            table=SlotTable(*(getattr(t, f.name)[:, 0] for f in fields(t))),
         )
 
     def _evaluate_pass(self, arr: np.ndarray, lo: int) -> dict:

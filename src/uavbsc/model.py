@@ -5,7 +5,7 @@ during each mission slot it splits time between reflecting fresh uplink
 symbols / forwarding cached ones (active fraction) and harvesting RF energy
 (the remaining fraction).  This module provides the building blocks:
 
-* mission geometry (validated positions, time splits and waypoints),
+* mission geometry (validated positions and waypoints),
 * the time-selective channel quality factor derived from Doppler,
 * closed-form per-slot achievable rates of both hops,
 * per-slot harvested and consumed energy, including a rotary-wing
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Optional
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "PropulsionParams",
     "SystemParams",
     "as_position",
-    "as_time_split",
     "bessel_j0",
     "link_terms",
     "doppler_factor",
@@ -56,18 +54,6 @@ def as_position(p) -> np.ndarray:
         raise ValueError(f"a position must have shape (3,), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("position coordinates must be finite")
-    return arr
-
-
-def as_time_split(values, n_slots: Optional[int] = None) -> np.ndarray:
-    """Validate a per-slot active-time fraction vector (entries in [0, 1])."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"time split must be a 1-D vector, got shape {arr.shape}")
-    if n_slots is not None and arr.size != n_slots:
-        raise ValueError(f"time split has {arr.size} entries, expected {n_slots}")
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # false for NaN and +-inf too
-        raise ValueError("time split entries must lie in [0, 1]")
     return arr
 
 

@@ -254,35 +254,24 @@ def mission_audit(waypoints, splits, env: dict) -> dict:
     m_energy = sum_harvest - sum_consume
     max_hop = env["max_speed_mps"] * sd
     m_speed = min(max_hop - s["hop"] for s in slots)
-    start_dev = math.dist(waypoints[0], env["start"])
-    goal_dev = math.dist(waypoints[-1], env["goal"])
-    m_bounds = min(
-        min(splits),
-        min(1.0 - s for s in splits),
-        -start_dev,
-        -goal_dev,
-    )
 
     scales = {
         "cache_balance": max(1.0, cache_credit + sum_up + abs(sum_dn)),
         "rate_demand": max(1.0, abs(sum_dn) + env["demanded_rate_bps"]),
         "energy": max(1.0, sum_harvest + sum_consume),
         "speed": max(1.0, max_hop),
-        "bounds": 1.0,
     }
     margins = {
         "cache_balance": m_cache,
         "rate_demand": m_demand,
         "energy": m_energy,
         "speed": m_speed,
-        "bounds": m_bounds,
     }
     feasible = (
         m_cache >= -1e-9 * scales["cache_balance"]
         and m_demand >= -1e-9 * scales["rate_demand"]
         and m_energy >= -1e-9 * scales["energy"]
         and m_speed >= -1e-12
-        and m_bounds >= 0.0
     )
     worst = max(
         0.0,
@@ -290,7 +279,6 @@ def mission_audit(waypoints, splits, env: dict) -> dict:
         -m_demand / scales["rate_demand"],
         -m_energy / scales["energy"],
         -m_speed / scales["speed"],
-        -m_bounds,
     )
     return {
         "slots": slots,
@@ -493,7 +481,7 @@ def per_point_tables(problem, waypoints, split) -> dict:
     }
 
 
-def per_point_margins(problem, waypoints, split, tables) -> dict:
+def per_point_margins(problem, split, tables) -> dict:
     """Margins, objective, feasibility, worst violation and fitness, (B,)."""
     p = problem.params
     sum_up = np.sum(tables["weighted_up"], axis=1)
@@ -508,14 +496,6 @@ def per_point_margins(problem, waypoints, split, tables) -> dict:
     m_energy = sum_harvest - sum_consume
     max_hop = p.max_speed_mps * p.slot_duration_s
     m_speed = np.min(max_hop - tables["hops"], axis=1)
-    start_dev = np.linalg.norm(waypoints[:, 0] - problem.start, axis=-1)
-    goal_dev = np.linalg.norm(waypoints[:, -1] - problem.goal, axis=-1)
-    m_bounds = np.minimum.reduce([
-        np.min(split, axis=1),
-        np.min(1.0 - split, axis=1),
-        -start_dev,
-        -goal_dev,
-    ])
 
     scale_cache = np.maximum(1.0, cache_credit + sum_up + np.abs(sum_dn))
     scale_demand = np.maximum(1.0, np.abs(sum_dn) + p.demanded_rate_bps)
@@ -527,14 +507,12 @@ def per_point_margins(problem, waypoints, split, tables) -> dict:
         & (m_demand >= -1e-9 * scale_demand)
         & (m_energy >= -1e-9 * scale_energy)
         & (m_speed >= -1e-12)
-        & (m_bounds >= 0.0)
     )
     worst = np.maximum.reduce([
         -m_cache / scale_cache,
         -m_demand / scale_demand,
         -m_energy / scale_energy,
         -m_speed / scale_speed,
-        -m_bounds,
         np.zeros_like(m_cache),
     ])
     if problem.penalty_mode == "paper":
@@ -546,7 +524,6 @@ def per_point_margins(problem, waypoints, split, tables) -> dict:
         "rate_demand": m_demand,
         "energy": m_energy,
         "speed": m_speed,
-        "bounds": m_bounds,
         "objective": sum_dn,
         "feasible": feasible,
         "worst": worst,
@@ -558,7 +535,7 @@ def per_point_evaluate(problem, genomes) -> dict:
     """Per-slot tables and margins of a genome stack, per-point layout."""
     waypoints, split = per_point_decode(problem, genomes)
     tables = per_point_tables(problem, waypoints, split)
-    margins = per_point_margins(problem, waypoints, split, tables)
+    margins = per_point_margins(problem, split, tables)
     return {"waypoints": waypoints, "tables": tables, **margins}
 
 

@@ -503,6 +503,19 @@ def test_export_from_run_artifact(capsys, tmp_path):
     assert (old_out / "trajectory.csv").read_text(encoding="utf-8") == csv_text
 
 
+def test_re_exporting_a_solution_keeps_its_solver_and_seed(capsys, tmp_path):
+    art = tmp_path / "artifact.json"
+    assert run_cli(capsys, "run", "--config", TINY, "--solver", "ga",
+                   "--seed", "3", "--budget", "64", "--out", str(art))[0] == 0
+    solution = art
+    for name in ("first", "second"):
+        assert run_cli(capsys, "export", "--config", TINY, "--solution",
+                       str(solution), "--out", str(tmp_path / name))[0] == 0
+        solution = tmp_path / name / "solution.json"
+        meta = json.loads(solution.read_text(encoding="utf-8"))["meta"]
+        assert (meta["solver"], meta["seed"]) == ("ga", 3), name
+
+
 def test_export_rejects_missing_and_malformed_solutions(capsys, tmp_path):
     code, _, err = run_cli(capsys, "export", "--config", TINY,
                            "--solution", str(tmp_path / "none.json"),

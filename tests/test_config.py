@@ -476,6 +476,14 @@ def test_with_value_bare_key_resolves_unique_section(doc):
     assert swept.problem.start[2] == 12.0
 
 
+def test_with_value_bare_propulsion_key_resolves(doc):
+    cfg = load_doc(doc)
+    assert cfg.parameter_path("profile_power_w") == ("propulsion", "profile_power_w")
+    swept = cfg.with_value("profile_power_w", 80.0)
+    assert swept.raw["propulsion"]["profile_power_w"] == 80.0
+    assert swept.problem.propulsion.profile_power_w == 80.0
+
+
 def test_with_value_rejects_unknown_parameter(doc):
     cfg = load_doc(doc)
     with pytest.raises(ConfigError, match="unknown sweep parameter"):

@@ -34,16 +34,15 @@ from oracles import (
 from uavbsc.config import ScenarioConfig
 from uavbsc.encoding import PENALTY_SCALE, LinkProblem, normalize
 from uavbsc.harness import run_single
-from uavbsc.model import Trajectory
 
-MARGIN_NAMES = ("cache_balance", "rate_demand", "energy", "speed", "bounds")
+MARGIN_NAMES = ("cache_balance", "rate_demand", "energy", "speed")
 
 
 def assert_matches_audit(problem, genome, rel=1e-12):
     """Compare every margin, the flag, worst violation and objective."""
     audit = audit_genome(problem, genome)
-    traj, split = problem.decode(genome)
-    report = problem.check_constraints(traj, split)
+    report = problem.evaluate(genome).report
+    assert tuple(report.margins) == MARGIN_NAMES
     for name in MARGIN_NAMES:
         scale = max(1.0, audit["scales"][name])
         got = report.margins[name]
@@ -204,9 +203,9 @@ def test_delta_weighting_matches_audit_and_scales_rates():
     rng = np.random.default_rng(2)
     genome = literal.adjust(rng.uniform(size=literal.genome_size))
     assert_matches_audit(delta, genome)
-    traj, split = literal.decode(genome)
-    lit_table = literal.slot_table(traj, split)
-    del_table = delta.slot_table(traj, split)
+    split = genome[literal.split_offset:]
+    lit_table = literal.evaluate(genome).table
+    del_table = delta.evaluate(genome).table
     assert np.array_equal(lit_table.rate_down_bps, del_table.rate_down_bps)
     assert np.allclose(
         del_table.weighted_rate_down_bps,
@@ -220,8 +219,7 @@ def test_slot_table_matches_audit_per_slot(reference_problem):
     genome = reference_problem.adjust(
         np.random.default_rng(3).uniform(size=reference_problem.genome_size))
     audit = audit_genome(reference_problem, genome)
-    traj, split = reference_problem.decode(genome)
-    table = reference_problem.slot_table(traj, split)
+    table = reference_problem.evaluate(genome).table
     for i, slot in enumerate(audit["slots"]):
         assert math.isclose(table.d_su_m[i], slot["d_su"], rel_tol=1e-12)
         assert math.isclose(table.d_du_m[i], slot["d_du"], rel_tol=1e-12)
@@ -277,23 +275,13 @@ def test_literal_mode_makes_a_zero_split_optimal(request, name):
     assert feasible >= 10
 
 
-def test_check_constraints_flags_moved_endpoints(reference_problem):
-    genome = reference_problem.heuristic_mean()
-    traj, split = reference_problem.decode(genome)
-    shifted = traj.waypoints.copy()
-    shifted[0] += np.array([0.5, 0.0, 0.0])
-    report = reference_problem.check_constraints(Trajectory(shifted), split)
-    assert not report.feasible
-    assert report.margins["bounds"] == -0.5
-
-
 def test_speed_margin_reflects_longest_hop(reference_problem):
     genome = reference_problem.heuristic_mean()
-    traj, split = reference_problem.decode(genome)
-    hops = hop_lengths(traj)
+    sol = reference_problem.evaluate(genome)
+    hops = hop_lengths(sol.trajectory)
     max_hop = (reference_problem.params.max_speed_mps
                * reference_problem.params.slot_duration_s)
-    report = reference_problem.check_constraints(traj, split)
+    report = sol.report
     assert math.isclose(report.margins["speed"],
                         float(np.min(max_hop - hops)), rel_tol=1e-12)
 
@@ -500,8 +488,8 @@ def test_axis_layout_matches_per_point_reference_bitwise(
             field = getattr(got, name)
             assert field.dtype == want[key].dtype, name
             assert field.tobytes() == want[key].tobytes(), (len(genomes), name)
-        # Scalar evaluate and slot_table share the same pass; spot-check
-        # the first and last rows.
+        # Scalar evaluate, slot table included, shares the same pass;
+        # spot-check the first and last rows.
         for row in {0, len(genomes) - 1}:
             sol = problem.evaluate(genomes[row])
             assert sol.trajectory.waypoints.tobytes() == \
@@ -513,7 +501,7 @@ def test_axis_layout_matches_per_point_reference_bitwise(
             for name in MARGIN_NAMES:
                 assert np.float64(sol.report.margins[name]).tobytes() == \
                     want[name][row].tobytes(), name
-            table = problem.slot_table(sol.trajectory, sol.time_split)
+            table = sol.table
             for attr, key in (("d_su_m", "d_su"), ("d_du_m", "d_du"),
                               ("hop_m", "hops"), ("speed_mps", "speeds"),
                               ("correlation", "correlation"),

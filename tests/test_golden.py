@@ -38,6 +38,51 @@ SEEDS = (0, 1, 2)
 
 GOLDEN = {
     ("tiny", "ga"): [
+        "48356f6399e750ec0bf6d4425f57b4d7e19207999641a36312d903422d8b1195",
+        "81236d9adecb782f9a6e63dda79a7518183a73f784dc04913c8ed4bd2cc02b35",
+        "9e5b4492698fc7d49d4a3f16ab8969984b934a6974173122baf71f7b57dd62e6",
+    ],
+    ("tiny", "ipso"): [
+        "d1f27ba88b47d1820fbea77360fc666627981fec3b93fca5767533b0e605bbfd",
+        "0deb824d58584675301788bcb8f889190bf646c0cc00c87fd1840383143ee017",
+        "342d995a30cc5cb654f6194d507a052b4345de271d5c73eb93e78f40e4025c93",
+    ],
+    ("tiny", "pso"): [
+        "c9618e5601ebdd98c4d6c8602575f26cf787e4c58f01a4e9d512be4708a9be1d",
+        "51a8305200de9a693392115d701b5da79459a4b5fac0e280684affe2af5234db",
+        "8bad1ab0c3a66d2cfcd3bbce21f2ec81503303690b1c9690d6c7e46761d93755",
+    ],
+    ("tiny", "random"): [
+        "49f69e3a060f564502dae78eaaf0d527c23ea74e090c85cd4ca3e8f44ef09272",
+        "ea66261791fb891a937dca24642ae5c38a1a35b9e76973b310d3d571c7975023",
+        "2eba5bb5b195189c73610979a7b5f2cd58dbd23bb5c2bd2ec61c7f8682886c93",
+    ],
+    ("reference", "ga"): [
+        "62dad440f5abcb05fa56da44aa0a3d13c5cbe18b7b2bdff8044ca6f9887e7068",
+        "5bdf4be573f96b3e92d81cadda50cfcffcc2acd2938491e38c81f67ae687b37b",
+        "92413e1a386ff9b61f3d4576fab0c9a2e00bb9eca7a5dc2eeb9d0ab996c90383",
+    ],
+    ("reference", "ipso"): [
+        "b4263854376b9b4c1c9dfc82bdb7fdbf30b3b82b33f9a178954b75d7f920667f",
+        "8afb3317efe5feb7624a0e38c70a407f5902c0613cf11857eb166a818c1f48f6",
+        "18373e88db00e404ee9b03bbe852969ad7d2f9575dd4a960f465844cd731b403",
+    ],
+    ("reference", "pso"): [
+        "b246816b44f5569eba0ef713b7a6af4d149dcaface2b18e271de6cbe56bd42d4",
+        "8e2176d39cbd094164c9fae3bc934c97fd6620897a98af4096cc4c4447a30dc4",
+        "962052c3ba9ed4a4901d51fe46e8ef2b88ed9023bd17a5c64e2f888ddba6f72d",
+    ],
+    ("reference", "random"): [
+        "203a6e02ec21325adc5866d22da5b04cab64bb5d9dcc4d8bde9643d86e5e9343",
+        "cfbf0e25318212a481f76446bd1858e7ad808b88c035d695db4fc3b61b407df1",
+        "1e91245130785656503cebfcef07b883e7b00e58055b408ae3c7b62dd1c29f25",
+    ],
+}
+
+# The hashes before the feasibility report dropped the ``bounds`` margin,
+# which decoding guarantees: every run's best solution held it at -0.0.
+BOUNDS_GOLDEN = {
+    ("tiny", "ga"): [
         "b661b423e2c91490b29541d76535b9920d43633ca5a19e0535e4fcc161a55f08",
         "ece5dbc9589bd736db0d058ef4484c79cd07a84fe7076584102b7f5021c8390e",
         "0d5fbaad21f5906c6cea82bb3800f187ac64ad8de2526f3388ceab1e3fc2b28e",
@@ -204,10 +249,18 @@ def artifact_hash(artifact) -> str:
     return data_hash(artifact.to_dict(include_timing=False))
 
 
-def parent_data(artifact) -> dict:
-    """``artifact.to_dict(include_timing=False)`` with the deleted config
-    keys put back, as the parent wrote it."""
+def bounds_data(artifact) -> dict:
+    """``artifact.to_dict(include_timing=False)`` with the ``bounds`` margin
+    put back, as the code before its deletion wrote it."""
     data = artifact.to_dict(include_timing=False)
+    data["report"]["best"]["report"]["margins"]["bounds"] = -0.0
+    return data
+
+
+def parent_data(artifact) -> dict:
+    """:func:`bounds_data` with the deleted config keys put back too, as
+    the parent wrote it."""
+    data = bounds_data(artifact)
     data["report"]["config"].update(DELETED_CONFIG[artifact.solver])
     return data
 
@@ -231,6 +284,16 @@ def test_run_artifacts_match_golden_hashes(scenarios, config, solver):
 def test_report_config_has_exactly_its_keys(tiny_scenario, solver):
     report = run_single(tiny_scenario, solver, 0, budget=600).report
     assert list(report.config) == CONFIG_KEYS[solver]
+
+
+@pytest.mark.parametrize("config", ["tiny", "reference"])
+@pytest.mark.parametrize("solver", ["ga", "ipso", "pso", "random"])
+def test_artifacts_equal_the_parents_without_the_bounds_margin(
+        scenarios, config, solver):
+    got = [data_hash(bounds_data(run_single(scenarios[config], solver, seed,
+                                            budget=BUDGET)))
+           for seed in SEEDS]
+    assert got == BOUNDS_GOLDEN[config, solver]
 
 
 @pytest.mark.parametrize("config", ["tiny", "reference"])

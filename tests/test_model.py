@@ -15,6 +15,7 @@ import pytest
 import oracles
 from helpers import (
     downlink_kwargs,
+    encode,
     fly_kwargs,
     harvest_kwargs,
     random_propulsion,
@@ -31,7 +32,6 @@ from uavbsc.model import (
     PropulsionParams,
     Trajectory,
     as_position,
-    as_time_split,
     doppler_factor,
     flying_power,
     harvested_energy_slot,
@@ -62,21 +62,6 @@ def test_as_position_rejects_bad_shapes_and_nonfinite():
         as_position([[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         as_position([1.0, float("nan"), 3.0])
-
-
-def test_as_time_split_validates_range_shape_and_length():
-    out = as_time_split([0.0, 0.5, 1.0])
-    assert out.tolist() == [0.0, 0.5, 1.0]
-    with pytest.raises(ValueError):
-        as_time_split([[0.5]])
-    with pytest.raises(ValueError):
-        as_time_split([0.5, 0.5], n_slots=3)
-    with pytest.raises(ValueError):
-        as_time_split([0.5, 1.0001])
-    with pytest.raises(ValueError):
-        as_time_split([-0.0001])
-    with pytest.raises(ValueError):
-        as_time_split([float("inf")])
 
 
 def test_trajectory_validation_and_hop_lengths():
@@ -289,15 +274,19 @@ def test_consumption_energy_matches_reference_formula():
         n = p.slot_count
         sd = p.slot_duration_s
         alt = p.altitude_m
-        problem = LinkProblem(p, prop, source=(0.0, 0.0, 0.0),
-                              user=(50.0, 0.0, 0.0), start=(-50.0, 0.0, alt),
-                              goal=(50.0, 0.0, alt))
         hops = rng.uniform(0.0, 30.0, size=n) * sd
         waypoints = np.zeros((n + 1, 3))
         waypoints[:, 0] = -50.0 + np.concatenate([[0.0], np.cumsum(hops)])
         waypoints[:, 2] = alt
+        # The mission ends where its hops take it, inside a stretched arena.
+        end = waypoints[-1, 0]
+        p = dataclasses.replace(p, bounds_m=((-50.0, end + 1.0), *p.bounds_m[1:]))
+        problem = LinkProblem(p, prop, source=(0.0, 0.0, 0.0),
+                              user=(50.0, 0.0, 0.0), start=(-50.0, 0.0, alt),
+                              goal=(end, 0.0, alt))
         split = rng.uniform(0.0, 1.0, size=n)
-        table = problem.slot_table(Trajectory(waypoints), split)
+        table = problem.evaluate(
+            encode(problem, Trajectory(waypoints), split)).table
         got = table.fly_j + table.backscatter_j + table.cache_j
         for i in range(n):
             expected = oracles.consumption_reference(

@@ -25,7 +25,6 @@ from uavbsc.common import STALL_TOL, Incumbent, draw
 from uavbsc.config import ScenarioConfig
 from uavbsc.encoding import _PASS_ROWS, LinkProblem, _slot_sum, normalize
 from uavbsc.harness import write_json
-from uavbsc.model import Trajectory
 
 PROBLEMS = {
     "tiny": ScenarioConfig.load(TINY_CONFIG).build_problem(),
@@ -172,10 +171,10 @@ def test_stacked_incumbent_offers_as_one_holder_per_seed(case):
                 assert best.genome[k].tobytes() == b.genome.tobytes()
 
 
-def _constraints_hold(problem, traj, split) -> dict:
-    """Each mission constraint, stated as the inequality it imposes."""
+def _constraints_hold(problem, t) -> dict:
+    """Each mission constraint, stated as the inequality it imposes on the
+    slot table ``t``."""
     p = problem.params
-    t = problem.slot_table(traj, split)
     up, down = np.sum(t.weighted_rate_up_bps), np.sum(t.weighted_rate_down_bps)
     return {
         "cache_balance": p.cached_fraction * p.demanded_rate_bps + up >= down,
@@ -183,16 +182,13 @@ def _constraints_hold(problem, traj, split) -> dict:
         "energy": np.sum(t.harvested_j)
         >= np.sum(t.fly_j + t.backscatter_j + t.cache_j),
         "speed": bool(np.all(t.hop_m <= p.max_speed_mps * p.slot_duration_s)),
-        "bounds": bool(np.all((split >= 0.0) & (split <= 1.0))
-                       and np.array_equal(traj.waypoints[0], problem.start)
-                       and np.array_equal(traj.waypoints[-1], problem.goal)),
     }
 
 
-def _tolerances(problem, traj, split) -> dict:
-    """How far below zero each margin may fall in a feasible mission."""
+def _tolerances(problem, t) -> dict:
+    """How far below zero each margin may fall in a feasible mission with
+    the slot table ``t``."""
     p = problem.params
-    t = problem.slot_table(traj, split)
     up, down = np.sum(t.weighted_rate_up_bps), np.sum(t.weighted_rate_down_bps)
     consumed = np.sum(t.fly_j + t.backscatter_j + t.cache_j)
     credit = p.cached_fraction * p.demanded_rate_bps
@@ -201,14 +197,11 @@ def _tolerances(problem, traj, split) -> dict:
         "rate_demand": 1e-9 * max(1.0, abs(down) + p.demanded_rate_bps),
         "energy": 1e-9 * max(1.0, np.sum(t.harvested_j) + consumed),
         "speed": 1e-12,
-        "bounds": 0.0,
     }
 
 
-# How far a genome strays from the heuristic mission (0: not at all),
-# and how far the end waypoints are moved off the start and goal.
+# How far a genome strays from the heuristic mission (0: not at all).
 _PULL = st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0])
-_SHIFT = st.one_of(st.just(0.0), st.floats(1e-3, 30.0))
 # User demands, cached shares and tag powers (as multiples of the
 # scenario's), so that the rate constraints bind too.
 _LINK = st.tuples(st.sampled_from([0.0, 1e6, 2e7, 1e9]),
@@ -233,19 +226,13 @@ def test_margins_are_nonnegative_exactly_when_constraints_hold(name):
     seen = set()
 
     @checked
-    @given(raw_genes(PROBLEMS[name]), _PULL, _SHIFT, _SHIFT, _LINK)
-    def check(genes, pull, start_shift, goal_shift, link):
+    @given(raw_genes(PROBLEMS[name]), _PULL, _LINK)
+    def check(genes, pull, link):
         problem = _with_link(PROBLEMS[name], *link)
-        genome = problem.adjust(heuristic + pull * genes / 1e6)
-        traj, split = problem.decode(genome)
-        moved = traj.waypoints.copy()
-        moved[0, 0] += start_shift
-        moved[-1, 1] -= goal_shift
-        traj = Trajectory(moved)
-
-        report = problem.check_constraints(traj, split)
-        holds = _constraints_hold(problem, traj, split)
-        tolerance = _tolerances(problem, traj, split)
+        sol = problem.evaluate(problem.adjust(heuristic + pull * genes / 1e6))
+        report = sol.report
+        holds = _constraints_hold(problem, sol.table)
+        tolerance = _tolerances(problem, sol.table)
         for key, margin in report.margins.items():
             assert (margin >= 0.0) == holds[key], (key, margin)
             seen.add((key, bool(holds[key])))
@@ -256,7 +243,7 @@ def test_margins_are_nonnegative_exactly_when_constraints_hold(name):
     check()
     # Every constraint was seen both holding and broken, and so was
     # feasibility as a whole.
-    report_keys = ("cache_balance", "rate_demand", "energy", "speed", "bounds")
+    report_keys = ("cache_balance", "rate_demand", "energy", "speed")
     assert seen == {(key, ok) for key in (*report_keys, "feasible")
                     for ok in (True, False)}, seen
 

@@ -65,6 +65,9 @@ REMOVED = [
     *[("config", f"ScenarioConfig.{name}") for name in (
         "system", "propulsion", "source", "user", "start", "goal",
         "penalty_mode", "rate_weighting", "fixed_altitude")],
+    ("encoding", "LinkProblem.check_constraints"),
+    ("encoding", "LinkProblem.slot_table"),
+    ("model", "as_time_split"),
 ]
 
 # (module, callable path, parameter) triples removed from the package.
