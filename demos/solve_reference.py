@@ -1,9 +1,10 @@
 """Optimize the reference mission with both solvers and a random baseline.
 
-Every contender gets the same evaluation budget, so the printed rates
-are directly comparable.  Expect both metaheuristics to clear the
-baseline by a wide margin and the improved swarm to edge out the
-genetic algorithm on this scenario.
+One campaign runs every solver at one seed, each with the settings of the
+scenario's ``solvers`` section and the same evaluation budget, so the
+printed rates are directly comparable.  Expect both metaheuristics to
+clear the baseline by a wide margin and the improved swarm to edge out
+the genetic algorithm on this scenario.
 
 Run from the repository root (takes a few seconds):
 
@@ -11,26 +12,16 @@ Run from the repository root (takes a few seconds):
 """
 
 from uavbsc.config import ScenarioConfig
-from uavbsc.ga import GaConfig, run as run_ga
-from uavbsc.harness import random_search
-from uavbsc.pso import PsoConfig, run as run_pso
+from uavbsc.harness import SOLVER_NAMES, run_campaign
 
 BUDGET = 5000
 SEED = 0
 
 scenario = ScenarioConfig.load("configs/reference.json")
-problem = scenario.build_problem()
 print(f"scenario {scenario.name}, budget {BUDGET} evaluations, seed {SEED}\n")
 
-reports = [
-    run_ga(GaConfig(population_size=50, generations=300, seed=SEED,
-                    max_evaluations=BUDGET), problem),
-    run_pso(PsoConfig(variant="ipso", swarm_size=50, iterations=150,
-                      seed=SEED, max_evaluations=BUDGET), problem),
-    run_pso(PsoConfig(variant="pso", swarm_size=50, iterations=300,
-                      seed=SEED, max_evaluations=BUDGET), problem),
-    random_search(problem, budget=BUDGET, seed=SEED),
-]
+reports = [artifact.report for artifact in
+           run_campaign(scenario, SOLVER_NAMES, [SEED], budget=BUDGET)]
 
 
 def evals_to_best(rep):

@@ -21,7 +21,6 @@ from .encoding import (
     SlotTable,
 )
 from .ga import GaConfig
-from .ga import run as run_ga
 from .harness import (
     RunArtifact,
     SweepPoint,
@@ -46,7 +45,6 @@ from .model import (
     rate_uplink,
 )
 from .pso import IPSO_MUTATION_VARIANCE, PsoConfig
-from .pso import run as run_pso
 
 __version__ = "0.1.0"
 
@@ -62,7 +60,7 @@ __all__ = [
     "EvaluatedSolution", "SlotTable", "BatchEvaluation",
     # solvers
     "STALL_TOL", "GenerationRecord", "SolverReport",
-    "GaConfig", "run_ga", "PsoConfig", "run_pso", "IPSO_MUTATION_VARIANCE",
+    "GaConfig", "PsoConfig", "IPSO_MUTATION_VARIANCE",
     # scenarios & harness
     "ConfigError", "ScenarioConfig", "db_to_linear", "dbm_to_watt",
     "RunArtifact", "run_single", "run_campaign", "random_search",

@@ -17,14 +17,11 @@ import numpy as np
 
 from .common import (
     SeedStack,
-    SolverReport,
     SolverSteps,
     draw,
     initial_population,
     masked_gaussian_offsets,
-    run_alone,
 )
-from .encoding import LinkProblem
 from .model import (
     NONNEGATIVE,
     POSITIVE,
@@ -43,7 +40,6 @@ __all__ = [
     "crossover",
     "mutate",
     "steps",
-    "run",
 ]
 
 
@@ -170,11 +166,6 @@ def mutate(genes, cfg: GaConfig, rng) -> np.ndarray:
     offsets = masked_gaussian_offsets(
         rng, arr.shape, cfg.mutation_rate, 1.0 / cfg.mutation_spread)
     return arr + offsets
-
-
-def run(cfg: GaConfig, problem: LinkProblem) -> SolverReport:
-    """Run the genetic algorithm and report the best mission found."""
-    return run_alone(steps(cfg, problem), problem)
 
 
 def steps(cfg: GaConfig, problem,

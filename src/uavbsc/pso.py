@@ -18,12 +18,10 @@ import numpy as np
 
 from .common import (
     SeedStack,
-    SolverReport,
     SolverSteps,
     draw,
     initial_population,
     masked_gaussian_offsets,
-    run_alone,
 )
 from .encoding import LinkProblem
 from .model import (
@@ -43,7 +41,6 @@ __all__ = [
     "update_velocity",
     "update_position",
     "steps",
-    "run",
 ]
 
 # Variance of the improved variant's Gaussian mutation step.
@@ -133,11 +130,6 @@ def update_position(problem: LinkProblem, position, velocity) -> np.ndarray:
     """Move particles by ``problem.adjust(position + velocity)``, which
     clamps into the unit box, re-pins frozen genes and rejects a non-finite move."""
     return problem.adjust(position + velocity)
-
-
-def run(cfg: PsoConfig, problem: LinkProblem) -> SolverReport:
-    """Run the swarm and report the best mission found."""
-    return run_alone(steps(cfg, problem), problem)
 
 
 def steps(cfg: PsoConfig, problem,

@@ -38,13 +38,12 @@ from uavbsc import ga as ga_mod
 from uavbsc import model
 from uavbsc import pso as pso_mod
 from uavbsc.cli import main as cli_main
+from uavbsc.common import drive
 from uavbsc.ga import GaConfig
 from uavbsc.harness import (
     SOLVER_NAMES,
     SweepSpec,
     campaign_to_dict,
-    make_solver_config,
-    random_search,
     run_campaign,
     run_sweep,
 )
@@ -75,39 +74,33 @@ def assert_trace_nonincreasing(report) -> None:
 
 @pytest.fixture(scope="module")
 def reference_runs(reference_scenario):
-    """Criterion 4 workload: 10 GA + 10 IPSO runs, 50x300 each."""
+    """Criterion 4 workload: 10 GA + 10 IPSO runs, 50x300 each, as one
+    stacked loop per solver."""
     problem = reference_scenario.build_problem()
     started = time.perf_counter()
-    reports = []
-    for seed in range(10):
-        reports.append(ga_mod.run(
-            GaConfig(population_size=50, generations=300, seed=seed),
-            problem))
-        reports.append(pso_mod.run(
-            PsoConfig(variant="ipso", swarm_size=50, iterations=300,
-                      seed=seed),
-            problem))
+    driven = drive([
+        ga_mod.steps(GaConfig(population_size=50, generations=300),
+                     problem, range(10)),
+        pso_mod.steps(PsoConfig(variant="ipso", swarm_size=50, iterations=300),
+                      problem, range(10)),
+    ], [problem, problem])
+    reports = [report for outcome, _ in driven for report in outcome]
     return {"elapsed": time.perf_counter() - started, "reports": reports}
+
+
+def _reports_by_solver(artifacts) -> dict:
+    out: dict = {}
+    for artifact in artifacts:
+        out.setdefault(artifact.solver, []).append(artifact.report)
+    return out
 
 
 @pytest.fixture(scope="module")
 def budget_runs(reference_scenario):
     """Criteria 5/6 workload: every solver at 15,000 evaluations x 10 seeds."""
-    problem = reference_scenario.build_problem()
     started = time.perf_counter()
-    out = {"ga": [], "ipso": [], "pso": [], "random": []}
-    for seed in range(10):
-        out["ga"].append(ga_mod.run(
-            GaConfig(population_size=50, generations=300, seed=seed,
-                     max_evaluations=EQUAL_BUDGET), problem))
-        out["ipso"].append(pso_mod.run(
-            PsoConfig(variant="ipso", swarm_size=50, iterations=150,
-                      seed=seed, max_evaluations=EQUAL_BUDGET), problem))
-        out["pso"].append(pso_mod.run(
-            PsoConfig(variant="pso", swarm_size=50, iterations=300,
-                      seed=seed, max_evaluations=EQUAL_BUDGET), problem))
-        out["random"].append(random_search(
-            problem, budget=EQUAL_BUDGET, seed=seed))
+    out = _reports_by_solver(run_campaign(
+        reference_scenario, SOLVER_NAMES, range(10), budget=EQUAL_BUDGET))
     out["elapsed"] = time.perf_counter() - started
     return out
 
@@ -118,12 +111,8 @@ def tiny_grid_runs(tiny_scenario):
     problem = tiny_scenario.build_problem()
     started = time.perf_counter()
     grid = grid_oracle(problem, resolution=9)
-    reports = {"ga": [], "ipso": []}
-    for seed in range(5):
-        reports["ga"].append(ga_mod.run(
-            make_solver_config(tiny_scenario, "ga", seed), problem))
-        reports["ipso"].append(pso_mod.run(
-            make_solver_config(tiny_scenario, "ipso", seed), problem))
+    reports = _reports_by_solver(run_campaign(tiny_scenario, ["ga", "ipso"],
+                                              range(5)))
     return {
         "elapsed": time.perf_counter() - started,
         "grid": grid,

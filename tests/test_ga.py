@@ -10,7 +10,7 @@ import pytest
 
 from helpers import small_problem, small_system_params
 from uavbsc import ga
-from uavbsc.common import initial_population, masked_gaussian_offsets
+from uavbsc.common import initial_population, masked_gaussian_offsets, run_alone
 from uavbsc.ga import GaConfig
 
 
@@ -274,19 +274,20 @@ def test_init_population_with_zero_std_repeats_the_mean():
 def test_run_is_deterministic_per_seed():
     problem = small_problem()
     cfg = small_cfg(population_size=12, generations=15, seed=101)
-    r1 = ga.run(cfg, problem)
-    r2 = ga.run(cfg, problem)
+    r1 = run_alone(ga.steps(cfg, problem), problem)
+    r2 = run_alone(ga.steps(cfg, problem), problem)
     assert np.array_equal(r1.best.genome, r2.best.genome)
     assert r1.best.fitness == r2.best.fitness
     assert [t.to_dict() for t in r1.trace] == [t.to_dict() for t in r2.trace]
-    r3 = ga.run(small_cfg(population_size=12, generations=15, seed=102), problem)
+    cfg = small_cfg(population_size=12, generations=15, seed=102)
+    r3 = run_alone(ga.steps(cfg, problem), problem)
     assert not np.array_equal(r1.best.genome, r3.best.genome)
 
 
 def test_run_best_trace_is_monotone_and_counts_evaluations():
     problem = small_problem()
     cfg = small_cfg(population_size=10, generations=20, seed=2)
-    report = ga.run(cfg, problem)
+    report = run_alone(ga.steps(cfg, problem), problem)
     best = [rec.best_fitness for rec in report.trace]
     assert all(b <= a for a, b in zip(best, best[1:]))
     assert report.trace[-1].evaluations == report.evaluations
@@ -299,7 +300,7 @@ def test_run_respects_evaluation_budget():
     problem = small_problem()
     cfg = small_cfg(population_size=50, generations=400, seed=3,
                     max_evaluations=237)
-    report = ga.run(cfg, problem)
+    report = run_alone(ga.steps(cfg, problem), problem)
     assert report.evaluations <= 237
     assert report.evaluations == 200  # 50 init + 3 full generations
     assert len(report.trace) == 3
@@ -308,8 +309,9 @@ def test_run_respects_evaluation_budget():
 
 def test_run_rejects_budget_below_one_population():
     problem = small_problem()
+    cfg = small_cfg(population_size=50, max_evaluations=49)
     with pytest.raises(ValueError):
-        ga.run(small_cfg(population_size=50, max_evaluations=49), problem)
+        run_alone(ga.steps(cfg, problem), problem)
 
 
 def test_run_stops_after_stall_limit_without_improvement():
@@ -319,7 +321,7 @@ def test_run_stops_after_stall_limit_without_improvement():
     problem = small_problem(small_system_params(demanded_rate_bps=1e15),
                             penalty_mode="paper")
     cfg = small_cfg(population_size=8, generations=500, stall_limit=12, seed=4)
-    report = ga.run(cfg, problem)
+    report = run_alone(ga.steps(cfg, problem), problem)
     assert len(report.trace) == 12
     assert report.last_improvement_generation == 0
     assert report.best.fitness == -1.0
@@ -333,7 +335,7 @@ def test_run_improves_on_random_start():
     problem = small_problem(
         small_system_params(wpt_power_w=10_000.0, mission_time_s=16.0))
     cfg = small_cfg(population_size=15, generations=40, seed=6, init_std=0.5)
-    report = ga.run(cfg, problem)
+    report = run_alone(ga.steps(cfg, problem), problem)
     assert report.trace[-1].best_fitness <= report.trace[0].best_fitness
     assert report.feasible
     assert report.best_objective_bps > 0.0

@@ -273,10 +273,12 @@ def test_paper_mode_with_no_feasible_mission_reports_the_first_candidate():
     for report, first in (
             (random_search(problem, budget=300, seed=4), problem.adjust(
                 np.random.default_rng(4).random((1, problem.genome_size)))),
-            (ga.run(ga_cfg, problem), common.initial_population(
-                problem, 10, ga_cfg.init_std, np.random.default_rng(4))),
-            (pso.run(pso_cfg, problem), common.initial_population(
-                problem, 10, pso_cfg.init_std, np.random.default_rng(4)))):
+            (common.run_alone(ga.steps(ga_cfg, problem), problem),
+             common.initial_population(
+                 problem, 10, ga_cfg.init_std, np.random.default_rng(4))),
+            (common.run_alone(pso.steps(pso_cfg, problem), problem),
+             common.initial_population(
+                 problem, 10, pso_cfg.init_std, np.random.default_rng(4)))):
         assert (report.best.fitness, report.feasible) == (-1.0, False)
         np.testing.assert_array_equal(report.best.genome, first[0])
 

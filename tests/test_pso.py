@@ -8,7 +8,7 @@ import pytest
 
 from helpers import frozen_gene_indices, small_problem, small_system_params
 from uavbsc import pso
-from uavbsc.common import Incumbent
+from uavbsc.common import Incumbent, run_alone
 from uavbsc.encoding import BatchEvaluation, LinkProblem
 from uavbsc.harness import run_single
 from uavbsc.pso import IPSO_MUTATION_VARIANCE, PsoConfig
@@ -272,12 +272,13 @@ def test_ipso_mutate_is_inert_for_plain_variant():
 def test_run_is_deterministic_per_seed():
     problem = roomy_problem()
     cfg = small_cfg(swarm_size=10, iterations=12, seed=77)
-    r1 = pso.run(cfg, problem)
-    r2 = pso.run(cfg, problem)
+    r1 = run_alone(pso.steps(cfg, problem), problem)
+    r2 = run_alone(pso.steps(cfg, problem), problem)
     assert np.array_equal(r1.best.genome, r2.best.genome)
     assert r1.best.fitness == r2.best.fitness
     assert [t.to_dict() for t in r1.trace] == [t.to_dict() for t in r2.trace]
-    r3 = pso.run(small_cfg(swarm_size=10, iterations=12, seed=78), problem)
+    cfg = small_cfg(swarm_size=10, iterations=12, seed=78)
+    r3 = run_alone(pso.steps(cfg, problem), problem)
     assert not np.array_equal(r1.best.genome, r3.best.genome)
 
 
@@ -309,8 +310,8 @@ def test_improved_variant_with_flat_schedule_equals_plain_variant():
     flat = small_cfg(variant="ipso", inertia_max=0.9, inertia_min=0.9,
                      mutation_prob=0.0, swarm_size=10, iterations=15)
     plain = small_cfg(variant="pso", swarm_size=10, iterations=15)
-    a = pso.run(flat, problem)
-    b = pso.run(plain, problem)
+    a = run_alone(pso.steps(flat, problem), problem)
+    b = run_alone(pso.steps(plain, problem), problem)
     assert a.solver == "ipso" and b.solver == "pso"
     assert np.array_equal(a.best.genome, b.best.genome)
     assert a.best.fitness == b.best.fitness
@@ -320,7 +321,8 @@ def test_improved_variant_with_flat_schedule_equals_plain_variant():
 
 def test_run_best_trace_is_monotone():
     problem = roomy_problem()
-    report = pso.run(small_cfg(swarm_size=10, iterations=25, seed=1), problem)
+    cfg = small_cfg(swarm_size=10, iterations=25, seed=1)
+    report = run_alone(pso.steps(cfg, problem), problem)
     best = [rec.best_fitness for rec in report.trace]
     assert all(b <= a for a, b in zip(best, best[1:]))
     # The final iteration's mutation pass books its evaluations after the
@@ -334,7 +336,7 @@ def test_run_respects_budget_with_mutation_accounting():
     problem = roomy_problem()
     cfg = small_cfg(swarm_size=10, iterations=400, seed=2,
                     mutation_prob=0.5, max_evaluations=72)
-    report = pso.run(cfg, problem)
+    report = run_alone(pso.steps(cfg, problem), problem)
     assert report.evaluations <= 72
     assert report.budget == 72
     assert len(report.trace) >= 3
@@ -346,21 +348,23 @@ def test_run_budget_counts_only_moved_mutants():
     # than swarm_size - 1 of them.
     problem = roomy_problem()
     cfg = small_cfg(swarm_size=8, iterations=5, seed=3, mutation_prob=0.3)
-    report = pso.run(cfg, problem)
+    report = run_alone(pso.steps(cfg, problem), problem)
     assert report.evaluations <= 8 + 5 * (8 + 7)
     assert report.evaluations >= 8 + 5 * 8
 
 
 def test_run_rejects_budget_below_one_swarm():
+    problem = roomy_problem()
+    cfg = small_cfg(swarm_size=10, max_evaluations=9)
     with pytest.raises(ValueError):
-        pso.run(small_cfg(swarm_size=10, max_evaluations=9), roomy_problem())
+        run_alone(pso.steps(cfg, problem), problem)
 
 
 def test_run_single_iteration_and_solver_naming():
     problem = roomy_problem()
     for variant in ("ipso", "pso"):
-        report = pso.run(small_cfg(variant=variant, swarm_size=6,
-                                   iterations=1, seed=4), problem)
+        cfg = small_cfg(variant=variant, swarm_size=6, iterations=1, seed=4)
+        report = run_alone(pso.steps(cfg, problem), problem)
         assert report.solver == variant
         assert len(report.trace) == 1
         assert report.config["variant"] == variant
@@ -373,7 +377,7 @@ def test_run_with_degenerate_start_stays_at_the_mean():
     problem = roomy_problem()
     cfg = small_cfg(swarm_size=6, iterations=8, init_std=0.0,
                     mutation_prob=0.0)
-    report = pso.run(cfg, problem)
+    report = run_alone(pso.steps(cfg, problem), problem)
     heuristic = problem.evaluate(problem.heuristic_mean())
     assert np.array_equal(report.best.genome, heuristic.genome)
     assert report.best.fitness == heuristic.fitness
@@ -383,7 +387,7 @@ def test_run_with_degenerate_start_stays_at_the_mean():
 def test_run_finds_feasible_improvement():
     problem = roomy_problem()
     cfg = small_cfg(swarm_size=15, iterations=40, seed=6, init_std=0.5)
-    report = pso.run(cfg, problem)
+    report = run_alone(pso.steps(cfg, problem), problem)
     assert report.feasible
     assert report.trace[-1].best_fitness <= report.trace[0].best_fitness
     assert report.best_objective_bps > 0.0

@@ -68,13 +68,17 @@ REMOVED = [
     ("encoding", "LinkProblem.check_constraints"),
     ("encoding", "LinkProblem.slot_table"),
     ("model", "as_time_split"),
+    ("ga", "run"),
+    ("pso", "run"),
+    ("ga", "run_ga"),  # the package's aliases of the two
+    ("pso", "run_pso"),
 ]
 
 # (module, callable path, parameter) triples removed from the package.
 REMOVED_PARAMETERS = [
     *[(module, name, "callback") for module, name in (
-        ("common", "Incumbent"), ("ga", "run"), ("ga", "steps"),
-        ("pso", "run"), ("pso", "steps"), ("harness", "_run_group"),
+        ("common", "Incumbent"), ("ga", "steps"), ("pso", "steps"),
+        ("harness", "_run_group"),
         ("harness", "run_single"), ("harness", "random_search"),
         ("harness", "random_steps"))],
     ("harness", "random_search", "chunk_size"),
