@@ -172,21 +172,20 @@ class SeedStack:
     ``problem`` is every seed's problem, or a sequence of one per seed;
     these share a ``geometry``, so the loop adjusts and starts every seed
     alike through ``problem`` (the first), and each seed's report comes
-    from its own.  ``seeds`` defaults to ``config.seed``.  Each seed has
-    its own generator (``rngs``), a row of one :class:`Incumbent`
-    (``best``) and an evaluation count (``spent``, from ``size``: the
-    loop's first generation).  ``live`` holds the seed of each layer of
-    the loop's stack.  A ``budget`` below ``size`` raises ``ValueError``.
+    from its own.  Each seed has its own generator (``rngs``), a row of
+    one :class:`Incumbent` (``best``) and an evaluation count (``spent``,
+    from ``size``: the loop's first generation).  ``live`` holds the seed
+    of each layer of the loop's stack.  A ``budget`` below ``size`` raises
+    ``ValueError``.
     """
 
-    def __init__(self, solver: str, problem, seeds: Optional[Sequence[int]],
-                 size: int, budget: Optional[int], config,
-                 unit: str = "population") -> None:
+    def __init__(self, solver: str, problem, seeds: Sequence[int], size: int,
+                 budget: Optional[int], config, unit: str = "population") -> None:
         if budget is not None and budget < size:
             raise ValueError(
                 f"evaluation budget {budget} cannot fit one {unit} of {size}")
         self.solver, self.budget, self.config = solver, budget, config
-        self.seeds = [int(seed) for seed in ([config.seed] if seeds is None else seeds)]
+        self.seeds = [int(seed) for seed in seeds]
         self.problems = ([problem] * len(self.seeds)
                          if isinstance(problem, LinkProblem) else list(problem))
         self.problem = self.problems[0]
@@ -216,8 +215,8 @@ class SeedStack:
 
     def reports(self) -> List[SolverReport]:
         """One report per seed, from one evaluation of its incumbent on its
-        own problem.  A config dataclass is recorded with the seed's own
-        ``seed``, a dict as it is."""
+        own problem.  A config dataclass is recorded with the run's seed
+        and budget, a dict as it is."""
         best = self.best
         return [SolverReport(
             solver=self.solver, seed=seed, best=own.evaluate(best.genome[k]),
@@ -225,7 +224,8 @@ class SeedStack:
             last_improvement_generation=int(best.last_improvement[k]),
             budget=self.budget,
             config=dict(self.config) if isinstance(self.config, dict)
-            else {**dataclasses.asdict(self.config), "seed": seed})
+            else {**dataclasses.asdict(self.config), "seed": seed,
+                  "max_evaluations": self.budget})
             for k, (seed, own) in enumerate(zip(self.seeds, self.problems))]
 
 

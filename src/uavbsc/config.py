@@ -98,9 +98,9 @@ _MODES = {
     "fixed_altitude": (bool, True),
 }
 
-# Solver config fields a scenario file cannot override: seed and budget
-# come from the harness call, the variant from the section name.
-_NOT_OVERRIDABLE = ("seed", "max_evaluations", "variant")
+# Solver config fields a scenario file cannot override: the variant comes
+# from the section name.
+_NOT_OVERRIDABLE = ("variant",)
 
 
 @functools.cache  # from_dict types every solver section on each load

@@ -25,7 +25,6 @@ from .common import (
 from .model import (
     NONNEGATIVE,
     POSITIVE,
-    POSITIVE_OR_NONE,
     UNIT_INTERVAL,
     at_least,
     check_fields,
@@ -55,8 +54,6 @@ class GaConfig:
     elite_fraction: float = UNIT_INTERVAL(0.05)  # share of the population kept as is
     stall_limit: int = at_least(1, 200)  # generations without improvement to stop
     init_std: float = NONNEGATIVE(0.2)  # initialization spread around the mean genome
-    seed: int = 0
-    max_evaluations: Optional[int] = POSITIVE_OR_NONE(None)
 
     def __post_init__(self) -> None:
         spread = self.mutation_spread  # the mutation std is 1 / spread
@@ -168,18 +165,17 @@ def mutate(genes, cfg: GaConfig, rng) -> np.ndarray:
     return arr + offsets
 
 
-def steps(cfg: GaConfig, problem,
-          seeds: Optional[Sequence[int]] = None) -> SolverSteps:
+def steps(cfg: GaConfig, problem, seeds: Sequence[int],
+          budget: Optional[int] = None) -> SolverSteps:
     """The GA over a (seeds, size, dim) stack (see :mod:`uavbsc.common`).
 
-    The seeds (default: ``cfg.seed``) form one
-    :class:`~uavbsc.common.SeedStack`.  A seed leaves the stack at the
-    generation limit, after ``stall_limit`` generations without a
-    best-fitness improvement beyond ``STALL_TOL``, or when the next
-    generation would exceed ``max_evaluations``.
+    The seeds form one :class:`~uavbsc.common.SeedStack`.  A seed leaves
+    the stack at the generation limit, after ``stall_limit`` generations
+    without a best-fitness improvement beyond ``STALL_TOL``, or when the
+    next generation would exceed ``budget`` evaluations (None: no limit).
     """
     size = cfg.population_size
-    stack = SeedStack("ga", problem, seeds, size, cfg.max_evaluations, cfg)
+    stack = SeedStack("ga", problem, seeds, size, budget, cfg)
     stall = np.zeros(len(stack.seeds), dtype=int)
     n_elite = elite_count(cfg, size)
     paired = size - size % 2  # pairs (0, 1), (2, 3), ... cross; an odd last is copied

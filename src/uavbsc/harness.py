@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import operator
 import time
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
@@ -37,7 +38,6 @@ __all__ = [
     "SOLVER_NAMES",
     "RANDOM_DEFAULT_BUDGET",
     "RunArtifact",
-    "make_solver_config",
     "run_single",
     "run_campaign",
     "campaign_to_dict",
@@ -69,18 +69,19 @@ _RANDOM_CHUNK = 256
 def random_search(problem: LinkProblem, budget: int,
                   seed: int = 0) -> SolverReport:
     """Uniform random sampling of the unit box, best-so-far kept."""
-    return run_alone(random_steps(problem, budget, [seed]), problem)
+    return run_alone(random_steps(None, problem, [seed], budget), problem)
 
 
-def random_steps(problem, budget: int,
-                 seeds: Sequence[int] = (0,)) -> SolverSteps:
+def random_steps(cfg: None, problem, seeds: Sequence[int],
+                 budget: Optional[int] = None) -> SolverSteps:
     """Random search over a stack of seeds (see :mod:`uavbsc.common`).
 
-    Each seed draws its candidates in row-major blocks of
-    ``_RANDOM_CHUNK`` from its own stream, so a longer budget evaluates
-    a strict superset of a shorter one.  The trace holds one record per
-    block.
+    ``cfg`` is its row's None.  Each seed draws its candidates in
+    row-major blocks of ``_RANDOM_CHUNK`` from its own stream, so a longer
+    budget evaluates a strict superset of a shorter one.  The trace holds
+    one record per block.  A ``budget`` of None is ``RANDOM_DEFAULT_BUDGET``.
     """
+    budget = RANDOM_DEFAULT_BUDGET if budget is None else budget
     if budget < 1:
         raise ValueError("random search needs a budget of at least 1")
     stack = SeedStack("random", problem, seeds, 0, int(budget),
@@ -96,7 +97,7 @@ def random_steps(problem, budget: int,
     return stack.reports()
 
 
-# Each solver's config factory (None: its loop takes a budget instead) and loop.
+# Each solver's config factory (None: no hyperparameters) and its loop.
 SOLVERS = {
     "ga": (ga_mod.GaConfig, ga_mod.steps),
     "ipso": (partial(pso_mod.PsoConfig, variant="ipso"), pso_mod.steps),
@@ -132,23 +133,14 @@ class RunArtifact:
         return out
 
 
-def make_solver_config(scenario: ScenarioConfig, solver: str, seed: int,
-                       budget: Optional[int] = None):
-    """Solver config for a scenario: defaults, file overrides, then seed/budget."""
-    make, _ = SOLVERS[_as_solver_list(solver)[0]]
-    return None if make is None else make(
-        **scenario.solver_overrides.get(solver, {}), seed=seed, max_evaluations=budget)
-
-
 def _run_group(scenario: ScenarioConfig, solver: str, seeds: Sequence[int],
                budget: Optional[int], problems) -> SolverSteps:
     """The stacked loop of one solver over ``seeds`` on their problems, with
     the solver settings of ``scenario``; its solver config is made, and may
     fail, in the loop's first step.  Each report is named after the row."""
-    cfg = make_solver_config(scenario, solver, seeds[0], budget)
-    _, loop = SOLVERS[solver]
-    reports = yield from (loop(cfg, problems, seeds) if cfg is not None else loop(
-        problems, RANDOM_DEFAULT_BUDGET if budget is None else budget, seeds))
+    make, loop = SOLVERS[solver]
+    cfg = make and make(**scenario.solver_overrides.get(solver, {}))
+    reports = yield from loop(cfg, problems, seeds, budget)
     for report in reports:
         report.solver = solver
     return reports
@@ -177,14 +169,28 @@ def _as_solver_list(solvers) -> List[str]:
     return names
 
 
+def _at_least(value, least: int, name: str, rule: str) -> int:
+    """``value``, an integer (numpy's too, not a bool), as an ``int`` of at
+    least ``least``; else ``ValueError`` naming ``name``, or ``rule``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer (got {value!r})")
+    if (value := operator.index(value)) < least:
+        raise ValueError(rule.format(value))
+    return value
+
+
 def _as_seed_list(seeds) -> List[int]:
-    seeds = [int(seed) for seed in seeds]
+    seeds = [_at_least(seed, 0, "seed", "seeds must be non-negative (got seed {})")
+             for seed in seeds]
     if not seeds:
         raise ValueError("at least one seed is required")
-    for seed in seeds:
-        if seed < 0:
-            raise ValueError(f"seeds must be non-negative (got seed {seed})")
     return seeds
+
+
+def _as_budget(budget) -> Optional[int]:
+    """A run's evaluation budget: None (each solver's own limit) or an integer."""
+    return None if budget is None else _at_least(
+        budget, 1, "budget", "budget must be at least 1 (got {})")
 
 
 def _run_slice(runs: Sequence[tuple], budget: Optional[int]) -> list:
@@ -231,8 +237,7 @@ def _execute(runs: Sequence[tuple], budget: Optional[int],
     in this process (one slice) or as the tasks of one process pool.  A
     worker that ends abruptly raises :class:`ChildProcessError`.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    _at_least(workers, 1, "workers", "workers must be at least 1")
     n_slices = min(workers, len(runs))
     if n_slices <= 1:
         return _run_slice(runs, budget)
@@ -263,7 +268,7 @@ def run_campaign(scenario: ScenarioConfig, solvers, seeds: Sequence[int],
     seeds = _as_seed_list(seeds)
     results = _execute([(scenario, solver, seed)
                         for solver in names for seed in seeds],
-                       budget, workers)
+                       _as_budget(budget), workers)
     for result in results:
         if isinstance(result, Exception):
             raise result
@@ -297,8 +302,7 @@ class SweepSpec:
             raise ValueError("sweep needs at least one value")
         self.seeds = _as_seed_list(self.seeds)
         self.solvers = _as_solver_list(self.solvers)
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"sweep budget must be at least 1 (got {self.budget})")
+        self.budget = _as_budget(self.budget)
 
 
 @dataclass(eq=False)

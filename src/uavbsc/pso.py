@@ -63,8 +63,6 @@ class PsoConfig:
     # per-gene |velocity| cap, off when None
     velocity_clamp: Optional[float] = POSITIVE_OR_NONE(None)
     init_std: float = NONNEGATIVE(0.2)
-    seed: int = 0
-    max_evaluations: Optional[int] = POSITIVE_OR_NONE(None)
 
     def __post_init__(self) -> None:
         problems = []
@@ -132,24 +130,23 @@ def update_position(problem: LinkProblem, position, velocity) -> np.ndarray:
     return problem.adjust(position + velocity)
 
 
-def steps(cfg: PsoConfig, problem,
-          seeds: Optional[Sequence[int]] = None) -> SolverSteps:
+def steps(cfg: PsoConfig, problem, seeds: Sequence[int],
+          budget: Optional[int] = None) -> SolverSteps:
     """The swarm over a (seeds, size, dim) stack (see :mod:`uavbsc.common`).
 
-    The seeds (default: ``cfg.seed``) form one
-    :class:`~uavbsc.common.SeedStack`.  Per iteration: velocities and
-    positions update against the previous iteration's global best; the
-    swarm, with (improved variant) its mutants ``adjust(swarm + offsets)``
-    beside it, is evaluated as one block; personal bests then the global
-    best are refreshed from the swarm; and the mutants become the
-    positions, all but the global-best holder's, which keeps its own.
-    Only the mutants an offset moved count and reach the personal bests,
-    and the global best at the next refresh.  A seed leaves the stack
-    after the last iteration, or when its next one might exceed its budget.
+    The seeds form one :class:`~uavbsc.common.SeedStack`.  Per iteration:
+    velocities and positions update against the previous iteration's global
+    best; the swarm, with (improved variant) its mutants
+    ``adjust(swarm + offsets)`` beside it, is evaluated as one block;
+    personal bests then the global best are refreshed from the swarm; and
+    the mutants become the positions, all but the global-best holder's,
+    which keeps its own.  Only the mutants an offset moved count and reach
+    the personal bests, and the global best at the next refresh.  A seed
+    leaves the stack after the last iteration, or when its next one might
+    exceed ``budget`` evaluations (None: no limit).
     """
     size = cfg.swarm_size
-    stack = SeedStack(cfg.variant, problem, seeds, size, cfg.max_evaluations, cfg,
-                      "swarm")
+    stack = SeedStack(cfg.variant, problem, seeds, size, budget, cfg, "swarm")
     problem, best = stack.problem, stack.best
     mutation_std = math.sqrt(IPSO_MUTATION_VARIANCE)
     needed = size + (size - 1 if cfg.mutation_active else 0)

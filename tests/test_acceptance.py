@@ -130,14 +130,14 @@ def trend_sweeps(reference_scenario):
                   values=[24.0, 27.0, 30.0, 33.0, 36.0],
                   solvers=("ipso",), seeds=tuple(range(5)),
                   budget=EQUAL_BUDGET),
-        workers=4)
+        workers=2)
     altitude = run_sweep(
         reference_scenario,
         SweepSpec(parameter="geometry.altitude_m",
                   values=[5.0, 10.0, 15.0, 20.0, 25.0],
                   solvers=("ipso",), seeds=tuple(range(5)),
                   budget=EQUAL_BUDGET),
-        workers=4)
+        workers=2)
     return {
         "elapsed": time.perf_counter() - started,
         "charge": charge,

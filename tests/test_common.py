@@ -142,14 +142,14 @@ def test_report_evaluates_the_incumbent_once(tiny_problem):
 
 
 @pytest.mark.parametrize("module, config, unit", [
-    (ga, ga.GaConfig(population_size=6, max_evaluations=5), "population"),
-    (pso, pso.PsoConfig(swarm_size=6, max_evaluations=5), "swarm"),
+    (ga, ga.GaConfig(population_size=6), "population"),
+    (pso, pso.PsoConfig(swarm_size=6), "swarm"),
 ], ids=["ga", "pso"])
 def test_a_budget_below_the_first_generation_names_what_cannot_fit(
         tiny_problem, module, config, unit):
     with pytest.raises(ValueError,
                        match=f"^evaluation budget 5 cannot fit one {unit} of 6$"):
-        next(module.steps(config, tiny_problem))
+        next(module.steps(config, tiny_problem, [0], 5))
 
 
 def test_achieved_rate_counts_an_infeasible_run_as_zero(tiny_problem):
@@ -174,10 +174,10 @@ def test_initial_population_is_one_normal_draw_then_adjust(tiny_problem):
 
 def test_both_solvers_start_from_the_shared_initializer(tiny_problem):
     want = initial_population(tiny_problem, 6, 0.2, np.random.default_rng(4))
-    first_ga, ga_seeds = next(ga.steps(ga.GaConfig(population_size=6, seed=4),
-                                       tiny_problem))
-    first_pso, pso_seeds = next(pso.steps(pso.PsoConfig(swarm_size=6, seed=4),
-                                          tiny_problem))
+    first_ga, ga_seeds = next(ga.steps(ga.GaConfig(population_size=6),
+                                       tiny_problem, [4]))
+    first_pso, pso_seeds = next(pso.steps(pso.PsoConfig(swarm_size=6),
+                                          tiny_problem, [4]))
     assert first_ga.shape == first_pso.shape == (1, *want.shape)
     assert first_ga.tobytes() == want.tobytes()
     assert first_pso.tobytes() == want.tobytes()

@@ -15,7 +15,7 @@ from uavbsc.ga import GaConfig
 
 
 def small_cfg(**overrides):
-    base = dict(population_size=20, generations=30, seed=5)
+    base = dict(population_size=20, generations=30)
     base.update(overrides)
     return GaConfig(**base)
 
@@ -34,7 +34,6 @@ def small_cfg(**overrides):
     ("elite_fraction", 1.5),
     ("stall_limit", 0),
     ("init_std", -0.01),
-    ("max_evaluations", 0),
 ])
 def test_config_rejects_bad_field(field, value):
     with pytest.raises(ValueError) as err:
@@ -273,21 +272,20 @@ def test_init_population_with_zero_std_repeats_the_mean():
 
 def test_run_is_deterministic_per_seed():
     problem = small_problem()
-    cfg = small_cfg(population_size=12, generations=15, seed=101)
-    r1 = run_alone(ga.steps(cfg, problem), problem)
-    r2 = run_alone(ga.steps(cfg, problem), problem)
+    cfg = small_cfg(population_size=12, generations=15)
+    r1 = run_alone(ga.steps(cfg, problem, [101]), problem)
+    r2 = run_alone(ga.steps(cfg, problem, [101]), problem)
     assert np.array_equal(r1.best.genome, r2.best.genome)
     assert r1.best.fitness == r2.best.fitness
     assert [t.to_dict() for t in r1.trace] == [t.to_dict() for t in r2.trace]
-    cfg = small_cfg(population_size=12, generations=15, seed=102)
-    r3 = run_alone(ga.steps(cfg, problem), problem)
+    r3 = run_alone(ga.steps(cfg, problem, [102]), problem)
     assert not np.array_equal(r1.best.genome, r3.best.genome)
 
 
 def test_run_best_trace_is_monotone_and_counts_evaluations():
     problem = small_problem()
-    cfg = small_cfg(population_size=10, generations=20, seed=2)
-    report = run_alone(ga.steps(cfg, problem), problem)
+    cfg = small_cfg(population_size=10, generations=20)
+    report = run_alone(ga.steps(cfg, problem, [2]), problem)
     best = [rec.best_fitness for rec in report.trace]
     assert all(b <= a for a, b in zip(best, best[1:]))
     assert report.trace[-1].evaluations == report.evaluations
@@ -298,9 +296,8 @@ def test_run_best_trace_is_monotone_and_counts_evaluations():
 
 def test_run_respects_evaluation_budget():
     problem = small_problem()
-    cfg = small_cfg(population_size=50, generations=400, seed=3,
-                    max_evaluations=237)
-    report = run_alone(ga.steps(cfg, problem), problem)
+    cfg = small_cfg(population_size=50, generations=400)
+    report = run_alone(ga.steps(cfg, problem, [3], 237), problem)
     assert report.evaluations <= 237
     assert report.evaluations == 200  # 50 init + 3 full generations
     assert len(report.trace) == 3
@@ -309,9 +306,9 @@ def test_run_respects_evaluation_budget():
 
 def test_run_rejects_budget_below_one_population():
     problem = small_problem()
-    cfg = small_cfg(population_size=50, max_evaluations=49)
+    cfg = small_cfg(population_size=50)
     with pytest.raises(ValueError):
-        run_alone(ga.steps(cfg, problem), problem)
+        run_alone(ga.steps(cfg, problem, [5], 49), problem)
 
 
 def test_run_stops_after_stall_limit_without_improvement():
@@ -320,8 +317,8 @@ def test_run_stops_after_stall_limit_without_improvement():
     # never improve and the stall counter must stop the run.
     problem = small_problem(small_system_params(demanded_rate_bps=1e15),
                             penalty_mode="paper")
-    cfg = small_cfg(population_size=8, generations=500, stall_limit=12, seed=4)
-    report = run_alone(ga.steps(cfg, problem), problem)
+    cfg = small_cfg(population_size=8, generations=500, stall_limit=12)
+    report = run_alone(ga.steps(cfg, problem, [4]), problem)
     assert len(report.trace) == 12
     assert report.last_improvement_generation == 0
     assert report.best.fitness == -1.0
@@ -334,8 +331,8 @@ def test_run_improves_on_random_start():
     # its start-goal span equals the sum of both maximum hops.)
     problem = small_problem(
         small_system_params(wpt_power_w=10_000.0, mission_time_s=16.0))
-    cfg = small_cfg(population_size=15, generations=40, seed=6, init_std=0.5)
-    report = run_alone(ga.steps(cfg, problem), problem)
+    cfg = small_cfg(population_size=15, generations=40, init_std=0.5)
+    report = run_alone(ga.steps(cfg, problem, [6]), problem)
     assert report.trace[-1].best_fitness <= report.trace[0].best_fitness
     assert report.feasible
     assert report.best_objective_bps > 0.0

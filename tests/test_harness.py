@@ -1,6 +1,8 @@
 """Campaign runner, random baseline, sweeps, grid oracle, and exports."""
 
 import concurrent.futures
+import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -23,7 +25,6 @@ from uavbsc.harness import (
     SweepPoint,
     SweepSpec,
     export_solution,
-    make_solver_config,
     random_search,
     random_steps,
     read_solution,
@@ -42,25 +43,26 @@ from uavbsc.pso import PsoConfig
 # Per-run plumbing
 # ----------------------------------------------------------------------
 
-def test_make_solver_config_applies_scenario_overrides(tiny_scenario):
-    cfg = make_solver_config(tiny_scenario, "ga", seed=11, budget=500)
-    assert isinstance(cfg, GaConfig)
-    assert cfg.population_size == 40
-    assert cfg.generations == 300
-    assert cfg.stall_limit == 100
-    assert cfg.seed == 11
-    assert cfg.max_evaluations == 500
-    ipso = make_solver_config(tiny_scenario, "ipso", seed=2)
-    assert isinstance(ipso, PsoConfig)
-    assert ipso.variant == "ipso"
-    assert ipso.swarm_size == 40
-    assert ipso.iterations == 150
-    assert ipso.max_evaluations is None
-    pso = make_solver_config(tiny_scenario, "pso", seed=2)
-    assert pso.variant == "pso"
-    assert make_solver_config(tiny_scenario, "random", seed=0) is None
+def test_a_run_config_is_the_scenario_overrides_with_its_seed_and_budget(
+        tiny_scenario):
+    # A config holds the row's defaults under the scenario's overrides;
+    # the report records it with the run's seed and budget.
+    ga_run, ipso_run, pso_run, random_run = (
+        run_single(tiny_scenario, solver, 11, budget=budget).report.config
+        for solver, budget in (("ga", 500), ("ipso", 200), ("pso", 200),
+                               ("random", 300)))
+    assert ga_run == {**dataclasses.asdict(GaConfig(
+        population_size=40, generations=300, stall_limit=100)),
+        "seed": 11, "max_evaluations": 500}
+    assert ipso_run == {**dataclasses.asdict(PsoConfig(
+        variant="ipso", swarm_size=40, iterations=150)),
+        "seed": 11, "max_evaluations": 200}
+    assert (pso_run["variant"], pso_run["max_evaluations"]) == ("pso", 200)
+    assert random_run == {"chunk_size": 256}
+    (unbounded,) = run_campaign(tiny_scenario, "ipso", [2])
+    assert unbounded.budget is unbounded.report.config["max_evaluations"] is None
     with pytest.raises(ValueError, match="unknown solver"):
-        make_solver_config(tiny_scenario, "tabu", seed=0)
+        run_single(tiny_scenario, "tabu", 0)
 
 
 def test_run_single_is_replayable(tiny_scenario):
@@ -111,35 +113,65 @@ def test_run_campaign_accepts_single_solver_name(tiny_scenario):
     assert arts[0].solver == "random"
 
 
-def test_a_new_solver_is_one_row_of_the_table(tiny_scenario, monkeypatch,
-                                              tmp_path, capsys):
-    # A row that runs random search under a name of its own reaches a
-    # campaign, a sweep and the command line with no other edit, and its
-    # reports carry the row's name.
-    monkeypatch.setitem(harness.SOLVERS, "dummy", (None, random_steps))
-    expected = {**run_single(tiny_scenario, "random", 3, budget=300).report.to_dict(),
+def _run_a_new_row(row, baseline, scenario, config, monkeypatch, tmp_path,
+                   capsys) -> list:
+    """Run ``row`` under the name ``dummy`` through a campaign, a sweep and
+    ``uavbsc run --config config``, and check each report is ``baseline``'s
+    under the row's name.  Returns the reports' configs."""
+    monkeypatch.setitem(harness.SOLVERS, "dummy", row)
+    expected = {**run_single(scenario, baseline, 3, budget=300).report.to_dict(),
                 "solver": "dummy"}
-    (art,) = run_campaign(tiny_scenario, "dummy", [3], budget=300)
+    (art,) = run_campaign(scenario, "dummy", [3], budget=300)
     assert art.solver == art.report.solver == "dummy"
     assert art.report.to_dict() == expected
-    sweeps = [run_sweep(tiny_scenario, SweepSpec(
+    configs = [art.report.config]
+    sweeps = [run_sweep(scenario, SweepSpec(
         "system.wpt_power_db", [30, 33], [name, "ga"], [3, 4], budget=300))
-        for name in ("dummy", "random")]
-    for dummy, baseline in zip(*sweeps):
+        for name in ("dummy", baseline)]
+    for dummy, reference in zip(*sweeps):
         assert dummy.error is None
         assert [(a.solver, a.report.solver, a.seed) for a in dummy.artifacts] == \
             [("dummy", "dummy", 3), ("dummy", "dummy", 4),
              ("ga", "ga", 3), ("ga", "ga", 4)]
         assert [a.report.to_dict() for a in dummy.artifacts] == \
             [{**b.report.to_dict(), "solver": a.solver}
-             for a, b in zip(dummy.artifacts, baseline.artifacts)]
+             for a, b in zip(dummy.artifacts, reference.artifacts)]
+        configs += [a.report.config for a in dummy.artifacts[:2]]
     out = tmp_path / "dummy.json"
-    assert main(["run", "--config", str(TINY_CONFIG), "--solver", "dummy",
+    assert main(["run", "--config", str(config), "--solver", "dummy",
                  "--seed", "3", "--budget", "300", "--no-timing",
                  "--out", str(out)]) == 0
     assert "solver=dummy" in capsys.readouterr().out
-    assert json.loads(out.read_text(encoding="utf-8")) == \
-        {**art.to_dict(include_timing=False), "report": expected}
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert written == {**art.to_dict(include_timing=False), "report": expected}
+    return configs + [written["report"]["config"]]
+
+
+def test_a_new_solver_is_one_row_of_the_table(tiny_scenario, monkeypatch,
+                                              tmp_path, capsys):
+    # A row that runs random search under a name of its own reaches a
+    # campaign, a sweep and the command line with no other edit, and its
+    # reports carry the row's name.
+    _run_a_new_row((None, random_steps), "random", tiny_scenario, TINY_CONFIG,
+                   monkeypatch, tmp_path, capsys)
+
+
+def test_a_new_solver_with_a_config_is_one_row_of_the_table(monkeypatch, tmp_path,
+                                                            capsys):
+    # A row whose config holds only its hyperparameters runs as the GA row
+    # with the same settings, and each report's config records the run's
+    # seed and budget.
+    settings = {"population_size": 10, "generations": 5}
+    doc = json.loads(TINY_CONFIG.read_text(encoding="utf-8"))
+    doc["solvers"]["ga"] = settings
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    configs = _run_a_new_row(
+        (functools.partial(GaConfig, **settings), ga.steps), "ga",
+        ScenarioConfig.load(config), config, monkeypatch, tmp_path, capsys)
+    hyperparameters = dataclasses.asdict(GaConfig(**settings))
+    assert configs == [{**hyperparameters, "seed": seed, "max_evaluations": 300}
+                       for seed in (3, 3, 4, 3, 4, 3)]
 
 
 def test_a_scenario_builds_its_problem_once(monkeypatch):
@@ -193,9 +225,25 @@ def test_run_campaign_worker_count_does_not_change_results(tiny_scenario):
     assert a == b
 
 
+# Budgets that are no integer of at least 1; each raised TypeError or
+# OverflowError from inside random search before the one budget check.
+BAD_BUDGETS = [2.5, 600.0, True, math.inf, 0, -1]
+
+
 def test_run_campaign_rejects_bad_arguments(tiny_scenario):
-    with pytest.raises(ValueError, match="workers"):
-        run_campaign(tiny_scenario, ["random"], seeds=[0], workers=0)
+    spec = SweepSpec("system.wpt_power_db", [30], ["random"], [0], budget=8)
+    for workers in (0, 2.5, True):
+        with pytest.raises(ValueError, match="workers"):
+            run_campaign(tiny_scenario, ["random"], seeds=[0], workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(tiny_scenario, spec, workers=workers)
+    for solver, budget in itertools.product(["random", "ga"], BAD_BUDGETS):
+        with pytest.raises(ValueError, match="budget must be"):
+            run_campaign(tiny_scenario, solver, seeds=[0], budget=budget)
+    # numpy integers are integers.
+    (art,) = run_campaign(tiny_scenario, "random", [np.int64(2)], budget=np.int64(8),
+                          workers=np.int64(1))
+    assert (type(art.seed), art.seed, type(art.budget), art.budget) == (int, 2, int, 8)
     with pytest.raises(ValueError, match="at least one solver"):
         run_campaign(tiny_scenario, [], seeds=[0])
     with pytest.raises(ValueError, match="unknown solver"):
@@ -214,6 +262,11 @@ def test_negative_seed_is_rejected_before_any_run(tiny_scenario, monkeypatch):
         run_single(tiny_scenario, "random", seed=-2)
     with pytest.raises(ValueError, match=r"non-negative \(got seed -1\)"):
         SweepSpec(parameter="system.wpt_power_db", values=[30], seeds=[-1])
+    for seed in (2.5, "3", True, np.float64(2.0)):
+        with pytest.raises(ValueError, match=r"seed must be an integer"):
+            run_campaign(tiny_scenario, ["random"], seeds=[0, seed])
+        with pytest.raises(ValueError, match=r"seed must be an integer"):
+            SweepSpec(parameter="system.wpt_power_db", values=[30], seeds=[seed])
     assert started == []
 
 
@@ -268,15 +321,15 @@ def test_paper_mode_with_no_feasible_mission_reports_the_first_candidate():
     # whatever its worst violation.
     problem = small_problem(small_system_params(demanded_rate_bps=1e15),
                             penalty_mode="paper")
-    ga_cfg = GaConfig(population_size=10, generations=5, seed=4)
-    pso_cfg = PsoConfig(swarm_size=10, iterations=5, seed=4)
+    ga_cfg = GaConfig(population_size=10, generations=5)
+    pso_cfg = PsoConfig(swarm_size=10, iterations=5)
     for report, first in (
             (random_search(problem, budget=300, seed=4), problem.adjust(
                 np.random.default_rng(4).random((1, problem.genome_size)))),
-            (common.run_alone(ga.steps(ga_cfg, problem), problem),
+            (common.run_alone(ga.steps(ga_cfg, problem, [4]), problem),
              common.initial_population(
                  problem, 10, ga_cfg.init_std, np.random.default_rng(4))),
-            (common.run_alone(pso.steps(pso_cfg, problem), problem),
+            (common.run_alone(pso.steps(pso_cfg, problem, [4]), problem),
              common.initial_population(
                  problem, 10, pso_cfg.init_std, np.random.default_rng(4)))):
         assert (report.best.fitness, report.feasible) == (-1.0, False)
@@ -304,6 +357,9 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="x", values=[1], solvers=["nope"])
     for budget in (0, -1):
         with pytest.raises(ValueError, match=r"budget must be at least 1"):
+            SweepSpec(parameter="x", values=[1], budget=budget)
+    for budget in BAD_BUDGETS:
+        with pytest.raises(ValueError, match="budget must be"):
             SweepSpec(parameter="x", values=[1], budget=budget)
     spec = SweepSpec(parameter="x", values=[1], solvers="random", budget=1)
     assert spec.solvers == ["random"]

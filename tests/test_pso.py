@@ -14,8 +14,12 @@ from uavbsc.harness import run_single
 from uavbsc.pso import IPSO_MUTATION_VARIANCE, PsoConfig
 
 
+# The seed of each run below that names none.
+SEED = 9
+
+
 def small_cfg(**overrides):
-    base = dict(variant="ipso", swarm_size=12, iterations=20, seed=9)
+    base = dict(variant="ipso", swarm_size=12, iterations=20)
     base.update(overrides)
     return PsoConfig(**base)
 
@@ -40,7 +44,6 @@ def roomy_problem(**param_overrides):
     ("mutation_prob", 1.5),
     ("velocity_clamp", 0.0),
     ("init_std", -0.2),
-    ("max_evaluations", 0),
 ])
 def test_config_rejects_bad_field(field, value):
     with pytest.raises(ValueError) as err:
@@ -194,7 +197,7 @@ def _first_iteration(cfg, problem):
     block's draws, and the row of the incumbent after the personal-best
     refresh, recomputed outside.
     """
-    loop = pso.steps(cfg, problem)
+    loop = pso.steps(cfg, problem, [SEED])
     start, _ = next(loop)
     ev0 = problem.evaluate_batch(start[0])
     replay = copy.deepcopy(_solver_rng(loop))
@@ -245,7 +248,7 @@ def test_ipso_mutate_is_inert_for_plain_variant():
     problem = roomy_problem()
     for cfg in (small_cfg(variant="pso", iterations=5),
                 small_cfg(mutation_prob=0.0, iterations=5)):
-        loop = pso.steps(cfg, problem)
+        loop = pso.steps(cfg, problem, [SEED])
         block, _ = next(loop)
         blocks = 1
         while True:
@@ -271,14 +274,13 @@ def test_ipso_mutate_is_inert_for_plain_variant():
 
 def test_run_is_deterministic_per_seed():
     problem = roomy_problem()
-    cfg = small_cfg(swarm_size=10, iterations=12, seed=77)
-    r1 = run_alone(pso.steps(cfg, problem), problem)
-    r2 = run_alone(pso.steps(cfg, problem), problem)
+    cfg = small_cfg(swarm_size=10, iterations=12)
+    r1 = run_alone(pso.steps(cfg, problem, [77]), problem)
+    r2 = run_alone(pso.steps(cfg, problem, [77]), problem)
     assert np.array_equal(r1.best.genome, r2.best.genome)
     assert r1.best.fitness == r2.best.fitness
     assert [t.to_dict() for t in r1.trace] == [t.to_dict() for t in r2.trace]
-    cfg = small_cfg(swarm_size=10, iterations=12, seed=78)
-    r3 = run_alone(pso.steps(cfg, problem), problem)
+    r3 = run_alone(pso.steps(cfg, problem, [78]), problem)
     assert not np.array_equal(r1.best.genome, r3.best.genome)
 
 
@@ -310,8 +312,8 @@ def test_improved_variant_with_flat_schedule_equals_plain_variant():
     flat = small_cfg(variant="ipso", inertia_max=0.9, inertia_min=0.9,
                      mutation_prob=0.0, swarm_size=10, iterations=15)
     plain = small_cfg(variant="pso", swarm_size=10, iterations=15)
-    a = run_alone(pso.steps(flat, problem), problem)
-    b = run_alone(pso.steps(plain, problem), problem)
+    a = run_alone(pso.steps(flat, problem, [SEED]), problem)
+    b = run_alone(pso.steps(plain, problem, [SEED]), problem)
     assert a.solver == "ipso" and b.solver == "pso"
     assert np.array_equal(a.best.genome, b.best.genome)
     assert a.best.fitness == b.best.fitness
@@ -321,8 +323,8 @@ def test_improved_variant_with_flat_schedule_equals_plain_variant():
 
 def test_run_best_trace_is_monotone():
     problem = roomy_problem()
-    cfg = small_cfg(swarm_size=10, iterations=25, seed=1)
-    report = run_alone(pso.steps(cfg, problem), problem)
+    cfg = small_cfg(swarm_size=10, iterations=25)
+    report = run_alone(pso.steps(cfg, problem, [1]), problem)
     best = [rec.best_fitness for rec in report.trace]
     assert all(b <= a for a, b in zip(best, best[1:]))
     # The final iteration's mutation pass books its evaluations after the
@@ -334,9 +336,8 @@ def test_run_best_trace_is_monotone():
 
 def test_run_respects_budget_with_mutation_accounting():
     problem = roomy_problem()
-    cfg = small_cfg(swarm_size=10, iterations=400, seed=2,
-                    mutation_prob=0.5, max_evaluations=72)
-    report = run_alone(pso.steps(cfg, problem), problem)
+    cfg = small_cfg(swarm_size=10, iterations=400, mutation_prob=0.5)
+    report = run_alone(pso.steps(cfg, problem, [2], 72), problem)
     assert report.evaluations <= 72
     assert report.budget == 72
     assert len(report.trace) >= 3
@@ -347,24 +348,24 @@ def test_run_budget_counts_only_moved_mutants():
     # plus one evaluation per actually-perturbed particle, never more
     # than swarm_size - 1 of them.
     problem = roomy_problem()
-    cfg = small_cfg(swarm_size=8, iterations=5, seed=3, mutation_prob=0.3)
-    report = run_alone(pso.steps(cfg, problem), problem)
+    cfg = small_cfg(swarm_size=8, iterations=5, mutation_prob=0.3)
+    report = run_alone(pso.steps(cfg, problem, [3]), problem)
     assert report.evaluations <= 8 + 5 * (8 + 7)
     assert report.evaluations >= 8 + 5 * 8
 
 
 def test_run_rejects_budget_below_one_swarm():
     problem = roomy_problem()
-    cfg = small_cfg(swarm_size=10, max_evaluations=9)
+    cfg = small_cfg(swarm_size=10)
     with pytest.raises(ValueError):
-        run_alone(pso.steps(cfg, problem), problem)
+        run_alone(pso.steps(cfg, problem, [SEED], 9), problem)
 
 
 def test_run_single_iteration_and_solver_naming():
     problem = roomy_problem()
     for variant in ("ipso", "pso"):
-        cfg = small_cfg(variant=variant, swarm_size=6, iterations=1, seed=4)
-        report = run_alone(pso.steps(cfg, problem), problem)
+        cfg = small_cfg(variant=variant, swarm_size=6, iterations=1)
+        report = run_alone(pso.steps(cfg, problem, [4]), problem)
         assert report.solver == variant
         assert len(report.trace) == 1
         assert report.config["variant"] == variant
@@ -377,7 +378,7 @@ def test_run_with_degenerate_start_stays_at_the_mean():
     problem = roomy_problem()
     cfg = small_cfg(swarm_size=6, iterations=8, init_std=0.0,
                     mutation_prob=0.0)
-    report = run_alone(pso.steps(cfg, problem), problem)
+    report = run_alone(pso.steps(cfg, problem, [SEED]), problem)
     heuristic = problem.evaluate(problem.heuristic_mean())
     assert np.array_equal(report.best.genome, heuristic.genome)
     assert report.best.fitness == heuristic.fitness
@@ -386,8 +387,8 @@ def test_run_with_degenerate_start_stays_at_the_mean():
 
 def test_run_finds_feasible_improvement():
     problem = roomy_problem()
-    cfg = small_cfg(swarm_size=15, iterations=40, seed=6, init_std=0.5)
-    report = run_alone(pso.steps(cfg, problem), problem)
+    cfg = small_cfg(swarm_size=15, iterations=40, init_std=0.5)
+    report = run_alone(pso.steps(cfg, problem, [6]), problem)
     assert report.feasible
     assert report.trace[-1].best_fitness <= report.trace[0].best_fitness
     assert report.best_objective_bps > 0.0

@@ -23,8 +23,8 @@ VALID = {
 }
 
 # The fields with no single-field range rule: an integer count checked
-# with the other system rules, the arena box, seeds and the swarm variant.
-EXEMPT = {"slot_count", "bounds_m", "seed", "variant"}
+# with the other system rules, the arena box and the swarm variant.
+EXEMPT = {"slot_count", "bounds_m", "variant"}
 
 CASES = [(name, f.name) for name, make in VALID.items()
          for f in dataclasses.fields(make())]
